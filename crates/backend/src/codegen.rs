@@ -593,11 +593,12 @@ mod tests {
             &[dataflows::conv_ohow(&conv, 2)],
             &BackendConfig::default(),
         );
+        let index = dag.edge_index();
         for (id, n) in dag.nodes.iter().enumerate() {
             if matches!(n.prim, Prim::Mul) {
                 assert!(
-                    dag.out_edges(id).iter().any(|e| matches!(
-                        dag.nodes[e.to].prim,
+                    index.outs(id).iter().any(|&e| matches!(
+                        dag.nodes[dag.edges[e].to].prim,
                         Prim::Add | Prim::Mul | Prim::Shift
                     )),
                     "dangling multiplier {id}"

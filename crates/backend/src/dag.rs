@@ -7,6 +7,8 @@
 
 use std::collections::BTreeMap;
 
+use lego_lp::DelayEdge;
+
 /// Node identifier within a [`Dag`].
 pub type NodeId = usize;
 
@@ -134,6 +136,40 @@ pub struct Dag {
     pub edges: Vec<DagEdge>,
     /// Number of fused dataflow configurations.
     pub n_dataflows: usize,
+    /// What `passes::match_delays` last solved on this graph.
+    pub(crate) delay_memo: Option<DelayMemo>,
+}
+
+/// The constraint list of a whole-graph delay-matching solve and the
+/// registers it put on each constraint, in list order.
+#[derive(Debug, Clone)]
+pub(crate) struct DelayMemo {
+    pub(crate) edges: Vec<DelayEdge>,
+    pub(crate) extra_latency: Vec<i64>,
+}
+
+/// In- and out-edge ids per node (CSR layout), from [`Dag::edge_index`].
+///
+/// Ids within a node ascend, so walking a list visits edges in the order a
+/// filter over `dag.edges` would.
+#[derive(Debug, Clone)]
+pub struct EdgeIndex {
+    in_start: Vec<usize>,
+    in_ids: Vec<usize>,
+    out_start: Vec<usize>,
+    out_ids: Vec<usize>,
+}
+
+impl EdgeIndex {
+    /// Ids of the edges into `node`, ascending.
+    pub fn ins(&self, node: NodeId) -> &[usize] {
+        &self.in_ids[self.in_start[node]..self.in_start[node + 1]]
+    }
+
+    /// Ids of the edges out of `node`, ascending.
+    pub fn outs(&self, node: NodeId) -> &[usize] {
+        &self.out_ids[self.out_start[node]..self.out_start[node + 1]]
+    }
 }
 
 impl Dag {
@@ -143,6 +179,7 @@ impl Dag {
             nodes: Vec::new(),
             edges: Vec::new(),
             n_dataflows,
+            delay_memo: None,
         }
     }
 
@@ -216,16 +253,41 @@ impl Dag {
         self.nodes.iter().filter(|n| pred(&n.prim)).count()
     }
 
-    /// In-edges of a node, sorted by pin.
-    pub fn in_edges(&self, node: NodeId) -> Vec<&DagEdge> {
-        let mut v: Vec<&DagEdge> = self.edges.iter().filter(|e| e.to == node).collect();
-        v.sort_by_key(|e| e.to_pin);
-        v
+    /// Builds the per-node edge index of the graph as it is now, in
+    /// O(nodes + edges).
+    ///
+    /// The index is a snapshot, not a field: the passes rewire by writing
+    /// `dag.edges[i].to = …` directly, so a maintained index would go stale
+    /// behind their backs. Build one where a pass or emitter starts, and
+    /// again after the pass has rewired.
+    pub fn edge_index(&self) -> EdgeIndex {
+        let (in_start, in_ids) = self.group_edges(|e| e.to);
+        let (out_start, out_ids) = self.group_edges(|e| e.from);
+        EdgeIndex {
+            in_start,
+            in_ids,
+            out_start,
+            out_ids,
+        }
     }
 
-    /// Out-edges of a node.
-    pub fn out_edges(&self, node: NodeId) -> Vec<&DagEdge> {
-        self.edges.iter().filter(|e| e.from == node).collect()
+    /// Counting sort of edge ids by `key`: node `v`'s ids are
+    /// `ids[start[v]..start[v + 1]]`, ascending.
+    fn group_edges(&self, key: fn(&DagEdge) -> NodeId) -> (Vec<usize>, Vec<usize>) {
+        let mut start = vec![0usize; self.nodes.len() + 1];
+        for e in &self.edges {
+            start[key(e) + 1] += 1;
+        }
+        for v in 0..self.nodes.len() {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0usize; self.edges.len()];
+        for (i, e) in self.edges.iter().enumerate() {
+            ids[next[key(e)]] = i;
+            next[key(e)] += 1;
+        }
+        (start, ids)
     }
 
     /// Validates structural invariants; returns a description of the first
@@ -320,6 +382,28 @@ mod tests {
         dag.edges[0].extra_regs = 3;
         assert_eq!(dag.pipeline_register_bits(), 48);
         assert!(dag.check().is_ok());
+    }
+
+    #[test]
+    fn edge_index_lists_what_a_scan_would() {
+        let mut dag = Dag::new(1);
+        let ids: Vec<NodeId> = (0..4)
+            .map(|i| dag.add_node(Prim::Add, None, 8, format!("n{i}")))
+            .collect();
+        for (from, to) in [(2, 1), (0, 1), (0, 3), (2, 3), (0, 1)] {
+            dag.add_edge(ids[from], ids[to], 0, 8, vec![true], 0);
+        }
+        dag.edges[3].to = ids[0]; // a pass's direct rewiring
+        let index = dag.edge_index();
+        for &v in &ids {
+            let scan = |key: fn(&DagEdge) -> NodeId| -> Vec<usize> {
+                (0..dag.edges.len())
+                    .filter(|&i| key(&dag.edges[i]) == v)
+                    .collect()
+            };
+            assert_eq!(index.ins(v), scan(|e| e.to));
+            assert_eq!(index.outs(v), scan(|e| e.from));
+        }
     }
 
     #[test]

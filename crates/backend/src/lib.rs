@@ -27,7 +27,7 @@ pub mod dag;
 pub mod passes;
 
 pub use codegen::lower;
-pub use dag::{Dag, DagEdge, DagNode, NodeId, Prim};
+pub use dag::{Dag, DagEdge, DagNode, EdgeIndex, NodeId, Prim};
 pub use passes::{optimize, OptimizeReport, PassStats};
 
 /// Bit-width and structural configuration for lowering.

@@ -1,8 +1,8 @@
 //! DAG transformation passes (paper §V-A through §V-D).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dag::{Dag, DagEdge, NodeId, Prim};
+use crate::dag::{Dag, DagEdge, DelayMemo, NodeId, Prim};
 use crate::OptimizeOptions;
 use lego_lp::{optimize_pin_remap, solve_delay_matching, DelayEdge, DelayError};
 
@@ -122,18 +122,17 @@ pub fn optimize(dag: &mut Dag, opts: &OptimizeOptions) -> OptimizeReport {
 pub fn infer_bitwidths(dag: &mut Dag) {
     const MAX_ITERS: usize = 64;
     const CLAMP: u32 = 48;
+    let index = dag.edge_index();
     for _ in 0..MAX_ITERS {
         let mut changed = false;
         for id in 0..dag.nodes.len() {
-            let in_widths: Vec<u32> = dag
-                .edges
+            let in_widths = index
+                .ins(id)
                 .iter()
-                .filter(|e| e.to == id)
-                .map(|e| dag.nodes[e.from].width)
-                .collect();
-            let max_in = in_widths.iter().copied().max().unwrap_or(0);
+                .map(|&ei| dag.nodes[dag.edges[ei].from].width);
+            let max_in = in_widths.clone().max().unwrap_or(0);
             let new = match &dag.nodes[id].prim {
-                Prim::Mul => in_widths.iter().take(2).sum::<u32>().clamp(1, CLAMP),
+                Prim::Mul => in_widths.take(2).sum::<u32>().clamp(1, CLAMP),
                 Prim::Add | Prim::Max => (max_in + 1).clamp(1, CLAMP),
                 Prim::Shift => (max_in + 4).clamp(1, CLAMP),
                 Prim::Reducer { inputs } => {
@@ -165,6 +164,12 @@ pub fn infer_bitwidths(dag: &mut Dag) {
 // Delay matching (§V-A).
 // ---------------------------------------------------------------------
 
+#[cfg(test)]
+thread_local! {
+    /// Whole-graph LP solves `match_delays` ran on this thread.
+    static SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Solves the delay-matching LP and writes `extra_regs` onto the edges.
 ///
 /// Edges with a positive semantic delay are runtime-programmable FIFOs: the
@@ -174,6 +179,14 @@ pub fn infer_bitwidths(dag: &mut Dag) {
 /// is cyclic (possible only for multi-dataflow fusions whose configurations
 /// wire opposite directions), the LP is solved per dataflow on its active
 /// subgraph and the per-edge maximum is kept.
+///
+/// `optimize` re-matches after every pass, and on most designs most passes
+/// change nothing, so the constraint list and solution of the last
+/// whole-graph solve stay on the [`Dag`] (and travel with its clones). A
+/// call whose constraint list equals the remembered one, compared in full,
+/// writes the remembered registers back without solving; any edit to a
+/// constrained edge's endpoints, width or latency changes the list and
+/// solves afresh. The per-dataflow fallback is not remembered.
 ///
 /// # Errors
 ///
@@ -200,21 +213,30 @@ pub fn match_delays(dag: &mut Dag) -> Result<i64, DelayError> {
 
     let n = dag.nodes.len();
     let (all_edges, ids) = build(dag, &|_| true);
-    match solve_delay_matching(n, &all_edges) {
-        Ok(sol) => {
-            for e in dag.edges.iter_mut() {
-                e.extra_regs = 0;
+    let memo = match dag.delay_memo.take() {
+        Some(memo) if memo.edges == all_edges => Ok(memo),
+        _ => {
+            #[cfg(test)]
+            SOLVES.with(|c| c.set(c.get() + 1));
+            solve_delay_matching(n, &all_edges).map(|sol| DelayMemo {
+                edges: all_edges,
+                extra_latency: sol.extra_latency,
+            })
+        }
+    };
+    for e in dag.edges.iter_mut() {
+        e.extra_regs = 0;
+    }
+    match memo {
+        Ok(memo) => {
+            for (&id, &el) in ids.iter().zip(&memo.extra_latency) {
+                dag.edges[id].extra_regs = el;
             }
-            for (i, &id) in ids.iter().enumerate() {
-                dag.edges[id].extra_regs = sol.extra_latency[i];
-            }
+            dag.delay_memo = Some(memo);
             Ok(dag.pipeline_register_bits())
         }
         Err(DelayError::Cyclic) => {
             // Per-dataflow fallback.
-            for e in dag.edges.iter_mut() {
-                e.extra_regs = 0;
-            }
             for k in 0..dag.n_dataflows {
                 let (edges, ids) = build(dag, &|e: &DagEdge| e.active[k]);
                 let sol = solve_delay_matching(n, &edges)?;
@@ -254,8 +276,8 @@ pub fn extract_reduction_trees(dag: &mut Dag) {
             add_preds[e.to] += 1;
         }
     }
-    let mut chain_next: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut has_prev: HashSet<NodeId> = HashSet::new();
+    let mut chain_next: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+    let mut has_prev: BTreeSet<NodeId> = BTreeSet::new();
     for e in &dag.edges {
         if e.sem_delay == 0
             && is_add(dag, e.from)
@@ -268,14 +290,15 @@ pub fn extract_reduction_trees(dag: &mut Dag) {
         }
     }
 
-    // Walk maximal chains from their heads.
+    // Walk maximal chains from their heads, in node order: the order sets
+    // the reducers' node ids, which reach the emitted text.
     let heads: Vec<NodeId> = chain_next
         .keys()
         .copied()
         .filter(|id| !has_prev.contains(id))
         .collect();
 
-    let mut dead: HashSet<NodeId> = HashSet::new();
+    let mut dead: BTreeSet<NodeId> = BTreeSet::new();
     for head in heads {
         let mut chain = vec![head];
         let mut cur = head;
@@ -287,7 +310,7 @@ pub fn extract_reduction_trees(dag: &mut Dag) {
             continue;
         }
         let tail = *chain.last().expect("non-empty chain");
-        let chain_set: HashSet<NodeId> = chain.iter().copied().collect();
+        let chain_set: BTreeSet<NodeId> = chain.iter().copied().collect();
 
         // Leaves: every edge into a chain member that is not the chain link.
         let leaf_edges: Vec<usize> = dag
@@ -328,7 +351,7 @@ pub fn extract_reduction_trees(dag: &mut Dag) {
 }
 
 /// Removes dead nodes (and their residual edges), remapping ids.
-fn compact(dag: &mut Dag, dead: &HashSet<NodeId>) {
+fn compact(dag: &mut Dag, dead: &BTreeSet<NodeId>) {
     if dead.is_empty() {
         return;
     }
@@ -370,44 +393,33 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
             fanout[e.from] += 1;
         }
     }
-    {
-        let mut widths: Vec<u32> = dag.edges.iter().map(|e| e.width).collect();
-        for (i, e) in dag.edges.iter().enumerate() {
-            if e.sem_delay == 0 && fanout[e.from] >= 3 {
-                widths[i] = (e.width / fanout[e.from] as u32).max(1);
-            }
+    let originals: Vec<u32> = dag.edges.iter().map(|e| e.width).collect();
+    for e in dag.edges.iter_mut() {
+        if e.sem_delay == 0 && fanout[e.from] >= 3 {
+            e.width = (e.width / fanout[e.from] as u32).max(1);
         }
-        let originals: Vec<u32> = dag.edges.iter().map(|e| e.width).collect();
-        for (e, w) in dag.edges.iter_mut().zip(&widths) {
-            e.width = *w;
-        }
-        let _ = match_delays(dag);
-        for (e, w) in dag.edges.iter_mut().zip(&originals) {
-            e.width = *w;
-        }
+    }
+    let _ = match_delays(dag);
+    for (e, w) in dag.edges.iter_mut().zip(originals) {
+        e.width = w;
     }
 
     // Stage 2: MST rewiring per broadcast source with register-demanding
     // branches.
-    let sources: Vec<NodeId> = (0..dag.nodes.len())
-        .filter(|&s| {
-            let branches: Vec<&DagEdge> = dag
-                .edges
-                .iter()
-                .filter(|e| e.from == s && e.sem_delay == 0)
-                .collect();
-            branches.len() >= 3 && branches.iter().filter(|e| e.extra_regs > 0).count() >= 2
-        })
-        .collect();
-
-    for s in sources {
-        let branch_ids: Vec<usize> = dag
-            .edges
+    // Rewiring a source touches only that source's own out-edges, so one
+    // index taken here serves every source.
+    let index = dag.edge_index();
+    for s in 0..dag.nodes.len() {
+        let branch_ids: Vec<usize> = index
+            .outs(s)
             .iter()
-            .enumerate()
-            .filter(|(_, e)| e.from == s && e.sem_delay == 0)
-            .map(|(i, _)| i)
+            .copied()
+            .filter(|&i| dag.edges[i].sem_delay == 0)
             .collect();
+        let padded = branch_ids.iter().filter(|&&i| dag.edges[i].extra_regs > 0);
+        if branch_ids.len() < 3 || padded.count() < 2 {
+            continue;
+        }
         let lat: Vec<i64> = branch_ids
             .iter()
             .map(|&i| dag.edges[i].extra_regs)
@@ -457,29 +469,11 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
                 adj.push((e.from - 1, e.to - 1));
             }
         }
-        // BFS from branches that keep their direct connection.
-        let direct: HashSet<usize> = {
-            let mut d = HashSet::new();
-            let forwarded: HashSet<usize> = adj.iter().flat_map(|&(a, b)| [a, b]).collect();
-            for bi in 0..branch_ids.len() {
-                if !forwarded.contains(&bi) {
-                    d.insert(bi);
-                }
-            }
-            // Each forwarding component still needs one direct anchor: the
-            // branch with minimal latency in the component.
-            d
-        };
-        let _ = direct;
-        let mut wired: HashSet<usize> = (0..branch_ids.len()).collect::<HashSet<_>>();
         // Determine orientation: anchor = smaller latency side.
         let mut pending = adj;
         pending.sort_by_key(|&(a, b)| lat[a].min(lat[b]));
         for (a, b) in pending {
             let (src, dst) = if lat[a] <= lat[b] { (a, b) } else { (b, a) };
-            if !wired.contains(&dst) {
-                continue;
-            }
             let t = ensure_tap(dag, &mut tap, src);
             let dst_edge = branch_ids[dst];
             // Re-drive the destination branch from the tap instead of the
@@ -487,11 +481,12 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
             if dag.edges[dst_edge].from == s {
                 dag.edges[dst_edge].from = t;
             }
-            wired.insert(dst);
         }
     }
 
-    // Stage 3: exact re-matching; revert when not profitable.
+    // Stage 3: exact re-matching; revert when not profitable. `saved`
+    // remembers its own solve, so matching it again costs nothing when the
+    // caller had matched it.
     let _ = match_delays(dag);
     if dag.pipeline_register_bits() > before || dag.check().is_err() {
         *dag = saved;
@@ -510,6 +505,9 @@ pub fn reuse_pins(dag: &mut Dag) {
     let reducers: Vec<NodeId> = (0..dag.nodes.len())
         .filter(|&id| matches!(dag.nodes[id].prim, Prim::Reducer { .. }))
         .collect();
+    // Remapping a reducer moves only that reducer's own in-edges, so one
+    // index taken here serves every reducer.
+    let index = dag.edge_index();
 
     for r in reducers {
         let Prim::Reducer { inputs } = dag.nodes[r].prim else {
@@ -518,7 +516,7 @@ pub fn reuse_pins(dag: &mut Dag) {
         let n_df = dag.n_dataflows;
         // Liveness: pin is live in dataflow k if any active edge drives it.
         let mut live: Vec<Vec<usize>> = vec![Vec::new(); n_df];
-        for e in dag.edges.iter().filter(|e| e.to == r) {
+        for e in index.ins(r).iter().map(|&i| &dag.edges[i]) {
             for (k, &a) in e.active.iter().enumerate() {
                 if a && !live[k].contains(&e.to_pin) {
                     live[k].push(e.to_pin);
@@ -544,15 +542,8 @@ pub fn reuse_pins(dag: &mut Dag) {
 
         dag.nodes[r].prim = Prim::Reducer { inputs: q };
         // Collect the driving edges per original pin.
-        let edge_ids: Vec<usize> = dag
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.to == r)
-            .map(|(i, _)| i)
-            .collect();
         let mut by_orig: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for i in edge_ids {
+        for &i in index.ins(r) {
             by_orig.entry(dag.edges[i].to_pin).or_default().push(i);
         }
 
@@ -775,6 +766,60 @@ mod tests {
             if matches!(n.prim, Prim::Mul) {
                 assert_eq!(n.width, 16, "8x8 multiply produces 16 bits");
                 let _ = id;
+            }
+        }
+    }
+
+    #[test]
+    fn match_delays_solves_again_only_when_a_constraint_changed() {
+        let solves = || SOLVES.with(std::cell::Cell::get);
+        let gemm = kernels::gemm(16, 4, 4);
+        let df = dataflows::par2(&gemm, "k", 4, "j", 4, "KJ").unwrap();
+        let mut dag = dag_for(&gemm, &[df]);
+        infer_bitwidths(&mut dag);
+        let bits = match_delays(&mut dag).unwrap();
+        assert!(bits > 0, "the chain design needs registers");
+        assert_eq!(solves(), 1);
+
+        // Untouched graph, and its clone: the remembered solution.
+        let regs: Vec<i64> = dag.edges.iter().map(|e| e.extra_regs).collect();
+        dag.edges.iter_mut().for_each(|e| e.extra_regs = 7);
+        assert_eq!(match_delays(&mut dag), Ok(bits));
+        assert_eq!(match_delays(&mut dag.clone()), Ok(bits));
+        assert_eq!(solves(), 1);
+        let again: Vec<i64> = dag.edges.iter().map(|e| e.extra_regs).collect();
+        assert_eq!(again, regs);
+        // Nor do fields outside the constraint list force a solve.
+        dag.edges[0].gated = true;
+        match_delays(&mut dag).unwrap();
+        assert_eq!(solves(), 1);
+
+        // A width, an endpoint, a latency: each is a new constraint list,
+        // and each result equals a from-scratch solve.
+        let ei = (0..dag.edges.len())
+            .find(|&i| dag.edges[i].sem_delay == 0)
+            .unwrap();
+        let edits: [&dyn Fn(&mut Dag); 3] = [
+            &|d| d.edges[ei].width += 1,
+            &|d| {
+                let spare = d.add_node(Prim::Const { value: 0 }, None, 8, "spare");
+                d.edges[ei].from = spare;
+            },
+            &|d| {
+                let to = d.edges[ei].to;
+                d.nodes[to].prim = Prim::Reducer { inputs: 3 };
+            },
+        ];
+        for (k, edit) in edits.iter().enumerate() {
+            let before = solves();
+            edit(&mut dag);
+            let bits = match_delays(&mut dag).unwrap();
+            assert_eq!(solves(), before + 1, "edit {k} must solve");
+            let mut fresh = dag.clone();
+            fresh.delay_memo = None;
+            assert_eq!(match_delays(&mut fresh), Ok(bits));
+            for (a, b) in dag.edges.iter().zip(&fresh.edges) {
+                assert_eq!(a.extra_regs, b.extra_regs, "edit {k}");
             }
         }
     }

@@ -109,30 +109,8 @@ pub fn solve_delay_matching(n: usize, edges: &[DelayEdge]) -> Result<DelayAssign
         return Err(DelayError::Cyclic);
     }
 
-    // Node balance a_w = Σ_in W − Σ_out W.
-    let mut a = vec![0i64; n];
-    for e in edges {
-        a[e.to] += e.width;
-        a[e.from] -= e.width;
-    }
-    let total_supply: i64 = a.iter().filter(|&&x| x < 0).map(|&x| -x).sum();
-
-    let s = n;
-    let t = n + 1;
-    let mut net = MinCostFlow::new(n + 2);
-    for e in edges {
-        // The feasible point y = W routes at most total_supply extra units
-        // through any single arc, so this capacity is effectively infinite.
-        net.add_arc(e.from, e.to, e.width + total_supply, -e.latency);
-    }
-    for (w, &bal) in a.iter().enumerate() {
-        if bal < 0 {
-            net.add_arc(s, w, -bal, 0);
-        } else if bal > 0 {
-            net.add_arc(w, t, bal, 0);
-        }
-    }
-    let (flow, _cost) = net.run(s, t);
+    let (mut net, total_supply) = flow_network(n, edges);
+    let (flow, _cost) = net.run(n, n + 1);
     debug_assert_eq!(flow, total_supply, "transshipment must saturate");
 
     // Primal solution from the dual potentials: D_w = −π_w.
@@ -179,6 +157,34 @@ pub fn solve_delay_matching(n: usize, edges: &[DelayEdge]) -> Result<DelayAssign
     })
 }
 
+/// The transshipment dual of the LP as a flow network: nodes `0..n`, source
+/// `n`, sink `n + 1`. Also returns the total supply a max-flow must route.
+fn flow_network(n: usize, edges: &[DelayEdge]) -> (MinCostFlow, i64) {
+    // Node balance a_w = Σ_in W − Σ_out W.
+    let mut a = vec![0i64; n];
+    for e in edges {
+        a[e.to] += e.width;
+        a[e.from] -= e.width;
+    }
+    let total_supply: i64 = a.iter().filter(|&&x| x < 0).map(|&x| -x).sum();
+
+    let (s, t) = (n, n + 1);
+    let mut net = MinCostFlow::new(n + 2);
+    for e in edges {
+        // The feasible point y = W routes at most total_supply extra units
+        // through any single arc, so this capacity is effectively infinite.
+        net.add_arc(e.from, e.to, e.width + total_supply, -e.latency);
+    }
+    for (w, &bal) in a.iter().enumerate() {
+        if bal < 0 {
+            net.add_arc(s, w, -bal, 0);
+        } else if bal > 0 {
+            net.add_arc(w, t, bal, 0);
+        }
+    }
+    (net, total_supply)
+}
+
 fn is_dag(n: usize, edges: &[DelayEdge]) -> bool {
     let mut indeg = vec![0usize; n];
     let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -204,6 +210,7 @@ fn is_dag(n: usize, edges: &[DelayEdge]) -> bool {
 mod tests {
     use super::*;
     use crate::simplex::{solve_lp, Constraint, LpProblem, LpResult, Relation};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Solves the same LP with the dense simplex as an oracle.
     fn simplex_oracle(n: usize, edges: &[DelayEdge]) -> f64 {
@@ -404,25 +411,50 @@ mod tests {
         assert_eq!(sol.register_cost, 0);
     }
 
+    /// `m` random constraints over `n` nodes; edges only go up in node
+    /// index, which keeps the graph acyclic.
+    fn random_dag(rng: &mut StdRng, n: usize, m: usize, max_width: i64) -> Vec<DelayEdge> {
+        (0..m)
+            .map(|_| {
+                let from = rng.gen_range(0..n - 1);
+                DelayEdge {
+                    from,
+                    to: rng.gen_range(from + 1..n),
+                    width: rng.gen_range(1..=max_width),
+                    latency: rng.gen_range(0..=4),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn primal_dual_matches_one_path_per_dijkstra_reference() {
+        let mut rng = StdRng::seed_from_u64(16);
+        for trial in 0..1200 {
+            let n = rng.gen_range(2..=40);
+            let m = rng.gen_range(1..=120);
+            let edges = random_dag(&mut rng, n, m, 16);
+            let (mut net, total_supply) = flow_network(n, &edges);
+            let mut reference = net.clone();
+            let got = net.run(n, n + 1);
+            let want = reference.run_reference(n, n + 1);
+            assert_eq!(got, want, "trial {trial}: (flow, cost)");
+            assert_eq!(got.0, total_supply, "trial {trial}: saturates");
+            assert_eq!(
+                net.potentials(),
+                reference.potentials(),
+                "trial {trial}: potentials"
+            );
+        }
+    }
+
     #[test]
     fn matches_simplex_on_random_dags() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
         for trial in 0..200 {
             let n = rng.gen_range(2..=7);
             let m = rng.gen_range(1..=12);
-            let mut edges = Vec::new();
-            for _ in 0..m {
-                // Ensure acyclicity: edges only go up in node index.
-                let from = rng.gen_range(0..n - 1);
-                let to = rng.gen_range(from + 1..n);
-                edges.push(DelayEdge {
-                    from,
-                    to,
-                    width: rng.gen_range(1..=8),
-                    latency: rng.gen_range(0..=4),
-                });
-            }
+            let edges = random_dag(&mut rng, n, m, 8);
             let sol = solve_delay_matching(n, &edges).unwrap();
             for (e, &el) in edges.iter().zip(&sol.extra_latency) {
                 assert!(el >= 0);

@@ -1,10 +1,41 @@
 //! Min-cost max-flow with node potentials.
 //!
-//! Successive-shortest-path implementation: one Bellman-Ford pass to
-//! initialize potentials (the networks built by [`crate::delay`] contain
-//! negative arc costs but never negative cycles), then Dijkstra with reduced
-//! costs per augmentation. The final node potentials are exactly the dual
-//! variables of the flow LP, which is what delay matching consumes.
+//! Primal–dual implementation. One Bellman-Ford pass initializes the
+//! potentials `π` (the networks built by [`crate::delay`] contain negative
+//! arc costs but never negative cycles). Then two steps alternate until `t`
+//! is unreachable:
+//!
+//! 1. **Primal:** a max-flow over the *admissible* residual arcs — those
+//!    with capacity left and zero reduced cost `c_uv + π_u − π_v` — by
+//!    Dinic's blocking flows (BFS levels, current-arc DFS). Every unit
+//!    pushed travels a shortest path, so the flow stays min-cost for its
+//!    value.
+//! 2. **Dual:** one Dijkstra over reduced costs, stopped when `t` is
+//!    settled, and `π_v += min(dist_v, dist_t)`. The admissible graph was
+//!    saturated, so `dist_t > 0` and new arcs become admissible.
+//!
+//! A solve costs one Dijkstra per *distinct* `s`–`t` distance (tens on the
+//! delay networks of a 256-FU design) instead of one per augmenting path
+//! (a thousand and more).
+//!
+//! # The potentials do not depend on the flow chosen
+//!
+//! Delay matching reads its answer off the final potentials — they are the
+//! dual variables of the flow LP — so they must not move with the order in
+//! which paths are found. They do not. If `f` is a min-cost flow of value
+//! `F`, then `π` has non-negative reduced costs on the residual graph of
+//! `f` exactly when `π` is an optimal dual for value `F` (complementary
+//! slackness), a set that does not mention `f`. The shortest residual
+//! distance to `v` is the largest `π_v − π_s` over that set (shortest-path
+//! duality), so it is the same for every min-cost flow of value `F`. The
+//! `s`–`t` distance is therefore a function of the flow value alone, it
+//! rises at the same values `F_1 < F_2 < …` for every augmentation order,
+//! and at each of them the update `π_v += min(dist_v, dist_t)` adds the
+//! same numbers. In between, `dist_t = 0` in reduced costs and the update
+//! adds nothing. Successive shortest paths — one Dijkstra per path, kept
+//! as the `#[cfg(test)]` reference `run_reference` — and this solver thus
+//! end on identical potentials; `delay`'s differential test checks it on
+//! random delay networks.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -41,6 +72,29 @@ pub struct MinCostFlow {
     /// Original capacity per public arc id, used to report flow.
     caps: Vec<i64>,
     potentials: Vec<i64>,
+}
+
+/// Scratch buffers of [`MinCostFlow::saturate_admissible`], allocated once
+/// per [`MinCostFlow::run`].
+struct BlockingFlow {
+    /// BFS level per node in the admissible graph (`u32::MAX` = not in it).
+    level: Vec<u32>,
+    /// Current-arc pointer per node into its adjacency list.
+    next_arc: Vec<usize>,
+    queue: Vec<usize>,
+    /// Arc ids of the DFS path from `s` to the current node.
+    path: Vec<usize>,
+}
+
+impl BlockingFlow {
+    fn new(n: usize) -> Self {
+        BlockingFlow {
+            level: vec![u32::MAX; n],
+            next_arc: vec![0; n],
+            queue: Vec::with_capacity(n),
+            path: Vec::new(),
+        }
+    }
 }
 
 impl MinCostFlow {
@@ -104,17 +158,29 @@ impl MinCostFlow {
         self.bellman_ford_init(s);
         let mut total_flow = 0i64;
         let mut total_cost = 0i64;
+        let mut dist = vec![INF; n];
+        let mut heap = BinaryHeap::new();
+        let mut scratch = BlockingFlow::new(n);
 
         loop {
-            // Dijkstra over reduced costs.
-            let mut dist = vec![INF; n];
-            let mut prev_arc = vec![usize::MAX; n];
-            let mut heap = BinaryHeap::new();
+            // Saturate the admissible graph: every unit costs π_t − π_s.
+            let pushed = self.saturate_admissible(s, t, &mut scratch);
+            total_flow += pushed;
+            total_cost += pushed * (self.potentials[t] - self.potentials[s]);
+
+            // Dijkstra over reduced costs, stopped once `t` is settled:
+            // whatever is still queued or unseen is at least as far as `t`
+            // and is clamped to `dist[t]` below either way.
+            dist.fill(INF);
+            heap.clear();
             dist[s] = 0;
             heap.push(Reverse((0i64, s)));
             while let Some(Reverse((d, v))) = heap.pop() {
                 if d > dist[v] {
                     continue;
+                }
+                if v == t {
+                    break;
                 }
                 for &ai in &self.graph[v] {
                     let arc = self.arcs[ai];
@@ -126,7 +192,6 @@ impl MinCostFlow {
                     let nd = d + rc;
                     if nd < dist[arc.to] {
                         dist[arc.to] = nd;
-                        prev_arc[arc.to] = ai;
                         heap.push(Reverse((nd, arc.to)));
                     }
                 }
@@ -138,26 +203,83 @@ impl MinCostFlow {
             for v in 0..n {
                 self.potentials[v] += dist[v].min(dist[t]);
             }
-            // Augment along the shortest path by its bottleneck.
-            let mut bottleneck = INF;
-            let mut v = t;
-            while v != s {
-                let ai = prev_arc[v];
-                bottleneck = bottleneck.min(self.arcs[ai].cap);
-                v = self.arcs[self.arcs[ai].rev].to;
-            }
-            let mut v = t;
-            while v != s {
-                let ai = prev_arc[v];
-                self.arcs[ai].cap -= bottleneck;
-                let rev = self.arcs[ai].rev;
-                self.arcs[rev].cap += bottleneck;
-                total_cost += bottleneck * self.arcs[ai].cost;
-                v = self.arcs[rev].to;
-            }
-            total_flow += bottleneck;
         }
         (total_flow, total_cost)
+    }
+
+    /// `true` for a residual arc out of `from` with zero reduced cost.
+    fn admissible(&self, from: usize, arc: &Arc) -> bool {
+        arc.cap > 0 && arc.cost + self.potentials[from] - self.potentials[arc.to] == 0
+    }
+
+    /// Max-flow from `s` to `t` over admissible arcs only (Dinic: BFS
+    /// levels, then current-arc DFS until the level graph is blocked, until
+    /// `t` leaves the admissible graph). Returns the flow pushed.
+    fn saturate_admissible(&mut self, s: usize, t: usize, bf: &mut BlockingFlow) -> i64 {
+        let mut pushed = 0i64;
+        loop {
+            bf.level.fill(u32::MAX);
+            bf.level[s] = 0;
+            bf.queue.clear();
+            bf.queue.push(s);
+            let mut head = 0;
+            while head < bf.queue.len() && bf.level[t] == u32::MAX {
+                let v = bf.queue[head];
+                head += 1;
+                for &ai in &self.graph[v] {
+                    let arc = &self.arcs[ai];
+                    if bf.level[arc.to] == u32::MAX && self.admissible(v, arc) {
+                        bf.level[arc.to] = bf.level[v] + 1;
+                        bf.queue.push(arc.to);
+                    }
+                }
+            }
+            if bf.level[t] == u32::MAX {
+                return pushed;
+            }
+
+            bf.next_arc.fill(0);
+            bf.path.clear();
+            let mut v = s;
+            loop {
+                if v == t {
+                    let bottleneck = bf
+                        .path
+                        .iter()
+                        .map(|&ai| self.arcs[ai].cap)
+                        .min()
+                        .expect("s != t, so the path has an arc");
+                    for &ai in &bf.path {
+                        self.arcs[ai].cap -= bottleneck;
+                        let rev = self.arcs[ai].rev;
+                        self.arcs[rev].cap += bottleneck;
+                    }
+                    pushed += bottleneck;
+                    bf.path.clear();
+                    v = s;
+                    continue;
+                }
+                let step = self.graph[v][bf.next_arc[v]..].iter().position(|&ai| {
+                    let arc = &self.arcs[ai];
+                    bf.level[arc.to] == bf.level[v] + 1 && self.admissible(v, arc)
+                });
+                match step {
+                    Some(k) => {
+                        bf.next_arc[v] += k;
+                        let ai = self.graph[v][bf.next_arc[v]];
+                        bf.path.push(ai);
+                        v = self.arcs[ai].to;
+                    }
+                    None => {
+                        // Dead end: drop `v` from the level graph and retreat.
+                        bf.next_arc[v] = self.graph[v].len();
+                        bf.level[v] = u32::MAX;
+                        let Some(ai) = bf.path.pop() else { break };
+                        v = self.arcs[self.arcs[ai].rev].to;
+                    }
+                }
+            }
+        }
     }
 
     /// Initializes potentials with Bellman-Ford distances from `s` so the
@@ -202,6 +324,66 @@ impl MinCostFlow {
         // Clamp so reduced costs stay provably non-negative for arcs leaving
         // reachable nodes into unreachable ones (cap > 0 can't occur there:
         // if an arc with capacity existed, the head would be reachable).
+    }
+}
+
+#[cfg(test)]
+impl MinCostFlow {
+    /// The successive-shortest-path loop [`Self::run`] replaced — one full
+    /// Dijkstra per augmenting path — kept as the differential-test oracle.
+    pub(crate) fn run_reference(&mut self, s: usize, t: usize) -> (i64, i64) {
+        let n = self.graph.len();
+        self.bellman_ford_init(s);
+        let mut total_flow = 0i64;
+        let mut total_cost = 0i64;
+        loop {
+            let mut dist = vec![INF; n];
+            let mut prev_arc = vec![usize::MAX; n];
+            let mut heap = BinaryHeap::new();
+            dist[s] = 0;
+            heap.push(Reverse((0i64, s)));
+            while let Some(Reverse((d, v))) = heap.pop() {
+                if d > dist[v] {
+                    continue;
+                }
+                for &ai in &self.graph[v] {
+                    let arc = self.arcs[ai];
+                    if arc.cap <= 0 {
+                        continue;
+                    }
+                    let nd = d + arc.cost + self.potentials[v] - self.potentials[arc.to];
+                    if nd < dist[arc.to] {
+                        dist[arc.to] = nd;
+                        prev_arc[arc.to] = ai;
+                        heap.push(Reverse((nd, arc.to)));
+                    }
+                }
+            }
+            if dist[t] >= INF {
+                break;
+            }
+            for v in 0..n {
+                self.potentials[v] += dist[v].min(dist[t]);
+            }
+            let mut bottleneck = INF;
+            let mut v = t;
+            while v != s {
+                let ai = prev_arc[v];
+                bottleneck = bottleneck.min(self.arcs[ai].cap);
+                v = self.arcs[self.arcs[ai].rev].to;
+            }
+            let mut v = t;
+            while v != s {
+                let ai = prev_arc[v];
+                self.arcs[ai].cap -= bottleneck;
+                let rev = self.arcs[ai].rev;
+                self.arcs[rev].cap += bottleneck;
+                total_cost += bottleneck * self.arcs[ai].cost;
+                v = self.arcs[rev].to;
+            }
+            total_flow += bottleneck;
+        }
+        (total_flow, total_cost)
     }
 }
 

@@ -90,12 +90,15 @@ pub fn emit_verilog(dag: &Dag, module: &str) -> String {
     }
 
     // Node logic.
+    let index = dag.edge_index();
     for (id, n) in dag.nodes.iter().enumerate() {
-        let ins = dag.in_edges(id);
+        // The lowest-numbered edge into the pin drives it.
         let pin = |p: usize| -> String {
-            ins.iter()
-                .find(|e| e.to_pin == p)
-                .map(|e| format!("e{}", edge_index(dag, e)))
+            index
+                .ins(id)
+                .iter()
+                .find(|&&ei| dag.edges[ei].to_pin == p)
+                .map(|ei| format!("e{ei}"))
                 .unwrap_or_else(|| "'0".to_string())
         };
         match &n.prim {
@@ -237,13 +240,6 @@ pub fn emit_verilog(dag: &Dag, module: &str) -> String {
 
     let _ = writeln!(v, "endmodule");
     v
-}
-
-fn edge_index(dag: &Dag, edge: &lego_backend::DagEdge) -> usize {
-    dag.edges
-        .iter()
-        .position(|e| std::ptr::eq(e, edge))
-        .expect("edge belongs to dag")
 }
 
 fn bits_for(n: usize) -> usize {

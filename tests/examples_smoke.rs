@@ -14,6 +14,7 @@ const EXAMPLES: &[&str] = &[
     "end_to_end_nn",
     "explore_design_space",
     "fused_accelerator",
+    "gen_verilog",
     "quickstart",
     "rewrite_mapping",
     "serve_roundtrip",

@@ -1,0 +1,68 @@
+//! The generator on the paper's Figure 10 designs: the register bits
+//! delay matching inserts before and after optimization are pinned (the
+//! benchmark's `quality_ratio` is their geomean), and generating a design
+//! twice renders the same Verilog byte for byte.
+
+use lego::core::{Design, Lego};
+use lego_bench::{kernel_designs, KernelDesign};
+
+fn generate(d: &KernelDesign) -> Design {
+    let mut lego = Lego::new(d.workload.clone());
+    for df in &d.dataflows {
+        lego = lego.dataflow(df.clone());
+    }
+    lego.generate().expect("paper design generates")
+}
+
+fn register_bits(designs: &[KernelDesign]) -> Vec<(&'static str, i64, i64)> {
+    designs
+        .iter()
+        .map(|d| {
+            let report = generate(d).report;
+            (
+                d.name,
+                report.baseline.register_bits,
+                report.final_stats.register_bits,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn register_bits_of_the_64_fu_designs_are_pinned() {
+    assert_eq!(
+        register_bits(&kernel_designs(8)),
+        [
+            ("Attention", 5808, 2256),
+            ("Conv2d-ICOC", 2400, 96),
+            ("Conv2d-MNICOC", 4464, 1305),
+            ("Conv2d-OHOW", 48, 48),
+            ("GEMM-IJ", 48, 48),
+            ("GEMM-IK", 48, 48),
+            ("GEMM-KJ", 48, 48),
+            ("GEMM-MJ", 48, 48),
+            ("MTTKRP-IJ", 80, 80),
+            ("MTTKRP-KJ", 4224, 128),
+            ("MTTKRP-MJ", 6672, 2752),
+        ]
+    );
+}
+
+#[test]
+fn register_bits_of_the_fused_256_fu_designs_are_pinned() {
+    let mut fused = kernel_designs(16);
+    fused.retain(|d| matches!(d.name, "Attention" | "Conv2d-MNICOC"));
+    assert_eq!(
+        register_bits(&fused),
+        [("Attention", 48608, 16272), ("Conv2d-MNICOC", 35168, 5143)]
+    );
+}
+
+#[test]
+fn generating_twice_renders_identical_verilog() {
+    for d in kernel_designs(8) {
+        let first = generate(&d).verilog("lego_top");
+        let second = generate(&d).verilog("lego_top");
+        assert!(first == second, "{}: Verilog differs between runs", d.name);
+    }
+}
