@@ -26,10 +26,10 @@
 //! produces byte-identical snapshots and output.
 
 use lego_bench::harness::{row, section};
-use lego_eval::EvalError;
+use lego_eval::{CodecError, EvalError};
 use lego_explorer::{
     default_strategies, explore, explore_shard, DesignSpace, ExploreOptions, GridSearch,
-    ParetoFrontier, SearchStrategy, Snapshot, SnapshotError,
+    ParetoFrontier, SearchStrategy, Snapshot,
 };
 use lego_workloads::{zoo, Model};
 use std::path::{Path, PathBuf};
@@ -92,9 +92,9 @@ fn space_by_name(name: &str) -> Result<DesignSpace, EvalError> {
 
 /// Keeps the snapshot path in a codec failure's message without
 /// abandoning the typed error (and its stable status code).
-fn snapshot_ctx(path: &str, e: SnapshotError) -> EvalError {
+fn snapshot_ctx(path: &str, e: CodecError) -> EvalError {
     match e {
-        SnapshotError::Io(io) => {
+        CodecError::Io(io) => {
             EvalError::Io(std::io::Error::new(io.kind(), format!("{path}: {io}")))
         }
         other => other.into(),

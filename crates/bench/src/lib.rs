@@ -20,7 +20,6 @@
 //! | `table_sparse` | Sparse DSE (dense/gating/skipping) + per-layer formats |
 //! | `dse_shard` | Distributed DSE worker/coordinator (run/merge/verify) |
 //! | `eval_report` | `EvalRequest`→`EvalReport` codec driver (determinism gate) |
-//! | `perf_bench` | Canonical perf workloads → `BENCH_eval.json` ([`perf`]) |
 //!
 //! Every binary that prices a workload on a configuration does so through
 //! [`harness::evaluate`] — one `EvalSession` per binary speaking the
@@ -28,6 +27,5 @@
 
 pub mod designs;
 pub mod harness;
-pub mod perf;
 
 pub use designs::{kernel_designs, KernelDesign};

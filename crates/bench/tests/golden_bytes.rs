@@ -1,9 +1,9 @@
 //! Golden byte-identity tests: the artifacts this repo publishes — the DSE
-//! tables, the deterministic BENCH trajectory, the eval_report request and
-//! report encodings, and a DSE shard snapshot — are pinned to committed
-//! golden bytes. Performance work on the hot path (context reuse, cache
-//! sharding, allocation elimination) must never move a single byte of any
-//! of them; a diff here means a pricing or encoding change, not a speedup.
+//! tables, the rewrite-search table, the eval_report request and report
+//! encodings, and a DSE shard snapshot — are pinned to committed
+//! golden bytes. Performance work on the hot path (cache sharding,
+//! allocation elimination) must never move a single byte of any of them;
+//! a diff here means a pricing or encoding change, not a speedup.
 //!
 //! Each test drives the real binary (`CARGO_BIN_EXE_*`), so the goldens
 //! cover the full CLI path the CI determinism job exercises run-vs-run —
@@ -63,14 +63,9 @@ fn table_sparse_text_is_byte_identical() {
 }
 
 #[test]
-fn deterministic_bench_json_is_byte_identical() {
-    let out = tmp_path("bench_det.json");
-    run(
-        env!("CARGO_BIN_EXE_perf_bench"),
-        &["--mode", "deterministic", "--out", out.to_str().unwrap()],
-    );
-    let actual = std::fs::read(&out).expect("read perf_bench output");
-    assert_bytes_eq(&actual, "bench_det.json");
+fn mapspace_search_text_is_byte_identical() {
+    let stdout = run(env!("CARGO_BIN_EXE_mapspace_search"), &[]);
+    assert_bytes_eq(&stdout, "mapspace_search.txt");
 }
 
 #[test]

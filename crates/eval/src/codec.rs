@@ -1,9 +1,13 @@
-//! Versioned binary codec for [`EvalRequest`] / [`EvalReport`].
+//! Versioned binary codec for [`EvalRequest`] / [`EvalReport`], and the
+//! byte-level toolkit ([`Enc`], [`Dec`], [`CodecError`], the
+//! [`LayerPerf`]/[`ModelPerf`] field codecs) the explorer's `Snapshot`
+//! format is built on too — one reader, one writer, one error, one place
+//! that knows each struct's field order.
 //!
-//! Same discipline as the explorer's `Snapshot` codec: a fixed magic +
-//! version header (plus a kind byte separating requests from reports),
-//! little-endian fixed-width integers, `f64` as IEEE-754 bits, one tag
-//! byte per enum/`Option`, and length-prefixed counts. Encoding is a pure
+//! The discipline: a fixed magic + version header (plus, here, a kind byte
+//! separating requests from reports), little-endian fixed-width integers,
+//! `f64` as IEEE-754 bits, one tag byte per enum/`Option`, and
+//! length-prefixed counts. Encoding is a pure
 //! function of the value, so `encode → decode → encode` is byte-identical
 //! — which is what lets a multi-host driver ship requests over any byte
 //! transport, and lets CI pin a report file with `cmp`. Decoding validates
@@ -47,7 +51,7 @@ pub enum CodecError {
         /// Bytes the field still needed.
         needed: usize,
     },
-    /// The payload does not start with the evaluation-codec magic.
+    /// The payload does not start with the expected format magic.
     BadMagic,
     /// The codec version byte is not one this build understands.
     UnsupportedVersion(u8),
@@ -92,12 +96,9 @@ impl fmt::Display for CodecError {
                     "payload truncated: needed {needed} more bytes at offset {at}"
                 )
             }
-            CodecError::BadMagic => write!(f, "not a LEGO evaluation payload (bad magic)"),
+            CodecError::BadMagic => write!(f, "not a LEGO payload of this kind (bad magic)"),
             CodecError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported codec version {v} (this build reads {VERSION})"
-                )
+                write!(f, "unsupported codec version {v}")
             }
             CodecError::WrongKind { expected, found } => {
                 write!(f, "payload kind {found:#04x}, expected {expected:#04x}")
@@ -126,38 +127,65 @@ impl From<std::io::Error> for CodecError {
 }
 
 /// Little-endian byte writer.
-#[derive(Default)]
-struct Enc {
+#[derive(Debug, Default)]
+pub struct Enc {
     buf: Vec<u8>,
 }
 
 impl Enc {
-    fn bytes(&mut self, b: &[u8]) {
+    /// Starts a payload: the format's magic followed by its version byte.
+    pub fn header(&mut self, magic: &[u8; 8], version: u8) {
+        self.bytes(magic);
+        self.u8(version);
+    }
+    /// The bytes written so far.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+    /// Raw bytes, no length prefix.
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
-    fn u8(&mut self, v: u8) {
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u16(&mut self, v: u16) {
+    /// A little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self, v: u16) {
         self.bytes(&v.to_le_bytes());
     }
-    fn u32(&mut self, v: u32) {
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
         self.bytes(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
-    fn i64(&mut self, v: i64) {
+    /// A little-endian `i64`.
+    #[inline]
+    pub fn i64(&mut self, v: i64) {
         self.bytes(&v.to_le_bytes());
     }
-    fn f64(&mut self, v: f64) {
+    /// An `f64` as its IEEE-754 bits.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    fn str(&mut self, s: &str) {
+    /// A `u32` byte length, then the UTF-8 bytes.
+    #[inline]
+    pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
     }
-    fn opt_i64(&mut self, v: Option<i64>) {
+    /// Tag byte `0` for `None`, `1` + the value for `Some`.
+    #[inline]
+    pub fn opt_i64(&mut self, v: Option<i64>) {
         match v {
             None => self.u8(0),
             Some(x) => {
@@ -166,7 +194,9 @@ impl Enc {
             }
         }
     }
-    fn opt_f64(&mut self, v: Option<f64>) {
+    /// Tag byte `0` for `None`, `1` + the value for `Some`.
+    #[inline]
+    pub fn opt_f64(&mut self, v: Option<f64>) {
         match v {
             None => self.u8(0),
             Some(x) => {
@@ -177,14 +207,32 @@ impl Enc {
     }
 }
 
-/// Bounds-checked little-endian reader over a byte slice.
-struct Dec<'a> {
+/// Bounds-checked little-endian reader over a byte slice: every method
+/// returns [`CodecError::Truncated`] instead of reading past the end.
+#[derive(Debug)]
+pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Dec { buf: bytes, pos: 0 }
+    }
+    /// Checks what [`Enc::header`] wrote: the magic, then exactly `version`.
+    pub fn header(&mut self, magic: &[u8; 8], version: u8) -> Result<(), CodecError> {
+        if self.bytes(magic.len())? != magic {
+            return Err(CodecError::BadMagic);
+        }
+        match self.u8()? {
+            v if v == version => Ok(()),
+            v => Err(CodecError::UnsupportedVersion(v)),
+        }
+    }
+    /// The next `n` raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let at = self.pos;
         let end = at.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -198,38 +246,54 @@ impl<'a> Dec<'a> {
             }),
         }
     }
-    fn u8(&mut self) -> Result<u8, CodecError> {
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.bytes(1)?[0])
     }
-    fn u16(&mut self) -> Result<u16, CodecError> {
+    /// A little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(
             self.bytes(2)?.try_into().expect("2 bytes"),
         ))
     }
-    fn u32(&mut self) -> Result<u32, CodecError> {
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(
             self.bytes(4)?.try_into().expect("4 bytes"),
         ))
     }
-    fn u64(&mut self) -> Result<u64, CodecError> {
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(
             self.bytes(8)?.try_into().expect("8 bytes"),
         ))
     }
-    fn i64(&mut self) -> Result<i64, CodecError> {
+    /// A little-endian `i64`.
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_le_bytes(
             self.bytes(8)?.try_into().expect("8 bytes"),
         ))
     }
-    fn f64(&mut self) -> Result<f64, CodecError> {
+    /// An `f64` as its IEEE-754 bits.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
     }
-    fn str(&mut self) -> Result<String, CodecError> {
+    /// A `u32` byte length, then that many UTF-8 bytes.
+    #[inline]
+    pub fn str(&mut self) -> Result<String, CodecError> {
         let len = self.u32()? as usize;
         let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
     }
-    fn opt_i64(&mut self) -> Result<Option<i64>, CodecError> {
+    /// What [`Enc::opt_i64`] wrote.
+    #[inline]
+    pub fn opt_i64(&mut self) -> Result<Option<i64>, CodecError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.i64()?)),
@@ -239,7 +303,9 @@ impl<'a> Dec<'a> {
             }),
         }
     }
-    fn opt_f64(&mut self) -> Result<Option<f64>, CodecError> {
+    /// What [`Enc::opt_f64`] wrote.
+    #[inline]
+    pub fn opt_f64(&mut self) -> Result<Option<f64>, CodecError> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.f64()?)),
@@ -249,7 +315,8 @@ impl<'a> Dec<'a> {
             }),
         }
     }
-    fn done(&self) -> Result<(), CodecError> {
+    /// Errors with [`CodecError::TrailingBytes`] unless every byte was read.
+    pub fn done(&self) -> Result<(), CodecError> {
         match self.buf.len() - self.pos {
             0 => Ok(()),
             n => Err(CodecError::TrailingBytes(n)),
@@ -258,19 +325,12 @@ impl<'a> Dec<'a> {
 }
 
 fn header(e: &mut Enc, kind: u8) {
-    e.bytes(MAGIC);
-    e.u8(VERSION);
+    e.header(MAGIC, VERSION);
     e.u8(kind);
 }
 
 fn check_header(d: &mut Dec<'_>, kind: u8) -> Result<(), CodecError> {
-    if d.bytes(MAGIC.len())? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = d.u8()?;
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    d.header(MAGIC, VERSION)?;
     let found = d.u8()?;
     if found != kind {
         return Err(CodecError::WrongKind {
@@ -281,7 +341,12 @@ fn check_header(d: &mut Dec<'_>, kind: u8) -> Result<(), CodecError> {
     Ok(())
 }
 
-fn tag_of<T: PartialEq + Copy>(all: &[T], value: T, what: &'static str) -> u8 {
+/// The wire tag of an enum value: its index in the canonical list `all`.
+///
+/// # Panics
+///
+/// If `value` is not in `all` — a variant was added without a wire tag.
+pub fn tag_of<T: PartialEq + Copy>(all: &[T], value: T, what: &'static str) -> u8 {
     all.iter()
         .position(|v| *v == value)
         .unwrap_or_else(|| panic!("unknown {what} variant"))
@@ -289,7 +354,8 @@ fn tag_of<T: PartialEq + Copy>(all: &[T], value: T, what: &'static str) -> u8 {
         .expect("small tag")
 }
 
-fn from_tag<T: Copy>(all: &[T], tag: u8, what: &'static str) -> Result<T, CodecError> {
+/// The enum value a wire tag names, or [`CodecError::InvalidTag`].
+pub fn from_tag<T: Copy>(all: &[T], tag: u8, what: &'static str) -> Result<T, CodecError> {
     all.get(tag as usize)
         .copied()
         .ok_or(CodecError::InvalidTag { what, tag })
@@ -601,7 +667,8 @@ fn decode_objective(d: &mut Dec<'_>) -> Result<Objective, CodecError> {
     }
 }
 
-fn encode_layer_perf(e: &mut Enc, p: &LayerPerf) {
+/// Writes every [`LayerPerf`] field in wire order.
+pub fn encode_layer_perf(e: &mut Enc, p: &LayerPerf) {
     e.i64(p.cycles);
     e.f64(p.utilization);
     e.i64(p.macs);
@@ -619,7 +686,8 @@ fn encode_layer_perf(e: &mut Enc, p: &LayerPerf) {
     e.u8(tag_of(&ALL_MAPPINGS, p.mapping, "spatial mapping"));
 }
 
-fn decode_layer_perf(d: &mut Dec<'_>) -> Result<LayerPerf, CodecError> {
+/// Reads what [`encode_layer_perf`] wrote.
+pub fn decode_layer_perf(d: &mut Dec<'_>) -> Result<LayerPerf, CodecError> {
     let cycles = d.i64()?;
     let utilization = d.f64()?;
     let macs = d.i64()?;
@@ -651,6 +719,32 @@ fn decode_layer_perf(d: &mut Dec<'_>) -> Result<LayerPerf, CodecError> {
     })
 }
 
+/// Writes every [`ModelPerf`] field in wire order.
+pub fn encode_model_perf(e: &mut Enc, p: &ModelPerf) {
+    e.i64(p.cycles);
+    e.i64(p.ops);
+    e.f64(p.gops);
+    e.f64(p.watts);
+    e.f64(p.gops_per_watt);
+    e.f64(p.utilization);
+    e.f64(p.ppu_fraction);
+    e.f64(p.instr_gbps);
+}
+
+/// Reads what [`encode_model_perf`] wrote.
+pub fn decode_model_perf(d: &mut Dec<'_>) -> Result<ModelPerf, CodecError> {
+    Ok(ModelPerf {
+        cycles: d.i64()?,
+        ops: d.i64()?,
+        gops: d.f64()?,
+        watts: d.f64()?,
+        gops_per_watt: d.f64()?,
+        utilization: d.f64()?,
+        ppu_fraction: d.f64()?,
+        instr_gbps: d.f64()?,
+    })
+}
+
 impl EvalRequest {
     /// Encodes the request to its canonical byte representation
     /// (`encode → decode → encode` is byte-identical).
@@ -671,7 +765,7 @@ impl EvalRequest {
         encode_tech(&mut e, &self.tech);
         encode_objective(&mut e, &self.objective);
         e.opt_i64(self.tile_cap);
-        e.buf
+        e.into_bytes()
     }
 
     /// Decodes a request, validating magic, version, kind, every enum tag,
@@ -682,7 +776,7 @@ impl EvalRequest {
     /// Returns a [`CodecError`] describing the first problem found;
     /// truncated or corrupt input never panics.
     pub fn decode(bytes: &[u8]) -> Result<EvalRequest, CodecError> {
-        let mut d = Dec { buf: bytes, pos: 0 };
+        let mut d = Dec::new(bytes);
         check_header(&mut d, KIND_REQUEST)?;
         let name = d.str()?;
         let n_layers = d.u32()?;
@@ -749,14 +843,7 @@ impl EvalReport {
                 "compressed format",
             ));
         }
-        e.i64(self.model.cycles);
-        e.i64(self.model.ops);
-        e.f64(self.model.gops);
-        e.f64(self.model.watts);
-        e.f64(self.model.gops_per_watt);
-        e.f64(self.model.utilization);
-        e.f64(self.model.ppu_fraction);
-        e.f64(self.model.instr_gbps);
+        encode_model_perf(&mut e, &self.model);
         e.f64(self.cost.objectives.latency_cycles);
         e.f64(self.cost.objectives.energy_pj);
         e.f64(self.cost.objectives.area_um2);
@@ -774,7 +861,7 @@ impl EvalReport {
         e.u64(self.provenance.cache_hits);
         e.u64(self.provenance.cache_misses);
         e.u64(self.provenance.request_id);
-        e.buf
+        e.into_bytes()
     }
 
     /// Decodes a report, validating magic, version, kind, every enum tag,
@@ -785,7 +872,7 @@ impl EvalReport {
     /// Returns a [`CodecError`] describing the first problem found;
     /// truncated or corrupt input never panics.
     pub fn decode(bytes: &[u8]) -> Result<EvalReport, CodecError> {
-        let mut d = Dec { buf: bytes, pos: 0 };
+        let mut d = Dec::new(bytes);
         check_header(&mut d, KIND_REPORT)?;
         let n_layers = d.u32()?;
         let mut per_layer = Vec::new();
@@ -805,16 +892,7 @@ impl EvalReport {
                 input_format,
             });
         }
-        let model = ModelPerf {
-            cycles: d.i64()?,
-            ops: d.i64()?,
-            gops: d.f64()?,
-            watts: d.f64()?,
-            gops_per_watt: d.f64()?,
-            utilization: d.f64()?,
-            ppu_fraction: d.f64()?,
-            instr_gbps: d.f64()?,
-        };
+        let model = decode_model_perf(&mut d)?;
         let objectives = Objectives {
             latency_cycles: d.f64()?,
             energy_pj: d.f64()?,

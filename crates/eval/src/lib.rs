@@ -14,9 +14,8 @@
 //! * [`EvalSession`] — *how* it is priced: owns
 //!   [`CostContext`](lego_model::CostContext) construction, the memoized
 //!   [`EvalCache`], and the worker pool, behind
-//!   [`evaluate`](EvalSession::evaluate) /
-//!   [`evaluate_batch`](EvalSession::evaluate_batch) /
-//!   [`evaluate_stream`](EvalSession::evaluate_stream);
+//!   [`evaluate`](EvalSession::evaluate) for one request and
+//!   [`run_batch`](EvalSession::run_batch) for many;
 //! * [`EvalReport`] — the response: per-layer mapping results (including
 //!   the [`CompressedFormat`](lego_model::CompressedFormat) selected per
 //!   operand), aggregated [`ModelPerf`](lego_sim::ModelPerf), a

@@ -117,26 +117,11 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    /// Lock-free mirror of [`State::generation`], written under the state
-    /// lock. Lets workers and submitters spin-watch for progress without
-    /// touching the mutex.
-    epoch: AtomicU64,
     /// Workers wait here for a new generation (or shutdown).
     work: Condvar,
     /// The submitter waits here for `completed == len`.
     done: Condvar,
 }
-
-/// How long a worker spins watching [`Shared::epoch`] before parking on
-/// the condvar. Back-to-back batches (an explorer stepping generations)
-/// arrive well inside this window, so steady-state dispatch never pays a
-/// futex wakeup; after one quiet interval the pool goes fully idle.
-const WORKER_SPIN: u32 = 1 << 15;
-
-/// How long the submitter spins watching the completion counter before
-/// parking. Once the submitter has drained the index race, stragglers are
-/// at most one item from done, so this almost always avoids the sleep.
-const SUBMIT_SPIN: u32 = 1 << 14;
 
 /// A fixed-width pool of persistent worker threads. See the module docs.
 pub struct WorkerPool {
@@ -165,7 +150,6 @@ impl WorkerPool {
                 generation: 0,
                 shutdown: false,
             }),
-            epoch: AtomicU64::new(0),
             work: Condvar::new(),
             done: Condvar::new(),
         });
@@ -249,11 +233,9 @@ impl WorkerPool {
             let mut state = self.shared.state.lock().expect("pool state poisoned");
             state.job = Some(Arc::clone(&job));
             state.generation = state.generation.wrapping_add(1);
-            self.shared.epoch.store(state.generation, Ordering::Release);
             // Wake only as many workers as the job has seats for — a
             // notify_all on a wide machine stampedes every idle worker
             // through the state lock for a job most of them can't join.
-            // Spinning workers pick the epoch change up without any wakeup.
             if helpers >= self.workers.len() {
                 self.shared.work.notify_all();
             } else {
@@ -264,13 +246,6 @@ impl WorkerPool {
         }
         // The submitter is a full participant in the index race (lane 0).
         job.drain(0);
-        // Stragglers are at most one in-flight item each from done — spin
-        // for them first so the common case never parks on the condvar.
-        let mut spins = 0;
-        while !job.done() && spins < SUBMIT_SPIN {
-            std::hint::spin_loop();
-            spins += 1;
-        }
         {
             let mut state = self.shared.state.lock().expect("pool state poisoned");
             while !job.done() {
@@ -299,10 +274,6 @@ impl Drop for WorkerPool {
         {
             let mut state = self.shared.state.lock().expect("pool state poisoned");
             state.shutdown = true;
-            // Bump the epoch so spinning workers fall through to the lock
-            // (where they observe `shutdown`) instead of spinning out.
-            state.generation = state.generation.wrapping_add(1);
-            self.shared.epoch.store(state.generation, Ordering::Release);
             self.shared.work.notify_all();
         }
         for handle in self.workers.drain(..) {
@@ -314,14 +285,6 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &Shared) {
     let mut seen = 0u64;
     loop {
-        // Spin-watch the epoch before touching the mutex: in steady state
-        // (an explorer stepping generation batches back to back) the next
-        // job lands inside this window and dispatch costs no futex wakeup.
-        let mut spins = 0;
-        while shared.epoch.load(Ordering::Acquire) == seen && spins < WORKER_SPIN {
-            std::hint::spin_loop();
-            spins += 1;
-        }
         let (job, lane) = {
             let mut state = shared.state.lock().expect("pool state poisoned");
             loop {

@@ -4,7 +4,7 @@
 //! site: [`CostContext`] construction, the
 //! memoized [`EvalCache`], and a worker pool for batch evaluation. Callers
 //! describe *what* to price as an [`EvalRequest`] and get back an
-//! [`EvalReport`]; how the pricing happens (context reuse, caching,
+//! [`EvalReport`]; how the pricing happens (context construction, caching,
 //! threading) is the session's business.
 
 use crate::cache::{layer_key, EvalCache};
@@ -19,7 +19,7 @@ use lego_workloads::Model;
 use std::cell::{Cell, UnsafeCell};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything one evaluation needs: the workload, the hardware (dense and
 /// sparse halves), the technology, the scalarization to report, and the
@@ -398,18 +398,7 @@ pub struct EvalSession {
     /// The next request id to mint ([`Provenance::request_id`]); the
     /// first request a session prices is `1`.
     next_request: AtomicU64,
-    /// Recently built evaluation contexts, most-recently-used last, keyed
-    /// by the session cache key. Sweeps and explorer generations revisit
-    /// configurations (elites, re-scored genomes), and when a slot *is*
-    /// recycled for a new configuration it is updated in place
-    /// ([`CostContext::update`]) so unchanged cost components (the NoC
-    /// models) are not re-derived.
-    ctxs: Mutex<Vec<(u64, Arc<CostContext>)>>,
 }
-
-/// Contexts kept per session — enough for an explorer generation's worth
-/// of elite revisits without growing unboundedly on huge sweeps.
-const CTX_SLOTS: usize = 8;
 
 impl Default for EvalSession {
     fn default() -> Self {
@@ -422,7 +411,6 @@ impl Default for EvalSession {
             threads,
             obs: Obs::disabled(),
             next_request: AtomicU64::new(1),
-            ctxs: Mutex::new(Vec::new()),
         }
     }
 }
@@ -567,46 +555,6 @@ impl EvalSession {
         h.finish()
     }
 
-    /// The session context cache: returns the context for `key` if one is
-    /// resident, otherwise builds it — recycling the least-recently-used
-    /// slot in place once the cache is full, so a sweep stepping through
-    /// configurations re-derives only the cost components its mutation
-    /// touched (see [`CostContext::update`]).
-    fn context_for(&self, request: &EvalRequestRef<'_>, key: u64) -> Arc<CostContext> {
-        let mut slots = self.ctxs.lock().expect("context cache poisoned");
-        if let Some(pos) = slots.iter().position(|(k, _)| *k == key) {
-            let hit = slots.remove(pos);
-            let ctx = Arc::clone(&hit.1);
-            slots.push(hit);
-            return ctx;
-        }
-        let ctx = if slots.len() >= CTX_SLOTS {
-            // Recycle the coldest slot. If nothing else holds it, update
-            // it in place (the incremental fast path); a still-shared
-            // context falls back to a fresh build.
-            let (_, lru) = slots.remove(0);
-            match Arc::try_unwrap(lru) {
-                Ok(mut owned) => {
-                    owned.update(request.hw, request.tech, self.sram, request.sparse);
-                    Arc::new(owned)
-                }
-                Err(_) => Arc::new(
-                    CostContext::new(request.hw.clone(), request.tech)
-                        .with_sram(self.sram)
-                        .with_sparse(request.sparse),
-                ),
-            }
-        } else {
-            Arc::new(
-                CostContext::new(request.hw.clone(), request.tech)
-                    .with_sram(self.sram)
-                    .with_sparse(request.sparse),
-            )
-        };
-        slots.push((key, Arc::clone(&ctx)));
-        ctx
-    }
-
     /// Prices a borrowed request view — the zero-clone form sweep drivers
     /// and the explorer use (see [`EvalRequestRef`]).
     pub fn evaluate_view(&self, request: EvalRequestRef<'_>) -> EvalReport {
@@ -626,7 +574,9 @@ impl EvalSession {
         let hw_fp = hw_fingerprint(request.hw, request.sparse, &request.tech, request.tile_cap);
         let cache_key = self.cache_key(&request, hw_fp);
         let ctx = self.obs.time("eval/context_build", || {
-            self.context_for(&request, cache_key)
+            CostContext::new(request.hw.clone(), request.tech)
+                .with_sram(self.sram)
+                .with_sparse(request.sparse)
         });
         // Cache warmth is counted locally (not read from the global cache
         // counters) so a report's provenance depends only on this
@@ -719,29 +669,11 @@ impl EvalSession {
         }
     }
 
-    /// Prices a batch on the worker pool, sharing the cache; reports come
-    /// back in input order.
-    pub fn evaluate_batch(&self, requests: &[EvalRequest]) -> Vec<EvalReport> {
-        self.run_batch(requests, |r| self.evaluate(r))
-    }
-
-    /// Prices requests lazily, one per `next()` call, sharing the session
-    /// cache across the whole stream — the shape sweep drivers consume
-    /// (generate requests on the fly, fold reports as they arrive, never
-    /// hold the full sweep in memory).
-    pub fn evaluate_stream<'s, I>(&'s self, requests: I) -> impl Iterator<Item = EvalReport> + 's
-    where
-        I: IntoIterator<Item = EvalRequest>,
-        I::IntoIter: 's,
-    {
-        requests.into_iter().map(move |req| self.evaluate(&req))
-    }
-
     /// Runs `f` over `items` on the session's worker pool, returning
-    /// results in input order. This is the pool behind
-    /// [`EvalSession::evaluate_batch`], exposed so callers with their own
-    /// unit of work (the explorer evaluates genomes, not requests) share
-    /// one pool implementation. The pool threads persist across batches
+    /// results in input order — the one batch entry point: pass
+    /// `|r| session.evaluate(r)` to price requests, or any other unit of
+    /// work (the explorer evaluates genomes, not requests). The pool
+    /// threads persist across batches
     /// ([`WorkerPool`](crate::pool::WorkerPool)), so per-call overhead is a condvar handoff rather
     /// than `threads` fresh OS threads; `f` must be pure for the output to
     /// be deterministic, which every evaluation in this workspace is.
@@ -899,15 +831,12 @@ mod tests {
             .map(|hw| EvalRequest::new(zoo::lenet(), hw.clone()))
             .collect();
         let par = EvalSession::new().with_threads(4);
-        let seq = EvalSession::new().with_threads(1);
-        let batched = par.evaluate_batch(&requests);
-        let sequential = seq.evaluate_batch(&requests);
-        // A fresh session for the stream: provenance records cache
-        // warmth, so only equal cache states compare byte-identical.
-        let stream_session = EvalSession::new().with_threads(1);
-        let streamed: Vec<EvalReport> = stream_session.evaluate_stream(requests.clone()).collect();
+        let batched = par.run_batch(&requests, |r| par.evaluate(r));
+        // A fresh session for the sequential loop: provenance records
+        // cache warmth, so only equal cache states compare byte-identical.
+        let seq = EvalSession::new();
+        let sequential: Vec<EvalReport> = requests.iter().map(|r| seq.evaluate(r)).collect();
         assert_eq!(batched, sequential);
-        assert_eq!(streamed, sequential);
     }
 
     #[test]
@@ -1051,7 +980,9 @@ mod tests {
         assert_eq!(second, third);
         // Batches mint one id per item (order across lanes is arbitrary).
         let batch_session = EvalSession::new().with_threads(4);
-        let reports = batch_session.evaluate_batch(&[req.clone(), req.clone(), req.clone()]);
+        let reports = batch_session.run_batch(&[req.clone(), req.clone(), req.clone()], |r| {
+            batch_session.evaluate(r)
+        });
         let mut ids: Vec<u64> = reports.iter().map(|r| r.provenance.request_id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3]);

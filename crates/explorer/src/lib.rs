@@ -83,7 +83,7 @@ pub use lego_eval::{layer_key, EvalCache, EvalSession};
 pub use lego_model::SparseAccel;
 pub use pareto::{BaseObjective, Constraints, Objective, Objectives, ParetoFrontier};
 pub use rng::SplitMix64;
-pub use snapshot::{Snapshot, SnapshotError};
+pub use snapshot::Snapshot;
 pub use space::{DataflowSet, DesignSpace, Genome, SpaceShard, ALL_MAPPINGS};
 pub use strategy::{EvolutionarySearch, GridSearch, RandomSearch, SearchReport, SearchStrategy};
 

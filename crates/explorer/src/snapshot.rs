@@ -1,23 +1,27 @@
-//! Serializable shard snapshots: a dependency-free binary codec for
-//! [`ParetoFrontier`] + [`EvalCache`] contents, so a shard worker can
-//! checkpoint its results to a file and a coordinator can merge them.
+//! Serializable shard snapshots: a binary format for [`ParetoFrontier`] +
+//! [`EvalCache`] contents, so a shard worker can checkpoint its results to
+//! a file and a coordinator can merge them.
 //!
-//! The format is deliberately boring: a fixed magic + version header,
+//! The format is deliberately boring, and built on the byte-level toolkit
+//! of [`lego_eval::codec`]: a fixed magic + version header,
 //! little-endian fixed-width integers, `f64` as IEEE-754 bits, one tag
 //! byte per enum/`Option`, and length-prefixed counts. Cache entries are
 //! written in sorted key order ([`EvalCache::entries`]) and frontier
 //! points sorted by genome fingerprint, so encoding is a pure function of
 //! the snapshot's contents (merge order never shows in the bytes) and
 //! `encode → decode → encode` is byte-identical. Decoding
-//! validates everything it reads and returns a [`SnapshotError`] — never
+//! validates everything it reads and returns a [`CodecError`] — never
 //! panics — on truncated or corrupt input.
 
 use crate::eval::DesignPoint;
 use crate::pareto::{Objectives, ParetoFrontier};
-use crate::space::{DataflowSet, Genome, ALL_MAPPINGS};
+use crate::space::{DataflowSet, Genome};
+use lego_eval::codec::{
+    decode_layer_perf, decode_model_perf, encode_layer_perf, encode_model_perf, from_tag, tag_of,
+    CodecError, Dec, Enc,
+};
 use lego_eval::EvalCache;
-use lego_sim::{EnergyBreakdown, LayerPerf, ModelPerf, SparseAccel};
-use std::fmt;
+use lego_sim::{LayerPerf, SparseAccel};
 
 /// File magic: identifies a LEGO DSE snapshot.
 const MAGIC: &[u8; 8] = b"LEGOSNAP";
@@ -86,8 +90,7 @@ impl Snapshot {
     /// the same shard set in any order encodes identically.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::default();
-        e.bytes(MAGIC);
-        e.u8(VERSION);
+        e.header(MAGIC, VERSION);
         e.u32(self.shard_index);
         e.u32(self.shard_count);
         e.u64(self.seed);
@@ -105,7 +108,7 @@ impl Snapshot {
             e.u64(*layer);
             encode_layer_perf(&mut e, perf);
         }
-        e.buf
+        e.into_bytes()
     }
 
     /// Decodes a snapshot, validating magic, version, every enum tag, and
@@ -113,17 +116,11 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`] describing the first problem found;
+    /// Returns a [`CodecError`] describing the first problem found;
     /// truncated or corrupt input never panics.
-    pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut d = Dec { buf: bytes, pos: 0 };
-        if d.bytes(MAGIC.len())? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = d.u8()?;
-        if version != VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+    pub fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
+        let mut d = Dec::new(bytes);
+        d.header(MAGIC, VERSION)?;
         let shard_index = d.u32()?;
         let shard_count = d.u32()?;
         let seed = d.u64()?;
@@ -158,183 +155,18 @@ impl Snapshot {
     /// # Errors
     ///
     /// Propagates the underlying I/O failure.
-    pub fn write_to(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.encode()).map_err(SnapshotError::Io)
+    pub fn write_to(&self, path: &std::path::Path) -> Result<(), CodecError> {
+        std::fs::write(path, self.encode()).map_err(CodecError::Io)
     }
 
     /// Reads and decodes a snapshot from a file.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Io`] if the file cannot be read, or the
+    /// Returns [`CodecError::Io`] if the file cannot be read, or the
     /// codec error if its contents are invalid.
-    pub fn read_from(path: &std::path::Path) -> Result<Snapshot, SnapshotError> {
-        Snapshot::decode(&std::fs::read(path).map_err(SnapshotError::Io)?)
-    }
-}
-
-/// Why a snapshot failed to decode (or to reach disk).
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// Input ended before the field starting at byte `at` was complete.
-    Truncated {
-        /// Offset of the incomplete field.
-        at: usize,
-        /// Bytes the field still needed.
-        needed: usize,
-    },
-    /// The file does not start with the snapshot magic.
-    BadMagic,
-    /// The codec version byte is not one this build understands.
-    UnsupportedVersion(u8),
-    /// An enum/option tag byte held an undefined value.
-    InvalidTag {
-        /// Which field was being decoded.
-        what: &'static str,
-        /// The offending byte.
-        tag: u8,
-    },
-    /// A length-prefixed string was not valid UTF-8.
-    InvalidUtf8,
-    /// Well-formed data followed by garbage.
-    TrailingBytes(usize),
-    /// Reading or writing the snapshot file failed.
-    Io(std::io::Error),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Truncated { at, needed } => {
-                write!(
-                    f,
-                    "snapshot truncated: needed {needed} more bytes at offset {at}"
-                )
-            }
-            SnapshotError::BadMagic => write!(f, "not a LEGO DSE snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported snapshot version {v} (this build reads {VERSION})"
-                )
-            }
-            SnapshotError::InvalidTag { what, tag } => {
-                write!(f, "invalid {what} tag {tag:#04x}")
-            }
-            SnapshotError::InvalidUtf8 => write!(f, "snapshot string is not valid UTF-8"),
-            SnapshotError::TrailingBytes(n) => {
-                write!(f, "{n} trailing bytes after the snapshot payload")
-            }
-            SnapshotError::Io(e) => write!(f, "snapshot I/O failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-/// A snapshot failure folds into the workspace-wide
-/// [`lego_eval::EvalError`] hierarchy: each variant maps onto its exact
-/// [`lego_eval::CodecError`] twin (the two codecs share the same decode
-/// discipline), so snapshot problems carry the same stable
-/// [`lego_eval::StatusCode`]s as wire-payload problems.
-impl From<SnapshotError> for lego_eval::EvalError {
-    fn from(e: SnapshotError) -> lego_eval::EvalError {
-        use lego_eval::CodecError;
-        lego_eval::EvalError::Codec(match e {
-            SnapshotError::Truncated { at, needed } => CodecError::Truncated { at, needed },
-            SnapshotError::BadMagic => CodecError::BadMagic,
-            SnapshotError::UnsupportedVersion(v) => CodecError::UnsupportedVersion(v),
-            SnapshotError::InvalidTag { what, tag } => CodecError::InvalidTag { what, tag },
-            SnapshotError::InvalidUtf8 => CodecError::InvalidUtf8,
-            SnapshotError::TrailingBytes(n) => CodecError::TrailingBytes(n),
-            SnapshotError::Io(e) => CodecError::Io(e),
-        })
-    }
-}
-
-/// Little-endian byte writer.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.bytes(s.as_bytes());
-    }
-}
-
-/// Bounds-checked little-endian reader over a byte slice.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let at = self.pos;
-        let end = at.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                self.pos = end;
-                Ok(&self.buf[at..end])
-            }
-            None => Err(SnapshotError::Truncated {
-                at,
-                needed: n - (self.buf.len() - at),
-            }),
-        }
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.bytes(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.bytes(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(
-            self.bytes(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::InvalidUtf8)
-    }
-    fn done(&self) -> Result<(), SnapshotError> {
-        match self.buf.len() - self.pos {
-            0 => Ok(()),
-            n => Err(SnapshotError::TrailingBytes(n)),
-        }
+    pub fn read_from(path: &std::path::Path) -> Result<Snapshot, CodecError> {
+        Snapshot::decode(&std::fs::read(path).map_err(CodecError::Io)?)
     }
 }
 
@@ -346,48 +178,23 @@ fn encode_genome(e: &mut Enc, g: &Genome) {
     e.u64(g.buffer_kb);
     e.u32(g.dram_gbps);
     e.u8(g.dataflows.bits());
-    match g.tile_cap {
-        None => e.u8(0),
-        Some(t) => {
-            e.u8(1);
-            e.i64(t);
-        }
-    }
-    let sparse = SparseAccel::ALL
-        .iter()
-        .position(|a| *a == g.sparse)
-        .expect("known sparse feature");
-    e.u8(sparse as u8);
+    e.opt_i64(g.tile_cap);
+    e.u8(tag_of(&SparseAccel::ALL, g.sparse, "sparse feature"));
 }
 
-fn decode_genome(d: &mut Dec<'_>) -> Result<Genome, SnapshotError> {
+fn decode_genome(d: &mut Dec<'_>) -> Result<Genome, CodecError> {
     let rows = d.i64()?;
     let cols = d.i64()?;
     let clusters = (d.u32()?, d.u32()?);
     let buffer_kb = d.u64()?;
     let dram_gbps = d.u32()?;
     let bits = d.u8()?;
-    let dataflows = DataflowSet::from_bits(bits).ok_or(SnapshotError::InvalidTag {
+    let dataflows = DataflowSet::from_bits(bits).ok_or(CodecError::InvalidTag {
         what: "dataflow set",
         tag: bits,
     })?;
-    let tile_cap = match d.u8()? {
-        0 => None,
-        1 => Some(d.i64()?),
-        tag => {
-            return Err(SnapshotError::InvalidTag {
-                what: "tile cap option",
-                tag,
-            })
-        }
-    };
-    let tag = d.u8()?;
-    let sparse = *SparseAccel::ALL
-        .get(tag as usize)
-        .ok_or(SnapshotError::InvalidTag {
-            what: "sparse feature",
-            tag,
-        })?;
+    let tile_cap = d.opt_i64()?;
+    let sparse = from_tag(&SparseAccel::ALL, d.u8()?, "sparse feature")?;
     Ok(Genome {
         rows,
         cols,
@@ -407,17 +214,10 @@ fn encode_point(e: &mut Enc, p: &DesignPoint) {
     e.f64(p.objectives.area_um2);
     e.f64(p.peak_power_mw);
     e.u8(u8::from(p.feasible));
-    e.i64(p.perf.cycles);
-    e.i64(p.perf.ops);
-    e.f64(p.perf.gops);
-    e.f64(p.perf.watts);
-    e.f64(p.perf.gops_per_watt);
-    e.f64(p.perf.utilization);
-    e.f64(p.perf.ppu_fraction);
-    e.f64(p.perf.instr_gbps);
+    encode_model_perf(e, &p.perf);
 }
 
-fn decode_point(d: &mut Dec<'_>) -> Result<DesignPoint, SnapshotError> {
+fn decode_point(d: &mut Dec<'_>) -> Result<DesignPoint, CodecError> {
     let genome = decode_genome(d)?;
     let objectives = Objectives {
         latency_cycles: d.f64()?,
@@ -429,87 +229,19 @@ fn decode_point(d: &mut Dec<'_>) -> Result<DesignPoint, SnapshotError> {
         0 => false,
         1 => true,
         tag => {
-            return Err(SnapshotError::InvalidTag {
+            return Err(CodecError::InvalidTag {
                 what: "feasible flag",
                 tag,
             })
         }
     };
-    let perf = ModelPerf {
-        cycles: d.i64()?,
-        ops: d.i64()?,
-        gops: d.f64()?,
-        watts: d.f64()?,
-        gops_per_watt: d.f64()?,
-        utilization: d.f64()?,
-        ppu_fraction: d.f64()?,
-        instr_gbps: d.f64()?,
-    };
+    let perf = decode_model_perf(d)?;
     Ok(DesignPoint {
         genome,
         objectives,
         perf,
         peak_power_mw,
         feasible,
-    })
-}
-
-fn encode_layer_perf(e: &mut Enc, p: &LayerPerf) {
-    e.i64(p.cycles);
-    e.f64(p.utilization);
-    e.i64(p.macs);
-    e.i64(p.dram_bytes);
-    e.i64(p.l1_accesses);
-    e.i64(p.ppu_cycles);
-    e.i64(p.noc_cycles);
-    e.f64(p.energy.mac_pj);
-    e.f64(p.energy.sram_pj);
-    e.f64(p.energy.dram_pj);
-    e.f64(p.energy.noc_pj);
-    e.f64(p.energy.static_pj);
-    e.f64(p.energy.ppu_pj);
-    e.f64(p.energy.sparse_pj);
-    let mapping = ALL_MAPPINGS
-        .iter()
-        .position(|m| *m == p.mapping)
-        .expect("known mapping");
-    e.u8(mapping as u8);
-}
-
-fn decode_layer_perf(d: &mut Dec<'_>) -> Result<LayerPerf, SnapshotError> {
-    let cycles = d.i64()?;
-    let utilization = d.f64()?;
-    let macs = d.i64()?;
-    let dram_bytes = d.i64()?;
-    let l1_accesses = d.i64()?;
-    let ppu_cycles = d.i64()?;
-    let noc_cycles = d.i64()?;
-    let energy = EnergyBreakdown {
-        mac_pj: d.f64()?,
-        sram_pj: d.f64()?,
-        dram_pj: d.f64()?,
-        noc_pj: d.f64()?,
-        static_pj: d.f64()?,
-        ppu_pj: d.f64()?,
-        sparse_pj: d.f64()?,
-    };
-    let tag = d.u8()?;
-    let mapping = *ALL_MAPPINGS
-        .get(tag as usize)
-        .ok_or(SnapshotError::InvalidTag {
-            what: "spatial mapping",
-            tag,
-        })?;
-    Ok(LayerPerf {
-        cycles,
-        utilization,
-        macs,
-        dram_bytes,
-        l1_accesses,
-        ppu_cycles,
-        noc_cycles,
-        energy,
-        mapping,
     })
 }
 
@@ -571,23 +303,20 @@ mod tests {
         // Bad magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(matches!(
-            Snapshot::decode(&bad),
-            Err(SnapshotError::BadMagic)
-        ));
+        assert!(matches!(Snapshot::decode(&bad), Err(CodecError::BadMagic)));
         // Unknown version.
         let mut bad = good.clone();
         bad[8] = 0xEE;
         assert!(matches!(
             Snapshot::decode(&bad),
-            Err(SnapshotError::UnsupportedVersion(0xEE))
+            Err(CodecError::UnsupportedVersion(0xEE))
         ));
         // Trailing garbage.
         let mut bad = good.clone();
         bad.push(0);
         assert!(matches!(
             Snapshot::decode(&bad),
-            Err(SnapshotError::TrailingBytes(1))
+            Err(CodecError::TrailingBytes(1))
         ));
         // Every single-byte corruption either decodes (the byte was inert
         // for validation — e.g. part of a float) or errors; none panic.

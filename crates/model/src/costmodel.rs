@@ -177,8 +177,7 @@ impl CostContext {
     /// Equivalent to building `CostContext::new(hw.clone(),
     /// tech).with_sram(sram).with_sparse(sparse)` — the equality is pinned
     /// by unit tests here and by proptests over explorer genomes — but
-    /// without the from-scratch derivation, which is what makes session
-    /// context recycling safe.
+    /// without the from-scratch derivation.
     pub fn update(&mut self, hw: &HwConfig, tech: TechModel, sram: SramModel, sparse: SparseHw) {
         if self.hw.clusters != hw.clusters {
             self.noc.mesh = hw.l2_mesh();

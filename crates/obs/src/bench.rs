@@ -1,11 +1,11 @@
-//! The `BENCH_*.json` row format: a machine-readable perf trajectory.
+//! The row format `benchmark/RESULTS.json` uses: a machine-readable list
+//! of measurements.
 //!
-//! `perf_bench` writes `BENCH_eval.json` at the repo root as a JSON array
-//! of `{"metric", "value", "unit", "config"}` objects — one row per
-//! measurement — so subsequent performance PRs have a before/after anchor
-//! that scripts (and the CI bench-smoke job) can parse without a JSON
-//! dependency. [`render_bench_json`] and [`parse_bench_json`] are exact
-//! inverses for every finite row.
+//! The repo benchmark (`benchmark/`, `bench run`) writes its results as a
+//! JSON array of `{"metric", "value", "unit", "config"}` objects — one row
+//! per measurement — so `bench compare` / `bench check` and scripts can
+//! parse them without a JSON dependency. [`render_bench_json`] and
+//! [`parse_bench_json`] are exact inverses for every finite row.
 //!
 //! ```
 //! use lego_obs::bench::{render_bench_json, parse_bench_json, BenchRow};
@@ -336,50 +336,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Render one `BENCH_trajectory.jsonl` line: a single-line JSON object
-/// stamping a bench run with its mode and iteration count alongside the
-/// measured rows. `perf_bench record` appends these to an append-only
-/// trajectory log so the perf history of the repo survives each
-/// overwrite of the latest `BENCH_*.json` document.
-///
-/// ```
-/// use lego_obs::bench::{render_trajectory_line, BenchRow};
-///
-/// let line = render_trajectory_line(
-///     "wall_clock",
-///     7,
-///     &[BenchRow::new("evaluate_single_wall", 123.0, "ns", "cfg")],
-/// );
-/// assert!(line.starts_with("{\"mode\": \"wall_clock\", \"iters\": 7, \"rows\": ["));
-/// assert!(!line.contains('\n'));
-/// ```
-pub fn render_trajectory_line(mode_label: &str, iters: u32, rows: &[BenchRow]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"mode\": \"");
-    escape_into(&mut out, mode_label);
-    out.push_str(&format!("\", \"iters\": {iters}, \"rows\": ["));
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"metric\": \"");
-        escape_into(&mut out, &row.metric);
-        out.push_str("\", \"value\": ");
-        out.push_str(&fmt_f64(if row.value.is_finite() {
-            row.value
-        } else {
-            0.0
-        }));
-        out.push_str(", \"unit\": \"");
-        escape_into(&mut out, &row.unit);
-        out.push_str("\", \"config\": \"");
-        escape_into(&mut out, &row.config);
-        out.push_str("\"}");
-    }
-    out.push_str("]}");
-    out
-}
-
 /// Format an `f64` for JSON output: shortest round-trip decimal, with a
 /// plain integer rendering for integral values. Deterministic.
 pub(crate) fn fmt_f64(v: f64) -> String {
@@ -468,27 +424,6 @@ mod tests {
         // Unterminated nesting still errors without panicking.
         assert!(parse_bench_json("[{\"args\": {\"a\": [1, }]").is_err());
         assert!(parse_bench_json("[{\"flag\": tru}]").is_err());
-    }
-
-    #[test]
-    fn trajectory_lines_are_single_line_json() {
-        let line = render_trajectory_line(
-            "deterministic",
-            3,
-            &[
-                BenchRow::new("a", 1.0, "ns", "cfg"),
-                BenchRow::new("b", 2.5, "evals/s", "cfg"),
-            ],
-        );
-        assert!(!line.contains('\n'));
-        assert!(line.contains("\"iters\": 3"));
-        assert!(line.contains("\"metric\": \"b\""));
-        // Each line's rows array round-trips through the parser.
-        let rows_start = line.find('[').unwrap();
-        let rows_json = &line[rows_start..line.len() - 1];
-        let parsed = parse_bench_json(rows_json).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].value, 2.5);
     }
 
     #[test]

@@ -64,10 +64,9 @@
 //! [`TraceLog`] of typed events ([`Obs::traced`]) with
 //! Chrome-trace and folded-stack exporters; see [`mod@trace`].
 //!
-//! The [`mod@bench`] module holds the machine-readable `BENCH_*.json` row
-//! format (`{metric, value, unit, config}`) that `perf_bench` writes and
-//! CI re-parses, and [`mod@diff`] the regression comparison behind
-//! `perf_bench diff`.
+//! The [`mod@bench`] module holds the machine-readable row format
+//! (`{metric, value, unit, config}`) that the repo benchmark writes to
+//! `benchmark/RESULTS.json` and its `compare` / `check` commands re-parse.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -77,7 +76,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub mod bench;
-pub mod diff;
 pub mod hist;
 pub mod trace;
 

@@ -38,9 +38,6 @@ pub struct SchedulerConfig {
     pub workers: usize,
     /// Maximum admitted-but-unstarted jobs before `QueueFull`.
     pub queue_capacity: usize,
-    /// Jobs a worker claims per wakeup; batching amortizes lock traffic
-    /// when the queue is deep without starving other workers.
-    pub batch: usize,
     /// Byte budget for the shared session's evaluation cache
     /// (`None` = unbounded).
     pub cache_budget: Option<usize>,
@@ -53,12 +50,15 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             workers: 4,
             queue_capacity: 256,
-            batch: 8,
             cache_budget: None,
             obs: Obs::disabled(),
         }
     }
 }
+
+/// Jobs a worker claims per wakeup; batching amortizes lock traffic when
+/// the queue is deep without starving other workers.
+const BATCH: usize = 8;
 
 /// One admitted unit of work: a validated request and where its encoded
 /// reply payload goes.
@@ -72,7 +72,6 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     work_ready: Condvar,
     capacity: usize,
-    batch: usize,
     draining: AtomicBool,
     /// Serve-level request ids, minted at evaluation start and carried
     /// through the obs `request_scope` so every span of a request's
@@ -99,7 +98,6 @@ impl Scheduler {
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             capacity: cfg.queue_capacity.max(1),
-            batch: cfg.batch.max(1),
             draining: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             obs: cfg.obs,
@@ -190,7 +188,7 @@ fn worker_loop(shared: &Shared) {
                 }
                 queue = shared.work_ready.wait(queue).unwrap();
             }
-            let n = queue.len().min(shared.batch);
+            let n = queue.len().min(BATCH);
             queue.drain(..n).collect()
         };
         // If this claim left jobs behind, wake a sibling before pricing.

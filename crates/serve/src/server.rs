@@ -112,7 +112,6 @@ impl Server {
             queue_capacity: cfg.queue_capacity,
             cache_budget: cfg.cache_budget,
             obs: cfg.obs.clone(),
-            ..Default::default()
         });
         Server {
             shared: Arc::new(ServerShared {

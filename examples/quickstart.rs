@@ -57,8 +57,7 @@ fn main() {
     // Attach an `Obs` handle to see where the evaluation spends its work.
     // `Obs::deterministic()` counts work but never reads the clock, so the
     // rendered summary is byte-identical across runs; instrumentation never
-    // changes a report. (`Obs::wall_clock()` fills in real durations — the
-    // `perf_bench` binary uses both to write `BENCH_eval.json`.)
+    // changes a report. (`Obs::wall_clock()` fills in real durations.)
     let obs = Obs::deterministic();
     let observed = EvalSession::new().with_obs(obs.clone()).evaluate(&request);
     assert_eq!(observed, report);

@@ -18,9 +18,9 @@
 //! * [`eval`] — the canonical request/response evaluation layer: an
 //!   `EvalSession` owns `CostContext` construction, the memoized
 //!   `EvalCache`, and the worker pool, and prices serializable
-//!   `EvalRequest`s into `EvalReport`s (`evaluate` / `evaluate_batch` /
-//!   `evaluate_stream`); the versioned binary codec makes requests and
-//!   reports wire payloads a multi-host driver can ship anywhere;
+//!   `EvalRequest`s into `EvalReport`s (`evaluate` for one, `run_batch`
+//!   for many); the versioned binary codec makes requests and reports
+//!   wire payloads a multi-host driver can ship anywhere;
 //! * [`serve`] — the long-lived evaluation server over that codec:
 //!   framed TCP/Unix streams of requests into a warm shared session,
 //!   bounded admission with backpressure, a byte-budgeted cache, and the
@@ -130,9 +130,7 @@
 //! per-phase spans, cache warmth, mapping counts — without changing any
 //! result. `Obs::deterministic()` never reads the clock, so its rendered
 //! summary is byte-identical across runs (CI diffs it);
-//! `Obs::wall_clock()` records real durations for perf hunts. The
-//! `perf_bench` binary runs canonical workloads this way and writes the
-//! `BENCH_eval.json` trajectory.
+//! `Obs::wall_clock()` records real durations for perf hunts.
 //!
 //! ```
 //! use lego::eval::{EvalRequest, EvalSession};
@@ -179,14 +177,9 @@
 //!    tail is visible even when the mean looks fine. Deterministic mode
 //!    records the same bucket *counts* but zeroes all wall values — the
 //!    rendered summary stays byte-identical across runs.
-//! 5. **Gate the regression.** `perf_bench diff before.json after.json`
-//!    compares two bench documents with per-metric tolerances (default
-//!    1.25×; `--tolerance-for explore_wall=2.0` overrides one series) and
-//!    exits nonzero when a wall metric grew — or a throughput shrank —
-//!    past tolerance, or a metric vanished or changed unit. CI runs it
-//!    against the committed `BENCH_eval_wall.json` with a generous 2×
-//!    threshold; `perf_bench record` appends each run (mode, iterations,
-//!    full row set) to the append-only `BENCH_trajectory.jsonl`.
+//! 5. **Gate the regression.** A trace says where time goes inside one
+//!    process; whether a change made anything faster or slower is decided
+//!    by the repo benchmark alone — see *Performance workflow* below.
 //!
 //! ```
 //! use lego::eval::{EvalRequest, EvalSession};
@@ -311,56 +304,38 @@
 //!
 //! # Performance workflow
 //!
-//! The evaluation hot path is benchmarked, not guessed at. The contract
-//! every performance PR follows:
+//! One timing methodology: the repo benchmark in `benchmark/` (its own
+//! package outside the workspace; `BENCHMARK.json` declares its seven
+//! workloads, five end-to-end metrics and their bounds,
+//! `benchmark/README.md` says how a run measures). Nothing else in the
+//! repository produces or gates a number. With
+//! `alias bench='cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --'`:
 //!
-//! 1. **Two modes, one harness.** `perf_bench --mode deterministic` never
-//!    reads the clock: every wall metric is 0, every counter is exact, and
-//!    the output (`BENCH_eval.json`) is byte-identical across runs — CI
-//!    diffs it run-vs-run, and `crates/bench/tests/golden_bytes.rs` pins
-//!    it (plus the DSE tables, the `eval_report` request/report bytes,
-//!    and a `dse_shard` snapshot) to committed goldens. `--mode wallclock`
-//!    measures the same surfaces for real and writes the same schema with
-//!    populated wall/throughput rows.
-//! 2. **Minimum over iterations.** In wallclock mode each surface runs
-//!    `WALL_ITERS` times and reports the per-metric minimum — the best
-//!    observed run is the closest estimate of the code's intrinsic cost
-//!    on a noisy machine; means conflate scheduler noise with the code
-//!    under test. Deterministic mode runs each surface exactly once, so
-//!    iteration count can never perturb the pinned counters.
-//! 3. **Trajectory files.** `BENCH_eval.json` (deterministic counters:
-//!    cache misses, layers priced, evals run) is the *semantic*
-//!    trajectory; `BENCH_eval_wall.json` is the *wallclock* trajectory,
-//!    with `BENCH_eval_wall_before.json` holding the same-machine
-//!    measurement taken at the parent commit. Speedup claims are the
-//!    ratio of those two files — same harness, same protocol, same
-//!    machine — never numbers quoted from different environments.
-//! 4. **Every perf PR commits before and after.** Run
-//!    `perf_bench --mode wallclock` at the parent commit and at the tip,
-//!    commit both files, and state the per-metric ratios in the PR. A
-//!    perf change that cannot show its trajectory did not happen; a perf
-//!    change that moves any golden byte is a semantic change wearing a
-//!    perf costume.
-//! 5. **Micro-benches localize regressions.** `cargo bench -p lego-bench`
-//!    (`benches/hotpath.rs`) times the stages end-to-end numbers are made
-//!    of — cache hit/absorb, tiled DRAM traffic, mapping search with and
-//!    without observability, codec round-trips — so a wallclock
-//!    regression can be attributed without re-profiling the harness.
-//!
-//! # Deprecation policy
-//!
-//! The pre-session evaluation entry points — `sim::simulate_layer`,
-//! `sim::simulate_layer_tiled`, `sim::best_mapping`,
-//! `sim::best_mapping_tiled`, `sim::perf::simulate_model`,
-//! `mapper::map_model`, `mapper::map_model_with` — are `#[deprecated]`
-//! shims over the same internals a session runs (`simulate_layer_ctx` /
-//! `best_mapping_ctx` / `map_model_ctx` remain the supported low-level
-//! context API). The shims stay source- and behavior-compatible (each is
-//! pinned byte-identical to its `_ctx` equivalent by tests) for external
-//! callers, but workspace CI compiles with `-D deprecated`, so no code in
-//! this repository may call them outside the `#[allow(deprecated)]` shim
-//! tests. They will be removed once the multi-host driver lands and
-//! nothing external depends on them.
+//! 1. **Run.** `bench --workload dse_sharded --seed 1 --seconds 10
+//!    --trace 0` prints one workload's end-to-end metrics (`--trace 1`
+//!    adds the per-layer replay); `bench run --out FILE` measures every
+//!    workload both ways and `bench run --smoke` does the same in about
+//!    ten seconds (CI job `benchmark-smoke`). Every op's output is checked
+//!    against a reference, so a run that got faster by getting wrong fails.
+//! 2. **Compare.** `bench compare before.json after.json` prints, per
+//!    workload and end-to-end metric, both values, their ratio, the bound
+//!    and `ok` / `regressed` / `unresolved`, and exits non-zero on any
+//!    `regressed`. `quality_ratio` is deterministic and must not move.
+//! 3. **Check.** `bench check [FILE]` holds `BENCHMARK.json` and a
+//!    results file to the contract (every `*.replay_residual_share` and
+//!    `trace.overhead_share` ≤ 0.10, every `failed_share` = 0).
+//! 4. **Ten alternating pairs.** A single before/after pair on a shared
+//!    machine proves nothing. Build the parent commit and the change in
+//!    separate checkouts, run the workload at least ten times on each,
+//!    alternating which side goes first, and report each side's median
+//!    and quartiles. A gain is claimed only when the change wins at least
+//!    nine pairs in ten and the medians differ by more than the parent's
+//!    own interquartile range; no regression means every end-to-end
+//!    metric on every workload stays within its `BENCHMARK.json` bound. A
+//!    perf change that moves a golden byte
+//!    (`crates/bench/tests/golden_bytes.rs`) is a semantic change, not a
+//!    speedup; an optimisation the benchmark cannot see is complexity to
+//!    delete.
 
 pub use lego_backend as backend;
 pub use lego_baselines as baselines;

@@ -4,7 +4,7 @@
 //!    and a fully instrumented session produce byte-identical `EvalReport`
 //!    encodings for the same request.
 //! 2. Deterministic-mode summaries are byte-identical across runs — the
-//!    property the CI bench-smoke job pins for `perf_bench`.
+//!    property the CI determinism job's `cmp` of trace exports rests on.
 
 use lego::eval::{EvalRequest, EvalSession};
 use lego::obs::Obs;
