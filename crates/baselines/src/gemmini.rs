@@ -10,7 +10,9 @@
 //! methodology ("only counting the #cycles of the tensor kernel itself").
 
 use lego_model::{CostContext, TechModel};
-use lego_sim::{aggregate, simulate_layer_ctx, HwConfig, LayerPerf, ModelPerf, SpatialMapping};
+use lego_sim::{
+    aggregate_iter, simulate_layer_ctx, HwConfig, LayerPerf, ModelPerf, SpatialMapping,
+};
 use lego_workloads::Model;
 
 /// The Gemmini-comparable hardware configuration.
@@ -104,7 +106,7 @@ pub fn simulate_model_gemmini(model: &Model, tech: &TechModel) -> ModelPerf {
         .iter()
         .map(|l| (l.count, simulate_layer_gemmini(l, tech)))
         .collect();
-    aggregate(model, &perfs, tech)
+    aggregate_iter(model, perfs.iter().map(|(c, p)| (*c, p)), tech)
 }
 
 #[cfg(test)]

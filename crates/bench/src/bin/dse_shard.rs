@@ -26,7 +26,8 @@
 //! produces byte-identical snapshots and output.
 
 use lego_bench::harness::{row, section};
-use lego_eval::{CodecError, EvalError};
+use lego_eval::cli::{exit_code, file_ctx, no_more_args, take_flag, take_parsed, take_switch};
+use lego_eval::EvalError;
 use lego_explorer::{
     default_strategies, explore, explore_shard, DesignSpace, ExploreOptions, GridSearch,
     ParetoFrontier, SearchStrategy, Snapshot,
@@ -45,13 +46,7 @@ fn main() -> ExitCode {
         Some("verify") => cmd_verify(&args[1..]),
         _ => Err(EvalError::Usage(USAGE.to_string())),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("dse_shard: {e} [status {}]", e.status());
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("dse_shard", result)
 }
 
 const USAGE: &str = "usage:
@@ -59,20 +54,12 @@ const USAGE: &str = "usage:
   dse_shard merge SNAP... [--out SNAP] [--report]
   dse_shard verify [--shards N] [--model M] [--space paper|sparse|tiny]";
 
-fn model_by_name(name: &str) -> Result<Model, EvalError> {
-    Ok(match name {
-        "lenet" => zoo::lenet(),
-        "mobilenet_v2" => zoo::mobilenet_v2(),
-        "resnet50" => zoo::resnet50(),
-        "bert_base" => zoo::bert_base(),
-        "resnet50_2to4" => zoo::resnet50_2to4(),
-        "bert_base_pruned90" => zoo::bert_base_pruned90(),
-        _ => {
-            return Err(EvalError::Unknown {
-                what: "model",
-                name: name.to_string(),
-            })
-        }
+/// `--model M` (default `mobilenet_v2`), looked up in the zoo.
+fn take_model(args: &mut Vec<String>) -> Result<Model, EvalError> {
+    let name = take_flag(args, "--model", USAGE)?.unwrap_or("mobilenet_v2".into());
+    zoo::by_name(&name).ok_or(EvalError::Unknown {
+        what: "model",
+        name,
     })
 }
 
@@ -90,41 +77,6 @@ fn space_by_name(name: &str) -> Result<DesignSpace, EvalError> {
     })
 }
 
-/// Keeps the snapshot path in a codec failure's message without
-/// abandoning the typed error (and its stable status code).
-fn snapshot_ctx(path: &str, e: CodecError) -> EvalError {
-    match e {
-        CodecError::Io(io) => {
-            EvalError::Io(std::io::Error::new(io.kind(), format!("{path}: {io}")))
-        }
-        other => other.into(),
-    }
-}
-
-/// Pulls `--flag value` out of an argument list; the leftovers stay.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, EvalError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        Some(_) => Err(EvalError::Usage(format!("{flag} needs a value\n{USAGE}"))),
-    }
-}
-
-/// Pulls a bare `--flag` out of an argument list.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
 fn parse_seed(text: Option<String>) -> Result<u64, EvalError> {
     match text {
         None => Ok(DEFAULT_SEED),
@@ -139,25 +91,16 @@ fn parse_seed(text: Option<String>) -> Result<u64, EvalError> {
 
 fn cmd_run(args: &[String]) -> Result<(), EvalError> {
     let mut args = args.to_vec();
-    let shard_spec = take_flag(&mut args, "--shard")?
+    let shard_spec = take_flag(&mut args, "--shard", USAGE)?
         .ok_or_else(|| EvalError::Usage(format!("--shard I/N required\n{USAGE}")))?;
-    let out = take_flag(&mut args, "--out")?
+    let out = take_flag(&mut args, "--out", USAGE)?
         .ok_or_else(|| EvalError::Usage(format!("--out SNAP required\n{USAGE}")))?;
-    let model = model_by_name(&take_flag(&mut args, "--model")?.unwrap_or("mobilenet_v2".into()))?;
-    let space = space_by_name(&take_flag(&mut args, "--space")?.unwrap_or("paper".into()))?;
-    let seed = parse_seed(take_flag(&mut args, "--seed")?)?;
-    let budget = take_flag(&mut args, "--budget")?
-        .map(|b| {
-            b.parse::<usize>()
-                .map_err(|_| EvalError::Usage(format!("bad budget {b:?}")))
-        })
-        .transpose()?;
-    let warm = take_flag(&mut args, "--warm")?;
-    if !args.is_empty() {
-        return Err(EvalError::Usage(format!(
-            "unexpected arguments {args:?}\n{USAGE}"
-        )));
-    }
+    let model = take_model(&mut args)?;
+    let space = space_by_name(&take_flag(&mut args, "--space", USAGE)?.unwrap_or("paper".into()))?;
+    let seed = parse_seed(take_flag(&mut args, "--seed", USAGE)?)?;
+    let budget: Option<usize> = take_parsed(&mut args, "--budget", "budget", USAGE)?;
+    let warm = take_flag(&mut args, "--warm", USAGE)?;
+    no_more_args(&args, USAGE)?;
 
     let (index, count) = shard_spec
         .split_once('/')
@@ -174,7 +117,7 @@ fn cmd_run(args: &[String]) -> Result<(), EvalError> {
     };
     if let Some(warm_path) = &warm {
         let warm_snap =
-            Snapshot::read_from(Path::new(warm_path)).map_err(|e| snapshot_ctx(warm_path, e))?;
+            Snapshot::read_from(Path::new(warm_path)).map_err(|e| file_ctx(warm_path, e))?;
         if warm_snap.model != model.name {
             return Err(EvalError::Usage(format!(
                 "warm snapshot is for {:?}, run targets {:?}",
@@ -197,7 +140,7 @@ fn cmd_run(args: &[String]) -> Result<(), EvalError> {
     let snapshot = run.snapshot(&model.name, seed);
     snapshot
         .write_to(Path::new(&out))
-        .map_err(|e| snapshot_ctx(&out, e))?;
+        .map_err(|e| file_ctx(&out, e))?;
     println!(
         "{} genomes evaluated: frontier {} points, cache {} entries ({} hits / {} misses) -> {out}",
         run.evaluated(),
@@ -218,7 +161,7 @@ fn cmd_run(args: &[String]) -> Result<(), EvalError> {
 
 fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
     let mut args = args.to_vec();
-    let out = take_flag(&mut args, "--out")?;
+    let out = take_flag(&mut args, "--out", USAGE)?;
     let report = take_switch(&mut args, "--report");
     if args.is_empty() {
         return Err(EvalError::Usage(format!(
@@ -228,8 +171,7 @@ fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
     let paths: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
     let mut snapshots = Vec::new();
     for p in &paths {
-        snapshots
-            .push(Snapshot::read_from(p).map_err(|e| snapshot_ctx(&p.display().to_string(), e))?);
+        snapshots.push(Snapshot::read_from(p).map_err(|e| file_ctx(&p.display().to_string(), e))?);
     }
 
     let mut merged = snapshots[0].clone();
@@ -323,7 +265,7 @@ fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
     if let Some(out) = out {
         merged
             .write_to(Path::new(&out))
-            .map_err(|e| snapshot_ctx(&out, e))?;
+            .map_err(|e| file_ctx(&out, e))?;
         println!("wrote merged snapshot -> {out}");
     }
     Ok(())
@@ -331,17 +273,10 @@ fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
 
 fn cmd_verify(args: &[String]) -> Result<(), EvalError> {
     let mut args = args.to_vec();
-    let shards: u32 = take_flag(&mut args, "--shards")?.map_or(Ok(4), |n| {
-        n.parse()
-            .map_err(|_| EvalError::Usage(format!("bad shard count {n:?}")))
-    })?;
-    let model = model_by_name(&take_flag(&mut args, "--model")?.unwrap_or("mobilenet_v2".into()))?;
-    let space = space_by_name(&take_flag(&mut args, "--space")?.unwrap_or("paper".into()))?;
-    if !args.is_empty() {
-        return Err(EvalError::Usage(format!(
-            "unexpected arguments {args:?}\n{USAGE}"
-        )));
-    }
+    let shards: u32 = take_parsed(&mut args, "--shards", "shard count", USAGE)?.unwrap_or(4);
+    let model = take_model(&mut args)?;
+    let space = space_by_name(&take_flag(&mut args, "--space", USAGE)?.unwrap_or("paper".into()))?;
+    no_more_args(&args, USAGE)?;
     // No --seed here: both sides are pure grid search, which is
     // deterministic and seed-free by construction.
     let grid_only = || vec![Box::new(GridSearch) as Box<dyn SearchStrategy>];

@@ -24,11 +24,12 @@
 //! timestamps and is byte-identical across runs.
 
 use lego_bench::harness::section;
+use lego_eval::cli::{exit_code, file_ctx, no_more_args, take_flag, take_switch};
 use lego_eval::{CodecError, EvalError, EvalRequest, EvalSession};
 use lego_model::{SparseAccel, SparseHw};
 use lego_obs::Obs;
 use lego_sim::HwConfig;
-use lego_workloads::{zoo, Model};
+use lego_workloads::zoo;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -41,73 +42,18 @@ const USAGE: &str = "usage:
 /// span of the largest zoo model with plenty of headroom.
 const TRACE_CAPACITY: usize = 65536;
 
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn model_by_name(name: &str) -> Result<Model, EvalError> {
-    Ok(match name {
-        "lenet" => zoo::lenet(),
-        "mobilenet_v2" => zoo::mobilenet_v2(),
-        "resnet50" => zoo::resnet50(),
-        "bert_base" => zoo::bert_base(),
-        "resnet50_2to4" => zoo::resnet50_2to4(),
-        "bert_base_pruned90" => zoo::bert_base_pruned90(),
-        "gpt2_prefill_causal" => zoo::gpt2_prefill_causal(),
-        _ => {
-            return Err(EvalError::Unknown {
-                what: "model",
-                name: name.to_string(),
-            })
-        }
-    })
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, EvalError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        Some(_) => Err(EvalError::Usage(format!("{flag} needs a value\n{USAGE}"))),
-    }
-}
-
-/// Keeps the file path in a codec failure's message without abandoning the
-/// typed error (and its stable status code).
-fn file_ctx(path: &str, e: CodecError) -> EvalError {
-    match e {
-        CodecError::Io(io) => {
-            EvalError::Io(std::io::Error::new(io.kind(), format!("{path}: {io}")))
-        }
-        other => EvalError::Codec(other),
-    }
-}
-
 fn run() -> Result<(), EvalError> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let input = take_flag(&mut args, "--in")?;
-    let model = take_flag(&mut args, "--model")?;
-    let hw = take_flag(&mut args, "--hw")?;
-    let sparse = take_flag(&mut args, "--sparse")?;
-    let out = take_flag(&mut args, "--out")?;
-    let request_out = take_flag(&mut args, "--request-out")?;
-    let trace_out = take_flag(&mut args, "--trace-out")?;
-    let folded_out = take_flag(&mut args, "--folded-out")?;
+    let input = take_flag(&mut args, "--in", USAGE)?;
+    let model = take_flag(&mut args, "--model", USAGE)?;
+    let hw = take_flag(&mut args, "--hw", USAGE)?;
+    let sparse = take_flag(&mut args, "--sparse", USAGE)?;
+    let out = take_flag(&mut args, "--out", USAGE)?;
+    let request_out = take_flag(&mut args, "--request-out", USAGE)?;
+    let trace_out = take_flag(&mut args, "--trace-out", USAGE)?;
+    let folded_out = take_flag(&mut args, "--folded-out", USAGE)?;
     let wallclock = take_switch(&mut args, "--wallclock");
-    if !args.is_empty() {
-        return Err(EvalError::Usage(format!(
-            "unexpected arguments {args:?}\n{USAGE}"
-        )));
-    }
+    no_more_args(&args, USAGE)?;
 
     let mut obs = if wallclock {
         Obs::wall_clock()
@@ -130,7 +76,11 @@ fn run() -> Result<(), EvalError> {
             .map_err(|e| file_ctx(&path, e))?
         }
         None => {
-            let model = model_by_name(&model.unwrap_or("resnet50_2to4".into()))?;
+            let name = model.unwrap_or("resnet50_2to4".into());
+            let model = zoo::by_name(&name).ok_or(EvalError::Unknown {
+                what: "model",
+                name,
+            })?;
             let hw = match hw.as_deref().unwrap_or("lego_256") {
                 "lego_256" => HwConfig::lego_256(),
                 "lego_icoc_1k" => HwConfig::lego_icoc_1k(),
@@ -234,11 +184,5 @@ fn run() -> Result<(), EvalError> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("eval_report: {e} [status {}]", e.status());
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("eval_report", run())
 }

@@ -133,6 +133,12 @@ pub struct Enc {
 }
 
 impl Enc {
+    /// A writer whose buffer already holds room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(n),
+        }
+    }
     /// Starts a payload: the format's magic followed by its version byte.
     pub fn header(&mut self, magic: &[u8; 8], version: u8) {
         self.bytes(magic);

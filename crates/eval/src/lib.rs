@@ -46,12 +46,9 @@
 //! assert_eq!(EvalSession::new().evaluate(&decoded), report);
 //! ```
 //!
-//! The pre-session free-function shims (`simulate_layer`, `best_mapping`,
-//! `map_model`, …) served one full `#[deprecated]` cycle and are now gone;
 //! `simulate_layer_ctx` / `best_mapping_ctx` / `map_model_ctx` — what a
-//! session runs per layer — remain the supported low-level entry points,
-//! and workspace CI still builds with `-D deprecated` so future
-//! deprecations are enforced the same way.
+//! session runs per layer — remain public as the low-level entry points
+//! the session is tested against.
 //!
 //! Failures across the stack — codec, validation, transport, admission —
 //! collapse into one [`EvalError`] enum whose [`StatusCode`] mapping is
@@ -59,6 +56,7 @@
 
 pub mod builder;
 pub mod cache;
+pub mod cli;
 pub mod codec;
 pub mod error;
 pub mod hash;

@@ -1,14 +1,12 @@
-//! The persistent worker pool behind the batch evaluation paths.
+//! The persistent worker pool behind `EvalSession::run_batch`.
 //!
-//! `EvalSession::run_batch` originally spawned a fresh set of OS threads per
-//! call via `thread::scope`. Profiling showed the spawn/join cost (~500 µs
-//! for an 8-thread batch on this class of machine) dwarfing the evaluation
-//! work itself — explorer generations with warm caches finish in tens of
-//! microseconds. This pool spawns its workers once per **process**
-//! ([`global`]) and hands each batch to them through a condvar, so
-//! steady-state batch dispatch costs a couple of lock round-trips instead
-//! of a round of thread spawns — and a freshly constructed session (the
-//! explorer builds one per `explore` call) starts with a hot pool.
+//! A batch of warm evaluations finishes in tens of microseconds, while a
+//! `thread::scope` per batch costs a round of thread spawns and joins
+//! (~500 µs for 8 threads on this class of machine). This pool spawns its
+//! workers once per **process** ([`global`]) and hands each batch to them
+//! through a condvar, so steady-state dispatch costs a couple of lock
+//! round-trips — and a freshly constructed session (the explorer builds
+//! one per `explore` call) starts with a hot pool.
 //!
 //! Design notes:
 //!
@@ -23,11 +21,10 @@
 //!   the borrow outlives all worker access. The `'static` transmute below
 //!   is confined to that window.
 //! - Worker panics are caught, carried back, and re-raised on the
-//!   submitting thread, matching the propagation `thread::scope` gave us.
+//!   submitting thread, as `thread::scope` would.
 
-use lego_obs::{Obs, ObsMode};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
@@ -59,11 +56,6 @@ struct Job {
     next: AtomicUsize,
     /// Number of indices fully executed (successfully or by panic).
     completed: AtomicUsize,
-    /// Items executed per lane: slot 0 is the submitter, slots `1..` the
-    /// workers that claimed a seat. Each lane's tally is bumped before the
-    /// item's `completed` release-increment, so once the submitter
-    /// observes `completed == len` every tally is visible too.
-    lane_tasks: Box<[AtomicU64]>,
     /// First captured worker panic, re-raised by the submitter.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
@@ -75,15 +67,12 @@ unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
-    /// Claims and runs indices until the counter is exhausted, tallying
-    /// each executed item against `lane`. Returns the number of indices
-    /// this caller executed.
-    fn drain(&self, lane: usize) -> usize {
-        let mut ran = 0;
+    /// Claims and runs indices until the counter is exhausted.
+    fn drain(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.len {
-                return ran;
+                return;
             }
             // SAFETY: see the struct-level invariant — the submitter keeps
             // the closure alive until `completed == len`.
@@ -93,11 +82,9 @@ impl Job {
                 let mut slot = self.panic.lock().expect("panic slot poisoned");
                 slot.get_or_insert(payload);
             }
-            ran += 1;
-            self.lane_tasks[lane].fetch_add(1, Ordering::Relaxed);
             // Release pairs with the submitter's Acquire load so every
-            // side effect of `task(i)` (and the lane tally above) is
-            // visible once the count reaches `len`.
+            // side effect of `task(i)` is visible once the count reaches
+            // `len`.
             self.completed.fetch_add(1, Ordering::Release);
         }
     }
@@ -141,8 +128,7 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` persistent threads (0 is valid: every `run` then
-    /// executes entirely on the submitting thread, preserving sequential
-    /// order guarantees the deterministic mode relies on elsewhere).
+    /// executes entirely on the submitting thread, in index order).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
@@ -166,11 +152,6 @@ impl WorkerPool {
         }
     }
 
-    /// Number of persistent worker threads (excluding the submitter lane).
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Runs `task(i)` for every `i in 0..len`, spreading indices across at
     /// most `lanes` concurrent executors (the calling thread plus up to
     /// `lanes - 1` workers), and returns once all are complete. Concurrent
@@ -178,23 +159,9 @@ impl WorkerPool {
     /// must not call back into the same pool. A panic inside `task` is
     /// re-raised here after the batch drains.
     pub fn run(&self, len: usize, lanes: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.run_obs(len, lanes, task, &Obs::disabled());
-    }
-
-    /// [`WorkerPool::run`] with scheduling observability: the submit path
-    /// records the batch's queue depth (`pool.queue_depth`) and, once the
-    /// batch drains, how many items each lane executed
-    /// (`pool.lane.N.tasks` counters plus a `pool.tasks_per_lane` value
-    /// series; lane 0 is the submitting thread). All of it is
-    /// scheduling-dependent — which lane wins an index race varies run to
-    /// run — so the series exist only in
-    /// [`ObsMode::WallClock`] and
-    /// deterministic summaries stay byte-stable.
-    pub fn run_obs(&self, len: usize, lanes: usize, task: &(dyn Fn(usize) + Sync), obs: &Obs) {
         if len == 0 {
             return;
         }
-        obs.record_scheduling("pool.queue_depth", len as f64);
         let helpers = lanes
             .saturating_sub(1)
             .min(self.workers.len())
@@ -202,10 +169,6 @@ impl WorkerPool {
         if helpers == 0 {
             for i in 0..len {
                 task(i);
-            }
-            if obs.mode() == ObsMode::WallClock {
-                obs.count_scheduling("pool.lane.0.tasks", len as u64);
-                obs.record_scheduling("pool.tasks_per_lane", len as f64);
             }
             return;
         }
@@ -226,7 +189,6 @@ impl WorkerPool {
             seats: AtomicIsize::new(helpers as isize),
             next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
-            lane_tasks: (0..=helpers).map(|_| AtomicU64::new(0)).collect(),
             panic: Mutex::new(None),
         });
         {
@@ -244,8 +206,8 @@ impl WorkerPool {
                 }
             }
         }
-        // The submitter is a full participant in the index race (lane 0).
-        job.drain(0);
+        // The submitter is a full participant in the index race.
+        job.drain();
         {
             let mut state = self.shared.state.lock().expect("pool state poisoned");
             while !job.done() {
@@ -256,15 +218,6 @@ impl WorkerPool {
         let payload = job.panic.lock().expect("panic slot poisoned").take();
         if let Some(payload) = payload {
             resume_unwind(payload);
-        }
-        if obs.mode() == ObsMode::WallClock {
-            for (lane, tally) in job.lane_tasks.iter().enumerate() {
-                let tasks = tally.load(Ordering::Relaxed);
-                if tasks > 0 {
-                    obs.count_scheduling(&format!("pool.lane.{lane}.tasks"), tasks);
-                    obs.record_scheduling("pool.tasks_per_lane", tasks as f64);
-                }
-            }
         }
     }
 }
@@ -285,7 +238,7 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &Shared) {
     let mut seen = 0u64;
     loop {
-        let (job, lane) = {
+        let job = {
             let mut state = shared.state.lock().expect("pool state poisoned");
             loop {
                 if state.shutdown {
@@ -297,19 +250,15 @@ fn worker_loop(shared: &Shared) {
                     // be retired already, or want fewer lanes than the
                     // pool is wide).
                     if let Some(job) = &state.job {
-                        let s = job.seats.fetch_sub(1, Ordering::Relaxed);
-                        if s > 0 {
-                            // Seat `s` counts down from `helpers`, so this
-                            // claim maps to the unique lane slot
-                            // `helpers - s + 1` (the submitter is lane 0).
-                            break (Arc::clone(job), job.lane_tasks.len() - s as usize);
+                        if job.seats.fetch_sub(1, Ordering::Relaxed) > 0 {
+                            break Arc::clone(job);
                         }
                     }
                 }
                 state = shared.work.wait(state).expect("pool state poisoned");
             }
         };
-        job.drain(lane);
+        job.drain();
         if job.done() {
             // Notify under the state mutex: the submitter's done-check and
             // its condvar wait form one critical section, so taking the
@@ -324,7 +273,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     #[test]
     fn runs_every_index_exactly_once() {
@@ -385,37 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_accounting_covers_every_task_in_wallclock_mode() {
-        let pool = WorkerPool::new(3);
-        let obs = Obs::wall_clock();
-        pool.run_obs(64, 4, &|_| {}, &obs);
-        let summary = obs.summary();
-        assert_eq!(summary.values["pool.queue_depth"].sum, 64.0);
-        // Every executed item is attributed to exactly one lane.
-        let lane_total: u64 = (0..4)
-            .map(|lane| summary.counter(&format!("pool.lane.{lane}.tasks")))
-            .sum();
-        assert_eq!(lane_total, 64);
-        // The submitter races indices too, so lane 0 always runs something.
-        assert!(summary.counter("pool.lane.0.tasks") > 0);
-        assert_eq!(summary.values["pool.tasks_per_lane"].sum, 64.0);
-        // The inline path (one lane) attributes everything to lane 0.
-        let inline = Obs::wall_clock();
-        pool.run_obs(5, 1, &|_| {}, &inline);
-        assert_eq!(inline.summary().counter("pool.lane.0.tasks"), 5);
-    }
-
-    #[test]
-    fn lane_accounting_is_absent_in_deterministic_mode() {
-        let pool = WorkerPool::new(2);
-        let obs = Obs::deterministic();
-        pool.run_obs(16, 3, &|_| {}, &obs);
-        let summary = obs.summary();
-        // Scheduling-dependent series never reach deterministic summaries.
-        assert!(summary.is_empty());
-    }
-
-    #[test]
     fn sequential_batches_reuse_the_pool() {
         let pool = WorkerPool::new(4);
         let total = AtomicU64::new(0);
@@ -425,5 +343,75 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 1600);
+    }
+
+    /// One submitter of the stress test below: 200 batches, every 7th
+    /// with a panicking task (which also poisons `gate` for all later
+    /// submitters), each over a local that is freed right after `run`.
+    fn submit_batches(pool: &WorkerPool, s: usize) {
+        const LEN: usize = 16;
+        let submitter = std::thread::current().id();
+        for b in 0..200 {
+            let words: Vec<String> = (0..LEN).map(|i| format!("{s}:{b}:{i}")).collect();
+            let done: Vec<AtomicU64> = (0..LEN).map(|_| AtomicU64::new(0)).collect();
+            let (claimed, worker_in) = (AtomicUsize::new(0), AtomicBool::new(false));
+            let boom = (b % 7 == 0).then_some((s + b) % LEN);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(LEN, 4, &|i| {
+                    claimed.fetch_add(1, Ordering::SeqCst);
+                    // Force the interleaving under attack: the submitter
+                    // holds its first task until a worker is inside the
+                    // job, and a worker's task outlasts the submitter's
+                    // whole drain — `run` has to wait for it, or it reads
+                    // `words` through the erased pointer after the drop.
+                    if std::thread::current().id() == submitter {
+                        while !worker_in.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        worker_in.store(true, Ordering::SeqCst);
+                        while claimed.load(Ordering::SeqCst) < LEN {
+                            std::thread::yield_now();
+                        }
+                    }
+                    assert_eq!(words[i], format!("{s}:{b}:{i}"));
+                    done[i].fetch_add(1, Ordering::SeqCst);
+                    if boom == Some(i) {
+                        panic!("boom {s}:{b}");
+                    }
+                });
+            }));
+            drop(words);
+            assert!(
+                done.iter().all(|c| c.load(Ordering::SeqCst) == 1),
+                "{s}:{b}"
+            );
+            // A panic surfaces on the submitter whose task raised it, and
+            // on no other.
+            let raised = outcome
+                .err()
+                .map(|p| *p.downcast::<String>().expect("a message"));
+            assert_eq!(raised, boom.map(|_| format!("boom {s}:{b}")));
+        }
+    }
+
+    #[test]
+    fn concurrent_submitters_survive_panics_and_short_lived_borrows() {
+        let pool = WorkerPool::new(3);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for s in 0..4 {
+                let (pool, start) = (&pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    submit_batches(pool, s);
+                });
+            }
+        });
+        let ran = AtomicU64::new(0);
+        pool.run(8, 4, &|_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 8, "the pool outlives it all");
     }
 }

@@ -685,26 +685,8 @@ impl EvalSession {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.threads.min(items.len()).max(1);
-        // Pool shape metrics are scheduling-dependent (worker counts vary
-        // with thread interleaving), so they only exist in wall-clock mode
-        // and never leak into deterministic summaries. Queue depth and
-        // per-lane task counts are recorded by the pool's own submit path
-        // (`run_obs`).
-        self.obs.count_scheduling("pool.batches", 1);
-        self.obs.record_scheduling("pool.workers", workers as f64);
-        if workers == 1 {
-            // The sequential path never reaches the pool; record the same
-            // submit-path series it would have (everything ran on lane 0).
-            self.obs
-                .record_scheduling("pool.queue_depth", items.len() as f64);
-            self.obs
-                .count_scheduling("pool.lane.0.tasks", items.len() as u64);
-            self.obs
-                .record_scheduling("pool.tasks_per_lane", items.len() as f64);
+        let lanes = self.threads.min(items.len());
+        if lanes <= 1 {
             return items.iter().map(f).collect();
         }
         // One result slot per item. Each slot is written by exactly one
@@ -716,17 +698,12 @@ impl EvalSession {
         let slots: Vec<Slot<R>> = (0..items.len())
             .map(|_| Slot(UnsafeCell::new(None)))
             .collect();
-        crate::pool::global().run_obs(
-            items.len(),
-            workers,
-            &|i| {
-                let result = f(&items[i]);
-                // SAFETY: index `i` is claimed exactly once, so no other
-                // thread touches this slot.
-                unsafe { *slots[i].0.get() = Some(result) };
-            },
-            &self.obs,
-        );
+        crate::pool::global().run(items.len(), lanes, &|i| {
+            let result = f(&items[i]);
+            // SAFETY: index `i` is claimed exactly once, so no other
+            // thread touches this slot.
+            unsafe { *slots[i].0.get() = Some(result) };
+        });
         slots
             .into_iter()
             .map(|s| s.0.into_inner().expect("every task produced a result"))

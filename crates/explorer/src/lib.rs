@@ -16,8 +16,9 @@
 //! * [`EvalCache`] — a memoized, sharded map from (hardware fingerprint,
 //!   layer fingerprint) to layer performance, shared by every strategy and
 //!   worker thread so overlapping searches pay for each simulation once;
-//! * [`Evaluator`] — batch evaluation on a `std::thread` + channel worker
-//!   pool, deterministic regardless of interleaving;
+//! * [`Evaluator`] — batch evaluation through `EvalSession::run_batch` on
+//!   the process-wide worker pool, deterministic regardless of
+//!   interleaving;
 //! * [`ParetoFrontier`] — the surviving (latency, energy, area) trade-offs,
 //!   with EDP/EDAP scalarizations for ranking.
 //!

@@ -3,21 +3,16 @@
 //! network layer based on the simulated #cycles and energy".
 //!
 //! The per-layer dataflow choice lives in `lego-sim`'s
-//! [`lego_sim::best_mapping_ctx`]; this crate adds whole-model mapping
-//! with a per-layer report. Both the whole-model path
-//! ([`map_model_ctx`]) and the single-layer convenience ([`map_layer`])
-//! are the same internals an [`lego_eval::EvalSession`] runs — `map_layer`
-//! literally builds a one-shot session — so the two can never disagree.
-//! (The pre-context entry points, `map_model` and `map_model_with`, served
-//! a full `#[deprecated]` cycle and are gone; evaluate an
-//! [`lego_eval::EvalRequest`] through a session instead.)
+//! [`lego_sim::best_mapping_ctx`]; this crate adds two whole-model forms:
+//! [`map_model_ctx`], the uncached layer loop that tests compare an
+//! [`lego_eval::EvalSession`] against, and [`map_model_rewrite`], the
+//! e-graph search that starts from it.
 
-use lego_eval::{EvalRequest, EvalSession};
-use lego_mapspace::{MapSearch, RewriteOutcome, SearchConfig};
+use lego_eval::EvalSession;
+use lego_mapspace::{MapSearch, RewriteOutcome};
 use lego_model::{CostContext, TechModel};
-use lego_obs::Obs;
-use lego_sim::{aggregate_iter, best_mapping_obs, HwConfig, LayerPerf, ModelPerf};
-use lego_workloads::{Layer, Model};
+use lego_sim::{aggregate_iter, best_mapping_ctx, HwConfig, LayerPerf, ModelPerf};
+use lego_workloads::Model;
 use std::sync::Arc;
 
 /// One mapped layer: the layer, its repetition count, and its performance.
@@ -45,9 +40,8 @@ pub struct Mapping {
 ///
 /// The context is built **once** per configuration (its NoC models and
 /// SRAM fit are part of the price of the hardware, not of any one layer).
-/// This is the layer loop an [`lego_eval::EvalSession`] runs per request;
-/// it stays public as the low-level form for callers that manage their own
-/// contexts.
+/// This is the layer loop an [`lego_eval::EvalSession`] runs per request,
+/// without the cache: the reference its reports are tested against.
 ///
 /// # Examples
 ///
@@ -63,32 +57,13 @@ pub struct Mapping {
 /// assert_eq!(mapping.layers.len(), model.layers.len());
 /// ```
 pub fn map_model_ctx(model: &Model, ctx: &CostContext, tile_cap: Option<i64>) -> Mapping {
-    map_model_obs(model, ctx, tile_cap, &Obs::disabled())
-}
-
-/// [`map_model_ctx`] with observability: the whole mapping runs under a
-/// `mapper/map_model` span, every layer's dataflow sweep is counted into
-/// `mapper.candidates` (and `sim.mappings_tried` underneath), so an
-/// enumerated mapping trace lines up against a `mapspace.*` rewrite-search
-/// trace in the same summary output.
-pub fn map_model_obs(
-    model: &Model,
-    ctx: &CostContext,
-    tile_cap: Option<i64>,
-    obs: &Obs,
-) -> Mapping {
-    let _span = obs.span("mapper/map_model");
-    obs.count("mapper.layers", model.layers.len() as u64);
     let layers: Vec<MappedLayer> = model
         .layers
         .iter()
-        .map(|l| {
-            obs.count("mapper.candidates", ctx.hw.dataflows.len().max(1) as u64);
-            MappedLayer {
-                name: Arc::clone(&l.name),
-                count: l.count,
-                perf: best_mapping_obs(l, ctx, tile_cap, obs),
-            }
+        .map(|l| MappedLayer {
+            name: Arc::clone(&l.name),
+            count: l.count,
+            perf: best_mapping_ctx(l, ctx, tile_cap),
         })
         .collect();
     let perf = aggregate_iter(model, layers.iter().map(|m| (m.count, &m.perf)), &ctx.tech);
@@ -126,44 +101,14 @@ pub fn map_model_rewrite(
 ) -> RewriteOutcome {
     MapSearch::new(model, hw, tech)
         .with_tile_cap(tile_cap)
-        .with_config(SearchConfig::default())
         .with_obs(session.obs().clone())
         .run(session)
-}
-
-/// Counts how many layers chose each dataflow — used by the evaluation to
-/// show that fused designs actually switch at runtime (Table V).
-pub fn dataflow_histogram(mapping: &Mapping) -> Vec<(&'static str, usize)> {
-    let mut hist: std::collections::BTreeMap<&'static str, usize> = Default::default();
-    for l in &mapping.layers {
-        *hist.entry(l.perf.mapping.name()).or_default() += 1;
-    }
-    hist.into_iter().collect()
-}
-
-/// Convenience: maps a single standalone layer.
-///
-/// Routed through a one-shot [`EvalSession`] over a single-layer model, so
-/// this is *definitionally* the per-layer result of the whole-model path —
-/// the two evaluation entry points share one implementation and can never
-/// disagree.
-pub fn map_layer(layer: &Layer, hw: &HwConfig, tech: &TechModel) -> LayerPerf {
-    let model = Model {
-        name: layer.name.to_string(),
-        layers: vec![layer.clone()],
-    };
-    let report = EvalSession::new().evaluate(&EvalRequest::new(model, hw.clone()).with_tech(*tech));
-    report
-        .per_layer
-        .into_iter()
-        .next()
-        .expect("one layer in, one layer report out")
-        .perf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lego_eval::EvalRequest;
     use lego_sim::SpatialMapping;
     use lego_workloads::zoo;
 
@@ -175,13 +120,16 @@ mod tests {
     fn mobilenet_switches_dataflows() {
         let hw = HwConfig::lego_256();
         let mapping = map_model_ctx(&zoo::mobilenet_v2(), &ctx(&hw), None);
-        let hist = dataflow_histogram(&mapping);
+        let chosen: Vec<&str> = mapping
+            .layers
+            .iter()
+            .map(|l| l.perf.mapping.name())
+            .collect();
         // Depthwise layers pick OHOW, pointwise convs pick ICOC or MN.
-        assert!(hist.iter().any(|(n, c)| *n == "OHOW" && *c > 0), "{hist:?}");
+        assert!(chosen.contains(&"OHOW"), "{chosen:?}");
         assert!(
-            hist.iter()
-                .any(|(n, c)| (*n == "ICOC" || *n == "MN") && *c > 0),
-            "{hist:?}"
+            chosen.contains(&"ICOC") || chosen.contains(&"MN"),
+            "{chosen:?}"
         );
     }
 
@@ -215,41 +163,6 @@ mod tests {
         for (x, y) in report.per_layer.iter().zip(&b.layers) {
             assert_eq!(x.perf, y.perf, "{}", x.name);
         }
-    }
-
-    #[test]
-    fn map_layer_agrees_with_whole_model_mapping() {
-        // The satellite fix this test pins: `map_layer` and the
-        // whole-model path share the session internals, so a layer priced
-        // standalone equals the same layer priced inside a model.
-        let hw = HwConfig::lego_256();
-        let t = TechModel::default();
-        let m = zoo::mobilenet_v2();
-        let whole = map_model_ctx(&m, &ctx(&hw), None);
-        for (layer, mapped) in m.layers.iter().zip(&whole.layers) {
-            assert_eq!(map_layer(layer, &hw, &t), mapped.perf, "{}", layer.name);
-        }
-    }
-
-    #[test]
-    fn instrumented_mapping_is_unperturbed_and_counted() {
-        let hw = HwConfig::lego_256();
-        let m = zoo::mobilenet_v2();
-        let obs = Obs::deterministic();
-        let plain = map_model_ctx(&m, &ctx(&hw), None);
-        let instrumented = map_model_obs(&m, &ctx(&hw), None, &obs);
-        assert_eq!(plain.perf, instrumented.perf, "obs must not perturb");
-        let summary = obs.summary();
-        assert_eq!(summary.counter("mapper.layers"), m.layers.len() as u64);
-        assert_eq!(
-            summary.counter("mapper.candidates"),
-            (m.layers.len() * hw.dataflows.len()) as u64
-        );
-        assert_eq!(
-            summary.counter("mapper.candidates"),
-            summary.counter("sim.mappings_tried"),
-            "mapper candidates are exactly the sim-level sweep"
-        );
     }
 
     #[test]

@@ -115,6 +115,9 @@ pub struct EGraph {
     /// Canonicalized node → the class containing it.
     memo: FnvMap<ENode, Id>,
     /// Canonical class id → the class's canonicalized nodes, sorted.
+    /// Derived from `memo`: [`add`](EGraph::add) opens a new class's list,
+    /// but merged lists are refreshed by [`rebuild`](EGraph::rebuild)
+    /// only, so between a `union` and the next `rebuild` they are stale.
     classes: FnvMap<u32, Vec<ENode>>,
     /// Total distinct nodes resident (the saturation budget's currency).
     n_nodes: usize,
@@ -178,23 +181,13 @@ impl EGraph {
 
     /// Asserts `a ≡ b`, merging their classes. Returns `true` when the
     /// classes were distinct. Callers must [`rebuild`](EGraph::rebuild)
-    /// before relying on congruence again.
+    /// before relying on congruence, [`class_count`](EGraph::class_count),
+    /// [`class_snapshot`](EGraph::class_snapshot) or
+    /// [`nodes_of`](EGraph::nodes_of) again.
     pub fn union(&mut self, a: Id, b: Id) -> bool {
-        let ra = self.uf.find(a);
-        let rb = self.uf.find(b);
-        if ra == rb {
-            return false;
-        }
-        let (root, _) = self.uf.union(ra, rb);
-        self.unions += 1;
-        // Fold the absorbed class's node list into the survivor's.
-        let loser = if root == ra { rb } else { ra };
-        let lost_nodes = self.classes.remove(&loser.0).unwrap_or_default();
-        let survivor = self.classes.entry(root.0).or_default();
-        survivor.extend(lost_nodes);
-        survivor.sort_unstable();
-        survivor.dedup();
-        true
+        let (_, merged) = self.uf.union(a, b);
+        self.unions += u64::from(merged);
+        merged
     }
 
     /// Restores the congruence invariant: re-canonicalizes every node and

@@ -14,12 +14,15 @@
 //! * [`Obs::disabled`] — a `None` handle; every operation is a single
 //!   branch and no allocation. This is the default everywhere.
 //! * [`Obs::deterministic`] — records counts, values, and span *counts*,
-//!   but never reads the clock (all durations render as `0`) and drops
-//!   scheduling-dependent values ([`Obs::count_scheduling`] /
-//!   [`Obs::record_scheduling`]), so [`Summary::render`] is byte-stable
-//!   across identical runs regardless of thread interleaving.
-//! * [`Obs::wall_clock`] — records real durations and the
-//!   scheduling-dependent series too; for perf runs, not for CI diffing.
+//!   but never reads the clock (all durations render as `0`), so
+//!   [`Summary::render`] is byte-stable across identical runs of a
+//!   workload whose recorded counts and values do not depend on thread
+//!   interleaving.
+//! * [`Obs::wall_clock`] — the same series with real durations; for perf
+//!   runs, not for CI diffing.
+//!
+//! The mode decides only whether the clock is read, never which series
+//! exist.
 //!
 //! # Quickstart
 //!
@@ -30,7 +33,7 @@
 //! {
 //!     let _span = obs.span("eval/mapping_search");
 //!     obs.count("sim.mappings_tried", 12);
-//!     obs.record("pool.queue_depth", 3.0);
+//!     obs.record("codec.report_bytes", 3.0);
 //! } // span closes on drop
 //!
 //! let summary = obs.summary();
@@ -88,9 +91,9 @@ pub use trace::{TraceEvent, TraceKind, TraceLog, TraceSnapshot};
 pub enum ObsMode {
     /// No recorder attached; every operation is a no-op.
     Disabled,
-    /// Record counts and values, but never read the clock and never
-    /// record scheduling-dependent series: the summary is byte-identical
-    /// across identical runs, whatever the thread interleaving.
+    /// Record counts and values, but never read the clock: every
+    /// duration is `0`, so the summary of a workload whose counts do not
+    /// depend on thread interleaving is byte-identical across runs.
     Deterministic,
     /// Record everything, including real wall-clock durations.
     WallClock,
@@ -349,17 +352,16 @@ impl Obs {
         Obs { rec: None }
     }
 
-    /// A recorder whose summary is byte-identical across identical runs:
-    /// counts and values are recorded, the clock is never read, and
-    /// scheduling-dependent series are dropped.
+    /// A recorder that never reads the clock: counts and values are
+    /// recorded, every duration is `0`.
     pub fn deterministic() -> Self {
         Obs {
             rec: Some(Arc::new(Recorder::new(ObsMode::Deterministic))),
         }
     }
 
-    /// A recorder that also measures real wall-clock durations and keeps
-    /// scheduling-dependent series. Use for perf runs, not CI diffing.
+    /// A recorder that also measures real wall-clock durations. Use for
+    /// perf runs, not CI diffing.
     pub fn wall_clock() -> Self {
         Obs {
             rec: Some(Arc::new(Recorder::new(ObsMode::WallClock))),
@@ -378,12 +380,11 @@ impl Obs {
             None => self,
             Some(rec) => Obs {
                 rec: Some(Arc::new(Recorder {
-                    mode: rec.mode,
-                    stripes: Default::default(),
                     trace: Some(TraceState {
                         log: Mutex::new(TraceLog::new(capacity)),
                         epoch: Instant::now(),
                     }),
+                    ..Recorder::new(rec.mode)
                 })),
             },
         }
@@ -475,26 +476,6 @@ impl Obs {
         }
     }
 
-    /// Like [`Obs::count`], but for totals that depend on thread
-    /// scheduling (per-worker evaluation counts, duplicate computes from
-    /// racing cache fills). Dropped in [`ObsMode::Deterministic`] so the
-    /// summary stays byte-stable; recorded normally in
-    /// [`ObsMode::WallClock`].
-    pub fn count_scheduling(&self, name: &str, n: u64) {
-        if self.mode() == ObsMode::WallClock {
-            self.count(name, n);
-        }
-    }
-
-    /// Like [`Obs::record`], but for scheduling-dependent samples (queue
-    /// depths observed by racing workers). Dropped in
-    /// [`ObsMode::Deterministic`].
-    pub fn record_scheduling(&self, name: &str, value: f64) {
-        if self.mode() == ObsMode::WallClock {
-            self.record(name, value);
-        }
-    }
-
     /// Open a named span; it closes (and records) when the returned guard
     /// drops. In [`ObsMode::Deterministic`] the entry is counted but the
     /// clock is never read, so the recorded duration is `0`.
@@ -533,51 +514,20 @@ impl Obs {
 
     /// Snapshot the recorder into an immutable [`Summary`].
     pub fn summary(&self) -> Summary {
-        match &self.rec {
-            None => Summary {
-                mode: ObsMode::Disabled,
-                counters: BTreeMap::new(),
-                values: BTreeMap::new(),
-                spans: BTreeMap::new(),
-            },
-            Some(rec) => {
-                let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-                let mut values: BTreeMap<String, ValueStat> = BTreeMap::new();
-                let mut spans: BTreeMap<String, SpanStat> = BTreeMap::new();
-                rec.fold_stripes(|state| {
-                    for (k, v) in &state.counters {
-                        match counters.get_mut(k) {
-                            Some(c) => *c += v,
-                            None => {
-                                counters.insert(k.clone(), *v);
-                            }
-                        }
-                    }
-                    for (k, v) in &state.values {
-                        match values.get_mut(k) {
-                            Some(s) => s.merge(v),
-                            None => {
-                                values.insert(k.clone(), v.clone());
-                            }
-                        }
-                    }
-                    for (k, v) in &state.spans {
-                        match spans.get_mut(k) {
-                            Some(s) => s.merge(v),
-                            None => {
-                                spans.insert(k.clone(), v.clone());
-                            }
-                        }
-                    }
-                });
-                Summary {
-                    mode: rec.mode,
-                    counters,
-                    values,
-                    spans,
-                }
-            }
+        let mut summary = Summary {
+            mode: self.mode(),
+            counters: BTreeMap::new(),
+            values: BTreeMap::new(),
+            spans: BTreeMap::new(),
+        };
+        if let Some(rec) = &self.rec {
+            rec.fold_stripes(|state| {
+                fold_series(&mut summary.counters, &state.counters, |a, b| *a += b);
+                fold_series(&mut summary.values, &state.values, ValueStat::merge);
+                fold_series(&mut summary.spans, &state.spans, SpanStat::merge);
+            });
         }
+        summary
     }
 
     /// Clear all recorded data (mode is kept; the trace ring is emptied
@@ -593,6 +543,23 @@ impl Obs {
             if let Some(trace) = &rec.trace {
                 let mut log = trace.log.lock().unwrap_or_else(|e| e.into_inner());
                 *log = TraceLog::new(log.capacity());
+            }
+        }
+    }
+}
+
+/// Folds one stripe's series into a summary's, merging the stats of a
+/// name that more than one stripe recorded.
+fn fold_series<V: Clone>(
+    into: &mut BTreeMap<String, V>,
+    stripe: &BTreeMap<String, V>,
+    merge: impl Fn(&mut V, &V),
+) {
+    for (name, stat) in stripe {
+        match into.get_mut(name) {
+            Some(mine) => merge(mine, stat),
+            None => {
+                into.insert(name.clone(), stat.clone());
             }
         }
     }
@@ -790,8 +757,6 @@ mod tests {
         obs.count("eval.requests", 1);
         obs.record("bytes", 10.0);
         obs.record("bytes", 4.0);
-        obs.count_scheduling("worker.0.evals", 5);
-        obs.record_scheduling("queue", 3.0);
         obs.time("phase", || ());
         obs.time("phase", || ());
 
@@ -802,9 +767,6 @@ mod tests {
         assert_eq!(s.values["bytes"].p50(), 4.0); // bucket [4, 8)
         assert_eq!(s.values["bytes"].p99(), 8.0); // 10 lands in [8, 16)
         assert_eq!(s.values["bytes"].mean(), 7.0);
-        // Scheduling-dependent series are dropped in deterministic mode.
-        assert_eq!(s.counter("worker.0.evals"), 0);
-        assert!(!s.values.contains_key("queue"));
         assert_eq!(s.spans["phase"].count, 2);
         assert_eq!(s.spans["phase"].total_ns, 0);
         // Zero durations keep their counts but report zero percentiles.
@@ -812,16 +774,12 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_times_and_keeps_scheduling_series() {
+    fn wall_clock_times_spans() {
         let obs = Obs::wall_clock();
-        obs.count_scheduling("worker.0.evals", 5);
-        obs.record_scheduling("queue", 3.0);
         obs.time("phase", || {
             std::thread::sleep(std::time::Duration::from_millis(1))
         });
         let s = obs.summary();
-        assert_eq!(s.counter("worker.0.evals"), 5);
-        assert_eq!(s.values["queue"].count, 1);
         assert_eq!(s.spans["phase"].count, 1);
         assert!(s.spans["phase"].total_ns >= 1_000_000);
     }
@@ -878,18 +836,25 @@ mod tests {
 
     #[test]
     fn clones_share_one_recorder() {
+        // Every recording call from every thread lands exactly once,
+        // whichever stripe it went through.
         let obs = Obs::deterministic();
-        let clone = obs.clone();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let h = clone.clone();
+            for t in 0..4u32 {
+                let h = obs.clone();
                 scope.spawn(move || {
-                    for _ in 0..100 {
+                    for i in 0..100 {
                         h.count("shared", 1);
+                        h.record("value", f64::from(t * 100 + i));
+                        h.time("span", || ());
                     }
                 });
             }
         });
-        assert_eq!(obs.summary().counter("shared"), 400);
+        let s = obs.summary();
+        assert_eq!(s.counter("shared"), 400);
+        assert_eq!(s.values["value"].count, 400);
+        assert_eq!(s.values["value"].sum, f64::from((0..400u32).sum::<u32>()));
+        assert_eq!(s.spans["span"].count, 400);
     }
 }

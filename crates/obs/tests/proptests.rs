@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 enum Op {
     Count(String, u64),
     Record(String, f64),
-    CountScheduling(String, u64),
     Span(String),
     NestedSpan(String, String),
 }
@@ -24,14 +23,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         "eval/context_build".to_string(),
         "eval.requests".to_string(),
         "sim.mappings_tried".to_string(),
-        "pool.queue_depth".to_string(),
+        "cache.resident_bytes".to_string(),
         "codec/encode".to_string(),
     ]);
-    (name, 0u8..5, 0u64..1000).prop_map(|(name, kind, raw)| match kind {
+    (name, 0u8..4, 0u64..1000).prop_map(|(name, kind, raw)| match kind {
         0 => Op::Count(name, raw),
         1 => Op::Record(name, raw as f64 / 8.0),
-        2 => Op::CountScheduling(name, raw),
-        3 => Op::Span(name),
+        2 => Op::Span(name),
         _ => Op::NestedSpan(name, format!("sub{}", raw % 3)),
     })
 }
@@ -41,7 +39,6 @@ fn replay(obs: &Obs, ops: &[Op]) {
         match op {
             Op::Count(name, n) => obs.count(name, *n),
             Op::Record(name, v) => obs.record(name, *v),
-            Op::CountScheduling(name, n) => obs.count_scheduling(name, *n),
             Op::Span(name) => drop(obs.span(name)),
             Op::NestedSpan(name, child) => {
                 let span = obs.span(name);

@@ -13,6 +13,7 @@
 //! admitted queue, prints the cache gauges and the observability
 //! summary, and exits.
 
+use lego_eval::cli::{exit_code, no_more_args, take_flag, take_parsed, take_switch};
 use lego_eval::EvalError;
 use lego_obs::Obs;
 use lego_serve::{Server, ServerConfig, DEFAULT_MAX_FRAME_LEN};
@@ -23,64 +24,17 @@ const USAGE: &str = "usage:
   lego_serve [--tcp ADDR] [--unix PATH] [--workers N] [--queue N]
              [--cache-budget BYTES] [--max-frame BYTES] [--wallclock]";
 
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, EvalError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        Some(_) => Err(EvalError::Usage(format!("{flag} needs a value\n{USAGE}"))),
-    }
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
-
-fn parse<T: std::str::FromStr>(
-    what: &str,
-    text: Option<String>,
-    default: T,
-) -> Result<T, EvalError> {
-    match text {
-        None => Ok(default),
-        Some(s) => s
-            .parse()
-            .map_err(|_| EvalError::Usage(format!("bad {what} {s:?}"))),
-    }
-}
-
 fn run() -> Result<(), EvalError> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let tcp = take_flag(&mut args, "--tcp")?;
-    let unix = take_flag(&mut args, "--unix")?;
-    let workers = parse("worker count", take_flag(&mut args, "--workers")?, 4)?;
-    let queue = parse("queue depth", take_flag(&mut args, "--queue")?, 256)?;
-    let cache_budget = take_flag(&mut args, "--cache-budget")?
-        .map(|b| {
-            b.parse::<usize>()
-                .map_err(|_| EvalError::Usage(format!("bad cache budget {b:?}")))
-        })
-        .transpose()?;
-    let max_frame = parse(
-        "frame limit",
-        take_flag(&mut args, "--max-frame")?,
-        DEFAULT_MAX_FRAME_LEN,
-    )?;
+    let tcp = take_flag(&mut args, "--tcp", USAGE)?;
+    let unix = take_flag(&mut args, "--unix", USAGE)?;
+    let workers = take_parsed(&mut args, "--workers", "worker count", USAGE)?.unwrap_or(4);
+    let queue = take_parsed(&mut args, "--queue", "queue depth", USAGE)?.unwrap_or(256);
+    let cache_budget = take_parsed(&mut args, "--cache-budget", "cache budget", USAGE)?;
+    let max_frame = take_parsed(&mut args, "--max-frame", "frame limit", USAGE)?
+        .unwrap_or(DEFAULT_MAX_FRAME_LEN);
     let wallclock = take_switch(&mut args, "--wallclock");
-    if !args.is_empty() {
-        return Err(EvalError::Usage(format!(
-            "unexpected arguments {args:?}\n{USAGE}"
-        )));
-    }
+    no_more_args(&args, USAGE)?;
 
     let obs = if wallclock {
         Obs::wall_clock()
@@ -128,11 +82,5 @@ fn run() -> Result<(), EvalError> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("lego_serve: {e} [status {}]", e.status());
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("lego_serve", run())
 }

@@ -16,6 +16,7 @@
 //! checks. `QUEUE_FULL` rejections are retried (they are backpressure,
 //! not failures) and counted in the summary.
 
+use lego_eval::cli::{exit_code, no_more_args, take_flag, take_parsed, take_switch};
 use lego_eval::{EvalError, EvalRequest, EvalSession, StatusCode};
 use lego_serve::mix::request_mix;
 use lego_serve::Client;
@@ -28,28 +29,6 @@ const USAGE: &str = "usage:
   serve_client (--tcp ADDR | --unix PATH) [--requests N] [--connections C]
                [--mix dense|sparse|clustered|all] [--verify]
                [--replies-out FILE] [--shutdown]";
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, EvalError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Ok(Some(value))
-        }
-        Some(_) => Err(EvalError::Usage(format!("{flag} needs a value\n{USAGE}"))),
-    }
-}
-
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => {
-            args.remove(i);
-            true
-        }
-        None => false,
-    }
-}
 
 /// Where the client connects; each worker thread opens its own stream.
 #[derive(Clone)]
@@ -88,25 +67,16 @@ fn roundtrip(
 
 fn run() -> Result<(), EvalError> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let tcp = take_flag(&mut args, "--tcp")?;
-    let unix = take_flag(&mut args, "--unix")?;
-    let requests: usize = take_flag(&mut args, "--requests")?.map_or(Ok(64), |n| {
-        n.parse()
-            .map_err(|_| EvalError::Usage(format!("bad request count {n:?}")))
-    })?;
-    let connections: usize = take_flag(&mut args, "--connections")?.map_or(Ok(4), |n| {
-        n.parse()
-            .map_err(|_| EvalError::Usage(format!("bad connection count {n:?}")))
-    })?;
-    let mix = take_flag(&mut args, "--mix")?.unwrap_or("all".into());
+    let tcp = take_flag(&mut args, "--tcp", USAGE)?;
+    let unix = take_flag(&mut args, "--unix", USAGE)?;
+    let requests = take_parsed(&mut args, "--requests", "request count", USAGE)?.unwrap_or(64);
+    let connections: usize =
+        take_parsed(&mut args, "--connections", "connection count", USAGE)?.unwrap_or(4);
+    let mix = take_flag(&mut args, "--mix", USAGE)?.unwrap_or("all".into());
     let verify = take_switch(&mut args, "--verify");
-    let replies_out = take_flag(&mut args, "--replies-out")?;
+    let replies_out = take_flag(&mut args, "--replies-out", USAGE)?;
     let shutdown = take_switch(&mut args, "--shutdown");
-    if !args.is_empty() {
-        return Err(EvalError::Usage(format!(
-            "unexpected arguments {args:?}\n{USAGE}"
-        )));
-    }
+    no_more_args(&args, USAGE)?;
     let target = match (tcp, unix) {
         (Some(addr), None) => Target::Tcp(addr),
         (None, Some(path)) => Target::Unix(path),
@@ -193,11 +163,5 @@ fn run() -> Result<(), EvalError> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("serve_client: {e} [status {}]", e.status());
-            ExitCode::FAILURE
-        }
-    }
+    exit_code("serve_client", run())
 }

@@ -61,8 +61,8 @@ impl<S: Read + Write> Client<S> {
         Ok(())
     }
 
-    /// Reads the next reply frame and splits it into status and body.
-    pub fn recv_raw(&mut self) -> Result<(StatusCode, Vec<u8>), EvalError> {
+    /// Reads the next frame, which must be a reply, and returns its payload.
+    fn recv_reply_payload(&mut self) -> Result<Vec<u8>, EvalError> {
         let frame = frame::read_frame(&mut self.stream, self.max_frame_len)?
             .ok_or_else(|| EvalError::Io(io::Error::other("server closed the connection")))?;
         if frame.kind != KIND_REPLY {
@@ -72,23 +72,20 @@ impl<S: Read + Write> Client<S> {
             }
             .into());
         }
-        let (status, body) = wire::decode_reply(&frame.payload)?;
+        Ok(frame.payload)
+    }
+
+    /// Reads the next reply frame and splits it into status and body.
+    pub fn recv_raw(&mut self) -> Result<(StatusCode, Vec<u8>), EvalError> {
+        let payload = self.recv_reply_payload()?;
+        let (status, body) = wire::decode_reply(&payload)?;
         Ok((status, body.to_vec()))
     }
 
     /// Reads the next reply; an OK status yields the raw encoded report
     /// bytes, any other status becomes [`EvalError::Remote`].
     pub fn recv_report_bytes(&mut self) -> Result<Vec<u8>, EvalError> {
-        let frame = frame::read_frame(&mut self.stream, self.max_frame_len)?
-            .ok_or_else(|| EvalError::Io(io::Error::other("server closed the connection")))?;
-        if frame.kind != KIND_REPLY {
-            return Err(CodecError::InvalidTag {
-                what: "frame kind",
-                tag: frame.kind,
-            }
-            .into());
-        }
-        wire::report_bytes_from_reply(&frame.payload)
+        wire::report_bytes_from_reply(&self.recv_reply_payload()?)
     }
 
     /// One synchronous round trip, decoded.
@@ -108,14 +105,6 @@ impl<S: Read + Write> Client<S> {
     /// acknowledges with an OK status.
     pub fn shutdown_server(&mut self) -> Result<(), EvalError> {
         frame::write_frame(&mut self.stream, KIND_SHUTDOWN, &[])?;
-        let (status, body) = self.recv_raw()?;
-        if status.is_ok() {
-            Ok(())
-        } else {
-            Err(EvalError::from_wire(
-                status,
-                String::from_utf8_lossy(&body).into_owned(),
-            ))
-        }
+        self.recv_report_bytes().map(|_| ())
     }
 }

@@ -17,6 +17,7 @@
 //! payload codec uses — so one [`lego_eval::EvalError`] covers the whole
 //! decode path and maps onto a stable wire status.
 
+use lego_eval::codec::{Dec, Enc};
 use lego_eval::{CodecError, FnvHasher};
 use std::hash::Hasher;
 use std::io::{self, Read, Write};
@@ -58,13 +59,13 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// Encodes one frame to bytes.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    let mut e = Enc::with_capacity(HEADER_LEN + payload.len());
+    e.bytes(&MAGIC);
+    e.u8(kind);
+    e.u32(payload.len() as u32);
+    e.u64(checksum(payload));
+    e.bytes(payload);
+    e.into_bytes()
 }
 
 fn valid_kind(kind: u8) -> Result<u8, CodecError> {
@@ -77,37 +78,37 @@ fn valid_kind(kind: u8) -> Result<u8, CodecError> {
     }
 }
 
+/// Parses a frame header into `(kind, payload length, checksum)`,
+/// refusing a length over `max_len` before anything is allocated for it.
+fn parse_header(header: &[u8; HEADER_LEN], max_len: usize) -> Result<(u8, usize, u64), CodecError> {
+    let mut d = Dec::new(header);
+    if d.bytes(MAGIC.len())? != MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let kind = valid_kind(d.u8()?)?;
+    let len = d.u32()? as usize;
+    if len > max_len {
+        return Err(CodecError::FrameTooLarge { len, max: max_len });
+    }
+    Ok((kind, len, d.u64()?))
+}
+
+fn verified(kind: u8, payload: Vec<u8>, expect: u64) -> Result<Frame, CodecError> {
+    if checksum(&payload) != expect {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    Ok(Frame { kind, payload })
+}
+
 /// Decodes one frame from the front of `bytes`, returning the frame and
 /// how many bytes it consumed. Trailing bytes are the next frame's
 /// business and are not an error.
 pub fn decode_frame(bytes: &[u8], max_len: usize) -> Result<(Frame, usize), CodecError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(CodecError::Truncated {
-            at: bytes.len(),
-            needed: HEADER_LEN - bytes.len(),
-        });
-    }
-    if bytes[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let kind = valid_kind(bytes[4])?;
-    let len = u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
-    if len > max_len {
-        return Err(CodecError::FrameTooLarge { len, max: max_len });
-    }
-    let expect = u64::from_le_bytes(bytes[9..17].try_into().unwrap());
-    let total = HEADER_LEN + len;
-    if bytes.len() < total {
-        return Err(CodecError::Truncated {
-            at: bytes.len(),
-            needed: total - bytes.len(),
-        });
-    }
-    let payload = bytes[HEADER_LEN..total].to_vec();
-    if checksum(&payload) != expect {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    Ok((Frame { kind, payload }, total))
+    let mut d = Dec::new(bytes);
+    let header = d.bytes(HEADER_LEN)?.try_into().expect("HEADER_LEN bytes");
+    let (kind, len, expect) = parse_header(header, max_len)?;
+    let frame = verified(kind, d.bytes(len)?.to_vec(), expect)?;
+    Ok((frame, HEADER_LEN + len))
 }
 
 /// Writes one frame (header + payload) and flushes.
@@ -149,15 +150,7 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Option<Frame>, Co
     if !read_exact_or_eof(r, &mut header)? {
         return Ok(None);
     }
-    if header[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let kind = valid_kind(header[4])?;
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    if len > max_len {
-        return Err(CodecError::FrameTooLarge { len, max: max_len });
-    }
-    let expect = u64::from_le_bytes(header[9..17].try_into().unwrap());
+    let (kind, len, expect) = parse_header(&header, max_len)?;
     // The length was just bounds-checked against the receiver's limit, so
     // this allocation is capped no matter what the wire claims.
     let mut payload = vec![0u8; len];
@@ -167,10 +160,7 @@ pub fn read_frame(r: &mut impl Read, max_len: usize) -> Result<Option<Frame>, Co
             needed: len,
         });
     }
-    if checksum(&payload) != expect {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    Ok(Some(Frame { kind, payload }))
+    verified(kind, payload, expect).map(Some)
 }
 
 /// Reads and throws away `len` bytes — how a server skips an oversized
@@ -189,6 +179,18 @@ pub fn discard(r: &mut impl Read, len: usize) -> Result<(), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `read_frame` over the same bytes must fail with the variant
+    /// `decode_frame` reported: one header parser, two ways in.
+    fn assert_stream_fails_alike(bytes: &[u8], slice_err: &CodecError) {
+        let stream_err = read_frame(&mut io::Cursor::new(bytes), DEFAULT_MAX_FRAME_LEN)
+            .expect_err("the stream reader must refuse what the slice decoder refused");
+        assert_eq!(
+            std::mem::discriminant(&stream_err),
+            std::mem::discriminant(slice_err),
+            "stream {stream_err:?} vs slice {slice_err:?}"
+        );
+    }
 
     #[test]
     fn frames_round_trip_for_every_kind() {
@@ -217,9 +219,14 @@ mod tests {
         let bytes = encode_frame(KIND_REQUEST, b"all the paper's tables");
         for cut in 0..bytes.len() {
             match decode_frame(&bytes[..cut], DEFAULT_MAX_FRAME_LEN) {
-                Err(CodecError::Truncated { at, needed }) => {
+                Err(err @ CodecError::Truncated { at, needed }) => {
                     assert!(at + needed <= bytes.len(), "cut {cut}");
                     assert!(needed > 0, "cut {cut}");
+                    // A stream that ends before its first byte closed
+                    // cleanly; every later cut is the same truncation.
+                    if cut > 0 {
+                        assert_stream_fails_alike(&bytes[..cut], &err);
+                    }
                 }
                 other => panic!("prefix of {cut} bytes gave {other:?}"),
             }
@@ -235,6 +242,7 @@ mod tests {
                 bad[i] ^= flip;
                 let err = decode_frame(&bad, DEFAULT_MAX_FRAME_LEN)
                     .expect_err(&format!("flipping byte {i} by {flip:#04x} must not decode"));
+                assert_stream_fails_alike(&bad, &err);
                 match (i, err) {
                     (0..=3, CodecError::BadMagic) => {}
                     (4, CodecError::InvalidTag { what, .. }) => assert_eq!(what, "frame kind"),

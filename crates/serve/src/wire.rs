@@ -12,14 +12,15 @@
 //! message as the body — an evaluation failure is a *reply*, never a
 //! dropped connection.
 
+use lego_eval::codec::{Dec, Enc};
 use lego_eval::{CodecError, EvalError, EvalReport, StatusCode};
 
 /// Encodes a reply payload: status, then body.
 pub fn encode_reply(status: StatusCode, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(2 + body.len());
-    out.extend_from_slice(&status.as_u16().to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    let mut e = Enc::with_capacity(2 + body.len());
+    e.u16(status.as_u16());
+    e.bytes(body);
+    e.into_bytes()
 }
 
 /// An OK reply wrapping an already-encoded report.
@@ -36,18 +37,13 @@ pub fn encode_status_reply(error: &EvalError) -> Vec<u8> {
 
 /// Splits a reply payload into its status and body.
 pub fn decode_reply(payload: &[u8]) -> Result<(StatusCode, &[u8]), CodecError> {
-    if payload.len() < 2 {
-        return Err(CodecError::Truncated {
-            at: payload.len(),
-            needed: 2 - payload.len(),
-        });
-    }
-    let status = StatusCode(u16::from_le_bytes(payload[..2].try_into().unwrap()));
+    let status = StatusCode(Dec::new(payload).u16()?);
     Ok((status, &payload[2..]))
 }
 
 /// Interprets a reply payload from the client's side: an OK status hands
-/// back the raw report bytes, anything else becomes
+/// back the body (the raw report bytes of an evaluation; empty for a
+/// shutdown acknowledgement), anything else becomes
 /// [`EvalError::Remote`] carrying the wire status and message.
 pub fn report_bytes_from_reply(payload: &[u8]) -> Result<Vec<u8>, EvalError> {
     let (status, body) = decode_reply(payload)?;
@@ -95,7 +91,7 @@ mod tests {
     fn short_payloads_are_truncated() {
         assert!(matches!(
             decode_reply(&[0]),
-            Err(CodecError::Truncated { at: 1, needed: 1 })
+            Err(CodecError::Truncated { at: 0, needed: 1 })
         ));
     }
 }

@@ -27,8 +27,8 @@ pub use lego_model::{
     SpatialMapping,
 };
 pub use perf::{
-    aggregate, aggregate_iter, best_mapping_ctx, best_mapping_obs, simulate_layer_ctx,
-    tiled_dram_traffic, tiled_dram_traffic_sparse, EnergyBreakdown, LayerPerf, ModelPerf,
+    aggregate_iter, best_mapping_ctx, best_mapping_obs, simulate_layer_ctx, tiled_dram_traffic,
+    tiled_dram_traffic_sparse, EnergyBreakdown, LayerPerf, ModelPerf,
 };
 #[cfg(test)]
 mod tests {

@@ -507,16 +507,12 @@ pub fn best_mapping_obs(
         .unwrap_or_else(|| simulate_layer_ctx(layer, SpatialMapping::GemmMN, ctx, tile_cap))
 }
 
-/// Aggregates per-layer results into whole-model numbers.
-pub fn aggregate(model: &Model, perfs: &[(i64, LayerPerf)], tech: &TechModel) -> ModelPerf {
-    aggregate_iter(model, perfs.iter().map(|(c, p)| (*c, p)), tech)
-}
-
-/// Single-pass [`aggregate`] over borrowed per-layer results.
+/// Aggregates `(count, per-layer result)` pairs into whole-model numbers
+/// in a single pass over borrowed results.
 ///
 /// Each output keeps its own accumulator, summed in iteration order, so the
-/// float results are bit-identical to the multi-pass slice version while the
-/// caller avoids materialising a `Vec<(i64, LayerPerf)>` just to aggregate.
+/// float results depend only on that order and no caller has to materialise
+/// a `Vec<(i64, LayerPerf)>` just to aggregate.
 pub fn aggregate_iter<'a, I>(model: &Model, perfs: I, tech: &TechModel) -> ModelPerf
 where
     I: IntoIterator<Item = (i64, &'a LayerPerf)>,
@@ -586,7 +582,7 @@ mod tests {
             .iter()
             .map(|l| (l.count, best_mapping_ctx(l, &ctx, None)))
             .collect();
-        aggregate(model, &perfs, &tech())
+        aggregate_iter(model, perfs.iter().map(|(c, p)| (*c, p)), &tech())
     }
 
     #[test]

@@ -564,6 +564,21 @@ pub fn gpt2_prefill_causal() -> Model {
     }
 }
 
+/// The model a command-line tool's `--model NAME` selects: the
+/// constructor of that name, for the seven models the tools price.
+pub fn by_name(name: &str) -> Option<Model> {
+    Some(match name {
+        "lenet" => lenet(),
+        "mobilenet_v2" => mobilenet_v2(),
+        "resnet50" => resnet50(),
+        "bert_base" => bert_base(),
+        "resnet50_2to4" => resnet50_2to4(),
+        "bert_base_pruned90" => bert_base_pruned90(),
+        "gpt2_prefill_causal" => gpt2_prefill_causal(),
+        _ => return None,
+    })
+}
+
 /// The three sparse-scenario models: structured pruning, unstructured
 /// pruning, and masked attention.
 pub fn sparse_models() -> Vec<Model> {
@@ -712,6 +727,25 @@ mod tests {
         let w = l.to_workload();
         assert_eq!(w.tensor_density("W"), DensityModel::two_to_four());
         assert_eq!(w.tensor_density("X"), DensityModel::Dense);
+    }
+
+    #[test]
+    fn by_name_finds_exactly_the_seven_tool_models() {
+        let named = [
+            ("lenet", lenet()),
+            ("mobilenet_v2", mobilenet_v2()),
+            ("resnet50", resnet50()),
+            ("bert_base", bert_base()),
+            ("resnet50_2to4", resnet50_2to4()),
+            ("bert_base_pruned90", bert_base_pruned90()),
+            ("gpt2_prefill_causal", gpt2_prefill_causal()),
+        ];
+        for (name, model) in named {
+            assert_eq!(by_name(name), Some(model), "{name}");
+        }
+        assert!(["", "LeNet", "alexnet", "lenet "]
+            .iter()
+            .all(|n| by_name(n).is_none()));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Golden equivalence: `EvalSession::evaluate` is byte-identical to the
-//! legacy `_ctx` evaluation path on the model zoo, dense and sparse.
+//! uncached reference loop (`map_model_ctx`) on the model zoo, dense and
+//! sparse.
 //!
-//! The session is a *packaging* of `best_mapping_ctx` + `aggregate` — not
-//! a reimplementation — so every per-layer `LayerPerf` and the aggregated
-//! `ModelPerf` must compare exactly equal (f64 bit equality via derived
-//! `PartialEq`), on every zoo model, on both reference configurations,
-//! with and without sparse datapaths and tile caps. This is what lets the
-//! deprecated shims retire without any table or test shifting by a bit.
+//! The session is a *packaging* of `best_mapping_ctx` + `aggregate_iter` —
+//! not a reimplementation — so every per-layer `LayerPerf` and the
+//! aggregated `ModelPerf` must compare exactly equal (f64 bit equality via
+//! derived `PartialEq`), on every zoo model, on both reference
+//! configurations, with and without sparse datapaths and tile caps.
 
 use lego::eval::{EvalRequest, EvalSession};
 use lego::mapper::map_model_ctx;
