@@ -12,7 +12,7 @@
 //!
 //! The run is deterministic: sorted rule matching, dense insertion-order
 //! e-class ids, memoized deterministic pricing — byte-identical across
-//! runs (the CI determinism job diffs two invocations).
+//! runs (`tests/golden/mapspace_search.txt` pins the output).
 
 use lego_bench::harness::{row, section};
 use lego_eval::EvalSession;

@@ -25,7 +25,7 @@ pub fn kernel_designs(p: i64) -> Vec<KernelDesign> {
     let mtt = kernels::mttkrp(d, d, p, p);
     let attn = kernels::attention_scores(d, d, d);
 
-    let gemm_systolic_ik = DataflowBuilder::new(&gemm)
+    let gemm_ik = DataflowBuilder::new(&gemm)
         .par("i", p)
         .par("k", p)
         .control(vec![1, 1])
@@ -33,66 +33,27 @@ pub fn kernel_designs(p: i64) -> Vec<KernelDesign> {
         .expect("valid GEMM-IK");
     let attn_qp = dataflows::par2(&attn, "q", p, "p", p, "Attn-QP").expect("valid Attn-QP");
     let attn_pd = dataflows::par2(&attn, "p", p, "d", p, "Attn-PD").expect("valid Attn-PD");
-    let mtt_mj = vec![dataflows::mttkrp_ij(&mtt, p), dataflows::mttkrp_kj(&mtt, p)];
+    let icoc = dataflows::conv_icoc(&conv, p);
+    let ohow = dataflows::conv_ohow(&conv, p);
+    let (gemm_ij, gemm_kj) = (dataflows::gemm_ij(&gemm, p), dataflows::gemm_kj(&gemm, p));
+    let (mtt_ij, mtt_kj) = (dataflows::mttkrp_ij(&mtt, p), dataflows::mttkrp_kj(&mtt, p));
 
+    let design = |name, workload: &Workload, dataflows: &[&Dataflow]| KernelDesign {
+        name,
+        workload: workload.clone(),
+        dataflows: dataflows.iter().map(|df| (*df).clone()).collect(),
+    };
     vec![
-        KernelDesign {
-            name: "Attention",
-            workload: attn.clone(),
-            dataflows: vec![attn_qp, attn_pd],
-        },
-        KernelDesign {
-            name: "Conv2d-ICOC",
-            workload: conv.clone(),
-            dataflows: vec![dataflows::conv_icoc(&conv, p)],
-        },
-        KernelDesign {
-            name: "Conv2d-MNICOC",
-            workload: conv.clone(),
-            dataflows: vec![
-                dataflows::conv_icoc(&conv, p),
-                dataflows::conv_ohow(&conv, p),
-            ],
-        },
-        KernelDesign {
-            name: "Conv2d-OHOW",
-            workload: conv.clone(),
-            dataflows: vec![dataflows::conv_ohow(&conv, p)],
-        },
-        KernelDesign {
-            name: "GEMM-IJ",
-            workload: gemm.clone(),
-            dataflows: vec![dataflows::gemm_ij(&gemm, p)],
-        },
-        KernelDesign {
-            name: "GEMM-IK",
-            workload: gemm.clone(),
-            dataflows: vec![gemm_systolic_ik],
-        },
-        KernelDesign {
-            name: "GEMM-KJ",
-            workload: gemm.clone(),
-            dataflows: vec![dataflows::gemm_kj(&gemm, p)],
-        },
-        KernelDesign {
-            name: "GEMM-MJ",
-            workload: gemm.clone(),
-            dataflows: vec![dataflows::gemm_ij(&gemm, p), dataflows::gemm_kj(&gemm, p)],
-        },
-        KernelDesign {
-            name: "MTTKRP-IJ",
-            workload: mtt.clone(),
-            dataflows: vec![dataflows::mttkrp_ij(&mtt, p)],
-        },
-        KernelDesign {
-            name: "MTTKRP-KJ",
-            workload: mtt.clone(),
-            dataflows: vec![dataflows::mttkrp_kj(&mtt, p)],
-        },
-        KernelDesign {
-            name: "MTTKRP-MJ",
-            workload: mtt,
-            dataflows: mtt_mj,
-        },
+        design("Attention", &attn, &[&attn_qp, &attn_pd]),
+        design("Conv2d-ICOC", &conv, &[&icoc]),
+        design("Conv2d-MNICOC", &conv, &[&icoc, &ohow]),
+        design("Conv2d-OHOW", &conv, &[&ohow]),
+        design("GEMM-IJ", &gemm, &[&gemm_ij]),
+        design("GEMM-IK", &gemm, &[&gemm_ik]),
+        design("GEMM-KJ", &gemm, &[&gemm_kj]),
+        design("GEMM-MJ", &gemm, &[&gemm_ij, &gemm_kj]),
+        design("MTTKRP-IJ", &mtt, &[&mtt_ij]),
+        design("MTTKRP-KJ", &mtt, &[&mtt_kj]),
+        design("MTTKRP-MJ", &mtt, &[&mtt_ij, &mtt_kj]),
     ]
 }

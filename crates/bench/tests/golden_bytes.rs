@@ -1,13 +1,13 @@
-//! Golden byte-identity tests: the artifacts this repo publishes — the DSE
-//! tables, the rewrite-search table, the eval_report request and report
-//! encodings, and a DSE shard snapshot — are pinned to committed
-//! golden bytes. Performance work on the hot path (cache sharding,
+//! Golden byte-identity tests: the artifacts this repo publishes — the
+//! paper's tables with their scorecard, the DSE tables, the rewrite-search
+//! table, the eval_report request and report encodings, and a DSE shard
+//! snapshot — are pinned to committed golden bytes. Performance work on the hot path (cache sharding,
 //! allocation elimination) must never move a single byte of any of them;
 //! a diff here means a pricing or encoding change, not a speedup.
 //!
 //! Each test drives the real binary (`CARGO_BIN_EXE_*`), so the goldens
-//! cover the full CLI path the CI determinism job exercises run-vs-run —
-//! but anchored to a committed reference instead of a sibling run.
+//! cover the full CLI path, anchored to a committed reference — which is why
+//! CI has no run-vs-run `diff` of the same binaries.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -48,6 +48,12 @@ fn assert_bytes_eq(actual: &[u8], name: &str) {
         actual.len(),
         expected.len()
     );
+}
+
+#[test]
+fn paper_tables_text_is_byte_identical() {
+    let stdout = run(env!("CARGO_BIN_EXE_paper_tables"), &[]);
+    assert_bytes_eq(&stdout, "paper_tables.txt");
 }
 
 #[test]

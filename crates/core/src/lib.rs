@@ -32,8 +32,6 @@ use lego_workloads::Model;
 pub struct Lego {
     workload: Workload,
     dataflows: Vec<Dataflow>,
-    frontend: FrontendConfig,
-    backend: BackendConfig,
     options: OptimizeOptions,
 }
 
@@ -43,8 +41,6 @@ impl Lego {
         Lego {
             workload,
             dataflows: Vec::new(),
-            frontend: FrontendConfig::default(),
-            backend: BackendConfig::default(),
             options: OptimizeOptions::default(),
         }
     }
@@ -53,20 +49,6 @@ impl Lego {
     #[must_use]
     pub fn dataflow(mut self, df: Dataflow) -> Self {
         self.dataflows.push(df);
-        self
-    }
-
-    /// Overrides the front-end configuration.
-    #[must_use]
-    pub fn frontend_config(mut self, cfg: FrontendConfig) -> Self {
-        self.frontend = cfg;
-        self
-    }
-
-    /// Overrides the back-end configuration.
-    #[must_use]
-    pub fn backend_config(mut self, cfg: BackendConfig) -> Self {
-        self.backend = cfg;
         self
     }
 
@@ -152,8 +134,8 @@ impl Lego {
     ///
     /// Propagates [`FrontendError`] for invalid dataflow combinations.
     pub fn generate(&self) -> Result<Design, FrontendError> {
-        let adg = build_adg(&self.workload, &self.dataflows, &self.frontend)?;
-        let mut dag = lower(&adg, &self.backend);
+        let adg = build_adg(&self.workload, &self.dataflows, &FrontendConfig::default())?;
+        let mut dag = lower(&adg, &BackendConfig::default());
         let report = optimize(&mut dag, &self.options);
         Ok(Design { adg, dag, report })
     }

@@ -131,11 +131,6 @@ impl Adg {
         self.edges.iter().map(FuEdge::max_depth).sum()
     }
 
-    /// Edges active under dataflow `df`.
-    pub fn edges_in(&self, df: usize) -> impl Iterator<Item = &FuEdge> {
-        self.edges.iter().filter(move |e| e.active_in(df))
-    }
-
     /// A compact human-readable summary (FUs, edges, ports, banks).
     pub fn summary(&self) -> String {
         let mut s = format!(

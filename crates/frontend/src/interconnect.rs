@@ -20,7 +20,7 @@
 //! whose iteration overlap is empty — algebraically valid but physically
 //! meaningless. The solver enumerates the lattice inside that box.
 
-use lego_ir::{Dataflow, TensorAccess, Workload};
+use lego_ir::{Dataflow, TensorAccess};
 use lego_linalg::{dot, solve, IMat};
 
 /// Kind of data-reuse interconnection.
@@ -96,13 +96,12 @@ fn spatial_deltas(rank: usize, d: i64) -> Vec<Vec<i64>> {
 /// let gemm = kernels::gemm(4, 4, 4);
 /// let df = dataflows::gemm_kj(&gemm, 2); // systolic: c = [1, 1]
 /// let x = gemm.access("X").unwrap();
-/// let sols = analyze_tensor(&gemm, &df, x, 1);
+/// let sols = analyze_tensor(&df, x, 1);
 /// // X is invariant along j: forward (0,1) is a depth-1 systolic wire.
 /// assert!(sols.iter().any(|s| s.delta_s == vec![0, 1]
 ///     && s.depth == 1 && s.kind == ReuseKind::Direct));
 /// ```
 pub fn analyze_tensor(
-    _workload: &Workload,
     dataflow: &Dataflow,
     access: &TensorAccess,
     max_distance: i64,
@@ -287,7 +286,7 @@ mod tests {
         let df = dataflows::gemm_kj(&gemm, 2);
         // Tensor X = [i, k]: invariant along s_j.
         let x = gemm.access("X").unwrap();
-        let sols = analyze_tensor(&gemm, &df, x, 1);
+        let sols = analyze_tensor(&df, x, 1);
         let direct: Vec<_> = sols
             .iter()
             .filter(|s| s.kind == ReuseKind::Direct)
@@ -307,7 +306,7 @@ mod tests {
 
         // Tensor Y = [i, j]: invariant along s_k → reduction along k.
         let y = gemm.access("Y").unwrap();
-        let sols = analyze_tensor(&gemm, &df, y, 1);
+        let sols = analyze_tensor(&df, y, 1);
         assert!(sols
             .iter()
             .any(|s| s.kind == ReuseKind::Direct && s.delta_s == vec![1, 0] && s.depth == 1));
@@ -315,7 +314,7 @@ mod tests {
         // Tensor W = [k, j]: no spatial reuse at all (fully partitioned),
         // but W is stationary over the i loop.
         let w = gemm.access("W").unwrap();
-        let sols = analyze_tensor(&gemm, &df, w, 1);
+        let sols = analyze_tensor(&df, w, 1);
         assert!(
             sols.iter().all(|s| s.delta_s.iter().all(|&d| d == 0)),
             "unexpected spatial reuse for W: {sols:?}"
@@ -341,7 +340,7 @@ mod tests {
             .build("fig3")
             .unwrap();
         let x = gemm.access("X").unwrap();
-        let sols = analyze_tensor(&gemm, &df, x, 1);
+        let sols = analyze_tensor(&df, x, 1);
         let back = sols
             .iter()
             .find(|s| s.delta_s == vec![0, -1] && s.kind == ReuseKind::Delay)
@@ -363,7 +362,7 @@ mod tests {
         // W = [oc, ic, kh, kw]: invariant along both spatial dims → direct
         // interconnections in all four directions (depth 0).
         let w = conv.access("W").unwrap();
-        let sols = analyze_tensor(&conv, &df, w, 1);
+        let sols = analyze_tensor(&df, w, 1);
         for ds in [[0, 1], [0, -1], [1, 0], [-1, 0]] {
             assert!(
                 sols.iter()
@@ -376,7 +375,7 @@ mod tests {
         // by kh → delay interconnection (Figure 4's table) with positive
         // depth (the kh loop advances by one).
         let x = conv.access("X").unwrap();
-        let sols = analyze_tensor(&conv, &df, x, 1);
+        let sols = analyze_tensor(&df, x, 1);
         let delayed: Vec<_> = sols
             .iter()
             .filter(|s| s.kind == ReuseKind::Delay && s.delta_s == vec![0, -1])
@@ -390,7 +389,7 @@ mod tests {
         // Y = [n, oc, oh, ow]: output moves with the array → no spatial
         // reuse; accumulation is stationary over ic/kh/kw.
         let y = conv.access("Y").unwrap();
-        let sols = analyze_tensor(&conv, &df, y, 1);
+        let sols = analyze_tensor(&df, y, 1);
         assert!(sols.iter().all(|s| s.kind == ReuseKind::Stationary));
     }
 
@@ -399,7 +398,7 @@ mod tests {
         let gemm = kernels::gemm(4, 4, 4);
         let df = dataflows::gemm_ij(&gemm, 2);
         let x = gemm.access("X").unwrap();
-        let sols = analyze_tensor(&gemm, &df, x, 1);
+        let sols = analyze_tensor(&df, x, 1);
         // X = [i, k] is invariant along s_j (axis 1): both directions direct
         // with depth 0 (true broadcast, c = 0).
         assert!(sols
@@ -415,7 +414,7 @@ mod tests {
         let gemm = kernels::gemm(4, 4, 4);
         let df = dataflows::gemm_ij(&gemm, 2);
         let y = gemm.access("Y").unwrap();
-        let sols = analyze_tensor(&gemm, &df, y, 1);
+        let sols = analyze_tensor(&df, y, 1);
         // Output-stationary: Y reused across the whole k loop.
         assert!(sols
             .iter()
@@ -427,7 +426,7 @@ mod tests {
         let gemm = kernels::gemm(4, 4, 4);
         let df = dataflows::gemm_ij(&gemm, 4);
         let x = gemm.access("X").unwrap();
-        let sols = analyze_tensor(&gemm, &df, x, 2);
+        let sols = analyze_tensor(&df, x, 2);
         // Distance-2 jumps along j are also valid reuse.
         assert!(sols
             .iter()
@@ -450,7 +449,7 @@ mod tests {
         let gemm = kernels::gemm(2, 2, 2);
         let df = dataflows::gemm_ij(&gemm, 2);
         let x = gemm.access("X").unwrap();
-        let sols = analyze_tensor(&gemm, &df, x, 1);
+        let sols = analyze_tensor(&df, x, 1);
         for s in &sols {
             for (dt, r) in s.delta_t.iter().zip(&df.temporal_sizes) {
                 assert!(dt.abs() < *r, "out-of-box Δt in {s:?}");
@@ -481,7 +480,7 @@ mod tests {
         ];
         for (w, df) in &cases {
             for access in &w.accesses {
-                for s in analyze_tensor(w, df, access, 1) {
+                for s in analyze_tensor(df, access, 1) {
                     let lhs = df.m_td(access).mul_vec(&s.delta_t);
                     let rhs = df.m_sd(access).mul_vec(&s.delta_s);
                     for (a, b) in lhs.iter().zip(&rhs) {
@@ -513,11 +512,11 @@ mod tests {
             .build("kh-outer")
             .unwrap();
         let x = conv.access("X").unwrap();
-        let d_inner = analyze_tensor(&conv, &inner, x, 1)
+        let d_inner = analyze_tensor(&inner, x, 1)
             .into_iter()
             .find(|s| s.kind == ReuseKind::Delay && s.delta_s == vec![0, -1])
             .expect("delay solution");
-        let d_outer = analyze_tensor(&conv, &outer, x, 1)
+        let d_outer = analyze_tensor(&outer, x, 1)
             .into_iter()
             .find(|s| s.kind == ReuseKind::Delay && s.delta_s == vec![0, -1])
             .expect("delay solution");

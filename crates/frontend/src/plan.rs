@@ -57,7 +57,7 @@ pub(crate) fn plan_architecture(
     let mut tensors = Vec::new();
 
     for access in &workload.accesses {
-        let plan = plan_tensor(workload, dataflows, access, config, num_fus, &mut edges)?;
+        let plan = plan_tensor(dataflows, access, config, num_fus, &mut edges)?;
         tensors.push(plan);
     }
 
@@ -81,7 +81,6 @@ pub(crate) fn plan_architecture(
 }
 
 fn plan_tensor(
-    workload: &Workload,
     dataflows: &[Dataflow],
     access: &TensorAccess,
     config: &FrontendConfig,
@@ -94,7 +93,7 @@ fn plan_tensor(
     // Per-dataflow analysis: solutions, chains, delivery links.
     let mut df_plans = Vec::with_capacity(n_df);
     for df in dataflows {
-        df_plans.push(analyze_dataflow(workload, df, access, config, is_output)?);
+        df_plans.push(analyze_dataflow(df, access, config, is_output)?);
     }
 
     // Static possible-input-direct-interconnection degree per FU, over all
@@ -265,13 +264,12 @@ fn plan_tensor(
 /// the direct relation, and the chain-level spanning arborescence that
 /// assigns each chain a data node or a delay delivery.
 fn analyze_dataflow(
-    workload: &Workload,
     df: &Dataflow,
     access: &TensorAccess,
     config: &FrontendConfig,
     is_output: bool,
 ) -> Result<DfPlan, FrontendError> {
-    let solutions = analyze_tensor(workload, df, access, config.max_spatial_distance);
+    let solutions = analyze_tensor(df, access, config.max_spatial_distance);
     let stationary = solutions.iter().any(|s| s.kind == ReuseKind::Stationary);
     let directs: Vec<ReuseSolution> = solutions
         .iter()

@@ -41,7 +41,7 @@ proptest! {
     #[test]
     fn reuse_solutions_satisfy_equations((w, df) in gemm_dataflow_strategy()) {
         for access in &w.accesses {
-            for s in analyze_tensor(&w, &df, access, 1) {
+            for s in analyze_tensor(&df, access, 1) {
                 // M_td·Δt + M_sd·Δs = 0 (Equations 6-7).
                 let lhs = df.m_td(access).mul_vec(&s.delta_t);
                 let rhs = df.m_sd(access).mul_vec(&s.delta_s);

@@ -58,11 +58,6 @@ impl DiGraph {
         self.n
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds a node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
         self.n += 1;
@@ -109,19 +104,9 @@ impl DiGraph {
         self.out[v].iter().map(move |&id| self.edges[id])
     }
 
-    /// Iterates over the in-edges of `v`.
-    pub fn in_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.inc[v].iter().map(move |&id| self.edges[id])
-    }
-
     /// In-degree of `v`.
     pub fn in_degree(&self, v: NodeId) -> usize {
         self.inc[v].len()
-    }
-
-    /// Out-degree of `v`.
-    pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out[v].len()
     }
 }
 
@@ -135,7 +120,6 @@ mod tests {
         g.add_edge(0, 1, 1);
         g.add_edge(0, 2, 2);
         g.add_edge(2, 1, 3);
-        assert_eq!(g.out_degree(0), 2);
         assert_eq!(g.in_degree(1), 2);
         assert_eq!(g.in_degree(0), 0);
         let targets: Vec<_> = g.out_edges(0).map(|e| e.to).collect();
@@ -148,7 +132,7 @@ mod tests {
         g.add_edge(0, 1, 1);
         g.add_edge(0, 1, 2);
         g.add_edge(1, 1, 3);
-        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.edges().count(), 3);
         assert_eq!(g.in_degree(1), 3);
     }
 

@@ -1,60 +1,29 @@
-//! The composable cost-model layer: one [`CostContext`] per hardware
-//! configuration, priced by component traits.
+//! The cost-model layer: one [`CostContext`] per hardware configuration,
+//! priced through its methods.
 //!
 //! Before this layer existed, every evaluation site re-derived its costs
 //! inline — `SramModel::default()` here, a `mean_hops()` call there — and
 //! the L2 cluster mesh divided compute cycles for free, so nothing could
 //! honestly search the cluster axis. Following the layered analytic cost
-//! stacks of Sparseloop/Timeloop, the components are now explicit:
+//! stacks of Sparseloop/Timeloop, the components are now explicit groups of
+//! [`CostContext`] methods:
 //!
-//! * [`ComputeCost`] — FU-array cycles and datapath energy;
-//! * [`MemoryCost`] — DRAM stream cycles, SRAM/DRAM access energy, leakage;
-//! * [`NocCost`] — L1 butterfly fill and L2 wormhole-mesh transfer latency
+//! * compute — FU-array cycles and datapath energy;
+//! * memory — DRAM stream cycles, SRAM/DRAM access energy, leakage;
+//! * NoC — L1 butterfly fill and L2 wormhole-mesh transfer latency
 //!   ([`lego_noc::Transfer`]-returning, so latency and hop counts travel
 //!   together) plus transport energy.
 //!
-//! [`CostContext`] bundles `{ hw, tech, sram, noc }`, implements all three
-//! traits, and is built **once** per configuration; `lego_sim` consumes it
-//! for per-layer simulation, `lego_mapper` and `lego-explorer` thread it
-//! through whole-model mapping and design-space search. New cost
-//! components (e.g. a different NoC topology or a DRAM controller model)
-//! plug in by implementing the trait next to the hardware they model.
+//! [`CostContext`] bundles `{ hw, tech, sram, noc }` and is built **once**
+//! per configuration; `lego_sim` consumes it for per-layer simulation,
+//! `lego_mapper` and `lego-explorer` thread it through whole-model mapping
+//! and design-space search.
 
 use crate::cost::{l2_router_area_um2, macro_area, MacroArea};
 use crate::hw::HwConfig;
 use crate::{SramModel, TechModel};
 use lego_noc::{Butterfly, Mesh, Transfer};
 use lego_sparse::{LayerSparsity, SparseEffects, SparseHw};
-
-/// Prices the FU array: cycle counts and datapath energy.
-pub trait ComputeCost {
-    /// Cycles to execute `macs` multiply-accumulates at the achieved
-    /// spatial `utilization` (fraction of peak lanes busy).
-    fn compute_cycles(&self, macs: i64, utilization: f64) -> i64;
-
-    /// Datapath (multiplier + accumulator) energy for `macs` MACs, in pJ.
-    fn mac_energy_pj(&self, macs: i64) -> f64;
-
-    /// Clock-tree / operand-network share of the array's dynamic energy
-    /// over `time_ns`, scaled by duty cycle and utilization.
-    fn array_energy_pj(&self, time_ns: f64, busy: f64, utilization: f64) -> f64;
-}
-
-/// Prices the memory system: DRAM stream time, access energy, leakage.
-pub trait MemoryCost {
-    /// Cycles to stream `bytes` over the DRAM interface (double-buffered,
-    /// so callers overlap this against compute).
-    fn dram_cycles(&self, bytes: i64) -> i64;
-
-    /// DRAM access energy for `bytes`, in pJ.
-    fn dram_energy_pj(&self, bytes: i64) -> f64;
-
-    /// On-chip buffer energy for `accesses` single-element accesses, in pJ.
-    fn sram_energy_pj(&self, accesses: i64) -> f64;
-
-    /// Static (leakage + clock) energy over `time_ns`, in pJ.
-    fn static_energy_pj(&self, time_ns: f64) -> f64;
-}
 
 /// Traffic one layer pushes through the L2 cluster mesh.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,31 +46,6 @@ impl L2Traffic {
         self.scatter_bytes + self.broadcast_bytes + self.halo_bytes
     }
 }
-
-/// Prices the on-chip networks: L1 distribution and the L2 cluster mesh.
-pub trait NocCost {
-    /// Pipeline-fill cycles of the L1 distribution network (butterfly
-    /// stages between the buffer and the FU array).
-    fn l1_fill_cycles(&self) -> i64;
-
-    /// Full latency of routing `traffic` over the L2 mesh: worst-case X-Y
-    /// head latency plus wormhole serialization. Zero for a single cluster.
-    fn l2_latency(&self, traffic: &L2Traffic) -> Transfer;
-
-    /// The non-overlappable part of [`NocCost::l2_latency`]: the X-Y head
-    /// latency to the farthest cluster. The serialized body streams behind
-    /// the head and may overlap with the compute/memory body.
-    fn l2_head_cycles(&self) -> i64;
-
-    /// Transport energy of moving `dram_bytes` through the distribution
-    /// network(s) plus `halo_bytes` of neighbor exchange, in pJ.
-    fn transport_energy_pj(&self, dram_bytes: i64, halo_bytes: i64) -> f64;
-}
-
-/// The full cost stack: every component a layer simulation charges.
-pub trait CostModel: ComputeCost + MemoryCost + NocCost {}
-
-impl<T: ComputeCost + MemoryCost + NocCost + ?Sized> CostModel for T {}
 
 /// The NoC instances of one configuration: the L1 distribution butterfly
 /// inside a cluster and the L2 wormhole mesh across clusters.
@@ -238,50 +182,64 @@ impl CostContext {
     pub fn peak_power_mw(&self) -> f64 {
         self.hw.static_mw + self.hw.dynamic_mw
     }
-}
 
-impl ComputeCost for CostContext {
-    fn compute_cycles(&self, macs: i64, utilization: f64) -> i64 {
+    // Compute: FU-array cycle counts and datapath energy.
+
+    /// Cycles to execute `macs` multiply-accumulates at the achieved
+    /// spatial `utilization` (fraction of peak lanes busy).
+    pub fn compute_cycles(&self, macs: i64, utilization: f64) -> i64 {
         let peak_per_cycle = (self.hw.array.0 * self.hw.array.1 * self.hw.num_clusters()) as f64;
         (macs as f64 / (peak_per_cycle * utilization.max(1e-4))).ceil() as i64
     }
 
-    fn mac_energy_pj(&self, macs: i64) -> f64 {
+    /// Datapath (multiplier + accumulator) energy for `macs` MACs, in pJ.
+    pub fn mac_energy_pj(&self, macs: i64) -> f64 {
         // One int8 MAC: 8×8 multiply plus a 32-bit accumulate.
         macs as f64
             * (64.0 * self.tech.mult_energy_pj_per_bit2 + 32.0 * self.tech.add_energy_pj_per_bit)
     }
 
-    fn array_energy_pj(&self, time_ns: f64, busy: f64, utilization: f64) -> f64 {
+    /// Clock-tree / operand-network share of the array's dynamic energy
+    /// over `time_ns`, scaled by duty cycle and utilization.
+    pub fn array_energy_pj(&self, time_ns: f64, busy: f64, utilization: f64) -> f64 {
         self.hw.dynamic_mw * time_ns * busy * utilization * 0.35
     }
-}
 
-impl MemoryCost for CostContext {
-    fn dram_cycles(&self, bytes: i64) -> i64 {
+    // Memory: DRAM stream time, access energy, leakage.
+
+    /// Cycles to stream `bytes` over the DRAM interface (double-buffered,
+    /// so callers overlap this against compute).
+    pub fn dram_cycles(&self, bytes: i64) -> i64 {
         let bytes_per_cycle = self.hw.dram_gbps / self.tech.freq_ghz; // GB/s ÷ Gcycle/s
         (bytes as f64 / bytes_per_cycle).ceil() as i64
     }
 
-    fn dram_energy_pj(&self, bytes: i64) -> f64 {
+    /// DRAM access energy for `bytes`, in pJ.
+    pub fn dram_energy_pj(&self, bytes: i64) -> f64 {
         bytes as f64 * self.tech.dram_pj_per_byte
     }
 
-    fn sram_energy_pj(&self, accesses: i64) -> f64 {
+    /// On-chip buffer energy for `accesses` single-element accesses, in pJ.
+    pub fn sram_energy_pj(&self, accesses: i64) -> f64 {
         self.sram.access_energy_pj(self.hw.buffer_kb * 1024, 1) * accesses as f64
     }
 
-    fn static_energy_pj(&self, time_ns: f64) -> f64 {
+    /// Static (leakage + clock) energy over `time_ns`, in pJ.
+    pub fn static_energy_pj(&self, time_ns: f64) -> f64 {
         self.hw.static_mw * time_ns // mW × ns = pJ
     }
-}
 
-impl NocCost for CostContext {
-    fn l1_fill_cycles(&self) -> i64 {
+    // NoC: the L1 distribution network and the L2 cluster mesh.
+
+    /// Pipeline-fill cycles of the L1 distribution network (butterfly
+    /// stages between the buffer and the FU array).
+    pub fn l1_fill_cycles(&self) -> i64 {
         i64::from(self.noc.butterfly.stages())
     }
 
-    fn l2_latency(&self, traffic: &L2Traffic) -> Transfer {
+    /// Full latency of routing `traffic` over the L2 mesh: worst-case X-Y
+    /// head latency plus wormhole serialization. Zero for a single cluster.
+    pub fn l2_latency(&self, traffic: &L2Traffic) -> Transfer {
         if self.hw.num_clusters() <= 1 {
             return Transfer { cycles: 0, hops: 0 };
         }
@@ -307,14 +265,19 @@ impl NocCost for CostContext {
         }
     }
 
-    fn l2_head_cycles(&self) -> i64 {
+    /// The non-overlappable part of [`CostContext::l2_latency`]: the X-Y
+    /// head latency to the farthest cluster. The serialized body streams
+    /// behind the head and may overlap with the compute/memory body.
+    pub fn l2_head_cycles(&self) -> i64 {
         if self.hw.num_clusters() <= 1 {
             return 0;
         }
         (self.noc.mesh.max_hops() * u64::from(self.noc.mesh.hop_cycles)) as i64
     }
 
-    fn transport_energy_pj(&self, dram_bytes: i64, halo_bytes: i64) -> f64 {
+    /// Transport energy of moving `dram_bytes` through the distribution
+    /// network(s) plus `halo_bytes` of neighbor exchange, in pJ.
+    pub fn transport_energy_pj(&self, dram_bytes: i64, halo_bytes: i64) -> f64 {
         let per_byte_hop = self.tech.noc_pj_per_byte_hop;
         if self.hw.num_clusters() > 1 {
             dram_bytes as f64 * self.noc.mesh.mean_hops() * per_byte_hop

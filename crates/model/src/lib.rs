@@ -14,12 +14,12 @@
 //! Beyond the per-primitive tables, this crate owns the **cost-model
 //! layer** the rest of the workspace evaluates designs through
 //! ([`costmodel`]): a [`CostContext`] bundling `{ hw, tech, sram, noc }`
-//! is built once per [`HwConfig`] and priced through three component
-//! traits —
+//! is built once per [`HwConfig`] and priced through three groups of its
+//! methods —
 //!
-//! * [`ComputeCost`] (FU-array cycles, datapath energy),
-//! * [`MemoryCost`] (DRAM stream cycles, SRAM/DRAM access energy, leakage),
-//! * [`NocCost`] (L1 butterfly fill, L2 wormhole-mesh transfer latency as
+//! * compute (FU-array cycles, datapath energy),
+//! * memory (DRAM stream cycles, SRAM/DRAM access energy, leakage),
+//! * NoC (L1 butterfly fill, L2 wormhole-mesh transfer latency as
 //!   [`lego_noc::Transfer`]s, transport energy).
 //!
 //! `lego-sim` consumes the context for per-layer simulation (multi-cluster
@@ -33,9 +33,7 @@ pub mod hw;
 pub mod sram;
 
 pub use cost::{dag_cost, l2_router_area_um2, macro_area, DagCost, FpgaCost, MacroArea};
-pub use costmodel::{
-    ComputeCost, CostContext, CostModel, L2Traffic, MemoryCost, NocCost, NocModel,
-};
+pub use costmodel::{CostContext, L2Traffic, NocModel};
 pub use hw::{HwConfig, HwConfigError, SpatialMapping};
 pub use lego_sparse::{
     CompressedFormat, DensityModel, LayerSparsity, SparseAccel, SparseEffects, SparseHw,

@@ -196,11 +196,6 @@ impl SpanStat {
         self.hist.merge(&other.hist);
     }
 
-    /// Estimated duration quantile in nanoseconds.
-    pub fn percentile_ns(&self, q: f64) -> f64 {
-        self.hist.percentile(q)
-    }
-
     /// Median duration estimate in nanoseconds.
     pub fn p50_ns(&self) -> f64 {
         self.hist.p50()

@@ -5,9 +5,7 @@
 //! [`HwConfig`](crate::HwConfig) under evaluation, so the simulation and the design-space
 //! search price hardware through one stack.
 
-use lego_model::{
-    ComputeCost, CostContext, L2Traffic, MemoryCost, NocCost, SparseEffects, TechModel,
-};
+use lego_model::{CostContext, L2Traffic, SparseEffects, TechModel};
 use lego_workloads::{Layer, LayerKind, Model};
 
 pub use lego_model::SpatialMapping;

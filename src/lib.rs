@@ -13,8 +13,7 @@
 //! * [`rtl`] — Verilog emission and edge-accurate functional simulation;
 //! * [`model`] — 28 nm area/power/energy tables, a CACTI-style SRAM fit,
 //!   and the unified cost stack: one `CostContext { hw, tech, sram, noc }`
-//!   per configuration, priced through `ComputeCost` / `MemoryCost` /
-//!   `NocCost` component traits;
+//!   per configuration, priced through its compute / memory / NoC methods;
 //! * [`eval`] — the canonical request/response evaluation layer: an
 //!   `EvalSession` owns `CostContext` construction, the memoized
 //!   `EvalCache`, and the worker pool, and prices serializable
@@ -298,8 +297,8 @@
 //! ```
 //!
 //! The `mapspace_search` bench binary prints the enumerated-vs-rewrite
-//! EDP table for the dense zoo (byte-identical across runs; CI diffs two
-//! invocations), and `examples/rewrite_mapping.rs` walks the loop on
+//! EDP table for the dense zoo (pinned byte for byte by the golden in
+//! `crates/bench/tests/golden/`), and `examples/rewrite_mapping.rs` walks the loop on
 //! MobileNetV2.
 //!
 //! # Performance workflow

@@ -1,10 +1,14 @@
 //! The generator on the paper's Figure 10 designs: the register bits
 //! delay matching inserts before and after optimization are pinned (the
 //! benchmark's `quality_ratio` is their geomean), and generating a design
-//! twice renders the same Verilog byte for byte.
+//! twice renders the same Verilog byte for byte. The paper tables price
+//! designs through `lego_bench::harness`; it must price exactly what
+//! `Lego::generate` builds.
 
+use lego::backend::OptimizeOptions;
 use lego::core::{Design, Lego};
-use lego_bench::{kernel_designs, KernelDesign};
+use lego::model::TechModel;
+use lego_bench::{harness, kernel_designs, KernelDesign};
 
 fn generate(d: &KernelDesign) -> Design {
     let mut lego = Lego::new(d.workload.clone());
@@ -12,6 +16,12 @@ fn generate(d: &KernelDesign) -> Design {
         lego = lego.dataflow(df.clone());
     }
     lego.generate().expect("paper design generates")
+}
+
+fn fused_256_fu_designs() -> Vec<KernelDesign> {
+    let mut fused = kernel_designs(16);
+    fused.retain(|d| matches!(d.name, "Attention" | "Conv2d-MNICOC"));
+    fused
 }
 
 fn register_bits(designs: &[KernelDesign]) -> Vec<(&'static str, i64, i64)> {
@@ -50,10 +60,8 @@ fn register_bits_of_the_64_fu_designs_are_pinned() {
 
 #[test]
 fn register_bits_of_the_fused_256_fu_designs_are_pinned() {
-    let mut fused = kernel_designs(16);
-    fused.retain(|d| matches!(d.name, "Attention" | "Conv2d-MNICOC"));
     assert_eq!(
-        register_bits(&fused),
+        register_bits(&fused_256_fu_designs()),
         [("Attention", 48608, 16272), ("Conv2d-MNICOC", 35168, 5143)]
     );
 }
@@ -64,5 +72,17 @@ fn generating_twice_renders_identical_verilog() {
         let first = generate(&d).verilog("lego_top");
         let second = generate(&d).verilog("lego_top");
         assert!(first == second, "{}: Verilog differs between runs", d.name);
+    }
+}
+
+#[test]
+fn the_bench_harness_prices_what_generate_builds() {
+    let (full, tech) = (OptimizeOptions::default(), TechModel::default());
+    let mut designs = kernel_designs(8);
+    designs.extend(fused_256_fu_designs());
+    for d in &designs {
+        let adg = harness::adg(&d.workload, &d.dataflows);
+        let priced = harness::price(&adg, &full, &tech, 1.0);
+        assert_eq!(priced, generate(d).cost(&tech), "{}", d.name);
     }
 }
