@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::dag::{Dag, NodeId, Prim};
 use crate::BackendConfig;
-use lego_frontend::{Adg, TensorPlan};
+use lego_frontend::{Adg, FuEdge, TensorPlan};
 use lego_ir::{FuOp, TensorRole};
 
 /// Lowers an ADG into the primitive-level DAG.
@@ -385,14 +385,14 @@ fn lower_output(
     let tensor = plan.tensor.clone();
     let stationary_any = plan.stationary_in.iter().any(|&s| s);
 
-    // Incoming partial-sum sources per FU (from ADG output edges).
-    let mut incoming: BTreeMap<usize, Vec<(usize, Vec<bool>, i64)>> = BTreeMap::new();
+    // Incoming partial-sum sources and outgoing targets per FU (from ADG
+    // output edges, both in edge order).
+    let mut incoming: BTreeMap<usize, Vec<(&FuEdge, Vec<bool>)>> = BTreeMap::new();
+    let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); adg.num_fus];
     for e in adg.edges_for(&tensor) {
         let act: Vec<bool> = (0..n_df).map(|k| e.active_in(k)).collect();
-        incoming
-            .entry(e.to)
-            .or_default()
-            .push((e.from, act, e.max_depth()));
+        incoming.entry(e.to).or_default().push((e, act));
+        outgoing[e.from].push(e.to);
     }
 
     // The accumulated output of each FU: local product + incoming partials,
@@ -400,10 +400,6 @@ fn lower_output(
     let mut acc_out: Vec<Option<NodeId>> = vec![None; adg.num_fus];
     // Topological order over the partial-sum forest (leaves first).
     let order = {
-        let mut indeg = vec![0usize; adg.num_fus];
-        for srcs in incoming.values() {
-            indeg[*srcs.first().map(|(_, _, _)| &0).unwrap_or(&0)] += 0; // no-op, clarity
-        }
         let mut fanin = vec![0usize; adg.num_fus];
         for (to, srcs) in &incoming {
             fanin[*to] += srcs.len();
@@ -413,10 +409,10 @@ fn lower_output(
         let mut consumed = vec![0usize; adg.num_fus];
         while let Some(f) = q.pop_front() {
             order.push(f);
-            for e in adg.edges_for(&tensor).filter(|e| e.from == f) {
-                consumed[e.to] += 1;
-                if consumed[e.to] == incoming[&e.to].len() {
-                    q.push_back(e.to);
+            for &to in &outgoing[f] {
+                consumed[to] += 1;
+                if consumed[to] == fanin[to] {
+                    q.push_back(to);
                 }
             }
         }
@@ -433,13 +429,10 @@ fn lower_output(
         let mut chain_head = acc;
         let mut pin_idx = 1usize;
         if let Some(srcs) = incoming.get(&fu) {
-            for (idx, (from, act, depth)) in srcs.iter().enumerate() {
-                let src_node = acc_out[*from].expect("topological order");
-                let src = if *depth > 0 {
-                    let e = adg
-                        .edges_for(&tensor)
-                        .find(|e| e.from == *from && e.to == fu)
-                        .expect("edge exists");
+            for (idx, (e, act)) in srcs.iter().enumerate() {
+                let (from, depth) = (e.from, e.max_depth());
+                let src_node = acc_out[from].expect("topological order");
+                let src = if depth > 0 {
                     let fifo = dag.add_node(
                         Prim::Fifo {
                             depth: e.depth_per_df.clone(),
@@ -448,7 +441,7 @@ fn lower_output(
                         config.acc_width,
                         format!("fifo_{tensor}_{from}to{fu}"),
                     );
-                    dag.add_edge(src_node, fifo, 0, config.acc_width, act.clone(), *depth);
+                    dag.add_edge(src_node, fifo, 0, config.acc_width, act.clone(), depth);
                     fifo
                 } else {
                     src_node

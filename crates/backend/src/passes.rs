@@ -378,9 +378,9 @@ fn compact(dag: &mut Dag, dead: &BTreeSet<NodeId>) {
 
 /// Three-stage broadcast rewiring: (1) delay matching with an optimistic
 /// cost that charges a broadcast source only its deepest branch, (2) an
-/// undirected MST per broadcast source over direct-vs-forwarded edges,
-/// (3) a final exact re-matching; the rewiring is kept only if it reduces
-/// register bits.
+/// undirected MST per broadcast source over direct-vs-forwarded edges
+/// (Kruskal over [`rewiring_graph`]'s class-level edge set), (3) a final
+/// exact re-matching; the rewiring is kept only if it reduces register bits.
 pub fn rewire_broadcasts(dag: &mut Dag) {
     let before = dag.pipeline_register_bits();
     let saved = dag.clone();
@@ -425,18 +425,7 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
             .map(|&i| dag.edges[i].extra_regs)
             .collect();
 
-        // Rewiring graph: node 0 = source, 1.. = branches. Direct edges cost
-        // the branch latency; forwarding edges between branches cost the
-        // latency difference.
-        let mut g = lego_graph::DiGraph::new(branch_ids.len() + 1);
-        for (bi, &l) in lat.iter().enumerate() {
-            g.add_edge(0, bi + 1, l.max(1));
-        }
-        for a in 0..branch_ids.len() {
-            for b in a + 1..branch_ids.len() {
-                g.add_edge(a + 1, b + 1, (lat[a] - lat[b]).abs().max(0) + 1);
-            }
-        }
+        let g = rewiring_graph(&lat);
         let mst = lego_graph::undirected_mst(&g);
 
         // Build forwarding taps: a zero-latency pass-through node per branch
@@ -492,6 +481,46 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
         *dag = saved;
         let _ = match_delays(dag);
     }
+}
+
+/// Rewiring graph of one broadcast source whose branches need `lat`
+/// registers: node 0 = source, 1.. = branches. A direct edge costs the
+/// branch latency (at least 1), a forwarding edge between two branches
+/// their latency difference plus 1.
+///
+/// Of the complete graph — direct edges in branch order, then every pair
+/// `a < b` in lexicographic order — only the edges Kruskal can take are
+/// built, in that same order, so `(weight, id)` sorts them as it sorts the
+/// complete graph's and the MST comes out edge for edge. Equal-latency
+/// pairs cost 1, and the first of them Kruskal meets are the star around
+/// each class's lowest branch, which makes every class one component before
+/// any dearer edge is looked at (a class of latency ≤ 1 already hangs off
+/// the source). From then on all edges between two classes join the same
+/// two components at the same weight, so only the first in order — the one
+/// between the two lowest branches — can be taken.
+fn rewiring_graph(lat: &[i64]) -> lego_graph::DiGraph {
+    let mut g = lego_graph::DiGraph::new(lat.len() + 1);
+    let mut classes: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
+    for (bi, &l) in lat.iter().enumerate() {
+        g.add_edge(0, bi + 1, l.max(1));
+        classes.entry(l).or_default().push(bi);
+    }
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for (i, members) in classes.values().enumerate() {
+        let lowest = members[0];
+        pairs.extend(members[1..].iter().map(|&m| (lowest, m)));
+        pairs.extend(
+            classes
+                .values()
+                .skip(i + 1)
+                .map(|other| (lowest.min(other[0]), lowest.max(other[0]))),
+        );
+    }
+    pairs.sort_unstable();
+    for (a, b) in pairs {
+        g.add_edge(a + 1, b + 1, (lat[a] - lat[b]).abs() + 1);
+    }
+    g
 }
 
 // ---------------------------------------------------------------------
@@ -647,6 +676,48 @@ mod tests {
         assert!(rewired <= naive, "rewired {rewired} vs naive {naive}");
         assert!(rewired < 48, "sharing must beat per-branch padding");
         dag.check().unwrap();
+    }
+
+    #[test]
+    fn class_level_rewiring_mst_equals_the_complete_graph_mst() {
+        // The complete rewiring graph `rewiring_graph` stands in for.
+        fn complete(lat: &[i64]) -> lego_graph::DiGraph {
+            let mut g = lego_graph::DiGraph::new(lat.len() + 1);
+            for (bi, &l) in lat.iter().enumerate() {
+                g.add_edge(0, bi + 1, l.max(1));
+            }
+            for a in 0..lat.len() {
+                for b in a + 1..lat.len() {
+                    g.add_edge(a + 1, b + 1, (lat[a] - lat[b]).abs() + 1);
+                }
+            }
+            g
+        }
+        fn mst_endpoints(g: &lego_graph::DiGraph) -> Vec<(usize, usize)> {
+            let ids = lego_graph::undirected_mst(g);
+            ids.into_iter()
+                .map(|id| (g.edge(id).from, g.edge(id).to))
+                .collect()
+        }
+        // A pair of endpoints names one edge of the complete graph, so equal
+        // endpoint sequences are equal edge ids in equal order.
+        let mut state = 24u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for trial in 0..600 {
+            let b = 1 + draw(40) as usize;
+            let span = 1 + draw(7);
+            let lat: Vec<i64> = (0..b).map(|_| draw(span) as i64).collect();
+            assert_eq!(
+                mst_endpoints(&rewiring_graph(&lat)),
+                mst_endpoints(&complete(&lat)),
+                "trial {trial}: latencies {lat:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! folding strided accesses onto fewer banks.
 
 use lego_ir::{Dataflow, TensorAccess};
-use lego_linalg::{gcd_all, AffineMap};
+use lego_linalg::{gcd, AffineMap};
 
 /// Bank geometry of one tensor under one dataflow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,23 +89,22 @@ fn shape_from_indexes(map: &AffineMap, indexes: &[Vec<i64>]) -> BankShape {
     let nd = map.out_dim();
     let mut counts = vec![1i64; nd];
     let mut gcds = vec![1i64; nd];
+    let Some(first) = indexes.first() else {
+        return BankShape { counts, gcds };
+    };
     for dim in 0..nd {
-        let mut deltas = Vec::new();
-        for a in 0..indexes.len() {
-            for b in a + 1..indexes.len() {
-                let d = (indexes[a][dim] - indexes[b][dim]).abs();
-                if d != 0 {
-                    deltas.push(d);
-                }
-            }
+        // Every pairwise delta is a difference of two deltas to the first
+        // index, so those have the same GCD; the largest delta is max − min.
+        let (mut g, mut lo, mut hi) = (0, first[dim], first[dim]);
+        for index in indexes {
+            g = gcd(g, index[dim] - first[dim]);
+            lo = lo.min(index[dim]);
+            hi = hi.max(index[dim]);
         }
-        if deltas.is_empty() {
-            continue;
+        if g != 0 {
+            counts[dim] = (hi - lo) / g + 1;
+            gcds[dim] = g;
         }
-        let g = gcd_all(&deltas).max(1);
-        let max = deltas.iter().copied().max().unwrap_or(0);
-        counts[dim] = max / g + 1;
-        gcds[dim] = g;
     }
     BankShape { counts, gcds }
 }
@@ -135,6 +134,50 @@ pub fn conflict_free(
 mod tests {
     use super::*;
     use lego_ir::kernels::{self, dataflows};
+    use lego_linalg::gcd_all;
+    use proptest::prelude::*;
+
+    /// Equation 9 as written: GCD and maximum over all pairwise deltas.
+    fn pairwise_shape(nd: usize, indexes: &[Vec<i64>]) -> BankShape {
+        let mut shape = BankShape {
+            counts: vec![1; nd],
+            gcds: vec![1; nd],
+        };
+        for dim in 0..nd {
+            let mut deltas = Vec::new();
+            for (a, x) in indexes.iter().enumerate() {
+                for y in &indexes[a + 1..] {
+                    deltas.push((x[dim] - y[dim]).abs());
+                }
+            }
+            let g = gcd_all(&deltas);
+            if g != 0 {
+                shape.counts[dim] = deltas.iter().max().expect("g != 0") / g + 1;
+                shape.gcds[dim] = g;
+            }
+        }
+        shape
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Index sets with a random stride and offset per draw, so all-equal
+        // (stride 0), strided and dense columns all occur.
+        #[test]
+        fn bank_shape_equals_the_pairwise_form(
+            rows in proptest::collection::vec((0i64..6, 0i64..6, -8i64..8), 0..24),
+            stride in 0i64..5,
+            offset in -20i64..20,
+        ) {
+            let indexes: Vec<Vec<i64>> = rows
+                .iter()
+                .map(|&(a, b, c)| vec![offset + stride * a, b - a, 3 * c])
+                .collect();
+            let map = AffineMap::linear(lego_linalg::IMat::zeros(3, 1));
+            prop_assert_eq!(shape_from_indexes(&map, &indexes), pairwise_shape(3, &indexes));
+        }
+    }
 
     #[test]
     fn figure6a_khoh_banking() {

@@ -16,7 +16,8 @@
 //! grown outward from the root by a Prim/BFS sweep that prefers reusing
 //! connections already present in the merged design.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 
 use crate::adg::{Adg, DataNode, FuEdge, TensorPlan};
 use crate::interconnect::{analyze_tensor, ReuseKind, ReuseSolution};
@@ -53,11 +54,12 @@ pub(crate) fn plan_architecture(
     config: &FrontendConfig,
 ) -> Result<Adg, FrontendError> {
     let num_fus = dataflows[0].num_fus() as usize;
+    let grids: Vec<FuGrid> = dataflows.iter().map(FuGrid::new).collect();
     let mut edges: BTreeMap<(String, usize, usize), Vec<Option<i64>>> = BTreeMap::new();
     let mut tensors = Vec::new();
 
     for access in &workload.accesses {
-        let plan = plan_tensor(dataflows, access, config, num_fus, &mut edges)?;
+        let plan = plan_tensor(&grids, access, config, num_fus, &mut edges)?;
         tensors.push(plan);
     }
 
@@ -80,29 +82,63 @@ pub(crate) fn plan_architecture(
     })
 }
 
+/// One dataflow with its FU coordinate table, built once per
+/// [`plan_architecture`] and borrowed by every planning step.
+struct FuGrid<'a> {
+    df: &'a Dataflow,
+    coords: Vec<Vec<i64>>,
+}
+
+impl<'a> FuGrid<'a> {
+    fn new(df: &'a Dataflow) -> Self {
+        FuGrid {
+            df,
+            coords: df.fu_coords(),
+        }
+    }
+
+    /// Index of the FU one step of `sign · delta_s` from FU `u` (row-major,
+    /// as [`Dataflow::fu_index`]); `None` if the step leaves the array.
+    fn step(&self, u: usize, delta_s: &[i64], sign: i64) -> Option<usize> {
+        let mut index = 0i64;
+        for ((&c, &d), &p) in self.coords[u]
+            .iter()
+            .zip(delta_s)
+            .zip(&self.df.spatial_sizes)
+        {
+            let v = c + sign * d;
+            if v < 0 || v >= p {
+                return None;
+            }
+            index = index * p + v;
+        }
+        Some(index as usize)
+    }
+}
+
 fn plan_tensor(
-    dataflows: &[Dataflow],
+    grids: &[FuGrid],
     access: &TensorAccess,
     config: &FrontendConfig,
     num_fus: usize,
     edges: &mut BTreeMap<(String, usize, usize), Vec<Option<i64>>>,
 ) -> Result<TensorPlan, FrontendError> {
-    let n_df = dataflows.len();
+    let n_df = grids.len();
     let is_output = access.role == TensorRole::Output;
 
     // Per-dataflow analysis: solutions, chains, delivery links.
     let mut df_plans = Vec::with_capacity(n_df);
-    for df in dataflows {
-        df_plans.push(analyze_dataflow(df, access, config, is_output)?);
+    for grid in grids {
+        df_plans.push(analyze_dataflow(grid, access, config, is_output)?);
     }
 
     // Static possible-input-direct-interconnection degree per FU, over all
     // dataflows (the root-selection metric of Figure 5).
     let mut static_in = vec![0usize; num_fus];
-    for (df, plan) in dataflows.iter().zip(&df_plans) {
-        for (u, coord) in df.fu_coords().iter().enumerate() {
+    for (grid, plan) in grids.iter().zip(&df_plans) {
+        for u in 0..num_fus {
             for sol in &plan.directs {
-                if let Some(v) = step(df, coord, &sol.delta_s) {
+                if let Some(v) = grid.step(u, &sol.delta_s, 1) {
                     let recv = if is_output { u } else { v };
                     static_in[recv] += 1;
                 }
@@ -114,10 +150,6 @@ fn plan_tensor(
     let mut data_nodes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut built_root_len: HashMap<usize, usize> = HashMap::new();
     let mut merged: HashSet<(usize, usize)> = HashSet::new();
-    let mut root_of_chain: Vec<Vec<usize>> = df_plans
-        .iter()
-        .map(|p| vec![usize::MAX; p.chains.len()])
-        .collect();
 
     // Work list: (df, chain members, link), longest chains first; leftover
     // fragments are appended with a Memory link.
@@ -125,7 +157,7 @@ fn plan_tensor(
         let mut items: Vec<(usize, usize)> = (0..n_df)
             .flat_map(|k| (0..df_plans[k].chains.len()).map(move |c| (k, c)))
             .collect();
-        items.sort_by_key(|&(k, c)| std::cmp::Reverse(df_plans[k].chains[c].len()));
+        items.sort_by_key(|&(k, c)| Reverse(df_plans[k].chains[c].len()));
         items
             .into_iter()
             .map(|(k, c)| (k, df_plans[k].chains[c].clone(), df_plans[k].links[c]))
@@ -140,7 +172,7 @@ fn plan_tensor(
                 "chain planning did not converge".into(),
             ));
         }
-        let df = &dataflows[k];
+        let grid = &grids[k];
         let plan = &df_plans[k];
 
         // Root candidates per Figure 5 steps 2-3.
@@ -166,7 +198,7 @@ fn plan_tensor(
         let mut best: Option<(usize, Vec<(usize, usize, i64)>, Vec<bool>)> = None;
         for &root in &candidates {
             let (chosen, visited) = grow_chain(
-                df,
+                grid,
                 plan,
                 &members,
                 root,
@@ -195,14 +227,6 @@ fn plan_tensor(
         let len = visited.iter().filter(|&&v| v).count();
         let entry = built_root_len.entry(root).or_insert(0);
         *entry = (*entry).max(len);
-        // Remember the root for delay-edge endpoints resolved later.
-        if let Some(pos) = df_plans[k]
-            .chains
-            .iter()
-            .position(|c| c.contains(&root) && c.len() == members.len() && c == &members)
-        {
-            root_of_chain[k][pos] = root;
-        }
 
         match link {
             ChainLink::Memory => {
@@ -230,7 +254,7 @@ fn plan_tensor(
             .map(|(_, &fu)| fu)
             .collect();
         if !leftover.is_empty() {
-            for frag in fragments(df, plan, &leftover) {
+            for frag in fragments(grid, plan, &leftover) {
                 work.push_back((k, frag, ChainLink::Memory));
             }
         }
@@ -242,9 +266,9 @@ fn plan_tensor(
             let coords: Vec<Vec<i64>> = data_nodes
                 .iter()
                 .filter(|(_, dfs)| dfs.contains(&k))
-                .map(|(&fu, _)| dataflows[k].fu_coords()[fu].clone())
+                .map(|(&fu, _)| grids[k].coords[fu].clone())
                 .collect();
-            bank_shape(&dataflows[k], access, &coords)
+            bank_shape(grids[k].df, access, &coords)
         })
         .collect();
 
@@ -264,12 +288,12 @@ fn plan_tensor(
 /// the direct relation, and the chain-level spanning arborescence that
 /// assigns each chain a data node or a delay delivery.
 fn analyze_dataflow(
-    df: &Dataflow,
+    grid: &FuGrid,
     access: &TensorAccess,
     config: &FrontendConfig,
     is_output: bool,
 ) -> Result<DfPlan, FrontendError> {
-    let solutions = analyze_tensor(df, access, config.max_spatial_distance);
+    let solutions = analyze_tensor(grid.df, access, config.max_spatial_distance);
     let stationary = solutions.iter().any(|s| s.kind == ReuseKind::Stationary);
     let directs: Vec<ReuseSolution> = solutions
         .iter()
@@ -282,12 +306,11 @@ fn analyze_dataflow(
         .cloned()
         .collect();
 
-    let coords = df.fu_coords();
-    let n = coords.len();
+    let n = grid.coords.len();
     let mut uf = UnionFind::new(n);
-    for (u, coord) in coords.iter().enumerate() {
+    for u in 0..n {
         for sol in &directs {
-            if let Some(v) = step(df, coord, &sol.delta_s) {
+            if let Some(v) = grid.step(u, &sol.delta_s, 1) {
                 uf.union(u, v);
             }
         }
@@ -310,9 +333,9 @@ fn analyze_dataflow(
         let id = g.add_edge(virt, c, config.root_cost);
         let _ = id;
     }
-    for (u, coord) in coords.iter().enumerate() {
+    for u in 0..n {
         for sol in &delays {
-            if let Some(v) = step(df, coord, &sol.delta_s) {
+            if let Some(v) = grid.step(u, &sol.delta_s, 1) {
                 let (cu, cv) = (chain_of[u], chain_of[v]);
                 if cu == cv {
                     continue;
@@ -359,19 +382,6 @@ fn analyze_dataflow(
     })
 }
 
-/// Moves one step of `delta_s` from `coord`; `None` if it leaves the array.
-fn step(df: &Dataflow, coord: &[i64], delta_s: &[i64]) -> Option<usize> {
-    let mut next = Vec::with_capacity(coord.len());
-    for ((&c, &d), &p) in coord.iter().zip(delta_s).zip(&df.spatial_sizes) {
-        let v = c + d;
-        if v < 0 || v >= p {
-            return None;
-        }
-        next.push(v);
-    }
-    Some(df.fu_index(&next))
-}
-
 /// Prim/BFS growth of one chain from `root` (Figure 5 step 5): repeatedly
 /// attach the unvisited member reachable through a valid direct solution,
 /// preferring edges that already exist in the merged design, then smaller
@@ -380,7 +390,7 @@ fn step(df: &Dataflow, coord: &[i64], delta_s: &[i64]) -> Option<usize> {
 /// Returns the chosen physical edges `(from, to, depth)` and the visit mask
 /// (parallel to `members`).
 fn grow_chain(
-    df: &Dataflow,
+    grid: &FuGrid,
     plan: &DfPlan,
     members: &[usize],
     root: usize,
@@ -388,7 +398,6 @@ fn grow_chain(
     merged: &HashSet<(usize, usize)>,
     built_root_len: &HashMap<usize, usize>,
 ) -> (Vec<(usize, usize, i64)>, Vec<bool>) {
-    let coords = df.fu_coords();
     let member_pos: HashMap<usize, usize> =
         members.iter().enumerate().map(|(i, &fu)| (fu, i)).collect();
     let mut visited = vec![false; members.len()];
@@ -397,57 +406,54 @@ fn grow_chain(
     };
     visited[root_pos] = true;
     let mut chosen = Vec::new();
+    // Input: data flows u → w, so w = u + Δs.
+    // Output: partial sums flow w → u, so w = u − Δs.
+    let sign = if is_output { -1 } else { 1 };
+    let physical = |u: usize, w: usize| if is_output { (w, u) } else { (u, w) };
 
+    // Prim over a heap. A move's rank — `(not yet merged, depth, −length of
+    // the chain the target roots, target)`, then the position of the member
+    // it leaves from and the solution it follows — is fixed for the whole
+    // call, so a move is queued once, when the member it leaves from is
+    // attached, and one whose target got attached meanwhile is skipped.
+    let mut moves = BinaryHeap::new();
+    let mut newest = root_pos;
     loop {
-        // Candidate moves: (key, physical_from, physical_to, depth, w_pos).
-        #[allow(clippy::type_complexity)]
-        let mut best: Option<((usize, i64, i64, usize), usize, usize, i64, usize)> = None;
-        for (i, &u) in members.iter().enumerate() {
-            if !visited[i] {
+        let u = members[newest];
+        for (si, sol) in plan.directs.iter().enumerate() {
+            let Some(w) = grid.step(u, &sol.delta_s, sign) else {
+                continue;
+            };
+            if member_pos.get(&w).is_none_or(|&wp| visited[wp]) {
                 continue;
             }
-            for sol in &plan.directs {
-                // Input: data flows u → w, so w = u + Δs.
-                // Output: partial sums flow w → u, so w = u − Δs.
-                let target = if is_output {
-                    let neg: Vec<i64> = sol.delta_s.iter().map(|d| -d).collect();
-                    step(df, &coords[u], &neg)
-                } else {
-                    step(df, &coords[u], &sol.delta_s)
-                };
-                let Some(w) = target else { continue };
-                let Some(&wp) = member_pos.get(&w) else {
-                    continue;
-                };
-                if visited[wp] {
-                    continue;
-                }
-                let (pf, pt) = if is_output { (w, u) } else { (u, w) };
-                let key = (
-                    usize::from(!merged.contains(&(pf, pt))),
-                    sol.depth,
-                    -(built_root_len.get(&w).copied().unwrap_or(0) as i64),
-                    w,
-                );
-                if best.as_ref().is_none_or(|(bk, ..)| key < *bk) {
-                    best = Some((key, pf, pt, sol.depth, wp));
-                }
-            }
+            moves.push(Reverse((
+                usize::from(!merged.contains(&physical(u, w))),
+                sol.depth,
+                -(built_root_len.get(&w).copied().unwrap_or(0) as i64),
+                w,
+                newest,
+                si,
+            )));
         }
-        let Some((_, pf, pt, depth, wp)) = best else {
+        let next = std::iter::from_fn(|| moves.pop())
+            .map(|Reverse((_, depth, _, w, from_pos, _))| (depth, w, members[from_pos]))
+            .find(|&(_, w, _)| !visited[member_pos[&w]]);
+        let Some((depth, w, u)) = next else {
             break;
         };
+        let (pf, pt) = physical(u, w);
         chosen.push((pf, pt, depth));
-        visited[wp] = true;
+        newest = member_pos[&w];
+        visited[newest] = true;
     }
     (chosen, visited)
 }
 
 /// Splits leftover FUs into connected fragments under the undirected direct
 /// relation, so each fragment can be re-planned as its own memory-fed chain.
-fn fragments(df: &Dataflow, plan: &DfPlan, leftover: &[usize]) -> Vec<Vec<usize>> {
+fn fragments(grid: &FuGrid, plan: &DfPlan, leftover: &[usize]) -> Vec<Vec<usize>> {
     let set: HashSet<usize> = leftover.iter().copied().collect();
-    let coords = df.fu_coords();
     let mut uf_index: HashMap<usize, usize> = HashMap::new();
     for (i, &fu) in leftover.iter().enumerate() {
         uf_index.insert(fu, i);
@@ -455,9 +461,8 @@ fn fragments(df: &Dataflow, plan: &DfPlan, leftover: &[usize]) -> Vec<Vec<usize>
     let mut uf = UnionFind::new(leftover.len());
     for &u in leftover {
         for sol in &plan.directs {
-            for dir in [1i64, -1] {
-                let d: Vec<i64> = sol.delta_s.iter().map(|x| x * dir).collect();
-                if let Some(v) = step(df, &coords[u], &d) {
+            for sign in [1i64, -1] {
+                if let Some(v) = grid.step(u, &sol.delta_s, sign) {
                     if set.contains(&v) {
                         uf.union(uf_index[&u], uf_index[&v]);
                     }

@@ -85,6 +85,9 @@ impl Dataflow {
     }
 
     /// Enumerates all FU coordinates in row-major order.
+    ///
+    /// Allocates the whole table (one `Vec` per FU): call it once per
+    /// dataflow and borrow the result, not once per lookup.
     pub fn fu_coords(&self) -> Vec<Vec<i64>> {
         let mut coords = vec![vec![]];
         for &p in &self.spatial_sizes {
@@ -135,10 +138,11 @@ impl Dataflow {
             return false;
         }
         let mut seen = std::collections::HashSet::new();
+        let coords = self.fu_coords();
         for step in 0..self.total_steps() {
             let t = lego_linalg::delinearize(step, &self.temporal_sizes);
-            for s in self.fu_coords() {
-                let i = self.iter_index(&t, &s);
+            for s in &coords {
+                let i = self.iter_index(&t, s);
                 if i.iter()
                     .zip(&workload.bounds)
                     .any(|(v, b)| *v < 0 || v >= b)

@@ -427,6 +427,60 @@ mod tests {
             .collect()
     }
 
+    /// The delay network of a `p × p` array as the back end lowers one: a
+    /// broadcast source per row and per column (fan-out `p`), a multiplier
+    /// per FU fed by both, an adder chain along each row, a reducer per
+    /// column that the column's multipliers reconverge on, and one reducer
+    /// over every chain end and column reducer. Returns `(n, edges)`.
+    fn array_dag(rng: &mut StdRng, p: usize) -> (usize, Vec<DelayEdge>) {
+        let (row_src, col_src) = (|r: usize| r, |c: usize| p + c);
+        let mul = |r: usize, c: usize| 2 * p + r * p + c;
+        let add = |r: usize, c: usize| 2 * p + p * p + r * p + c;
+        let col_red = |c: usize| 2 * p + 2 * p * p + c;
+        let top = 3 * p + 2 * p * p;
+        let mut edges = Vec::new();
+        let mut wire = |from: usize, to: usize| {
+            edges.push(DelayEdge {
+                from,
+                to,
+                width: 8i64 << rng.gen_range(0..3u32),
+                latency: rng.gen_range(0..=4),
+            });
+        };
+        for r in 0..p {
+            for c in 0..p {
+                wire(row_src(r), mul(r, c));
+                wire(col_src(c), mul(r, c));
+                wire(mul(r, c), add(r, c));
+                wire(mul(r, c), col_red(c));
+                if c > 0 {
+                    wire(add(r, c - 1), add(r, c));
+                }
+            }
+            wire(add(r, p - 1), top);
+        }
+        for c in 0..p {
+            wire(col_red(c), top);
+        }
+        (top + 1, edges)
+    }
+
+    /// `run` against `run_reference` on one delay network: flow, cost and
+    /// the potentials delay matching reads.
+    fn assert_matches_reference(n: usize, edges: &[DelayEdge], what: &str) {
+        let (mut net, total_supply) = flow_network(n, edges);
+        let mut reference = net.clone();
+        let got = net.run(n, n + 1);
+        let want = reference.run_reference(n, n + 1);
+        assert_eq!(got, want, "{what}: (flow, cost)");
+        assert_eq!(got.0, total_supply, "{what}: saturates");
+        assert_eq!(
+            net.potentials(),
+            reference.potentials(),
+            "{what}: potentials"
+        );
+    }
+
     #[test]
     fn primal_dual_matches_one_path_per_dijkstra_reference() {
         let mut rng = StdRng::seed_from_u64(16);
@@ -434,17 +488,18 @@ mod tests {
             let n = rng.gen_range(2..=40);
             let m = rng.gen_range(1..=120);
             let edges = random_dag(&mut rng, n, m, 16);
-            let (mut net, total_supply) = flow_network(n, &edges);
-            let mut reference = net.clone();
-            let got = net.run(n, n + 1);
-            let want = reference.run_reference(n, n + 1);
-            assert_eq!(got, want, "trial {trial}: (flow, cost)");
-            assert_eq!(got.0, total_supply, "trial {trial}: saturates");
-            assert_eq!(
-                net.potentials(),
-                reference.potentials(),
-                "trial {trial}: potentials"
-            );
+            assert_matches_reference(n, &edges, &format!("trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn primal_dual_matches_the_reference_on_array_shaped_networks() {
+        // Long paths, many blocking-flow rounds and many dual steps per
+        // solve, which the small random DAGs above do not produce.
+        let mut rng = StdRng::seed_from_u64(24);
+        for p in [3, 4, 5, 6, 8, 8, 11, 13, 16] {
+            let (n, edges) = array_dag(&mut rng, p);
+            assert_matches_reference(n, &edges, &format!("{p} x {p} array"));
         }
     }
 

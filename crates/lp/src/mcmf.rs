@@ -7,14 +7,26 @@
 //!
 //! 1. **Primal:** a max-flow over the *admissible* residual arcs — those
 //!    with capacity left and zero reduced cost `c_uv + π_u − π_v` — by
-//!    Dinic's blocking flows (BFS levels, current-arc DFS). Every unit
-//!    pushed travels a shortest path, so the flow stays min-cost for its
-//!    value.
-//! 2. **Dual:** one Dijkstra over reduced costs, stopped when `t` is
-//!    settled, and `π_v += min(dist_v, dist_t)`. The admissible graph was
-//!    saturated, so `dist_t > 0` and new arcs become admissible.
+//!    Dinic's blocking flows. A node's level is its hop distance *to `t`*
+//!    (a BFS backward from `t` over the paired reverse arcs, stopped once
+//!    `s` has a level), and the current-arc DFS only steps to the next
+//!    smaller level, so it never enters a node that cannot reach the sink:
+//!    `s` feeds every supply node of a delay network, and levels counted
+//!    from `s` would send the DFS into each of them. Every unit pushed
+//!    travels a shortest path, so the flow stays min-cost for its value.
+//! 2. **Dual:** one Dijkstra over reduced costs on a monotone queue (a
+//!    radix heap: 65 buckets whatever the cost magnitude), and
+//!    `π_v += min(dist_v, dist_t)`. The admissible graph was saturated, so
+//!    `dist_t > 0` and new arcs become admissible. The search drops every
+//!    relaxation with `nd ≥ dist_t` (the tentative `dist_t`, an upper bound
+//!    on the final one) and stops at the first popped key `≥ dist_t`. That
+//!    cannot change `min(dist_v, dist_t)`: a node nearer than the final
+//!    `dist_t` has a shortest path whose every prefix is shorter than
+//!    `dist_t`, so none of its relaxations is dropped and its `dist_v` is
+//!    exact; any other node ends on a tentative value or on `INF`, both at
+//!    least its true distance `≥ dist_t`, and is clamped to `dist_t`.
 //!
-//! A solve costs one Dijkstra per *distinct* `s`–`t` distance (tens on the
+//! A solve costs one dual step per *distinct* `s`–`t` distance (tens on the
 //! delay networks of a 256-FU design) instead of one per augmenting path
 //! (a thousand and more).
 //!
@@ -34,11 +46,8 @@
 //! same numbers. In between, `dist_t = 0` in reduced costs and the update
 //! adds nothing. Successive shortest paths — one Dijkstra per path, kept
 //! as the `#[cfg(test)]` reference `run_reference` — and this solver thus
-//! end on identical potentials; `delay`'s differential test checks it on
-//! random delay networks.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! end on identical potentials; `delay`'s differential tests check it on
+//! random and on array-shaped delay networks.
 
 const INF: i64 = i64::MAX / 4;
 
@@ -77,7 +86,7 @@ pub struct MinCostFlow {
 /// Scratch buffers of [`MinCostFlow::saturate_admissible`], allocated once
 /// per [`MinCostFlow::run`].
 struct BlockingFlow {
-    /// BFS level per node in the admissible graph (`u32::MAX` = not in it).
+    /// Admissible hops from each node to `t` (`u32::MAX` = not labelled).
     level: Vec<u32>,
     /// Current-arc pointer per node into its adjacency list.
     next_arc: Vec<usize>,
@@ -94,6 +103,53 @@ impl BlockingFlow {
             queue: Vec::with_capacity(n),
             path: Vec::new(),
         }
+    }
+}
+
+/// Monotone priority queue of `(distance, node)` for the dual step: popped
+/// keys never decrease and no pushed key is below the last popped one, so
+/// an entry can wait in the bucket numbered by the highest bit in which its
+/// key differs from that last key, and bucket 0 holds the minimum.
+struct RadixHeap {
+    last: i64,
+    buckets: [Vec<(i64, usize)>; 65],
+}
+
+impl RadixHeap {
+    fn new() -> Self {
+        RadixHeap {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+
+    /// Empties the queue for a search whose keys start at 0.
+    fn clear(&mut self) {
+        self.last = 0;
+        self.buckets.iter_mut().for_each(Vec::clear);
+    }
+
+    fn push(&mut self, d: i64, v: usize) {
+        debug_assert!(d >= self.last, "radix heap keys must not decrease");
+        let bucket = 64 - ((d ^ self.last) as u64).leading_zeros();
+        self.buckets[bucket as usize].push((d, v));
+    }
+
+    fn pop(&mut self) -> Option<(i64, usize)> {
+        if self.buckets[0].is_empty() {
+            // Advance `last` to the minimum of the first occupied bucket;
+            // its entries then differ from `last` in a lower bit or not at
+            // all, so they all move down.
+            let i = self.buckets.iter().position(|b| !b.is_empty())?;
+            let mut moved = std::mem::take(&mut self.buckets[i]);
+            self.last = moved.iter().map(|&(d, _)| d).min().expect("non-empty");
+            for &(d, v) in &moved {
+                self.push(d, v);
+            }
+            moved.clear();
+            self.buckets[i] = moved;
+        }
+        self.buckets[0].pop()
     }
 }
 
@@ -159,7 +215,7 @@ impl MinCostFlow {
         let mut total_flow = 0i64;
         let mut total_cost = 0i64;
         let mut dist = vec![INF; n];
-        let mut heap = BinaryHeap::new();
+        let mut heap = RadixHeap::new();
         let mut scratch = BlockingFlow::new(n);
 
         loop {
@@ -168,19 +224,19 @@ impl MinCostFlow {
             total_flow += pushed;
             total_cost += pushed * (self.potentials[t] - self.potentials[s]);
 
-            // Dijkstra over reduced costs, stopped once `t` is settled:
-            // whatever is still queued or unseen is at least as far as `t`
-            // and is clamped to `dist[t]` below either way.
+            // Dijkstra over reduced costs, pruned at `dist[t]`: whatever is
+            // dropped, still queued or unseen is at least as far as `t` and
+            // is clamped to `dist[t]` below either way.
             dist.fill(INF);
             heap.clear();
             dist[s] = 0;
-            heap.push(Reverse((0i64, s)));
-            while let Some(Reverse((d, v))) = heap.pop() {
+            heap.push(0, s);
+            while let Some((d, v)) = heap.pop() {
+                if d >= dist[t] {
+                    break;
+                }
                 if d > dist[v] {
                     continue;
-                }
-                if v == t {
-                    break;
                 }
                 for &ai in &self.graph[v] {
                     let arc = self.arcs[ai];
@@ -190,9 +246,9 @@ impl MinCostFlow {
                     let rc = arc.cost + self.potentials[v] - self.potentials[arc.to];
                     debug_assert!(rc >= 0, "negative reduced cost: potentials invalid");
                     let nd = d + rc;
-                    if nd < dist[arc.to] {
+                    if nd < dist[arc.to].min(dist[t]) {
                         dist[arc.to] = nd;
-                        heap.push(Reverse((nd, arc.to)));
+                        heap.push(nd, arc.to);
                     }
                 }
             }
@@ -212,29 +268,32 @@ impl MinCostFlow {
         arc.cap > 0 && arc.cost + self.potentials[from] - self.potentials[arc.to] == 0
     }
 
-    /// Max-flow from `s` to `t` over admissible arcs only (Dinic: BFS
-    /// levels, then current-arc DFS until the level graph is blocked, until
-    /// `t` leaves the admissible graph). Returns the flow pushed.
+    /// Max-flow from `s` to `t` over admissible arcs only (Dinic: levels by
+    /// BFS backward from `t`, then current-arc DFS until the level graph is
+    /// blocked, until `s` no longer reaches `t`). Returns the flow pushed.
     fn saturate_admissible(&mut self, s: usize, t: usize, bf: &mut BlockingFlow) -> i64 {
         let mut pushed = 0i64;
         loop {
+            // Each arc out of `v` is paired with the arc `u → v` that the
+            // backward search follows. Levels past `s`'s are never read (the
+            // DFS only steps down), so the search stops once `s` has one.
             bf.level.fill(u32::MAX);
-            bf.level[s] = 0;
+            bf.level[t] = 0;
             bf.queue.clear();
-            bf.queue.push(s);
+            bf.queue.push(t);
             let mut head = 0;
-            while head < bf.queue.len() && bf.level[t] == u32::MAX {
+            while head < bf.queue.len() && bf.level[s] == u32::MAX {
                 let v = bf.queue[head];
                 head += 1;
                 for &ai in &self.graph[v] {
-                    let arc = &self.arcs[ai];
-                    if bf.level[arc.to] == u32::MAX && self.admissible(v, arc) {
-                        bf.level[arc.to] = bf.level[v] + 1;
-                        bf.queue.push(arc.to);
+                    let Arc { to: u, rev, .. } = self.arcs[ai];
+                    if bf.level[u] == u32::MAX && self.admissible(u, &self.arcs[rev]) {
+                        bf.level[u] = bf.level[v] + 1;
+                        bf.queue.push(u);
                     }
                 }
             }
-            if bf.level[t] == u32::MAX {
+            if bf.level[s] == u32::MAX {
                 return pushed;
             }
 
@@ -261,7 +320,7 @@ impl MinCostFlow {
                 }
                 let step = self.graph[v][bf.next_arc[v]..].iter().position(|&ai| {
                     let arc = &self.arcs[ai];
-                    bf.level[arc.to] == bf.level[v] + 1 && self.admissible(v, arc)
+                    bf.level[arc.to] == bf.level[v] - 1 && self.admissible(v, arc)
                 });
                 match step {
                     Some(k) => {
@@ -332,6 +391,7 @@ impl MinCostFlow {
     /// The successive-shortest-path loop [`Self::run`] replaced — one full
     /// Dijkstra per augmenting path — kept as the differential-test oracle.
     pub(crate) fn run_reference(&mut self, s: usize, t: usize) -> (i64, i64) {
+        use std::{cmp::Reverse, collections::BinaryHeap};
         let n = self.graph.len();
         self.bellman_ford_init(s);
         let mut total_flow = 0i64;
@@ -446,6 +506,20 @@ mod tests {
         // Best pair: 0→1→2→3 (-2) + rerouted 0→2→(residual 2→1)→1→3:
         // 5 + 4 + 5 = 14; total 12. Alternative 0→1→3 (6) + 0→2→3 (6) = 12.
         assert_eq!(cost, 12);
+    }
+
+    #[test]
+    fn a_huge_arc_cost_is_a_key_not_a_bucket_count() {
+        // The cheap arc saturates first, so the dual step has to carry the
+        // distance 2^40 through its queue: memory must not scale with it.
+        let big = 1i64 << 40;
+        let mut net = MinCostFlow::new(3);
+        let cheap = net.add_arc(0, 1, 1, 0);
+        let pricey = net.add_arc(0, 1, 1, big);
+        net.add_arc(1, 2, 2, 0);
+        assert_eq!(net.run(0, 2), (2, big));
+        assert_eq!((net.flow_on(cheap), net.flow_on(pricey)), (1, 1));
+        assert_eq!(net.potentials(), [0, big, big]);
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! The generator on the paper's Figure 10 designs: the register bits
 //! delay matching inserts before and after optimization are pinned (the
 //! benchmark's `quality_ratio` is their geomean), and generating a design
-//! twice renders the same Verilog byte for byte. The paper tables price
-//! designs through `lego_bench::harness`; it must price exactly what
-//! `Lego::generate` builds.
+//! twice renders the same Verilog byte for byte. An FNV-1a hash of what
+//! `examples/gen_verilog` prints per design — every DAG edge with its
+//! `extra_regs`, then the Verilog — pins each register and each emitted
+//! byte where it is. The paper tables price designs through
+//! `lego_bench::harness`; it must price exactly what `Lego::generate`
+//! builds.
+
+use std::hash::Hasher;
 
 use lego::backend::OptimizeOptions;
 use lego::core::{Design, Lego};
+use lego::eval::FnvHasher;
 use lego::model::TechModel;
 use lego_bench::{harness, kernel_designs, KernelDesign};
 
@@ -63,6 +69,58 @@ fn register_bits_of_the_fused_256_fu_designs_are_pinned() {
     assert_eq!(
         register_bits(&fused_256_fu_designs()),
         [("Attention", 48608, 16272), ("Conv2d-MNICOC", 35168, 5143)]
+    );
+}
+
+/// FNV-1a of `gen_verilog`'s per-design text below its header line.
+fn text_hash(design: &Design) -> u64 {
+    let mut h = FnvHasher::new();
+    for e in &design.dag.edges {
+        let line = format!(
+            "// edge {} {} {} {} {}\n",
+            e.from, e.to, e.to_pin, e.width, e.extra_regs
+        );
+        h.write(line.as_bytes());
+    }
+    h.write(design.verilog("lego_top").as_bytes());
+    h.finish()
+}
+
+fn text_hashes(designs: &[KernelDesign]) -> Vec<(&'static str, u64)> {
+    designs
+        .iter()
+        .map(|d| (d.name, text_hash(&generate(d))))
+        .collect()
+}
+
+#[test]
+fn edges_and_verilog_of_the_64_fu_designs_are_pinned() {
+    assert_eq!(
+        text_hashes(&kernel_designs(8)),
+        [
+            ("Attention", 4851851442413246180),
+            ("Conv2d-ICOC", 6666098921852369511),
+            ("Conv2d-MNICOC", 14783566554639293249),
+            ("Conv2d-OHOW", 11761423356137520740),
+            ("GEMM-IJ", 6542881114199961848),
+            ("GEMM-IK", 16080581845591941643),
+            ("GEMM-KJ", 1828855776978630809),
+            ("GEMM-MJ", 14769709916692819656),
+            ("MTTKRP-IJ", 10127480067791399936),
+            ("MTTKRP-KJ", 1516600510775329650),
+            ("MTTKRP-MJ", 5462929149597452403)
+        ]
+    );
+}
+
+#[test]
+fn edges_and_verilog_of_the_fused_256_fu_designs_are_pinned() {
+    assert_eq!(
+        text_hashes(&fused_256_fu_designs()),
+        [
+            ("Attention", 7764881003389078129),
+            ("Conv2d-MNICOC", 11519110171863134539)
+        ]
     );
 }
 
