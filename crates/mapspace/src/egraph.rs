@@ -2,9 +2,9 @@
 //!
 //! Three deterministic ingredients, in the classic egg shape:
 //!
-//! * a [`UnionFind`] with path compression whose tie-breaks always keep
-//!   the **smaller** numeric id as the class representative, so the
-//!   partition *and* the representative choice replay identically;
+//! * a [`UnionFind`] with path compression in which the smaller root id
+//!   always wins a union, so every class's representative is its minimum
+//!   id — a function of the partition alone, never of union order;
 //! * a hash-consing memo (FNV-keyed, so iteration order is a pure
 //!   function of insertion order, never of a per-process hash seed) that
 //!   makes re-adding a structurally equal node return the class it is
@@ -13,22 +13,26 @@
 //!   nodes whose children became equal are re-canonicalized and their
 //!   classes merged to a fixpoint.
 //!
-//! Every public operation is deterministic: class ids are minted densely
-//! in insertion order and all iteration is over sorted snapshots.
+//! Because the closed partition is unique and the representatives are
+//! its minima, `rebuild` may repair stale nodes in any order and still
+//! leave the same memo keys and class lists. Class ids are minted densely in
+//! insertion order, and [`class_snapshot`](EGraph::class_snapshot) and
+//! [`nodes_of`](EGraph::nodes_of) are sorted.
 
 use crate::term::{ENode, Id};
 use lego_eval::FnvHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
-/// Union-find with path compression and union by rank; ties keep the
-/// smaller id as root, so representatives are deterministic.
+/// Union-find with path compression. A union keeps the smaller root id,
+/// so the representative of a set is its minimum id — which makes
+/// congruence closure order-free.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,
-    rank: Vec<u8>,
 }
 
 impl UnionFind {
@@ -41,7 +45,6 @@ impl UnionFind {
     pub fn make_set(&mut self) -> Id {
         let id = self.parent.len() as u32;
         self.parent.push(id);
-        self.rank.push(0);
         Id(id)
     }
 
@@ -80,26 +83,17 @@ impl UnionFind {
         Id(root)
     }
 
-    /// Unites the two sets; returns the surviving representative and
-    /// whether the sets were distinct before the call.
+    /// Unites the two sets under the smaller root; returns the surviving
+    /// representative and whether the sets were distinct before the call.
     pub fn union(&mut self, a: Id, b: Id) -> (Id, bool) {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
             return (ra, false);
         }
-        let (hi, lo) = match self.rank[ra.0 as usize].cmp(&self.rank[rb.0 as usize]) {
-            std::cmp::Ordering::Greater => (ra, rb),
-            std::cmp::Ordering::Less => (rb, ra),
-            // Equal rank: the smaller id wins, deterministically.
-            std::cmp::Ordering::Equal => {
-                let (hi, lo) = if ra.0 < rb.0 { (ra, rb) } else { (rb, ra) };
-                self.rank[hi.0 as usize] += 1;
-                (hi, lo)
-            }
-        };
-        self.parent[lo.0 as usize] = hi.0;
-        (hi, true)
+        let (root, child) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[child.0 as usize] = root.0;
+        (root, true)
     }
 
     /// Whether the two ids are in the same set.
@@ -112,12 +106,14 @@ impl UnionFind {
 #[derive(Debug, Clone, Default)]
 pub struct EGraph {
     uf: UnionFind,
-    /// Canonicalized node → the class containing it.
+    /// Node → a member of the class containing it. After
+    /// [`rebuild`](EGraph::rebuild) every key is canonical (its children
+    /// are representatives), and no two keys are congruent.
     memo: FnvMap<ENode, Id>,
-    /// Canonical class id → the class's canonicalized nodes, sorted.
-    /// Derived from `memo`: [`add`](EGraph::add) opens a new class's list,
-    /// but merged lists are refreshed by [`rebuild`](EGraph::rebuild)
-    /// only, so between a `union` and the next `rebuild` they are stale.
+    /// Representative → the class's canonical nodes, sorted. Derived from
+    /// `memo`: [`add`](EGraph::add) opens a new class's list, but merged
+    /// lists are regrouped by [`rebuild`](EGraph::rebuild) only, so
+    /// between a `union` and the next `rebuild` they are stale.
     classes: FnvMap<u32, Vec<ENode>>,
     /// Total distinct nodes resident (the saturation budget's currency).
     n_nodes: usize,
@@ -158,16 +154,12 @@ impl EGraph {
         self.uf.probe(id)
     }
 
-    fn canonicalize(&mut self, node: ENode) -> ENode {
-        let uf = &mut self.uf;
-        node.map_children(|c| uf.find(c))
-    }
-
     /// Interns `node`, returning its class: hash-consing means a
     /// structurally equal node (up to class equivalence of children)
     /// returns the existing class without growing the graph.
     pub fn add(&mut self, node: ENode) -> Id {
-        let node = self.canonicalize(node);
+        let uf = &mut self.uf;
+        let node = node.map_children(|c| uf.find(c));
         if let Some(&id) = self.memo.get(&node) {
             self.dedup_hits += 1;
             return self.uf.find(id);
@@ -190,58 +182,62 @@ impl EGraph {
         merged
     }
 
-    /// Restores the congruence invariant: re-canonicalizes every node and
-    /// merges classes that now share one, to a fixpoint. Returns the
-    /// number of congruence-induced unions.
+    /// Restores the congruence invariant to a fixpoint and returns the
+    /// number of congruence-induced unions. Each pass keeps the memo keys
+    /// that are still canonical and re-inserts only the stale ones under
+    /// their canonical key; a collision with another class queues a
+    /// union. Representatives are class minima, so the order in which
+    /// stale nodes are repaired cannot change the result.
     pub fn rebuild(&mut self) -> u64 {
         let mut induced = 0;
         loop {
-            // Sorted snapshot so the union order — and therefore the
-            // surviving representatives — replay identically.
-            let mut entries: Vec<(ENode, Id)> = self.memo.iter().map(|(n, &id)| (*n, id)).collect();
-            entries.sort_unstable();
-            let mut next: FnvMap<ENode, Id> = FnvMap::default();
-            let mut pending: Vec<(Id, Id)> = Vec::new();
-            for (node, id) in entries {
-                let canon = {
-                    let uf = &mut self.uf;
-                    node.map_children(|c| uf.find(c))
-                };
-                let class = self.uf.find(id);
-                match next.get(&canon) {
-                    Some(&existing) => {
-                        if self.uf.probe(existing) != class {
-                            pending.push((existing, class));
+            let uf = &mut self.uf;
+            let mut stale: Vec<(ENode, Id)> = Vec::new();
+            self.memo.retain(|node, id| {
+                let canon = node.map_children(|c| uf.find(c));
+                if canon == *node {
+                    return true;
+                }
+                stale.push((canon, *id));
+                false
+            });
+            let mut queued: Vec<(Id, Id)> = Vec::new();
+            for (canon, id) in stale {
+                match self.memo.entry(canon) {
+                    Entry::Occupied(e) => {
+                        if uf.find(*e.get()) != uf.find(id) {
+                            queued.push((*e.get(), id));
                         }
                     }
-                    None => {
-                        next.insert(canon, class);
+                    Entry::Vacant(e) => {
+                        e.insert(id);
                     }
                 }
             }
-            if pending.is_empty() && next.len() == self.memo.len() {
-                self.memo = next;
-                self.refresh_class_lists();
-                return induced;
-            }
-            self.memo = next;
             self.n_nodes = self.memo.len();
-            for (a, b) in pending {
+            if queued.is_empty() {
+                break;
+            }
+            for (a, b) in queued {
                 if self.union(a, b) {
                     induced += 1;
                 }
             }
         }
+        self.refresh_class_lists();
+        induced
     }
 
+    /// Regroups the memo by representative, each class's list sorted.
     fn refresh_class_lists(&mut self) {
-        let mut classes: FnvMap<u32, Vec<ENode>> = FnvMap::default();
-        let mut entries: Vec<(ENode, Id)> = self.memo.iter().map(|(n, &id)| (*n, id)).collect();
-        entries.sort_unstable();
-        for (node, id) in entries {
-            classes.entry(self.uf.probe(id).0).or_default().push(node);
+        self.classes.clear();
+        for (node, &id) in &self.memo {
+            let root = self.uf.find(id);
+            self.classes.entry(root.0).or_default().push(*node);
         }
-        self.classes = classes;
+        for nodes in self.classes.values_mut() {
+            nodes.sort_unstable();
+        }
     }
 
     /// Sorted snapshot of every class and its nodes — the deterministic
@@ -301,6 +297,19 @@ mod tests {
         assert_eq!(uf.find(ids[2]), Id(0));
         assert_eq!(uf.find(ids[7]), ids[7]);
         assert!(uf.same(ids[0], ids[2]));
+    }
+
+    #[test]
+    fn union_keeps_the_minimum_id_as_representative() {
+        let mut uf = UnionFind::new();
+        let ids: Vec<Id> = (0..8).map(|_| uf.make_set()).collect();
+        // A two-member class rooted at 5 meets the singleton 3: a rank
+        // rule would keep 5, the minimum rule keeps 3.
+        uf.union(ids[5], ids[6]);
+        assert_eq!(uf.union(ids[5], ids[3]), (Id(3), true));
+        for i in [3, 5, 6] {
+            assert_eq!(uf.find(ids[i]), Id(3));
+        }
     }
 
     #[test]

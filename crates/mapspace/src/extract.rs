@@ -82,8 +82,8 @@ impl State {
 pub fn lowerings(eg: &EGraph, root: Id, max: usize) -> (Vec<Candidate>, u64) {
     let mut memo: FnvMap<u32, Option<Vec<State>>> = FnvMap::default();
     let mut truncated = 0u64;
-    let states = class_states(eg, eg.find(root), max, &mut memo, &mut truncated);
-    let mut out: Vec<Candidate> = states
+    let root = class_states(eg, root, max, &mut memo, &mut truncated);
+    let mut out: Vec<Candidate> = states_of(&memo, root)
         .iter()
         .filter_map(|s| match s.spatial {
             [Some(a), Some(b)] => lower_spatial(a, b).map(|mapping| Candidate {
@@ -98,36 +98,38 @@ pub fn lowerings(eg: &EGraph, root: Id, max: usize) -> (Vec<Candidate>, u64) {
     (out, truncated)
 }
 
+/// The memoized states of a visited class; empty while it is still in
+/// progress, since a cyclic path contributes no finite nest.
+fn states_of(memo: &FnvMap<u32, Option<Vec<State>>>, class: u32) -> &[State] {
+    memo[&class].as_deref().unwrap_or(&[])
+}
+
+/// Memoizes the states of `class` (unless already visited or in
+/// progress) and returns its canonical id, the key to read them under.
 fn class_states(
     eg: &EGraph,
     class: Id,
     max: usize,
     memo: &mut FnvMap<u32, Option<Vec<State>>>,
     truncated: &mut u64,
-) -> Vec<State> {
-    let class = eg.find(class);
-    match memo.get(&class.0) {
-        // In-progress marker: a cyclic path contributes no finite nest.
-        Some(None) => return Vec::new(),
-        Some(Some(states)) => return states.clone(),
-        None => {}
+) -> u32 {
+    let class = eg.find(class).0;
+    if memo.contains_key(&class) {
+        return class;
     }
-    memo.insert(class.0, None);
+    // In-progress marker, until the class's states are complete.
+    memo.insert(class, None);
     let mut states: Vec<State> = Vec::new();
-    for node in eg.nodes_of(class) {
+    for node in eg.nodes_of(Id(class)) {
         match *node {
             ENode::Access { .. } => states.push(State::LEAF),
             ENode::Temporal { tile, body, .. } => {
-                for s in class_states(eg, body, max, memo, truncated) {
-                    states.push(s.cap(tile));
-                }
+                let body = class_states(eg, body, max, memo, truncated);
+                states.extend(states_of(memo, body).iter().map(|s| s.cap(tile)));
             }
             ENode::Spatial { axis, body } => {
-                for s in class_states(eg, body, max, memo, truncated) {
-                    if let Some(bound) = s.bind(axis) {
-                        states.push(bound);
-                    }
-                }
+                let body = class_states(eg, body, max, memo, truncated);
+                states.extend(states_of(memo, body).iter().filter_map(|s| s.bind(axis)));
             }
             // Fusion groups are model-level terms, not layer nests.
             ENode::Seq { .. } => {}
@@ -139,8 +141,8 @@ fn class_states(
         *truncated += (states.len() - max) as u64;
         states.truncate(max);
     }
-    memo.insert(class.0, Some(states.clone()));
-    states
+    memo.insert(class, Some(states));
+    class
 }
 
 /// Prices `(mapping, tile_cap)` points through a warm [`EvalSession`] by
@@ -183,28 +185,27 @@ impl<'a> Pricer<'a> {
     /// Per-layer performance of every layer priced under `candidate`,
     /// index-aligned with `model.layers`.
     pub fn price(&mut self, candidate: Candidate, obs: &Obs) -> &[LayerPerf] {
-        let key = (candidate.mapping, candidate.tile_cap);
-        if !self.priced.contains_key(&key) {
-            let variant = HwConfig {
-                dataflows: vec![candidate.mapping],
-                ..self.hw.clone()
-            };
-            let report = self.session.evaluate_view(EvalRequestRef {
-                workload: self.model,
-                hw: &variant,
-                sparse: SparseHw::dense(),
-                tech: self.tech,
-                objective: Objective::EDP,
-                tile_cap: candidate.tile_cap,
-                hw_key: None,
-                layer_keys: Some(&self.layer_keys),
-            });
-            self.evals += 1;
-            obs.count("mapspace.extract_evals", 1);
-            self.priced
-                .insert(key, report.per_layer.iter().map(|l| l.perf).collect());
-        }
-        &self.priced[&key]
+        self.priced
+            .entry((candidate.mapping, candidate.tile_cap))
+            .or_insert_with(|| {
+                let variant = HwConfig {
+                    dataflows: vec![candidate.mapping],
+                    ..self.hw.clone()
+                };
+                let report = self.session.evaluate_view(EvalRequestRef {
+                    workload: self.model,
+                    hw: &variant,
+                    sparse: SparseHw::dense(),
+                    tech: self.tech,
+                    objective: Objective::EDP,
+                    tile_cap: candidate.tile_cap,
+                    hw_key: None,
+                    layer_keys: Some(&self.layer_keys),
+                });
+                self.evals += 1;
+                obs.count("mapspace.extract_evals", 1);
+                report.per_layer.iter().map(|l| l.perf).collect()
+            })
     }
 }
 

@@ -24,8 +24,9 @@
 //!    result can never be worse — minimizes whole-model EDP.
 //!
 //! The search is byte-deterministic: e-class ids are minted in insertion
-//! order, every iteration surface is sorted, and pricing reuses the
-//! deterministic evaluation stack. [`RewriteOutcome::suggest_genome`]
+//! order, representatives are class minima, the rules and extraction
+//! walk sorted classes, and pricing reuses the deterministic evaluation
+//! stack. [`RewriteOutcome::suggest_genome`]
 //! closes the loop back to the explorer by warm-starting the ES from the
 //! extracted dataflow set and tile cap.
 
@@ -248,12 +249,12 @@ impl<'a> MapSearch<'a> {
         let _span = self.obs.span("mapspace/search");
 
         // Distinct layer shapes, first-occurrence order.
+        let layer_keys: Vec<u64> = self.model.layers.iter().map(layer_key).collect();
         let mut shape_keys: Vec<u64> = Vec::new();
         let mut shape_first: Vec<usize> = Vec::new(); // shape → first layer index
         let mut shape_count: Vec<i64> = Vec::new();
         let mut layer_shape: Vec<usize> = Vec::with_capacity(self.model.layers.len());
-        for (i, layer) in self.model.layers.iter().enumerate() {
-            let key = layer_key(layer);
+        for (i, (layer, &key)) in self.model.layers.iter().zip(&layer_keys).enumerate() {
             let s = match shape_keys.iter().position(|&k| k == key) {
                 Some(s) => s,
                 None => {
@@ -269,7 +270,6 @@ impl<'a> MapSearch<'a> {
 
         // Enumerated baseline: the mapper's per-layer best over the
         // hardware's own dataflow menu at the seed tile cap.
-        let layer_keys: Vec<u64> = self.model.layers.iter().map(layer_key).collect();
         let baseline = session.evaluate_view(EvalRequestRef {
             workload: self.model,
             hw: &self.hw,
@@ -315,7 +315,6 @@ impl<'a> MapSearch<'a> {
         for &root in roots.iter().rev().skip(1) {
             chain = eg.add(ENode::Seq { a: root, b: chain });
         }
-        let _model_term = chain;
 
         let rw = RewriteConfig {
             node_budget: self.config.node_budget,

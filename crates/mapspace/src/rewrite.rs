@@ -105,7 +105,7 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                             pending.push((*class, merged));
                         }
                         // Loop interchange with the temporal loop below.
-                        for inner in snapshot_nodes(&snapshot, eg.find(body)) {
+                        for &inner in snapshot_nodes(&snapshot, eg.find(body)) {
                             if let ENode::Temporal {
                                 axis: b_axis,
                                 tile: b_tile,
@@ -130,7 +130,7 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                         }
                     }
                     ENode::Spatial { axis, body } => {
-                        for inner in snapshot_nodes(&snapshot, eg.find(body)) {
+                        for &inner in snapshot_nodes(&snapshot, eg.find(body)) {
                             match inner {
                                 // Spatial ↔ temporal swap one level down.
                                 ENode::Temporal {
@@ -155,7 +155,7 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                                     axis: s_axis,
                                     body: s_body,
                                 } => {
-                                    for inner2 in snapshot_nodes(&snapshot, eg.find(s_body)) {
+                                    for &inner2 in snapshot_nodes(&snapshot, eg.find(s_body)) {
                                         if let ENode::Temporal {
                                             axis: t_axis,
                                             body: t_body,
@@ -188,7 +188,7 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                     }
                     ENode::Seq { a, b } => {
                         // (x; y); b ≡ x; (y; b)
-                        for inner in snapshot_nodes(&snapshot, eg.find(a)) {
+                        for &inner in snapshot_nodes(&snapshot, eg.find(a)) {
                             if let ENode::Seq { a: x, b: y } = inner {
                                 let tail = eg.add(ENode::Seq { a: y, b });
                                 let rot = eg.add(ENode::Seq { a: x, b: tail });
@@ -196,7 +196,7 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                             }
                         }
                         // a; (x; y) ≡ (a; x); y
-                        for inner in snapshot_nodes(&snapshot, eg.find(b)) {
+                        for &inner in snapshot_nodes(&snapshot, eg.find(b)) {
                             if let ENode::Seq { a: x, b: y } = inner {
                                 let head = eg.add(ENode::Seq { a, b: x });
                                 let rot = eg.add(ENode::Seq { a: head, b: y });
@@ -234,10 +234,10 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
 
 /// The nodes of `class` in the round's snapshot (empty when the class was
 /// minted after the snapshot was taken).
-fn snapshot_nodes(snapshot: &[(Id, Vec<ENode>)], class: Id) -> Vec<ENode> {
+fn snapshot_nodes(snapshot: &[(Id, Vec<ENode>)], class: Id) -> &[ENode] {
     match snapshot.binary_search_by_key(&class.0, |(id, _)| id.0) {
-        Ok(i) => snapshot[i].1.clone(),
-        Err(_) => Vec::new(),
+        Ok(i) => &snapshot[i].1,
+        Err(_) => &[],
     }
 }
 

@@ -1,14 +1,17 @@
 //! Property tests for the `lego-mapspace` e-graph invariants
 //! (satellite 3): union-find find/union laws under arbitrary op
-//! sequences, hash-consing identity, congruence-closure fixpoint,
-//! byte-identical saturation replay, and rewrite soundness — every
-//! extracted candidate lowers to a real hardware template and prices to
-//! a finite EDP no worse than enumeration.
+//! sequences, hash-consing identity, congruence closure against a naive
+//! reference, byte-identical saturation replay, and rewrite soundness —
+//! every extracted candidate lowers to a real hardware template and
+//! prices to a finite EDP no worse than enumeration. On nests small
+//! enough to brute-force, extraction equals a BFS over concrete trees.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use lego_eval::EvalSession;
 use lego_mapspace::{
-    layer_axes, lower_spatial, lowerings, saturate, Axis, EGraph, ENode, MapSearch, RewriteConfig,
-    SearchConfig, UnionFind,
+    layer_axes, lower_spatial, lowerings, saturate, Axis, Candidate, EGraph, ENode, Id, MapSearch,
+    RewriteConfig, SearchConfig, UnionFind,
 };
 use lego_model::HwConfig;
 use lego_model::TechModel;
@@ -21,7 +24,7 @@ const CONV_AXES: [Axis; 5] = [Axis::Oh, Axis::Ow, Axis::Ic, Axis::Oc, Axis::Kh];
 
 /// One loop wrapped around the nest under construction: which axis,
 /// whether it binds spatially, and (for temporal loops) the tile edge.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Wrap {
     axis: Axis,
     spatial: bool,
@@ -43,7 +46,7 @@ fn wrap_strategy() -> impl Strategy<Value = Wrap> {
 
 /// Builds a nest from the wrap sequence, innermost (the access leaf)
 /// outward, returning the root class.
-fn build_nest(eg: &mut EGraph, shape: u32, wraps: &[Wrap]) -> lego_mapspace::Id {
+fn build_nest(eg: &mut EGraph, shape: u32, wraps: &[Wrap]) -> Id {
     let mut body = eg.add(ENode::Access { shape });
     for w in wraps {
         body = if w.spatial {
@@ -57,6 +60,175 @@ fn build_nest(eg: &mut EGraph, shape: u32, wraps: &[Wrap]) -> lego_mapspace::Id 
         };
     }
     body
+}
+
+/// Congruence closure the naive way, the reference for
+/// `EGraph::rebuild`: from `unions`, repeatedly merge the classes of any
+/// two nodes whose children are in the same classes, until nothing
+/// changes. Returns every id's label: the minimum id of its class.
+fn naive_closure(nodes: &[(ENode, Id)], unions: &[(Id, Id)], n: usize) -> Vec<u32> {
+    let mut label: Vec<u32> = (0..n as u32).collect();
+    let merge = |label: &mut [u32], a: Id, b: Id| {
+        let (x, y) = (label[a.0 as usize], label[b.0 as usize]);
+        for l in label.iter_mut() {
+            if *l == x.max(y) {
+                *l = x.min(y);
+            }
+        }
+        x != y
+    };
+    for &(a, b) in unions {
+        merge(&mut label, a, b);
+    }
+    loop {
+        let canon: Vec<ENode> = nodes
+            .iter()
+            .map(|(node, _)| node.map_children(|c| Id(label[c.0 as usize])))
+            .collect();
+        let mut changed = false;
+        for i in 0..nodes.len() {
+            for j in i + 1..nodes.len() {
+                if canon[i] == canon[j] {
+                    changed |= merge(&mut label, nodes[i].1, nodes[j].1);
+                }
+            }
+        }
+        if !changed {
+            return label;
+        }
+    }
+}
+
+/// Every nest one rule application away from `nest` (innermost loop
+/// first), at any depth: the four rule families of `rewrite`, minus
+/// fusion regrouping, which needs `Seq` terms.
+fn rewrites(nest: &[Wrap], ladder: &[i64]) -> Vec<Vec<Wrap>> {
+    let temporal = |axis, tile| Wrap {
+        axis,
+        spatial: false,
+        tile,
+    };
+    let spatial = |axis| Wrap {
+        axis,
+        spatial: true,
+        tile: 0,
+    };
+    let mut out = Vec::new();
+    // Replaces the loops that end at `outer` with `loops`.
+    let mut edit = |outer: usize, loops: &[Wrap]| {
+        let mut next = nest.to_vec();
+        next[outer + 1 - loops.len()..=outer].copy_from_slice(loops);
+        out.push(next);
+    };
+    for o in 0..nest.len() {
+        // Tile split / merge.
+        match nest[o] {
+            Wrap {
+                axis,
+                spatial: false,
+                tile: 0,
+            } => {
+                for &edge in ladder {
+                    edit(o, &[temporal(axis, edge as u16)]);
+                }
+            }
+            Wrap {
+                axis,
+                spatial: false,
+                ..
+            } => edit(o, &[temporal(axis, 0)]),
+            _ => {}
+        }
+        match nest[..=o] {
+            // Loop interchange.
+            [.., inner @ Wrap { spatial: false, .. }, outer @ Wrap { spatial: false, .. }]
+                if inner.axis != outer.axis =>
+            {
+                edit(o, &[outer, inner]);
+            }
+            // Spatial ↔ temporal swap one level down.
+            [.., t @ Wrap { spatial: false, .. }, s @ Wrap { spatial: true, .. }]
+                if t.axis != s.axis =>
+            {
+                edit(o, &[temporal(s.axis, 0), spatial(t.axis)]);
+            }
+            // The same swap across an inner spatial loop.
+            [.., t @ Wrap { spatial: false, .. }, mid @ Wrap { spatial: true, .. }, s @ Wrap { spatial: true, .. }]
+                if t.axis != s.axis && t.axis != mid.axis =>
+            {
+                edit(o, &[temporal(s.axis, 0), mid, spatial(t.axis)]);
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// What extraction reports for one concrete nest: exactly two distinct
+/// spatial axes that lower to a template, capped by the tightest tile.
+fn concrete_candidate(nest: &[Wrap]) -> Option<Candidate> {
+    let spatial: Vec<Axis> = nest.iter().filter(|w| w.spatial).map(|w| w.axis).collect();
+    let tile_cap = nest
+        .iter()
+        .filter(|w| !w.spatial && w.tile > 0)
+        .map(|w| i64::from(w.tile))
+        .min();
+    match spatial[..] {
+        [a, b] if a != b => lower_spatial(a, b).map(|mapping| Candidate { mapping, tile_cap }),
+        _ => None,
+    }
+}
+
+/// Brute force against extraction: BFS every concrete nest reachable from
+/// an untiled seed (innermost first) — its tiles stay in `ladder`, so
+/// every rule's inverse is reachable too — and require an unbudgeted
+/// saturation to extract exactly their lowerable points.
+fn assert_extraction_matches_brute_force(temporal: &[Axis], spatial: &[Axis], ladder: &[i64]) {
+    let loops = |axes: &[Axis], spatial| {
+        axes.iter()
+            .map(move |&axis| Wrap {
+                axis,
+                spatial,
+                tile: 0,
+            })
+            .collect::<Vec<_>>()
+    };
+    let seed = [loops(temporal, false), loops(spatial, true)].concat();
+    let mut seen = BTreeSet::from([seed.clone()]);
+    let mut queue = VecDeque::from([seed.clone()]);
+    while let Some(nest) = queue.pop_front() {
+        for next in rewrites(&nest, ladder) {
+            if seen.insert(next.clone()) {
+                queue.push_back(next);
+            }
+        }
+    }
+    let want: BTreeSet<Candidate> = seen.iter().filter_map(|n| concrete_candidate(n)).collect();
+
+    let mut eg = EGraph::new();
+    let root = build_nest(&mut eg, 0, &seed);
+    let config = RewriteConfig {
+        node_budget: usize::MAX,
+        tile_ladder: ladder.to_vec(),
+        ..RewriteConfig::default()
+    };
+    let stats = saturate(&mut eg, &config, &Obs::disabled());
+    assert!(stats.saturated, "{} nests; {stats:?}", seen.len());
+    let (got, truncated) = lowerings(&eg, root, usize::MAX);
+    assert_eq!(truncated, 0);
+    assert_eq!(got, Vec::from_iter(want), "{} nests", seen.len());
+}
+
+#[test]
+fn gemm_extraction_equals_brute_force() {
+    let ladder = RewriteConfig::default().tile_ladder;
+    assert_extraction_matches_brute_force(&[Axis::K], &[Axis::N, Axis::M], &ladder);
+}
+
+#[test]
+fn conv_extraction_equals_brute_force() {
+    let temporal = [Axis::Kh, Axis::Ow, Axis::Oh];
+    assert_extraction_matches_brute_force(&temporal, &[Axis::Oc, Axis::Ic], &[64]);
 }
 
 proptest! {
@@ -115,32 +287,73 @@ proptest! {
         );
     }
 
-    // Congruence closure: after arbitrary unions, rebuild reaches a
+    // Congruence closure: after a budgeted saturation and arbitrary
+    // unions, rebuild yields the naive closure's partition with every
+    // class represented by its minimum id, one memo key per canonical
+    // node, and a sorted class snapshot that covers every node. It is a
     // fixpoint — running it again finds nothing new — and identical
     // replays produce byte-identical class snapshots.
     #[test]
     fn rebuild_reaches_a_deterministic_fixpoint(
         wrap_sets in collection::vec(collection::vec(wrap_strategy(), 0usize..6), 1usize..5),
-        unions in collection::vec((0usize..8, 0usize..8), 0usize..6),
+        unions in collection::vec((0usize..64, 0usize..64), 0usize..8),
+        budget in 0usize..256,
     ) {
+        let config = RewriteConfig {
+            node_budget: budget,
+            ..RewriteConfig::default()
+        };
         let run = || {
             let mut eg = EGraph::new();
-            let roots: Vec<_> = wrap_sets
-                .iter()
-                .enumerate()
-                .map(|(i, ws)| build_nest(&mut eg, i as u32, ws))
+            for (i, ws) in wrap_sets.iter().enumerate() {
+                build_nest(&mut eg, i as u32, ws);
+            }
+            saturate(&mut eg, &config, &Obs::disabled());
+            let before: Vec<(ENode, Id)> = eg
+                .class_snapshot()
+                .into_iter()
+                .flat_map(|(id, nodes)| nodes.into_iter().map(move |n| (n, id)))
                 .collect();
-            for &(a, b) in &unions {
-                eg.union(roots[a % roots.len()], roots[b % roots.len()]);
+            let classes: Vec<Id> = before.iter().map(|&(_, id)| id).collect();
+            let merged: Vec<(Id, Id)> = unions
+                .iter()
+                .map(|&(a, b)| (classes[a % classes.len()], classes[b % classes.len()]))
+                .collect();
+            for &(a, b) in &merged {
+                eg.union(a, b);
             }
             eg.rebuild();
-            eg
+            (eg, before, merged)
         };
-        let mut eg = run();
+        let (mut eg, before, merged) = run();
+
+        let n = before.iter().map(|&(_, id)| id.0 as usize + 1).max().unwrap_or(0);
+        let label = naive_closure(&before, &merged, n);
+        for &(_, id) in &before {
+            // The naive labels are class minima, so this checks the
+            // partition and the representative rule at once.
+            prop_assert_eq!(eg.find(id), Id(label[id.0 as usize]));
+        }
         let snapshot = eg.class_snapshot();
+        prop_assert!(snapshot.windows(2).all(|w| w[0].0 < w[1].0), "classes sorted");
+        let mut class_of: BTreeMap<ENode, Id> = BTreeMap::new();
+        for (id, nodes) in &snapshot {
+            prop_assert_eq!(eg.find(*id), *id);
+            prop_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes sorted");
+            for node in nodes {
+                prop_assert_eq!(node.map_children(|c| eg.find(c)), *node, "keys are canonical");
+                prop_assert!(class_of.insert(*node, *id).is_none(), "one class per node");
+            }
+        }
+        for &(node, id) in &before {
+            let canon = node.map_children(|c| eg.find(c));
+            prop_assert_eq!(class_of.get(&canon), Some(&eg.find(id)), "snapshot covers every node");
+        }
+        prop_assert_eq!(eg.node_count(), class_of.len(), "one resident node per canonical node");
+
         prop_assert_eq!(eg.rebuild(), 0, "rebuild must be a fixpoint");
         prop_assert_eq!(eg.class_snapshot(), snapshot.clone(), "rebuild at fixpoint is a no-op");
-        let eg2 = run();
+        let (eg2, _, _) = run();
         prop_assert_eq!(eg2.class_snapshot(), snapshot, "identical replays converge identically");
     }
 
