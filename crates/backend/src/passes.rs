@@ -379,7 +379,7 @@ fn compact(dag: &mut Dag, dead: &BTreeSet<NodeId>) {
 /// Three-stage broadcast rewiring: (1) delay matching with an optimistic
 /// cost that charges a broadcast source only its deepest branch, (2) an
 /// undirected MST per broadcast source over direct-vs-forwarded edges
-/// (Kruskal over [`rewiring_graph`]'s class-level edge set), (3) a final
+/// (Kruskal over `rewiring_graph`'s class-level edge set), (3) a final
 /// exact re-matching; the rewiring is kept only if it reduces register bits.
 pub fn rewire_broadcasts(dag: &mut Dag) {
     let before = dag.pipeline_register_bits();

@@ -80,12 +80,6 @@ impl EvalRequestBuilder {
         self
     }
 
-    /// Clears a previously set tile cap back to automatic tiling.
-    pub fn auto_tiling(mut self) -> Self {
-        self.tile_cap = None;
-        self
-    }
-
     /// Validates and produces the request.
     ///
     /// # Errors
@@ -185,11 +179,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.status(), StatusCode::INVALID_TILE_CAP);
-        let ok = EvalRequest::builder(lego_workloads::zoo::lenet(), HwConfig::lego_256())
-            .tile_cap(-3)
-            .auto_tiling()
-            .build();
-        assert!(ok.is_ok());
     }
 
     #[test]

@@ -142,11 +142,6 @@ impl EvalCache {
         }
     }
 
-    /// The configured byte budget (`None` = unbounded).
-    pub fn byte_budget(&self) -> Option<usize> {
-        self.budget_bytes
-    }
-
     /// Looks up `(hw_key, layer_key)`, running `compute` on a miss.
     ///
     /// The hit path takes only a shared read lock (and `LayerPerf` is
@@ -386,7 +381,6 @@ mod tests {
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.byte_budget(), None);
     }
 
     #[test]
@@ -477,7 +471,6 @@ mod tests {
     fn bounded_cache_never_exceeds_its_budget() {
         let budget = budget_for(2);
         let cache = EvalCache::with_byte_budget(budget);
-        assert_eq!(cache.byte_budget(), Some(budget));
         // Hammer one shard far past its cap: all keys with the same
         // (hw ^ layer) % SHARDS land together when hw varies by SHARDS.
         for i in 0..64u64 {

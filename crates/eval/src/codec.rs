@@ -1,18 +1,33 @@
 //! Versioned binary codec for [`EvalRequest`] / [`EvalReport`], and the
-//! byte-level toolkit ([`Enc`], [`Dec`], [`CodecError`], the
-//! [`LayerPerf`]/[`ModelPerf`] field codecs) the explorer's `Snapshot`
-//! format is built on too — one reader, one writer, one error, one place
-//! that knows each struct's field order.
+//! byte-level toolkit ([`Enc`], [`Dec`], [`CodecError`], the [`Wire`]
+//! trait) the explorer's `Snapshot` format is built on too — one reader,
+//! one writer, one error, one place that knows each struct's field order.
 //!
 //! The discipline: a fixed magic + version header (plus, here, a kind byte
 //! separating requests from reports), little-endian fixed-width integers,
 //! `f64` as IEEE-754 bits, one tag byte per enum/`Option`, and
-//! length-prefixed counts. Encoding is a pure
+//! length-prefixed strings and lists. Encoding is a pure
 //! function of the value, so `encode → decode → encode` is byte-identical
 //! — which is what lets a multi-host driver ship requests over any byte
 //! transport, and lets CI pin a report file with `cmp`. Decoding validates
 //! everything it reads and returns a [`CodecError`] — never panics — on
 //! truncated or corrupt input.
+//!
+//! Every wire type implements [`Wire`]: `put` writes the value and `get`
+//! reads back exactly what `put` wrote. A struct's layout is written once,
+//! as its [`wire_struct!`](crate::wire_struct) field list in wire order, and both directions
+//! are derived from that list. A field-less enum travels as its index in
+//! the type's `ALL` list. Only these layouts are written by hand, each for
+//! a reason a field list cannot express:
+//!
+//! - `LayerKind`, `DensityModel` and [`Objective`] carry data per variant:
+//!   a tag byte, then that variant's fields;
+//! - the explorer's `DataflowSet` is a bitmask that decoding validates,
+//!   and its `DesignPoint` stores `feasible` as a checked byte;
+//! - [`EvalRequest`] has a private layer-key cache, so decoding builds it
+//!   through `EvalRequest::new(..).with_*`;
+//! - `TechModel`'s `put` writes `tech_fields`, the list the session's
+//!   cache-key fingerprints share.
 
 use crate::objective::{BaseObjective, Objective, Objectives};
 use crate::session::{CostSummary, EvalReport, EvalRequest, LayerReport, Provenance};
@@ -20,6 +35,7 @@ use lego_model::{CompressedFormat, MacroArea, SparseAccel, SparseHw, SpatialMapp
 use lego_sim::{EnergyBreakdown, HwConfig, LayerPerf, ModelPerf};
 use lego_workloads::{DensityModel, Layer, LayerKind, LayerSparsity, Model, Nonlinear};
 use std::fmt;
+use std::sync::Arc;
 
 /// File magic: identifies a LEGO evaluation codec payload.
 const MAGIC: &[u8; 8] = b"LEGOEVAL";
@@ -31,15 +47,6 @@ pub const VERSION: u8 = 3;
 const KIND_REQUEST: u8 = 1;
 /// Kind byte for an encoded [`EvalReport`].
 const KIND_REPORT: u8 = 2;
-
-/// Every spatial dataflow the simulator knows, in canonical wire order.
-pub const ALL_MAPPINGS: [SpatialMapping; 5] = [
-    SpatialMapping::GemmMN,
-    SpatialMapping::GemmKN,
-    SpatialMapping::ConvIcOc,
-    SpatialMapping::ConvOhOw,
-    SpatialMapping::ConvKhOh,
-];
 
 /// Why a payload failed to decode (or to reach disk).
 #[derive(Debug)]
@@ -189,28 +196,6 @@ impl Enc {
         self.u32(s.len() as u32);
         self.bytes(s.as_bytes());
     }
-    /// Tag byte `0` for `None`, `1` + the value for `Some`.
-    #[inline]
-    pub fn opt_i64(&mut self, v: Option<i64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.i64(x);
-            }
-        }
-    }
-    /// Tag byte `0` for `None`, `1` + the value for `Some`.
-    #[inline]
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-        }
-    }
 }
 
 /// Bounds-checked little-endian reader over a byte slice: every method
@@ -297,30 +282,6 @@ impl<'a> Dec<'a> {
         let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::InvalidUtf8)
     }
-    /// What [`Enc::opt_i64`] wrote.
-    #[inline]
-    pub fn opt_i64(&mut self) -> Result<Option<i64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.i64()?)),
-            tag => Err(CodecError::InvalidTag {
-                what: "i64 option",
-                tag,
-            }),
-        }
-    }
-    /// What [`Enc::opt_f64`] wrote.
-    #[inline]
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            tag => Err(CodecError::InvalidTag {
-                what: "f64 option",
-                tag,
-            }),
-        }
-    }
     /// Errors with [`CodecError::TrailingBytes`] unless every byte was read.
     pub fn done(&self) -> Result<(), CodecError> {
         match self.buf.len() - self.pos {
@@ -330,247 +291,344 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn header(e: &mut Enc, kind: u8) {
-    e.header(MAGIC, VERSION);
-    e.u8(kind);
+/// A value with one wire layout: [`Wire::put`] writes it and
+/// [`Wire::get`] reads back exactly what `put` wrote.
+pub trait Wire: Sized {
+    /// Appends the value's bytes.
+    fn put(&self, e: &mut Enc);
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on truncated or corrupt input.
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError>;
 }
 
-fn check_header(d: &mut Dec<'_>, kind: u8) -> Result<(), CodecError> {
-    d.header(MAGIC, VERSION)?;
-    let found = d.u8()?;
-    if found != kind {
-        return Err(CodecError::WrongKind {
-            expected: kind,
-            found,
-        });
-    }
-    Ok(())
-}
-
-/// The wire tag of an enum value: its index in the canonical list `all`.
+/// Derives [`Wire`] for structs from one field list each, in wire order:
+/// `put` writes the fields in that order and `get` reads them back in
+/// the same order. Every field's type must be [`Wire`], and the list must
+/// name every field.
 ///
-/// # Panics
+/// ```
+/// use lego_eval::codec::{Dec, Enc, Wire};
 ///
-/// If `value` is not in `all` — a variant was added without a wire tag.
-pub fn tag_of<T: PartialEq + Copy>(all: &[T], value: T, what: &'static str) -> u8 {
-    all.iter()
-        .position(|v| *v == value)
-        .unwrap_or_else(|| panic!("unknown {what} variant"))
-        .try_into()
-        .expect("small tag")
-}
-
-/// The enum value a wire tag names, or [`CodecError::InvalidTag`].
-pub fn from_tag<T: Copy>(all: &[T], tag: u8, what: &'static str) -> Result<T, CodecError> {
-    all.get(tag as usize)
-        .copied()
-        .ok_or(CodecError::InvalidTag { what, tag })
-}
-
-fn encode_density(e: &mut Enc, d: DensityModel) {
-    match d {
-        DensityModel::Dense => e.u8(0),
-        DensityModel::Uniform { permille } => {
-            e.u8(1);
-            e.u16(permille);
-        }
-        DensityModel::StructuredNM { n, m } => {
-            e.u8(2);
-            e.u8(n);
-            e.u8(m);
-        }
-    }
-}
-
-fn decode_density(d: &mut Dec<'_>) -> Result<DensityModel, CodecError> {
-    match d.u8()? {
-        0 => Ok(DensityModel::Dense),
-        1 => Ok(DensityModel::Uniform { permille: d.u16()? }),
-        2 => Ok(DensityModel::StructuredNM {
-            n: d.u8()?,
-            m: d.u8()?,
-        }),
-        tag => Err(CodecError::InvalidTag {
-            what: "density model",
-            tag,
-        }),
-    }
-}
-
-fn encode_layer(e: &mut Enc, l: &Layer) {
-    e.str(&l.name);
-    match l.kind {
-        LayerKind::Gemm { m, n, k } => {
-            e.u8(0);
-            e.i64(m);
-            e.i64(n);
-            e.i64(k);
-        }
-        LayerKind::Conv {
-            n,
-            ic,
-            oc,
-            oh,
-            ow,
-            kh,
-            kw,
-            stride,
-        } => {
-            e.u8(1);
-            for v in [n, ic, oc, oh, ow, kh, kw, stride] {
-                e.i64(v);
+/// #[derive(Debug, PartialEq)]
+/// struct Point {
+///     x: i64,
+///     label: String,
+/// }
+/// lego_eval::wire_struct! { Point { x, label } }
+///
+/// let p = Point { x: 3, label: "a".into() };
+/// let mut e = Enc::default();
+/// p.put(&mut e);
+/// let bytes = e.into_bytes();
+/// assert_eq!(Point::get(&mut Dec::new(&bytes)).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
+        impl $crate::codec::Wire for $ty {
+            #[inline]
+            fn put(&self, e: &mut $crate::codec::Enc) {
+                $($crate::codec::Wire::put(&self.$field, e);)+
+            }
+            #[inline]
+            fn get(
+                d: &mut $crate::codec::Dec<'_>,
+            ) -> ::std::result::Result<Self, $crate::codec::CodecError> {
+                ::std::result::Result::Ok($ty {
+                    $($field: $crate::codec::Wire::get(d)?,)+
+                })
             }
         }
-        LayerKind::DwConv {
-            n,
-            c,
-            oh,
-            ow,
-            kh,
-            kw,
-            stride,
-        } => {
-            e.u8(2);
-            for v in [n, c, oh, ow, kh, kw, stride] {
-                e.i64(v);
-            }
-        }
-        LayerKind::Attention {
-            heads,
-            seq_q,
-            seq_kv,
-            dk,
-            dv,
-        } => {
-            e.u8(3);
-            for v in [heads, seq_q, seq_kv, dk, dv] {
-                e.i64(v);
-            }
-        }
-    }
-    e.i64(l.count);
-    e.u32(l.nonlinear.len() as u32);
-    for &(kind, elems) in &l.nonlinear {
-        e.u8(match kind {
-            Nonlinear::Activation => 0,
-            Nonlinear::Softmax => 1,
-            Nonlinear::Normalization => 2,
-        });
-        e.i64(elems);
-    }
-    encode_density(e, l.sparsity.weights);
-    encode_density(e, l.sparsity.inputs);
-    encode_density(e, l.sparsity.outputs);
+    )+};
 }
 
-fn decode_layer(d: &mut Dec<'_>) -> Result<Layer, CodecError> {
-    let name = d.str()?;
-    let kind = match d.u8()? {
-        0 => LayerKind::Gemm {
-            m: d.i64()?,
-            n: d.i64()?,
-            k: d.i64()?,
-        },
-        1 => LayerKind::Conv {
-            n: d.i64()?,
-            ic: d.i64()?,
-            oc: d.i64()?,
-            oh: d.i64()?,
-            ow: d.i64()?,
-            kh: d.i64()?,
-            kw: d.i64()?,
-            stride: d.i64()?,
-        },
-        2 => LayerKind::DwConv {
-            n: d.i64()?,
-            c: d.i64()?,
-            oh: d.i64()?,
-            ow: d.i64()?,
-            kh: d.i64()?,
-            kw: d.i64()?,
-            stride: d.i64()?,
-        },
-        3 => LayerKind::Attention {
-            heads: d.i64()?,
-            seq_q: d.i64()?,
-            seq_kv: d.i64()?,
-            dk: d.i64()?,
-            dv: d.i64()?,
-        },
-        tag => {
-            return Err(CodecError::InvalidTag {
-                what: "layer kind",
+/// Fixed-width scalars, through the [`Enc`]/[`Dec`] method of the same name.
+macro_rules! wire_scalar {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                e.$ty(*self);
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+                d.$ty()
+            }
+        }
+    )+};
+}
+
+wire_scalar!(u8, u16, u32, u64, i64, f64);
+
+/// Field-less enums: one tag byte, the variant's index in the type's `ALL`.
+/// The const block proves each `ALL` lists the variants in declaration
+/// order, so `put` writes the discriminant instead of searching `ALL`.
+macro_rules! wire_tag {
+    ($($ty:ident => $what:literal),+ $(,)?) => {$(
+        const _: () = {
+            let mut i = 0;
+            while i < $ty::ALL.len() {
+                assert!($ty::ALL[i] as usize == i, concat!($what, " ALL is out of order"));
+                i += 1;
+            }
+        };
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                e.u8(*self as u8);
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+                let tag = d.u8()?;
+                let value = $ty::ALL.get(usize::from(tag)).copied();
+                value.ok_or(CodecError::InvalidTag { what: $what, tag })
+            }
+        }
+    )+};
+}
+
+wire_tag! {
+    SpatialMapping => "spatial mapping",
+    SparseAccel => "sparse feature",
+    CompressedFormat => "compressed format",
+    Nonlinear => "nonlinear kind",
+    BaseObjective => "base objective",
+}
+
+/// Tag byte `0` for `None`, `1` + the value for `Some`.
+macro_rules! wire_option {
+    ($($ty:ident => $what:literal),+) => {$(
+        impl Wire for Option<$ty> {
+            #[inline]
+            fn put(&self, e: &mut Enc) {
+                match self {
+                    None => e.u8(0),
+                    Some(v) => {
+                        e.u8(1);
+                        v.put(e);
+                    }
+                }
+            }
+            #[inline]
+            fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+                match d.u8()? {
+                    0 => Ok(None),
+                    1 => Ok(Some($ty::get(d)?)),
+                    tag => Err(CodecError::InvalidTag { what: $what, tag }),
+                }
+            }
+        }
+    )+};
+}
+
+wire_option!(i64 => "i64 option", f64 => "f64 option");
+
+impl Wire for String {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        d.str()
+    }
+}
+
+impl Wire for Arc<str> {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok(d.str()?.into())
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// A `u32` count, then each element.
+impl<T: Wire> Wire for Vec<T> {
+    // Not `#[inline]`: one out-of-line loop per element type, with the
+    // element's `put` inlined into it, measured fastest on reports.
+    fn put(&self, e: &mut Enc) {
+        e.u32(self.len() as u32);
+        for v in self {
+            v.put(e);
+        }
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let n = d.u32()?;
+        // Never trust a wire length for allocation: corrupt input could
+        // name a multi-gigabyte count. Grow as elements actually decode.
+        let mut out = Vec::new();
+        for _ in 0..n {
+            out.push(T::get(d)?);
+        }
+        Ok(out)
+    }
+}
+
+wire_struct! {
+    Model { name, layers }
+    Layer { name, kind, count, nonlinear, sparsity }
+    LayerSparsity { weights, inputs, outputs }
+    HwConfig { array, clusters, buffer_kb, dram_gbps, num_ppus, dataflows, static_mw, dynamic_mw }
+    EnergyBreakdown { mac_pj, sram_pj, dram_pj, noc_pj, static_pj, ppu_pj, sparse_pj }
+    LayerPerf {
+        cycles, utilization, macs, dram_bytes, l1_accesses, ppu_cycles, noc_cycles, energy,
+        mapping,
+    }
+    ModelPerf { cycles, ops, gops, watts, gops_per_watt, utilization, ppu_fraction, instr_gbps }
+    EvalReport { per_layer, model, cost, provenance }
+    LayerReport { name, count, perf, weight_format, input_format }
+    CostSummary { objectives, area, peak_power_mw, objective, score }
+    Objectives { latency_cycles, energy_pj, area_um2 }
+    MacroArea { array_um2, sram_um2, noc_um2, ppu_um2 }
+    Provenance {
+        version, codec_version, request_fingerprint, hw_key, cache_hits, cache_misses,
+        request_id,
+    }
+}
+
+impl Wire for DensityModel {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            DensityModel::Dense => e.u8(0),
+            DensityModel::Uniform { permille } => {
+                e.u8(1);
+                e.u16(permille);
+            }
+            DensityModel::StructuredNM { n, m } => {
+                e.u8(2);
+                e.u8(n);
+                e.u8(m);
+            }
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        match d.u8()? {
+            0 => Ok(DensityModel::Dense),
+            1 => Ok(DensityModel::Uniform { permille: d.u16()? }),
+            2 => Ok(DensityModel::StructuredNM {
+                n: d.u8()?,
+                m: d.u8()?,
+            }),
+            tag => Err(CodecError::InvalidTag {
+                what: "density model",
                 tag,
-            })
+            }),
         }
-    };
-    let count = d.i64()?;
-    let n_nonlinear = d.u32()?;
-    // Never trust a wire length for allocation: corrupt input could
-    // name a multi-gigabyte count. Grow as elements actually decode.
-    let mut nonlinear = Vec::new();
-    for _ in 0..n_nonlinear {
-        let kind = match d.u8()? {
-            0 => Nonlinear::Activation,
-            1 => Nonlinear::Softmax,
-            2 => Nonlinear::Normalization,
+    }
+}
+
+impl Wire for LayerKind {
+    fn put(&self, e: &mut Enc) {
+        match *self {
+            LayerKind::Gemm { m, n, k } => {
+                e.u8(0);
+                for v in [m, n, k] {
+                    e.i64(v);
+                }
+            }
+            LayerKind::Conv {
+                n,
+                ic,
+                oc,
+                oh,
+                ow,
+                kh,
+                kw,
+                stride,
+            } => {
+                e.u8(1);
+                for v in [n, ic, oc, oh, ow, kh, kw, stride] {
+                    e.i64(v);
+                }
+            }
+            LayerKind::DwConv {
+                n,
+                c,
+                oh,
+                ow,
+                kh,
+                kw,
+                stride,
+            } => {
+                e.u8(2);
+                for v in [n, c, oh, ow, kh, kw, stride] {
+                    e.i64(v);
+                }
+            }
+            LayerKind::Attention {
+                heads,
+                seq_q,
+                seq_kv,
+                dk,
+                dv,
+            } => {
+                e.u8(3);
+                for v in [heads, seq_q, seq_kv, dk, dv] {
+                    e.i64(v);
+                }
+            }
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok(match d.u8()? {
+            0 => LayerKind::Gemm {
+                m: d.i64()?,
+                n: d.i64()?,
+                k: d.i64()?,
+            },
+            1 => LayerKind::Conv {
+                n: d.i64()?,
+                ic: d.i64()?,
+                oc: d.i64()?,
+                oh: d.i64()?,
+                ow: d.i64()?,
+                kh: d.i64()?,
+                kw: d.i64()?,
+                stride: d.i64()?,
+            },
+            2 => LayerKind::DwConv {
+                n: d.i64()?,
+                c: d.i64()?,
+                oh: d.i64()?,
+                ow: d.i64()?,
+                kh: d.i64()?,
+                kw: d.i64()?,
+                stride: d.i64()?,
+            },
+            3 => LayerKind::Attention {
+                heads: d.i64()?,
+                seq_q: d.i64()?,
+                seq_kv: d.i64()?,
+                dk: d.i64()?,
+                dv: d.i64()?,
+            },
             tag => {
                 return Err(CodecError::InvalidTag {
-                    what: "nonlinear kind",
+                    what: "layer kind",
                     tag,
                 })
             }
-        };
-        nonlinear.push((kind, d.i64()?));
+        })
     }
-    let sparsity = LayerSparsity {
-        weights: decode_density(d)?,
-        inputs: decode_density(d)?,
-        outputs: decode_density(d)?,
-    };
-    let mut layer = Layer::new(name, kind).repeat(count).with_sparsity(sparsity);
-    layer.nonlinear = nonlinear;
-    Ok(layer)
-}
-
-fn encode_hw(e: &mut Enc, hw: &HwConfig) {
-    e.i64(hw.array.0);
-    e.i64(hw.array.1);
-    e.u32(hw.clusters.0);
-    e.u32(hw.clusters.1);
-    e.u64(hw.buffer_kb);
-    e.f64(hw.dram_gbps);
-    e.i64(hw.num_ppus);
-    e.u32(hw.dataflows.len() as u32);
-    for &m in &hw.dataflows {
-        e.u8(tag_of(&ALL_MAPPINGS, m, "spatial mapping"));
-    }
-    e.f64(hw.static_mw);
-    e.f64(hw.dynamic_mw);
-}
-
-fn decode_hw(d: &mut Dec<'_>) -> Result<HwConfig, CodecError> {
-    let array = (d.i64()?, d.i64()?);
-    let clusters = (d.u32()?, d.u32()?);
-    let buffer_kb = d.u64()?;
-    let dram_gbps = d.f64()?;
-    let num_ppus = d.i64()?;
-    let n_dataflows = d.u32()?;
-    let mut dataflows = Vec::new();
-    for _ in 0..n_dataflows {
-        let tag = d.u8()?;
-        dataflows.push(from_tag(&ALL_MAPPINGS, tag, "spatial mapping")?);
-    }
-    Ok(HwConfig {
-        array,
-        clusters,
-        buffer_kb,
-        dram_gbps,
-        num_ppus,
-        dataflows,
-        static_mw: d.f64()?,
-        dynamic_mw: d.f64()?,
-    })
 }
 
 /// The authoritative [`TechModel`] field list, in wire order — shared by
@@ -593,185 +651,120 @@ pub(crate) fn tech_fields(t: &TechModel) -> [f64; 11] {
     ]
 }
 
-fn encode_tech(e: &mut Enc, t: &TechModel) {
-    for v in tech_fields(t) {
-        e.f64(v);
-    }
-}
-
-fn decode_tech(d: &mut Dec<'_>) -> Result<TechModel, CodecError> {
-    Ok(TechModel {
-        ff_area_um2: d.f64()?,
-        lut_area_um2: d.f64()?,
-        mult_area_um2_per_bit2: d.f64()?,
-        mux_area_um2_per_bit: d.f64()?,
-        ff_energy_pj: d.f64()?,
-        add_energy_pj_per_bit: d.f64()?,
-        mult_energy_pj_per_bit2: d.f64()?,
-        static_uw_per_um2: d.f64()?,
-        dram_pj_per_byte: d.f64()?,
-        noc_pj_per_byte_hop: d.f64()?,
-        freq_ghz: d.f64()?,
-    })
-}
-
-fn encode_objective(e: &mut Enc, o: &Objective) {
-    let base_tag = |b: BaseObjective| match b {
-        BaseObjective::Edp => 0u8,
-        BaseObjective::Edap => 1,
-        BaseObjective::Latency => 2,
-        BaseObjective::Energy => 3,
-    };
-    match *o {
-        Objective::Base(base) => {
-            e.u8(0);
-            e.u8(base_tag(base));
+impl Wire for TechModel {
+    fn put(&self, e: &mut Enc) {
+        for v in tech_fields(self) {
+            e.f64(v);
         }
-        Objective::Penalized {
-            base,
-            area_budget,
-            power_budget,
-            weight,
-        } => {
-            e.u8(1);
-            e.u8(base_tag(base));
-            e.opt_f64(area_budget);
-            e.opt_f64(power_budget);
-            e.f64(weight);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok(TechModel {
+            ff_area_um2: d.f64()?,
+            lut_area_um2: d.f64()?,
+            mult_area_um2_per_bit2: d.f64()?,
+            mux_area_um2_per_bit: d.f64()?,
+            ff_energy_pj: d.f64()?,
+            add_energy_pj_per_bit: d.f64()?,
+            mult_energy_pj_per_bit2: d.f64()?,
+            static_uw_per_um2: d.f64()?,
+            dram_pj_per_byte: d.f64()?,
+            noc_pj_per_byte_hop: d.f64()?,
+            freq_ghz: d.f64()?,
+        })
+    }
+}
+
+impl Wire for Objective {
+    fn put(&self, e: &mut Enc) {
+        match self {
+            Objective::Base(base) => {
+                e.u8(0);
+                base.put(e);
+            }
+            Objective::Penalized {
+                base,
+                area_budget,
+                power_budget,
+                weight,
+            } => {
+                e.u8(1);
+                base.put(e);
+                area_budget.put(e);
+                power_budget.put(e);
+                weight.put(e);
+            }
+            Objective::Lexicographic => e.u8(2),
         }
-        Objective::Lexicographic => e.u8(2),
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        match d.u8()? {
+            0 => Ok(Objective::Base(BaseObjective::get(d)?)),
+            1 => Ok(Objective::Penalized {
+                base: BaseObjective::get(d)?,
+                area_budget: Option::get(d)?,
+                power_budget: Option::get(d)?,
+                weight: d.f64()?,
+            }),
+            2 => Ok(Objective::Lexicographic),
+            tag => Err(CodecError::InvalidTag {
+                what: "objective",
+                tag,
+            }),
+        }
     }
 }
 
-fn decode_base_objective(d: &mut Dec<'_>) -> Result<BaseObjective, CodecError> {
-    match d.u8()? {
-        0 => Ok(BaseObjective::Edp),
-        1 => Ok(BaseObjective::Edap),
-        2 => Ok(BaseObjective::Latency),
-        3 => Ok(BaseObjective::Energy),
-        tag => Err(CodecError::InvalidTag {
-            what: "base objective",
-            tag,
-        }),
+impl Wire for EvalRequest {
+    fn put(&self, e: &mut Enc) {
+        self.workload.put(e);
+        self.hw.put(e);
+        self.sparse.accel.put(e);
+        self.tech.put(e);
+        self.objective.put(e);
+        self.tile_cap.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        // Receivers are evaluated before arguments, so this reads the
+        // fields in wire order.
+        Ok(EvalRequest::new(Model::get(d)?, HwConfig::get(d)?)
+            .with_sparse(SparseHw::with_accel(SparseAccel::get(d)?))
+            .with_tech(TechModel::get(d)?)
+            .with_objective(Objective::get(d)?)
+            .with_tile_cap(Option::get(d)?))
     }
 }
 
-fn decode_objective(d: &mut Dec<'_>) -> Result<Objective, CodecError> {
-    match d.u8()? {
-        0 => Ok(Objective::Base(decode_base_objective(d)?)),
-        1 => Ok(Objective::Penalized {
-            base: decode_base_objective(d)?,
-            area_budget: d.opt_f64()?,
-            power_budget: d.opt_f64()?,
-            weight: d.f64()?,
-        }),
-        2 => Ok(Objective::Lexicographic),
-        tag => Err(CodecError::InvalidTag {
-            what: "objective",
-            tag,
-        }),
+/// A whole payload: header, kind byte, then `value`.
+fn encode_payload<T: Wire>(kind: u8, value: &T) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.header(MAGIC, VERSION);
+    e.u8(kind);
+    value.put(&mut e);
+    e.into_bytes()
+}
+
+/// Reads what [`encode_payload`] wrote, validating magic, version, kind,
+/// every enum tag, and that the input ends exactly where the value does.
+fn decode_payload<T: Wire>(kind: u8, bytes: &[u8]) -> Result<T, CodecError> {
+    let mut d = Dec::new(bytes);
+    d.header(MAGIC, VERSION)?;
+    let found = d.u8()?;
+    if found != kind {
+        return Err(CodecError::WrongKind {
+            expected: kind,
+            found,
+        });
     }
-}
-
-/// Writes every [`LayerPerf`] field in wire order.
-pub fn encode_layer_perf(e: &mut Enc, p: &LayerPerf) {
-    e.i64(p.cycles);
-    e.f64(p.utilization);
-    e.i64(p.macs);
-    e.i64(p.dram_bytes);
-    e.i64(p.l1_accesses);
-    e.i64(p.ppu_cycles);
-    e.i64(p.noc_cycles);
-    e.f64(p.energy.mac_pj);
-    e.f64(p.energy.sram_pj);
-    e.f64(p.energy.dram_pj);
-    e.f64(p.energy.noc_pj);
-    e.f64(p.energy.static_pj);
-    e.f64(p.energy.ppu_pj);
-    e.f64(p.energy.sparse_pj);
-    e.u8(tag_of(&ALL_MAPPINGS, p.mapping, "spatial mapping"));
-}
-
-/// Reads what [`encode_layer_perf`] wrote.
-pub fn decode_layer_perf(d: &mut Dec<'_>) -> Result<LayerPerf, CodecError> {
-    let cycles = d.i64()?;
-    let utilization = d.f64()?;
-    let macs = d.i64()?;
-    let dram_bytes = d.i64()?;
-    let l1_accesses = d.i64()?;
-    let ppu_cycles = d.i64()?;
-    let noc_cycles = d.i64()?;
-    let energy = EnergyBreakdown {
-        mac_pj: d.f64()?,
-        sram_pj: d.f64()?,
-        dram_pj: d.f64()?,
-        noc_pj: d.f64()?,
-        static_pj: d.f64()?,
-        ppu_pj: d.f64()?,
-        sparse_pj: d.f64()?,
-    };
-    let tag = d.u8()?;
-    let mapping = from_tag(&ALL_MAPPINGS, tag, "spatial mapping")?;
-    Ok(LayerPerf {
-        cycles,
-        utilization,
-        macs,
-        dram_bytes,
-        l1_accesses,
-        ppu_cycles,
-        noc_cycles,
-        energy,
-        mapping,
-    })
-}
-
-/// Writes every [`ModelPerf`] field in wire order.
-pub fn encode_model_perf(e: &mut Enc, p: &ModelPerf) {
-    e.i64(p.cycles);
-    e.i64(p.ops);
-    e.f64(p.gops);
-    e.f64(p.watts);
-    e.f64(p.gops_per_watt);
-    e.f64(p.utilization);
-    e.f64(p.ppu_fraction);
-    e.f64(p.instr_gbps);
-}
-
-/// Reads what [`encode_model_perf`] wrote.
-pub fn decode_model_perf(d: &mut Dec<'_>) -> Result<ModelPerf, CodecError> {
-    Ok(ModelPerf {
-        cycles: d.i64()?,
-        ops: d.i64()?,
-        gops: d.f64()?,
-        watts: d.f64()?,
-        gops_per_watt: d.f64()?,
-        utilization: d.f64()?,
-        ppu_fraction: d.f64()?,
-        instr_gbps: d.f64()?,
-    })
+    let value = T::get(&mut d)?;
+    d.done()?;
+    Ok(value)
 }
 
 impl EvalRequest {
     /// Encodes the request to its canonical byte representation
     /// (`encode → decode → encode` is byte-identical).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
-        header(&mut e, KIND_REQUEST);
-        e.str(&self.workload.name);
-        e.u32(self.workload.layers.len() as u32);
-        for layer in &self.workload.layers {
-            encode_layer(&mut e, layer);
-        }
-        encode_hw(&mut e, &self.hw);
-        e.u8(tag_of(
-            &SparseAccel::ALL,
-            self.sparse.accel,
-            "sparse feature",
-        ));
-        encode_tech(&mut e, &self.tech);
-        encode_objective(&mut e, &self.objective);
-        e.opt_i64(self.tile_cap);
-        e.into_bytes()
+        encode_payload(KIND_REQUEST, self)
     }
 
     /// Decodes a request, validating magic, version, kind, every enum tag,
@@ -782,29 +775,7 @@ impl EvalRequest {
     /// Returns a [`CodecError`] describing the first problem found;
     /// truncated or corrupt input never panics.
     pub fn decode(bytes: &[u8]) -> Result<EvalRequest, CodecError> {
-        let mut d = Dec::new(bytes);
-        check_header(&mut d, KIND_REQUEST)?;
-        let name = d.str()?;
-        let n_layers = d.u32()?;
-        let mut layers = Vec::new();
-        for _ in 0..n_layers {
-            layers.push(decode_layer(&mut d)?);
-        }
-        let workload = Model { name, layers };
-        let hw = decode_hw(&mut d)?;
-        let accel_tag = d.u8()?;
-        let sparse =
-            SparseHw::with_accel(from_tag(&SparseAccel::ALL, accel_tag, "sparse feature")?);
-        let tech = decode_tech(&mut d)?;
-        let objective = decode_objective(&mut d)?;
-        let tile_cap = d.opt_i64()?;
-        d.done()?;
-        let request = EvalRequest::new(workload, hw)
-            .with_sparse(sparse)
-            .with_tech(tech)
-            .with_objective(objective)
-            .with_tile_cap(tile_cap);
-        Ok(request)
+        decode_payload(KIND_REQUEST, bytes)
     }
 
     /// Writes the encoded request to a file.
@@ -831,43 +802,7 @@ impl EvalReport {
     /// Encodes the report to its canonical byte representation
     /// (`encode → decode → encode` is byte-identical).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
-        header(&mut e, KIND_REPORT);
-        e.u32(self.per_layer.len() as u32);
-        for l in &self.per_layer {
-            e.str(&l.name);
-            e.i64(l.count);
-            encode_layer_perf(&mut e, &l.perf);
-            e.u8(tag_of(
-                &CompressedFormat::ALL,
-                l.weight_format,
-                "compressed format",
-            ));
-            e.u8(tag_of(
-                &CompressedFormat::ALL,
-                l.input_format,
-                "compressed format",
-            ));
-        }
-        encode_model_perf(&mut e, &self.model);
-        e.f64(self.cost.objectives.latency_cycles);
-        e.f64(self.cost.objectives.energy_pj);
-        e.f64(self.cost.objectives.area_um2);
-        e.f64(self.cost.area.array_um2);
-        e.f64(self.cost.area.sram_um2);
-        e.f64(self.cost.area.noc_um2);
-        e.f64(self.cost.area.ppu_um2);
-        e.f64(self.cost.peak_power_mw);
-        encode_objective(&mut e, &self.cost.objective);
-        e.f64(self.cost.score);
-        e.str(&self.provenance.version);
-        e.u8(self.provenance.codec_version);
-        e.u64(self.provenance.request_fingerprint);
-        e.u64(self.provenance.hw_key);
-        e.u64(self.provenance.cache_hits);
-        e.u64(self.provenance.cache_misses);
-        e.u64(self.provenance.request_id);
-        e.into_bytes()
+        encode_payload(KIND_REPORT, self)
     }
 
     /// Decodes a report, validating magic, version, kind, every enum tag,
@@ -878,64 +813,7 @@ impl EvalReport {
     /// Returns a [`CodecError`] describing the first problem found;
     /// truncated or corrupt input never panics.
     pub fn decode(bytes: &[u8]) -> Result<EvalReport, CodecError> {
-        let mut d = Dec::new(bytes);
-        check_header(&mut d, KIND_REPORT)?;
-        let n_layers = d.u32()?;
-        let mut per_layer = Vec::new();
-        for _ in 0..n_layers {
-            let name = d.str()?;
-            let count = d.i64()?;
-            let perf = decode_layer_perf(&mut d)?;
-            let w_tag = d.u8()?;
-            let weight_format = from_tag(&CompressedFormat::ALL, w_tag, "compressed format")?;
-            let i_tag = d.u8()?;
-            let input_format = from_tag(&CompressedFormat::ALL, i_tag, "compressed format")?;
-            per_layer.push(LayerReport {
-                name: name.into(),
-                count,
-                perf,
-                weight_format,
-                input_format,
-            });
-        }
-        let model = decode_model_perf(&mut d)?;
-        let objectives = Objectives {
-            latency_cycles: d.f64()?,
-            energy_pj: d.f64()?,
-            area_um2: d.f64()?,
-        };
-        let area = MacroArea {
-            array_um2: d.f64()?,
-            sram_um2: d.f64()?,
-            noc_um2: d.f64()?,
-            ppu_um2: d.f64()?,
-        };
-        let peak_power_mw = d.f64()?;
-        let objective = decode_objective(&mut d)?;
-        let score = d.f64()?;
-        let (version, codec_version) = (d.str()?, d.u8()?);
-        let provenance = Provenance {
-            version,
-            codec_version,
-            request_fingerprint: d.u64()?,
-            hw_key: d.u64()?,
-            cache_hits: d.u64()?,
-            cache_misses: d.u64()?,
-            request_id: d.u64()?,
-        };
-        d.done()?;
-        Ok(EvalReport {
-            per_layer,
-            model,
-            cost: CostSummary {
-                objectives,
-                area,
-                peak_power_mw,
-                objective,
-                score,
-            },
-            provenance,
-        })
+        decode_payload(KIND_REPORT, bytes)
     }
 
     /// Writes the encoded report to a file.

@@ -66,7 +66,7 @@ pub mod session;
 
 pub use builder::EvalRequestBuilder;
 pub use cache::{estimated_resident_bytes_for, layer_key, CacheGauges, EvalCache};
-pub use codec::{CodecError, ALL_MAPPINGS, VERSION as CODEC_VERSION};
+pub use codec::{CodecError, VERSION as CODEC_VERSION};
 pub use error::{EvalError, Reject, StatusCode};
 pub use hash::{stable_hash, FnvHasher};
 pub use objective::{BaseObjective, Objective, Objectives};

@@ -61,6 +61,14 @@ pub enum BaseObjective {
 }
 
 impl BaseObjective {
+    /// Every base scalarization, in canonical order.
+    pub const ALL: [BaseObjective; 4] = [
+        BaseObjective::Edp,
+        BaseObjective::Edap,
+        BaseObjective::Latency,
+        BaseObjective::Energy,
+    ];
+
     /// The scalar score (lower is better).
     pub fn score(&self, o: &Objectives) -> f64 {
         match self {

@@ -85,7 +85,7 @@ pub use lego_model::SparseAccel;
 pub use pareto::{BaseObjective, Constraints, Objective, Objectives, ParetoFrontier};
 pub use rng::SplitMix64;
 pub use snapshot::Snapshot;
-pub use space::{DataflowSet, DesignSpace, Genome, SpaceShard, ALL_MAPPINGS};
+pub use space::{DataflowSet, DesignSpace, Genome, SpaceShard};
 pub use strategy::{EvolutionarySearch, GridSearch, RandomSearch, SearchReport, SearchStrategy};
 
 use lego_model::TechModel;

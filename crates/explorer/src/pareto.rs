@@ -54,11 +54,6 @@ impl Constraints {
         self.max_area_um2.is_none_or(|cap| area_um2 <= cap)
             && self.max_power_mw.is_none_or(|cap| power_mw <= cap)
     }
-
-    /// Whether any budget is set.
-    pub fn is_constrained(&self) -> bool {
-        self.max_area_um2.is_some() || self.max_power_mw.is_some()
-    }
 }
 
 /// The set of mutually non-dominated design points found so far.
@@ -122,23 +117,6 @@ impl ParetoFrontier {
     /// Member minimizing energy-delay product.
     pub fn best_by_edp(&self) -> Option<&DesignPoint> {
         self.best_by(Objectives::edp)
-    }
-
-    /// Member minimizing energy-delay-area product.
-    pub fn best_by_edap(&self) -> Option<&DesignPoint> {
-        self.best_by(Objectives::edap)
-    }
-
-    /// Member minimizing an [`Objective`] (which, unlike
-    /// [`ParetoFrontier::best_by`], may price the point's peak power).
-    pub fn best_by_objective(&self, objective: &Objective) -> Option<&DesignPoint> {
-        self.points.iter().min_by(|a, b| {
-            objective
-                .score(&a.objectives, a.peak_power_mw)
-                .partial_cmp(&objective.score(&b.objectives, b.peak_power_mw))
-                .expect("finite scores")
-                .then_with(|| a.genome.key().cmp(&b.genome.key()))
-        })
     }
 
     /// The members' genomes in insertion order — the natural warm-start
@@ -266,12 +244,10 @@ mod tests {
     #[test]
     fn constraints_admit_and_reject() {
         let none = Constraints::none();
-        assert!(!none.is_constrained());
         assert!(none.admits(f64::MAX, f64::MAX));
         let c = Constraints::none()
             .with_max_area_mm2(2.0)
             .with_max_power_mw(300.0);
-        assert!(c.is_constrained());
         assert!(c.admits(1.9e6, 299.0));
         assert!(!c.admits(2.1e6, 299.0), "area budget must bind");
         assert!(!c.admits(1.9e6, 301.0), "power budget must bind");
@@ -286,7 +262,7 @@ mod tests {
         assert!((f.best_by_edp().unwrap().objectives.edp() - 10.0).abs() < 1e-12);
         // Soft 2 mm² budget at weight 2: big design pays ×(1+2·3.5) = 8.
         let soft = Objective::penalized_edp(Some(2.0), None, 2.0);
-        let best = f.best_by_objective(&soft).unwrap();
+        let best = f.best_by(|o| soft.score(o, 0.0)).unwrap();
         assert!((best.objectives.edp() - 16.0).abs() < 1e-12, "small wins");
         // genomes() exposes the members for warm starts.
         assert_eq!(f.genomes().len(), 2);
@@ -354,6 +330,5 @@ mod tests {
         f.insert(point(10.0, 1.0, 100.0)); // edp 10, edap 1000
         f.insert(point(1.0, 8.0, 1.0)); // edp 8, edap 8
         assert!((f.best_by_edp().unwrap().objectives.edp() - 8.0).abs() < 1e-12);
-        assert!((f.best_by_edap().unwrap().objectives.edap() - 8.0).abs() < 1e-12);
     }
 }

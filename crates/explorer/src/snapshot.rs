@@ -3,9 +3,14 @@
 //! a file and a coordinator can merge them.
 //!
 //! The format is deliberately boring, and built on the byte-level toolkit
-//! of [`lego_eval::codec`]: a fixed magic + version header,
-//! little-endian fixed-width integers, `f64` as IEEE-754 bits, one tag
-//! byte per enum/`Option`, and length-prefixed counts. Cache entries are
+//! of [`lego_eval::codec`]: a fixed magic + version header, then the
+//! snapshot's [`Wire`] layout — little-endian fixed-width integers, `f64`
+//! as IEEE-754 bits, one tag byte per enum/`Option`, and length-prefixed
+//! lists. [`Snapshot`] and [`Genome`] take their layouts from
+//! [`wire_struct!`](lego_eval::wire_struct) field lists; [`DataflowSet`]
+//! (a validated bitmask), [`DesignPoint`] (a checked `feasible` byte) and
+//! [`ParetoFrontier`] (points sorted on the way out, re-inserted on the
+//! way in) are written by hand. Cache entries are
 //! written in sorted key order ([`EvalCache::entries`]) and frontier
 //! points sorted by genome fingerprint, so encoding is a pure function of
 //! the snapshot's contents (merge order never shows in the bytes) and
@@ -16,12 +21,9 @@
 use crate::eval::DesignPoint;
 use crate::pareto::{Objectives, ParetoFrontier};
 use crate::space::{DataflowSet, Genome};
-use lego_eval::codec::{
-    decode_layer_perf, decode_model_perf, encode_layer_perf, encode_model_perf, from_tag, tag_of,
-    CodecError, Dec, Enc,
-};
-use lego_eval::EvalCache;
-use lego_sim::{LayerPerf, SparseAccel};
+use lego_eval::codec::{CodecError, Dec, Enc, Wire};
+use lego_eval::{wire_struct, EvalCache};
+use lego_sim::{LayerPerf, ModelPerf};
 
 /// File magic: identifies a LEGO DSE snapshot.
 const MAGIC: &[u8; 8] = b"LEGOSNAP";
@@ -91,23 +93,7 @@ impl Snapshot {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::default();
         e.header(MAGIC, VERSION);
-        e.u32(self.shard_index);
-        e.u32(self.shard_count);
-        e.u64(self.seed);
-        e.str(&self.model);
-        e.u64(self.evaluated);
-        let mut points: Vec<&DesignPoint> = self.frontier.points().iter().collect();
-        points.sort_by_key(|p| p.genome.key());
-        e.u32(points.len() as u32);
-        for p in points {
-            encode_point(&mut e, p);
-        }
-        e.u32(self.cache.len() as u32);
-        for ((hw, layer), perf) in &self.cache {
-            e.u64(*hw);
-            e.u64(*layer);
-            encode_layer_perf(&mut e, perf);
-        }
+        self.put(&mut e);
         e.into_bytes()
     }
 
@@ -121,33 +107,9 @@ impl Snapshot {
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
         let mut d = Dec::new(bytes);
         d.header(MAGIC, VERSION)?;
-        let shard_index = d.u32()?;
-        let shard_count = d.u32()?;
-        let seed = d.u64()?;
-        let model = d.str()?;
-        let evaluated = d.u64()?;
-        let mut frontier = ParetoFrontier::new();
-        let n_points = d.u32()?;
-        for _ in 0..n_points {
-            frontier.insert(decode_point(&mut d)?);
-        }
-        let n_entries = d.u32()?;
-        let mut cache = Vec::new();
-        for _ in 0..n_entries {
-            let hw = d.u64()?;
-            let layer = d.u64()?;
-            cache.push(((hw, layer), decode_layer_perf(&mut d)?));
-        }
+        let snapshot = Snapshot::get(&mut d)?;
         d.done()?;
-        Ok(Snapshot {
-            shard_index,
-            shard_count,
-            seed,
-            model,
-            evaluated,
-            frontier,
-            cache,
-        })
+        Ok(snapshot)
     }
 
     /// Writes the encoded snapshot to a file.
@@ -170,79 +132,72 @@ impl Snapshot {
     }
 }
 
-fn encode_genome(e: &mut Enc, g: &Genome) {
-    e.i64(g.rows);
-    e.i64(g.cols);
-    e.u32(g.clusters.0);
-    e.u32(g.clusters.1);
-    e.u64(g.buffer_kb);
-    e.u32(g.dram_gbps);
-    e.u8(g.dataflows.bits());
-    e.opt_i64(g.tile_cap);
-    e.u8(tag_of(&SparseAccel::ALL, g.sparse, "sparse feature"));
+wire_struct! {
+    Snapshot { shard_index, shard_count, seed, model, evaluated, frontier, cache }
+    Genome { rows, cols, clusters, buffer_kb, dram_gbps, dataflows, tile_cap, sparse }
 }
 
-fn decode_genome(d: &mut Dec<'_>) -> Result<Genome, CodecError> {
-    let rows = d.i64()?;
-    let cols = d.i64()?;
-    let clusters = (d.u32()?, d.u32()?);
-    let buffer_kb = d.u64()?;
-    let dram_gbps = d.u32()?;
-    let bits = d.u8()?;
-    let dataflows = DataflowSet::from_bits(bits).ok_or(CodecError::InvalidTag {
-        what: "dataflow set",
-        tag: bits,
-    })?;
-    let tile_cap = d.opt_i64()?;
-    let sparse = from_tag(&SparseAccel::ALL, d.u8()?, "sparse feature")?;
-    Ok(Genome {
-        rows,
-        cols,
-        clusters,
-        buffer_kb,
-        dram_gbps,
-        dataflows,
-        tile_cap,
-        sparse,
-    })
+impl Wire for DataflowSet {
+    fn put(&self, e: &mut Enc) {
+        e.u8(self.bits());
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let bits = d.u8()?;
+        DataflowSet::from_bits(bits).ok_or(CodecError::InvalidTag {
+            what: "dataflow set",
+            tag: bits,
+        })
+    }
 }
 
-fn encode_point(e: &mut Enc, p: &DesignPoint) {
-    encode_genome(e, &p.genome);
-    e.f64(p.objectives.latency_cycles);
-    e.f64(p.objectives.energy_pj);
-    e.f64(p.objectives.area_um2);
-    e.f64(p.peak_power_mw);
-    e.u8(u8::from(p.feasible));
-    encode_model_perf(e, &p.perf);
+impl Wire for DesignPoint {
+    fn put(&self, e: &mut Enc) {
+        self.genome.put(e);
+        self.objectives.put(e);
+        self.peak_power_mw.put(e);
+        e.u8(u8::from(self.feasible));
+        self.perf.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let genome = Genome::get(d)?;
+        let objectives = Objectives::get(d)?;
+        let peak_power_mw = d.f64()?;
+        let feasible = match d.u8()? {
+            0 => false,
+            1 => true,
+            tag => {
+                return Err(CodecError::InvalidTag {
+                    what: "feasible flag",
+                    tag,
+                })
+            }
+        };
+        let perf = ModelPerf::get(d)?;
+        Ok(DesignPoint {
+            genome,
+            objectives,
+            perf,
+            peak_power_mw,
+            feasible,
+        })
+    }
 }
 
-fn decode_point(d: &mut Dec<'_>) -> Result<DesignPoint, CodecError> {
-    let genome = decode_genome(d)?;
-    let objectives = Objectives {
-        latency_cycles: d.f64()?,
-        energy_pj: d.f64()?,
-        area_um2: d.f64()?,
-    };
-    let peak_power_mw = d.f64()?;
-    let feasible = match d.u8()? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(CodecError::InvalidTag {
-                what: "feasible flag",
-                tag,
-            })
+/// The members sorted by genome fingerprint, so the bytes do not depend
+/// on insertion order; decoding re-inserts them in that order.
+impl Wire for ParetoFrontier {
+    fn put(&self, e: &mut Enc) {
+        let mut points = self.points().to_vec();
+        points.sort_by_key(|p| p.genome.key());
+        points.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let mut frontier = ParetoFrontier::new();
+        for p in Vec::<DesignPoint>::get(d)? {
+            frontier.insert(p);
         }
-    };
-    let perf = decode_model_perf(d)?;
-    Ok(DesignPoint {
-        genome,
-        objectives,
-        perf,
-        peak_power_mw,
-        feasible,
-    })
+        Ok(frontier)
+    }
 }
 
 #[cfg(test)]

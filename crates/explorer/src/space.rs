@@ -6,9 +6,7 @@ use lego_sim::{HwConfig, SparseAccel, SpatialMapping};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-pub use lego_eval::ALL_MAPPINGS;
-
-/// A set of fused dataflows, packed as a bitmask over [`ALL_MAPPINGS`].
+/// A set of fused dataflows, packed as a bitmask over [`SpatialMapping::ALL`].
 ///
 /// Fusing more dataflows lets the mapper rescue more layer shapes (the
 /// paper's Table V mechanism) but costs interconnect muxing; the explorer
@@ -26,7 +24,7 @@ impl DataflowSet {
         assert!(!mappings.is_empty(), "a design needs at least one dataflow");
         let mut bits = 0u8;
         for m in mappings {
-            let idx = ALL_MAPPINGS
+            let idx = SpatialMapping::ALL
                 .iter()
                 .position(|a| a == m)
                 .expect("known mapping");
@@ -37,7 +35,7 @@ impl DataflowSet {
 
     /// The mappings in canonical order.
     pub fn to_vec(self) -> Vec<SpatialMapping> {
-        ALL_MAPPINGS
+        SpatialMapping::ALL
             .iter()
             .enumerate()
             .filter(|&(i, _)| self.0 & (1 << i) != 0)
@@ -57,22 +55,22 @@ impl DataflowSet {
 
     /// Membership test.
     pub fn contains(self, m: SpatialMapping) -> bool {
-        let idx = ALL_MAPPINGS
+        let idx = SpatialMapping::ALL
             .iter()
             .position(|a| *a == m)
             .expect("known mapping");
         self.0 & (1 << idx) != 0
     }
 
-    /// The raw bitmask over [`ALL_MAPPINGS`] — the set's wire encoding.
+    /// The raw bitmask over [`SpatialMapping::ALL`] — the set's wire encoding.
     pub fn bits(self) -> u8 {
         self.0
     }
 
     /// Rebuilds a set from its [`DataflowSet::bits`] encoding. `None` for
-    /// an empty set or for bits outside [`ALL_MAPPINGS`].
+    /// an empty set or for bits outside [`SpatialMapping::ALL`].
     pub fn from_bits(bits: u8) -> Option<Self> {
-        let valid = (1u8 << ALL_MAPPINGS.len()) - 1;
+        let valid = (1u8 << SpatialMapping::ALL.len()) - 1;
         if bits == 0 || bits & !valid != 0 {
             return None;
         }
@@ -497,11 +495,6 @@ impl<'a> SpaceShard<'a> {
         self.count
     }
 
-    /// Whether this shard is the whole space.
-    pub fn is_full(&self) -> bool {
-        self.count == 1
-    }
-
     /// Number of genomes this shard owns.
     pub fn size(&self) -> usize {
         let total = self.space.size();
@@ -726,7 +719,6 @@ mod tests {
     fn full_shard_is_the_identity() {
         let s = DesignSpace::tiny();
         let full = s.full();
-        assert!(full.is_full());
         assert_eq!(full.enumerate(), s.enumerate());
         assert_eq!(full.size(), s.size());
         // Seed splitting is the identity on the full shard, so historical
@@ -757,7 +749,7 @@ mod tests {
         assert_eq!(DataflowSet::from_bits(0), None, "empty set is invalid");
         assert_eq!(DataflowSet::from_bits(0xE0), None, "unknown bits rejected");
         // Every enumerable set survives the round trip.
-        for bits in 1u8..(1 << ALL_MAPPINGS.len()) {
+        for bits in 1u8..(1 << SpatialMapping::ALL.len()) {
             let s = DataflowSet::from_bits(bits).expect("valid mask");
             assert_eq!(s.bits(), bits);
             assert_eq!(DataflowSet::new(&s.to_vec()), s);

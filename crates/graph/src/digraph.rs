@@ -39,7 +39,6 @@ pub struct DiGraph {
     n: usize,
     edges: Vec<EdgeRef>,
     out: Vec<Vec<EdgeId>>,
-    inc: Vec<Vec<EdgeId>>,
 }
 
 impl DiGraph {
@@ -49,7 +48,6 @@ impl DiGraph {
             n,
             edges: Vec::new(),
             out: vec![Vec::new(); n],
-            inc: vec![Vec::new(); n],
         }
     }
 
@@ -62,7 +60,6 @@ impl DiGraph {
     pub fn add_node(&mut self) -> NodeId {
         self.n += 1;
         self.out.push(Vec::new());
-        self.inc.push(Vec::new());
         self.n - 1
     }
 
@@ -81,7 +78,6 @@ impl DiGraph {
             weight,
         });
         self.out[from].push(id);
-        self.inc[to].push(id);
         id
     }
 
@@ -103,11 +99,6 @@ impl DiGraph {
     pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
         self.out[v].iter().map(move |&id| self.edges[id])
     }
-
-    /// In-degree of `v`.
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inc[v].len()
-    }
 }
 
 #[cfg(test)]
@@ -120,8 +111,6 @@ mod tests {
         g.add_edge(0, 1, 1);
         g.add_edge(0, 2, 2);
         g.add_edge(2, 1, 3);
-        assert_eq!(g.in_degree(1), 2);
-        assert_eq!(g.in_degree(0), 0);
         let targets: Vec<_> = g.out_edges(0).map(|e| e.to).collect();
         assert_eq!(targets, vec![1, 2]);
     }
@@ -133,7 +122,6 @@ mod tests {
         g.add_edge(0, 1, 2);
         g.add_edge(1, 1, 3);
         assert_eq!(g.edges().count(), 3);
-        assert_eq!(g.in_degree(1), 3);
     }
 
     #[test]

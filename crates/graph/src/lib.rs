@@ -5,7 +5,7 @@
 //! the Chu-Liu/Edmonds algorithm (the paper cites Tarjan's formulation,
 //! §IV-B). The back end's broadcast rewiring (paper §V-B) uses an undirected
 //! MST per broadcast source. This crate supplies those algorithms plus the
-//! small supporting structures (union-find, topological sort, BFS orders).
+//! small supporting structures (a directed multigraph, union-find).
 
 pub mod arborescence;
 pub mod digraph;
@@ -16,117 +16,3 @@ pub use arborescence::{min_spanning_arborescence, Arborescence};
 pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};
 pub use mst::undirected_mst;
 pub use unionfind::UnionFind;
-
-/// Topologically sorts the nodes of a directed graph.
-///
-/// Returns `None` if the graph contains a directed cycle.
-///
-/// # Examples
-///
-/// ```
-/// use lego_graph::{toposort, DiGraph};
-///
-/// let mut g = DiGraph::new(3);
-/// g.add_edge(0, 1, 1);
-/// g.add_edge(1, 2, 1);
-/// let order = toposort(&g).unwrap();
-/// assert_eq!(order, vec![0, 1, 2]);
-/// ```
-pub fn toposort(g: &DiGraph) -> Option<Vec<NodeId>> {
-    let n = g.node_count();
-    let mut indeg = vec![0usize; n];
-    for e in g.edges() {
-        indeg[e.to] += 1;
-    }
-    let mut queue: std::collections::VecDeque<NodeId> = (0..n).filter(|&v| indeg[v] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for e in g.out_edges(v) {
-            indeg[e.to] -= 1;
-            if indeg[e.to] == 0 {
-                queue.push_back(e.to);
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
-}
-
-/// Breadth-first order of nodes reachable from `start`.
-///
-/// # Examples
-///
-/// ```
-/// use lego_graph::{bfs_order, DiGraph};
-///
-/// let mut g = DiGraph::new(4);
-/// g.add_edge(0, 1, 1);
-/// g.add_edge(0, 2, 1);
-/// g.add_edge(2, 3, 1);
-/// assert_eq!(bfs_order(&g, 0), vec![0, 1, 2, 3]);
-/// ```
-pub fn bfs_order(g: &DiGraph, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.node_count()];
-    let mut queue = std::collections::VecDeque::new();
-    let mut order = Vec::new();
-    seen[start] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for e in g.out_edges(v) {
-            if !seen[e.to] {
-                seen[e.to] = true;
-                queue.push_back(e.to);
-            }
-        }
-    }
-    order
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn toposort_detects_cycles() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(0, 1, 1);
-        g.add_edge(1, 2, 1);
-        g.add_edge(2, 0, 1);
-        assert!(toposort(&g).is_none());
-    }
-
-    #[test]
-    fn toposort_respects_edges() {
-        let mut g = DiGraph::new(5);
-        g.add_edge(3, 1, 1);
-        g.add_edge(1, 4, 1);
-        g.add_edge(0, 4, 1);
-        g.add_edge(2, 3, 1);
-        let order = toposort(&g).unwrap();
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 5];
-            for (i, &v) in order.iter().enumerate() {
-                p[v] = i;
-            }
-            p
-        };
-        for e in g.edges() {
-            assert!(
-                pos[e.from] < pos[e.to],
-                "edge {}->{} violated",
-                e.from,
-                e.to
-            );
-        }
-    }
-
-    #[test]
-    fn bfs_visits_reachable_only() {
-        let mut g = DiGraph::new(4);
-        g.add_edge(0, 1, 1);
-        g.add_edge(2, 3, 1);
-        let order = bfs_order(&g, 0);
-        assert_eq!(order, vec![0, 1]);
-    }
-}

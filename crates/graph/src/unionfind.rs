@@ -16,13 +16,11 @@
 /// uf.union(2, 3);
 /// assert!(uf.same(0, 1));
 /// assert!(!uf.same(1, 2));
-/// assert_eq!(uf.set_count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -31,7 +29,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n).collect(),
             rank: vec![0; n],
-            sets: n,
         }
     }
 
@@ -65,18 +62,12 @@ impl UnionFind {
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
-        self.sets -= 1;
         true
     }
 
     /// `true` if `a` and `b` are in the same set.
     pub fn same(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets.
-    pub fn set_count(&self) -> usize {
-        self.sets
     }
 
     /// Groups all elements by set, returning the members of each set.
@@ -101,7 +92,6 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
-        assert_eq!(uf.set_count(), 4);
         assert!(uf.same(0, 2));
         assert!(!uf.same(0, 3));
     }

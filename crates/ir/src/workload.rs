@@ -341,61 +341,6 @@ impl Workload {
         }
         max.iter().map(|&m| m + 1).collect()
     }
-
-    /// Renders the workload as a conventional loop nest (paper Figure 3a).
-    pub fn to_loop_nest(&self) -> String {
-        let mut out = String::new();
-        for (depth, (d, b)) in self.dims.iter().zip(&self.bounds).enumerate() {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!("for {d} in range(0, {b}):\n"));
-        }
-        let pad = "  ".repeat(self.rank());
-        for a in &self.accesses {
-            out.push_str(&pad);
-            out.push_str(&format!(
-                "{} = {}[{}]\n",
-                a.tensor.to_lowercase(),
-                a.tensor,
-                render_index(&a.map, &self.dims)
-            ));
-        }
-        out.push_str(&pad);
-        let ins: Vec<String> = self.inputs().map(|a| a.tensor.to_lowercase()).collect();
-        let y = self.output().tensor.to_lowercase();
-        let body = match self.op {
-            FuOp::MulAcc => format!("{y} += {} * {}", ins[0], ins[1]),
-            FuOp::TripleMulAcc => format!("{y} += {} * {} * {}", ins[0], ins[1], ins[2]),
-            FuOp::MulShiftAcc => format!("{y} += ({} * {}) << {}", ins[0], ins[1], ins[2]),
-            FuOp::MaxAcc => format!("{y} = max({y}, {})", ins[0]),
-        };
-        out.push_str(&body);
-        out.push('\n');
-        out
-    }
-}
-
-fn render_index(map: &AffineMap, dims: &[String]) -> String {
-    let m = map.matrix();
-    let mut parts = Vec::new();
-    for r in 0..m.rows() {
-        let mut terms = Vec::new();
-        for (c, d) in dims.iter().enumerate() {
-            match m[(r, c)] {
-                0 => {}
-                1 => terms.push(d.clone()),
-                k => terms.push(format!("{k}*{d}")),
-            }
-        }
-        match map.bias()[r] {
-            0 => {}
-            k => terms.push(format!("{k}")),
-        }
-        if terms.is_empty() {
-            terms.push("0".to_string());
-        }
-        parts.push(terms.join("+"));
-    }
-    parts.join(", ")
 }
 
 #[cfg(test)]
@@ -492,16 +437,6 @@ mod tests {
         assert_eq!(FuOp::MulShiftAcc.apply(0, &[3, 2, 1]), 12);
         assert_eq!(FuOp::MaxAcc.apply(5, &[9]), 9);
         assert_eq!(FuOp::MaxAcc.apply(5, &[3]), 5);
-    }
-
-    #[test]
-    fn loop_nest_rendering_mentions_all_dims() {
-        let g = kernels::gemm(2, 3, 4);
-        let nest = g.to_loop_nest();
-        for d in ["i", "j", "k"] {
-            assert!(nest.contains(&format!("for {d} in")), "{nest}");
-        }
-        assert!(nest.contains("y += x * w"), "{nest}");
     }
 
     #[test]

@@ -98,18 +98,6 @@ impl AffineMap {
         let bias = self.apply(&inner.bias);
         AffineMap { matrix, bias }
     }
-
-    /// Applies only the linear part `M·x` (drops the bias).
-    ///
-    /// Reuse analysis works on index *differences*, where the bias cancels:
-    /// `f(x + Δ) − f(x) = M·Δ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.in_dim()`.
-    pub fn apply_linear(&self, x: &[i64]) -> Vec<i64> {
-        self.matrix.mul_vec(x)
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +138,7 @@ mod tests {
             .zip(f.apply(&a))
             .map(|(u, v)| u - v)
             .collect();
-        assert_eq!(diff, f.apply_linear(&d));
+        assert_eq!(diff, f.matrix().mul_vec(&d));
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl IMat {
         m
     }
 
-    /// `true` if every entry is zero.
-    pub fn is_zero(&self) -> bool {
-        self.data.iter().all(|&x| x == 0)
-    }
-
     /// Iterates over all entries in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
         self.data.iter().copied()
@@ -374,7 +369,7 @@ mod tests {
         assert_eq!(&a + &b, IMat::from_rows(&[vec![11, 22]]));
         assert_eq!(&b - &a, IMat::from_rows(&[vec![9, 18]]));
         assert_eq!(-&a, IMat::from_rows(&[vec![-1, -2]]));
-        assert!((&a - &a).is_zero());
+        assert_eq!(&a - &a, IMat::zeros(1, 2));
     }
 
     #[test]

@@ -257,7 +257,7 @@ mod tests {
             m.dedup();
             m
         };
-        for want in lego_eval::ALL_MAPPINGS {
+        for want in SpatialMapping::ALL {
             assert!(mappings.contains(&want), "missing {want:?} in {mappings:?}");
         }
         // The tile ladder is reachable too.

@@ -176,7 +176,6 @@ mod tests {
 
     #[test]
     fn every_template_has_a_seed_pair_that_lowers_back() {
-        use lego_eval::ALL_MAPPINGS;
         let gemm = LayerKind::Gemm { m: 8, n: 8, k: 8 };
         let conv = LayerKind::Conv {
             n: 1,
@@ -188,7 +187,7 @@ mod tests {
             kw: 3,
             stride: 1,
         };
-        for m in ALL_MAPPINGS {
+        for m in SpatialMapping::ALL {
             let (a, b) = seed_spatial_pair(&conv, m);
             assert_eq!(lower_spatial(a, b), Some(m), "{m:?} on conv");
             assert!(layer_axes(&conv).contains(&a) && layer_axes(&conv).contains(&b));

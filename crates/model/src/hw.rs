@@ -25,6 +25,15 @@ pub enum SpatialMapping {
 }
 
 impl SpatialMapping {
+    /// Every spatial dataflow the simulator knows, in canonical order.
+    pub const ALL: [SpatialMapping; 5] = [
+        SpatialMapping::GemmMN,
+        SpatialMapping::GemmKN,
+        SpatialMapping::ConvIcOc,
+        SpatialMapping::ConvOhOw,
+        SpatialMapping::ConvKhOh,
+    ];
+
     /// Short display name.
     pub fn name(self) -> &'static str {
         match self {

@@ -12,15 +12,6 @@ pub mod mesh;
 pub use butterfly::Butterfly;
 pub use mesh::{Mesh, XyRoute};
 
-/// Kind of NoC instantiated at a given level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NocKind {
-    /// Multi-stage butterfly (L1 ↔ L2 distribution).
-    Butterfly,
-    /// 2D wormhole mesh with X-Y routing (L2 scale-out).
-    Mesh,
-}
-
 /// Latency/energy summary of a modeled transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
@@ -28,14 +19,4 @@ pub struct Transfer {
     pub cycles: u64,
     /// Router/link hops traversed.
     pub hops: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_are_distinct() {
-        assert_ne!(NocKind::Butterfly, NocKind::Mesh);
-    }
 }

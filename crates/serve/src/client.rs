@@ -21,7 +21,6 @@ use std::path::Path;
 /// A framed connection to a lego-serve endpoint.
 pub struct Client<S> {
     stream: S,
-    max_frame_len: usize,
 }
 
 impl Client<TcpStream> {
@@ -41,17 +40,7 @@ impl Client<UnixStream> {
 impl<S: Read + Write> Client<S> {
     /// Wraps an already-connected stream.
     pub fn over(stream: S) -> Self {
-        Client {
-            stream,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-        }
-    }
-
-    /// Caps reply payload sizes this client will accept.
-    #[must_use]
-    pub fn with_max_frame_len(mut self, max: usize) -> Self {
-        self.max_frame_len = max;
-        self
+        Client { stream }
     }
 
     /// Sends one request frame without waiting for its reply
@@ -63,7 +52,7 @@ impl<S: Read + Write> Client<S> {
 
     /// Reads the next frame, which must be a reply, and returns its payload.
     fn recv_reply_payload(&mut self) -> Result<Vec<u8>, EvalError> {
-        let frame = frame::read_frame(&mut self.stream, self.max_frame_len)?
+        let frame = frame::read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?
             .ok_or_else(|| EvalError::Io(io::Error::other("server closed the connection")))?;
         if frame.kind != KIND_REPLY {
             return Err(CodecError::InvalidTag {

@@ -59,11 +59,6 @@ impl DensityModel {
         DensityModel::StructuredNM { n: 2, m: 4 }
     }
 
-    /// 4:8 structured sparsity (50 % density, looser groups).
-    pub fn four_to_eight() -> Self {
-        DensityModel::StructuredNM { n: 4, m: 8 }
-    }
-
     /// Expected fraction of nonzero elements, always in `[0, 1]`.
     pub fn density(&self) -> f64 {
         match *self {
@@ -207,7 +202,6 @@ mod tests {
         );
         assert_eq!(DensityModel::uniform(1.0), DensityModel::Dense);
         assert_eq!(DensityModel::two_to_four().density(), 0.5);
-        assert_eq!(DensityModel::four_to_eight().density(), 0.5);
         for d in [
             DensityModel::Dense,
             DensityModel::uniform(0.0),

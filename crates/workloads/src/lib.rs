@@ -86,6 +86,15 @@ pub enum Nonlinear {
     Normalization,
 }
 
+impl Nonlinear {
+    /// Every non-tensor operation kind, in canonical order.
+    pub const ALL: [Nonlinear; 3] = [
+        Nonlinear::Activation,
+        Nonlinear::Softmax,
+        Nonlinear::Normalization,
+    ];
+}
+
 /// One layer instance (possibly repeated) within a model.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Layer {
