@@ -102,9 +102,9 @@ fn run() -> Result<(), EvalError> {
                     })
                 }
             };
-            EvalRequest::builder(model, hw)
-                .sparse(SparseHw::with_accel(accel))
-                .build()?
+            let request = EvalRequest::new(model, hw).with_sparse(SparseHw::with_accel(accel));
+            request.validate()?;
+            request
         }
     };
 

@@ -122,12 +122,10 @@ fn main() {
     ]);
     let session = EvalSession::new();
     for (model, genome) in &format_probes {
-        let mut builder = EvalRequest::builder(model.clone(), genome.to_hw_config())
-            .sparse(SparseHw::with_accel(genome.sparse));
-        if let Some(cap) = genome.tile_cap {
-            builder = builder.tile_cap(cap);
-        }
-        let request = builder.build().expect("genomes encode valid requests");
+        let request = EvalRequest::new(model.clone(), genome.to_hw_config())
+            .with_sparse(SparseHw::with_accel(genome.sparse))
+            .with_tile_cap(genome.tile_cap);
+        request.validate().expect("genomes encode valid requests");
         let report = session.evaluate(&request);
         let mut combos: std::collections::BTreeMap<(&str, &str), i64> = Default::default();
         for l in &report.per_layer {

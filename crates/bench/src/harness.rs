@@ -23,10 +23,8 @@ pub fn evaluate(
     hw: &HwConfig,
     tech: &TechModel,
 ) -> EvalReport {
-    let request = EvalRequest::builder(model.clone(), hw.clone())
-        .tech(*tech)
-        .build()
-        .expect("table inputs are valid requests");
+    let request = EvalRequest::new(model.clone(), hw.clone()).with_tech(*tech);
+    request.validate().expect("table inputs are valid requests");
     session.evaluate(&request)
 }
 

@@ -24,8 +24,9 @@
 //!   a tag byte, then that variant's fields;
 //! - the explorer's `DataflowSet` is a bitmask that decoding validates,
 //!   and its `DesignPoint` stores `feasible` as a checked byte;
-//! - [`EvalRequest`] has a private layer-key cache, so decoding builds it
-//!   through `EvalRequest::new(..).with_*`;
+//! - [`EvalRequest`] carries a private layer-key memo that is not on the
+//!   wire (its [`as_view`](EvalRequest::as_view) lends the keys), so
+//!   decoding builds it through `EvalRequest::new(..).with_*`;
 //! - `TechModel`'s `put` writes `tech_fields`, the list the session's
 //!   cache-key fingerprints share.
 
@@ -499,6 +500,7 @@ wire_struct! {
     CostSummary { objectives, area, peak_power_mw, objective, score }
     Objectives { latency_cycles, energy_pj, area_um2 }
     MacroArea { array_um2, sram_um2, noc_um2, ppu_um2 }
+    SparseHw { accel }
     Provenance {
         version, codec_version, request_fingerprint, hw_key, cache_hits, cache_misses,
         request_id,
@@ -718,7 +720,7 @@ impl Wire for EvalRequest {
     fn put(&self, e: &mut Enc) {
         self.workload.put(e);
         self.hw.put(e);
-        self.sparse.accel.put(e);
+        self.sparse.put(e);
         self.tech.put(e);
         self.objective.put(e);
         self.tile_cap.put(e);
@@ -727,7 +729,7 @@ impl Wire for EvalRequest {
         // Receivers are evaluated before arguments, so this reads the
         // fields in wire order.
         Ok(EvalRequest::new(Model::get(d)?, HwConfig::get(d)?)
-            .with_sparse(SparseHw::with_accel(SparseAccel::get(d)?))
+            .with_sparse(SparseHw::get(d)?)
             .with_tech(TechModel::get(d)?)
             .with_objective(Objective::get(d)?)
             .with_tile_cap(Option::get(d)?))

@@ -8,13 +8,14 @@
 //! threading) is the session's business.
 
 use crate::cache::{layer_key, EvalCache};
+use crate::error::EvalError;
 use crate::hash::FnvHasher;
 use crate::objective::{Objective, Objectives};
 use lego_model::{
     CompressedFormat, CostContext, HwConfig, MacroArea, SparseHw, SramModel, TechModel,
 };
 use lego_obs::Obs;
-use lego_sim::{aggregate_iter, best_mapping_obs, LayerPerf, ModelPerf};
+use lego_sim::{aggregate_iter, best_mapping_ctx, LayerPerf, ModelPerf};
 use lego_workloads::Model;
 use std::cell::{Cell, UnsafeCell};
 use std::hash::{Hash, Hasher};
@@ -28,7 +29,20 @@ use std::sync::Arc;
 /// A request is a plain owned value with a versioned binary codec
 /// ([`EvalRequest::encode`]/[`EvalRequest::decode`]), so a multi-host
 /// driver can ship it over any byte transport and replay it bit-for-bit on
-/// the other side.
+/// the other side. Build one with [`EvalRequest::new`] and the `with_*`
+/// combinators, and call [`EvalRequest::validate`] where an invalid request
+/// must be refused rather than priced:
+///
+/// ```
+/// use lego_eval::{EvalRequest, StatusCode};
+/// use lego_sim::HwConfig;
+///
+/// let request = EvalRequest::new(lego_workloads::zoo::lenet(), HwConfig::lego_256())
+///     .with_tile_cap(Some(64));
+/// assert!(request.validate().is_ok());
+/// let bad = request.with_tile_cap(Some(0));
+/// assert_eq!(bad.validate().unwrap_err().status(), StatusCode::INVALID_TILE_CAP);
+/// ```
 #[derive(Debug, Clone)]
 pub struct EvalRequest {
     /// The model to price, layer by layer.
@@ -128,6 +142,37 @@ impl EvalRequest {
         }
     }
 
+    /// Checks the request before it is priced — what `lego-serve` runs on
+    /// every request admitted off the wire. Nothing else stops an empty
+    /// workload, a hardware configuration that fuses no dataflows, or a
+    /// non-positive tile cap from reaching the cost model, which would
+    /// price nonsense or panic deep in a mapping search.
+    ///
+    /// # Errors
+    ///
+    /// - [`EvalError::EmptyWorkload`] if the workload has no layers;
+    /// - [`EvalError::Hw`] if the hardware configuration fails
+    ///   [`HwConfig::validate`];
+    /// - [`EvalError::InvalidTileCap`] if a tile cap is set and is not
+    ///   positive.
+    pub fn validate(&self) -> Result<(), EvalError> {
+        if self.workload.layers.is_empty() {
+            return Err(EvalError::EmptyWorkload);
+        }
+        self.hw.validate()?;
+        match self.tile_cap {
+            Some(cap) if cap <= 0 => Err(EvalError::InvalidTileCap(cap)),
+            _ => Ok(()),
+        }
+    }
+
+    /// [`EvalRequest::new`] in builder form, validated by
+    /// [`EvalRequestBuilder::build`]. The `benchmark/` package builds its
+    /// rosters through it; everything else writes `new(..).with_*()`.
+    pub fn builder(workload: Model, hw: HwConfig) -> EvalRequestBuilder {
+        EvalRequestBuilder(EvalRequest::new(workload, hw))
+    }
+
     /// Stable fingerprint of the request's hardware side — the hardware
     /// half of [`EvalCache`] keys for this request. Two requests with the
     /// same `hw`/`sparse`/`tech`/`tile_cap` share cache lines; any field
@@ -142,7 +187,29 @@ impl EvalRequest {
     /// [`Provenance::request_fingerprint`] so a report can be matched back
     /// to the request that produced it.
     pub fn fingerprint(&self) -> u64 {
-        request_fingerprint(&self.workload, self.hw_key(), Some(self.layer_keys()))
+        request_fingerprint(&self.workload, self.hw_key(), self.layer_keys())
+    }
+}
+
+/// A request under construction; see [`EvalRequest::builder`].
+#[derive(Debug, Clone)]
+#[must_use = "a builder does nothing until build() is called"]
+pub struct EvalRequestBuilder(EvalRequest);
+
+impl EvalRequestBuilder {
+    /// [`EvalRequest::with_sparse`].
+    pub fn sparse(self, sparse: SparseHw) -> Self {
+        EvalRequestBuilder(self.0.with_sparse(sparse))
+    }
+
+    /// The request, if it passes [`EvalRequest::validate`].
+    ///
+    /// # Errors
+    ///
+    /// See [`EvalRequest::validate`].
+    pub fn build(self) -> Result<EvalRequest, EvalError> {
+        self.0.validate()?;
+        Ok(self.0)
     }
 }
 
@@ -173,25 +240,9 @@ pub struct EvalRequestRef<'a> {
     /// Callers that price one workload under many configurations (the
     /// explorer, [`EvalRequest::as_view`]) hash the layers once and pass
     /// the keys here; the values must equal `layer_key` of each layer or
-    /// cache entries and provenance fingerprints will not line up.
+    /// cache entries and provenance fingerprints will not line up. A slice
+    /// whose length differs from the workload's layer count is ignored.
     pub layer_keys: Option<&'a [u64]>,
-}
-
-impl<'a> EvalRequestRef<'a> {
-    /// A borrowed request with the default technology, a dense datapath,
-    /// the EDP objective, and automatic tiling.
-    pub fn new(workload: &'a Model, hw: &'a HwConfig) -> Self {
-        EvalRequestRef {
-            workload,
-            hw,
-            sparse: SparseHw::dense(),
-            tech: TechModel::default(),
-            objective: Objective::EDP,
-            tile_cap: None,
-            hw_key: None,
-            layer_keys: None,
-        }
-    }
 }
 
 /// Stable fingerprint of one hardware-side configuration (dense config,
@@ -230,18 +281,13 @@ fn sram_fields(s: &SramModel) -> [f64; 4] {
 }
 
 /// Stable fingerprint of (workload, hardware key): what
-/// [`Provenance::request_fingerprint`] records. `layer_keys`, when
-/// supplied, must be the memoized [`layer_key`] of each layer in order —
-/// the fingerprint is identical either way, the precomputed form just
-/// skips re-hashing every layer shape.
-fn request_fingerprint(workload: &Model, hw_key: u64, layer_keys: Option<&[u64]>) -> u64 {
+/// [`Provenance::request_fingerprint`] records. `layer_keys` is the
+/// [`layer_key`] of each layer in order.
+fn request_fingerprint(workload: &Model, hw_key: u64, layer_keys: &[u64]) -> u64 {
     let mut h = FnvHasher::new();
     hw_key.hash(&mut h);
     workload.name.hash(&mut h);
-    for (i, l) in workload.layers.iter().enumerate() {
-        let key = layer_keys
-            .and_then(|keys| keys.get(i).copied())
-            .unwrap_or_else(|| layer_key(l));
+    for (l, key) in workload.layers.iter().zip(layer_keys) {
         (key, l.count, &l.name).hash(&mut h);
     }
     h.finish()
@@ -557,6 +603,11 @@ impl EvalSession {
 
     /// Prices a borrowed request view — the zero-clone form sweep drivers
     /// and the explorer use (see [`EvalRequestRef`]).
+    ///
+    /// Each layer shape is hashed at most once per evaluation: the view's
+    /// [`layer_keys`](EvalRequestRef::layer_keys) are used when they cover
+    /// the workload, and otherwise every layer is hashed here. That one
+    /// slice keys the cache lookups and the provenance fingerprint.
     pub fn evaluate_view(&self, request: EvalRequestRef<'_>) -> EvalReport {
         // Mint this evaluation's request id and mark the calling thread
         // with it: every trace event recorded below (the eval/* spans and
@@ -573,6 +624,14 @@ impl EvalSession {
         // and is recorded in provenance.
         let hw_fp = hw_fingerprint(request.hw, request.sparse, &request.tech, request.tile_cap);
         let cache_key = self.cache_key(&request, hw_fp);
+        let hashed: Vec<u64>;
+        let layer_keys = match request.layer_keys {
+            Some(keys) if keys.len() == request.workload.layers.len() => keys,
+            _ => {
+                hashed = request.workload.layers.iter().map(layer_key).collect();
+                &hashed
+            }
+        };
         let ctx = self.obs.time("eval/context_build", || {
             CostContext::new(request.hw.clone(), request.tech)
                 .with_sram(self.sram)
@@ -587,15 +646,14 @@ impl EvalSession {
             .workload
             .layers
             .iter()
-            .enumerate()
-            .map(|(i, layer)| {
-                let lk = request
-                    .layer_keys
-                    .and_then(|keys| keys.get(i).copied())
-                    .unwrap_or_else(|| layer_key(layer));
+            .zip(layer_keys)
+            .map(|(layer, &lk)| {
                 let perf = self.cache.get_or_compute(cache_key, lk, || {
                     computed.set(computed.get() + 1);
-                    best_mapping_obs(layer, &ctx, request.tile_cap, &self.obs)
+                    let _span = self.obs.span("sim/best_mapping");
+                    self.obs
+                        .count("sim.mappings_tried", ctx.hw.dataflows.len().max(1) as u64);
+                    best_mapping_ctx(layer, &ctx, request.tile_cap)
                 });
                 let (weight_format, input_format) = ctx
                     .sparse_effects(&layer.sparsity)
@@ -657,11 +715,7 @@ impl EvalSession {
                 request_id,
                 version: env!("CARGO_PKG_VERSION").to_string(),
                 codec_version: crate::codec::VERSION,
-                request_fingerprint: request_fingerprint(
-                    request.workload,
-                    hw_fp,
-                    request.layer_keys,
-                ),
+                request_fingerprint: request_fingerprint(request.workload, hw_fp, layer_keys),
                 hw_key: hw_fp,
                 cache_hits,
                 cache_misses,
@@ -714,9 +768,69 @@ impl EvalSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StatusCode;
     use lego_model::SparseAccel;
-    use lego_sim::best_mapping_ctx;
     use lego_workloads::zoo;
+
+    #[test]
+    fn validate_accepts_a_zoo_request_and_names_each_rejection() {
+        let ok = EvalRequest::new(zoo::lenet(), HwConfig::lego_256());
+        assert!(ok.validate().is_ok());
+        assert!(ok.clone().with_tile_cap(Some(1)).validate().is_ok());
+        let empty = EvalRequest::new(
+            Model {
+                name: "empty".into(),
+                layers: Vec::new(),
+            },
+            HwConfig::lego_256(),
+        );
+        let mut no_dataflows = ok.clone();
+        no_dataflows.hw.dataflows.clear();
+        for (bad, status) in [
+            (empty, StatusCode::EMPTY_WORKLOAD),
+            (no_dataflows, StatusCode::INVALID_HW),
+            (
+                ok.clone().with_tile_cap(Some(0)),
+                StatusCode::INVALID_TILE_CAP,
+            ),
+            (
+                ok.clone().with_tile_cap(Some(-1)),
+                StatusCode::INVALID_TILE_CAP,
+            ),
+        ] {
+            assert_eq!(bad.validate().unwrap_err().status(), status);
+        }
+    }
+
+    #[test]
+    fn builder_is_new_plus_validate() {
+        let sparse = SparseHw::with_accel(SparseAccel::Skipping);
+        let built = EvalRequest::builder(zoo::lenet(), HwConfig::lego_256())
+            .sparse(sparse)
+            .build()
+            .unwrap();
+        let direct = EvalRequest::new(zoo::lenet(), HwConfig::lego_256()).with_sparse(sparse);
+        assert_eq!(built, direct);
+        assert_eq!(built.encode(), direct.encode());
+        let mut hw = HwConfig::lego_256();
+        hw.dataflows.clear();
+        let err = EvalRequest::builder(zoo::lenet(), hw).build().unwrap_err();
+        assert_eq!(err.status(), StatusCode::INVALID_HW);
+    }
+
+    #[test]
+    fn partial_or_absent_caller_keys_price_identically() {
+        let req = EvalRequest::new(zoo::resnet50(), HwConfig::lego_256());
+        let keys: Vec<u64> = req.workload.layers.iter().map(layer_key).collect();
+        let evaluate = |layer_keys| {
+            let mut view = req.as_view();
+            view.layer_keys = layer_keys;
+            EvalSession::new().evaluate_view(view).encode()
+        };
+        let full = evaluate(Some(&keys));
+        assert_eq!(evaluate(None), full);
+        assert_eq!(evaluate(Some(&keys[..2])), full);
+    }
 
     #[test]
     fn session_matches_the_ctx_internals_exactly() {

@@ -25,46 +25,43 @@ fn lego_256_clustered() -> HwConfig {
 /// footprints are disjoint and a byte-budgeted server cache visibly
 /// evicts under the full mix.
 pub fn roster(mix: &str) -> Result<Vec<EvalRequest>, EvalError> {
-    let dense = || -> Result<Vec<EvalRequest>, EvalError> {
-        Ok(vec![
-            EvalRequest::builder(zoo::lenet(), HwConfig::lego_256()).build()?,
-            EvalRequest::builder(zoo::mobilenet_v2(), HwConfig::lego_256()).build()?,
-            EvalRequest::builder(zoo::mobilenet_v2(), HwConfig::lego_256())
-                .tile_cap(64)
-                .build()?,
-        ])
+    let dense = || {
+        vec![
+            EvalRequest::new(zoo::lenet(), HwConfig::lego_256()),
+            EvalRequest::new(zoo::mobilenet_v2(), HwConfig::lego_256()),
+            EvalRequest::new(zoo::mobilenet_v2(), HwConfig::lego_256()).with_tile_cap(Some(64)),
+        ]
     };
-    let sparse = || -> Result<Vec<EvalRequest>, EvalError> {
-        Ok(vec![
-            EvalRequest::builder(zoo::resnet50_2to4(), HwConfig::lego_256())
-                .sparse(SparseHw::with_accel(SparseAccel::Skipping))
-                .build()?,
-            EvalRequest::builder(zoo::lenet(), HwConfig::lego_256())
-                .sparse(SparseHw::with_accel(SparseAccel::Gating))
-                .build()?,
-        ])
+    let sparse = || {
+        vec![
+            EvalRequest::new(zoo::resnet50_2to4(), HwConfig::lego_256())
+                .with_sparse(SparseHw::with_accel(SparseAccel::Skipping)),
+            EvalRequest::new(zoo::lenet(), HwConfig::lego_256())
+                .with_sparse(SparseHw::with_accel(SparseAccel::Gating)),
+        ]
     };
-    let clustered = || -> Result<Vec<EvalRequest>, EvalError> {
-        Ok(vec![
-            EvalRequest::builder(zoo::mobilenet_v2(), lego_256_clustered()).build()?,
-            EvalRequest::builder(zoo::lenet(), lego_256_clustered()).build()?,
-        ])
+    let clustered = || {
+        vec![
+            EvalRequest::new(zoo::mobilenet_v2(), lego_256_clustered()),
+            EvalRequest::new(zoo::lenet(), lego_256_clustered()),
+        ]
     };
-    match mix {
+    let requests = match mix {
         "dense" => dense(),
         "sparse" => sparse(),
         "clustered" => clustered(),
-        "all" => {
-            let mut all = dense()?;
-            all.extend(sparse()?);
-            all.extend(clustered()?);
-            Ok(all)
+        "all" => [dense(), sparse(), clustered()].concat(),
+        other => {
+            return Err(EvalError::Unknown {
+                what: "mix",
+                name: other.to_string(),
+            })
         }
-        other => Err(EvalError::Unknown {
-            what: "mix",
-            name: other.to_string(),
-        }),
+    };
+    for request in &requests {
+        request.validate()?;
     }
+    Ok(requests)
 }
 
 /// `n` requests cycling through [`roster`] round-robin.

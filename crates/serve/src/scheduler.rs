@@ -218,9 +218,7 @@ mod tests {
     use lego_workloads::{zoo, Model};
 
     fn request() -> EvalRequest {
-        EvalRequest::builder(zoo::lenet(), HwConfig::lego_256())
-            .build()
-            .unwrap()
+        EvalRequest::new(zoo::lenet(), HwConfig::lego_256())
     }
 
     fn sink() -> (mpsc::Sender<Vec<u8>>, mpsc::Receiver<Vec<u8>>) {

@@ -10,9 +10,7 @@ use std::io::Write;
 use std::net::TcpStream;
 
 fn request() -> EvalRequest {
-    EvalRequest::builder(zoo::lenet(), HwConfig::lego_256())
-        .build()
-        .unwrap()
+    EvalRequest::new(zoo::lenet(), HwConfig::lego_256())
 }
 
 fn unix_path(tag: &str) -> std::path::PathBuf {
@@ -51,10 +49,7 @@ fn pipelined_replies_come_back_in_submission_order() {
 
     let reqs = [
         request(),
-        EvalRequest::builder(zoo::lenet(), HwConfig::lego_256())
-            .tile_cap(32)
-            .build()
-            .unwrap(),
+        EvalRequest::new(zoo::lenet(), HwConfig::lego_256()).with_tile_cap(Some(32)),
         request(),
     ];
     let expected: Vec<Vec<u8>> = reqs
@@ -156,7 +151,7 @@ fn invalid_requests_come_back_with_their_admission_status() {
 
     let mut bad_hw = HwConfig::lego_256();
     bad_hw.dataflows.clear();
-    // Bypass the validating builder the way a hostile peer would.
+    // Skip `validate` the way a hostile peer would.
     let invalid = EvalRequest::new(zoo::lenet(), bad_hw);
     let mut client = Client::connect_tcp(addr).unwrap();
     match client.evaluate_bytes(&invalid) {

@@ -27,7 +27,7 @@ pub use lego_model::{
     SpatialMapping,
 };
 pub use perf::{
-    aggregate_iter, best_mapping_ctx, best_mapping_obs, simulate_layer_ctx, tiled_dram_traffic,
+    aggregate_iter, best_mapping_ctx, simulate_layer_ctx, tiled_dram_traffic,
     tiled_dram_traffic_sparse, EnergyBreakdown, LayerPerf, ModelPerf,
 };
 #[cfg(test)]

@@ -477,22 +477,6 @@ pub fn simulate_layer_ctx(
 /// ([`HwConfig::validate`](crate::HwConfig::validate) rejects it); rather than panic, the layer falls
 /// back to the universal im2col `GemmMN` mapping.
 pub fn best_mapping_ctx(layer: &Layer, ctx: &CostContext, tile_cap: Option<i64>) -> LayerPerf {
-    best_mapping_obs(layer, ctx, tile_cap, &lego_obs::Obs::disabled())
-}
-
-/// [`best_mapping_ctx`] with observability: records a `sim/best_mapping`
-/// span per call and counts every candidate mapping simulated under
-/// `sim.mappings_tried`. Passing [`Obs::disabled`](lego_obs::Obs::disabled)
-/// makes this exactly [`best_mapping_ctx`] — instrumentation never changes
-/// which mapping wins.
-pub fn best_mapping_obs(
-    layer: &Layer,
-    ctx: &CostContext,
-    tile_cap: Option<i64>,
-    obs: &lego_obs::Obs,
-) -> LayerPerf {
-    let _span = obs.span("sim/best_mapping");
-    obs.count("sim.mappings_tried", ctx.hw.dataflows.len().max(1) as u64);
     ctx.hw
         .dataflows
         .iter()

@@ -18,8 +18,9 @@ fn main() {
     let model = zoo::mobilenet_v2();
 
     let session = EvalSession::new();
-    let request = EvalRequest::builder(model.clone(), hw.clone())
-        .build()
+    let request = EvalRequest::new(model.clone(), hw.clone());
+    request
+        .validate()
         .expect("zoo model on stock hardware is a valid request");
     let report = session.evaluate(&request);
     println!(

@@ -25,8 +25,9 @@ fn main() {
     // One session owns the cost model, the memoized evaluation cache, and
     // the worker pool; requests describe *what* to price.
     let session = EvalSession::new();
-    let request = EvalRequest::builder(lego::workloads::zoo::resnet50(), HwConfig::lego_256())
-        .build()
+    let request = EvalRequest::new(lego::workloads::zoo::resnet50(), HwConfig::lego_256());
+    request
+        .validate()
         .expect("zoo model on stock hardware is a valid request");
     let report = session.evaluate(&request);
     println!(

@@ -32,8 +32,9 @@ fn main() {
     server.listen_unix(&sock).expect("bind unix");
     println!("serving on tcp {addr} and unix {}", sock.display());
 
-    let request = EvalRequest::builder(lego::workloads::zoo::mobilenet_v2(), HwConfig::lego_256())
-        .build()
+    let request = EvalRequest::new(lego::workloads::zoo::mobilenet_v2(), HwConfig::lego_256());
+    request
+        .validate()
         .expect("zoo model on stock hardware is a valid request");
     let offline = EvalSession::new().evaluate(&request);
 
@@ -51,10 +52,9 @@ fn main() {
     );
 
     // ── 3. Pipelining: replies in submission order ─────────────────────
-    let capped = EvalRequest::builder(lego::workloads::zoo::lenet(), HwConfig::lego_256())
-        .tile_cap(32)
-        .build()
-        .unwrap();
+    let capped = EvalRequest::new(lego::workloads::zoo::lenet(), HwConfig::lego_256())
+        .with_tile_cap(Some(32));
+    capped.validate().unwrap();
     tcp.send(&request).unwrap();
     tcp.send(&capped).unwrap();
     let first = tcp.recv_report_bytes().unwrap();

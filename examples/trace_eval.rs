@@ -31,8 +31,9 @@ fn main() {
 
     // Evaluate twice: the first request runs cold, the second hits the
     // session cache — both visible in the trace as separate request ids.
-    let request = EvalRequest::builder(lego::workloads::zoo::mobilenet_v2(), HwConfig::lego_256())
-        .build()
+    let request = EvalRequest::new(lego::workloads::zoo::mobilenet_v2(), HwConfig::lego_256());
+    request
+        .validate()
         .expect("zoo model on stock hardware is a valid request");
     let cold = session.evaluate(&request);
     let warm = session.evaluate(&request);

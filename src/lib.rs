@@ -105,12 +105,9 @@
 //! let server = Server::new(ServerConfig::default());
 //! let addr = server.listen_tcp("127.0.0.1:0").unwrap();
 //!
-//! let request = EvalRequest::builder(
-//!     lego::workloads::zoo::lenet(),
-//!     HwConfig::lego_256(),
-//! )
-//! .build()
-//! .unwrap();
+//! let request = EvalRequest::new(lego::workloads::zoo::lenet(), HwConfig::lego_256())
+//!     .with_tile_cap(Some(64));
+//! request.validate().unwrap();
 //! let mut client = Client::connect_tcp(addr).unwrap();
 //! let served = client.evaluate_bytes(&request).unwrap();
 //! assert_eq!(served, EvalSession::new().evaluate(&request).encode());
