@@ -17,14 +17,19 @@ struct Slot {
     referenced: AtomicBool,
 }
 
-/// One shard: the memo map plus (in bounded mode) the CLOCK ring of
-/// resident keys in insertion/rotation order. The ring holds exactly the
-/// map's keys; eviction pops the front, giving recently referenced
-/// entries a second chance at the back.
+/// One shard: the memo map, (in bounded mode) the CLOCK ring of resident
+/// keys in insertion/rotation order, and the shard's own hit/miss
+/// counters. The ring holds exactly the map's keys; eviction pops the
+/// front, giving recently referenced entries a second chance at the back.
+/// The alignment gives every shard its own cache lines, so lookups on
+/// different shards never write to a shared line.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct Shard {
     map: HashMap<(u64, u64), Slot>,
     ring: VecDeque<(u64, u64)>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl Shard {
@@ -78,7 +83,10 @@ impl Shard {
 /// shard is an `RwLock` so the warm-run steady state — ~100% hits — takes
 /// only shared read locks and never serializes readers; writers appear only
 /// on misses and absorbs. It counts hits and misses so callers can verify
-/// the sharing actually happens.
+/// the sharing actually happens: each shard keeps its own pair of
+/// counters, and [`hits`](EvalCache::hits)/[`misses`](EvalCache::misses)
+/// sum them. A warm lookup costs less than a write to a cache line every
+/// worker shares, so no counter is global.
 ///
 /// # Bounded mode
 ///
@@ -98,8 +106,6 @@ pub struct EvalCache {
     shard_cap: Option<usize>,
     /// The configured budget in bytes (`None` = unbounded).
     budget_bytes: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -109,8 +115,6 @@ impl Default for EvalCache {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             shard_cap: None,
             budget_bytes: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -158,12 +162,14 @@ impl EvalCache {
     ) -> LayerPerf {
         let key = (hw_key, layer_key);
         let shard = &self.shards[(hw_key ^ layer_key) as usize % SHARDS];
-        if let Some(hit) = shard.read().expect("cache shard poisoned").map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let guard = shard.read().expect("cache shard poisoned");
+        if let Some(hit) = guard.map.get(&key) {
+            guard.hits.fetch_add(1, Ordering::Relaxed);
             hit.referenced.store(true, Ordering::Relaxed);
             return hit.perf;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        guard.misses.fetch_add(1, Ordering::Relaxed);
+        drop(guard);
         let value = compute();
         let (_, evicted) =
             shard
@@ -176,14 +182,22 @@ impl EvalCache {
         value
     }
 
+    /// `f` summed over the shards, each read under its shard's read lock.
+    fn sum<T: std::iter::Sum>(&self, f: impl Fn(&Shard) -> T) -> T {
+        self.shards
+            .iter()
+            .map(|s| f(&s.read().expect("cache shard poisoned")))
+            .sum()
+    }
+
     /// Lookups answered from the table.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.sum(|s| s.hits.load(Ordering::Relaxed))
     }
 
     /// Lookups that had to evaluate.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.sum(|s| s.misses.load(Ordering::Relaxed))
     }
 
     /// Entries evicted to honor the byte budget (always `0` unbounded).
@@ -207,19 +221,13 @@ impl EvalCache {
     /// canonical order a snapshot serializes, so two caches with the same
     /// contents encode byte-identically regardless of insertion history.
     pub fn entries(&self) -> Vec<((u64, u64), LayerPerf)> {
-        let mut out: Vec<((u64, u64), LayerPerf)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("cache shard poisoned")
-                    .map
-                    .iter()
-                    .map(|(k, v)| (*k, v.perf))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
+        let mut out = Vec::with_capacity(self.len());
+        for s in &self.shards {
+            let shard = s.read().expect("cache shard poisoned");
+            out.extend(shard.map.iter().map(|(k, v)| (*k, v.perf)));
+        }
+        // Keys are unique, so an unstable sort is still canonical.
+        out.sort_unstable_by_key(|(k, _)| *k);
         out
     }
 
@@ -272,10 +280,7 @@ impl EvalCache {
 
     /// Distinct entries stored.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").map.len())
-            .sum()
+        self.sum(|s| s.map.len())
     }
 
     /// Whether the cache has no entries.

@@ -71,7 +71,7 @@ pub use objective::{BaseObjective, Objective, Objectives};
 pub use pool::WorkerPool;
 pub use session::{
     CostSummary, EvalReport, EvalRequest, EvalRequestBuilder, EvalRequestRef, EvalSession,
-    LayerReport, Provenance,
+    LayerReport, Priced, Provenance,
 };
 
 /// Rejections of request building: `EvalRequest::new(..).with_*()` checked

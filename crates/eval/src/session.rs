@@ -17,6 +17,7 @@ use lego_model::{
 use lego_obs::Obs;
 use lego_sim::{aggregate_iter, best_mapping_ctx, LayerPerf, ModelPerf};
 use lego_workloads::Model;
+use std::borrow::Cow;
 use std::cell::{Cell, UnsafeCell};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -245,6 +246,17 @@ pub struct EvalRequestRef<'a> {
     pub layer_keys: Option<&'a [u64]>,
 }
 
+impl<'a> EvalRequestRef<'a> {
+    /// The view's `layer_keys` when they cover the workload; otherwise
+    /// every layer hashed.
+    fn covering_layer_keys(&self) -> Cow<'a, [u64]> {
+        match self.layer_keys {
+            Some(keys) if keys.len() == self.workload.layers.len() => Cow::Borrowed(keys),
+            _ => self.workload.layers.iter().map(layer_key).collect(),
+        }
+    }
+}
+
 /// Stable fingerprint of one hardware-side configuration (dense config,
 /// sparse feature, technology, tiling cap).
 fn hw_fingerprint(hw: &HwConfig, sparse: SparseHw, tech: &TechModel, tile_cap: Option<i64>) -> u64 {
@@ -358,7 +370,7 @@ pub struct Provenance {
     /// hardware-side fingerprint, not the session-internal cache key).
     pub hw_key: u64,
     /// Layer lookups *this request* answered from the session cache —
-    /// counted locally per request, not read from the global cache
+    /// counted locally per request, not read from the session-wide cache
     /// counters, so parallel batches still produce deterministic reports.
     /// `cache_misses == 0` means the evaluation was fully warm.
     pub cache_hits: u64,
@@ -385,6 +397,24 @@ impl Provenance {
     pub fn warm(&self) -> bool {
         self.cache_misses == 0
     }
+}
+
+/// What [`EvalSession::price`] returns: an [`EvalReport`]'s numbers
+/// without its per-layer rows and provenance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Priced {
+    /// Each layer's mapping result, index-aligned with the workload.
+    pub per_layer: Vec<LayerPerf>,
+    /// Aggregated whole-model performance.
+    pub model: ModelPerf,
+    /// Design-level cost roll-up.
+    pub cost: CostSummary,
+    /// [`Provenance::request_id`].
+    pub request_id: u64,
+    /// [`Provenance::hw_key`].
+    pub hw_key: u64,
+    /// [`Provenance::cache_misses`].
+    pub cache_misses: u64,
 }
 
 /// The response to an [`EvalRequest`]: per-layer mapping results, the
@@ -602,13 +632,63 @@ impl EvalSession {
     }
 
     /// Prices a borrowed request view — the zero-clone form sweep drivers
-    /// and the explorer use (see [`EvalRequestRef`]).
+    /// and the explorer use (see [`EvalRequestRef`]): [`price`](Self::price)
+    /// plus a [`LayerReport`] row per layer and the [`Provenance`].
     ///
     /// Each layer shape is hashed at most once per evaluation: the view's
     /// [`layer_keys`](EvalRequestRef::layer_keys) are used when they cover
     /// the workload, and otherwise every layer is hashed here. That one
     /// slice keys the cache lookups and the provenance fingerprint.
     pub fn evaluate_view(&self, request: EvalRequestRef<'_>) -> EvalReport {
+        let layer_keys = request.covering_layer_keys();
+        let priced = self.price(EvalRequestRef {
+            layer_keys: Some(&layer_keys),
+            ..request
+        });
+        let fingerprint = request_fingerprint(request.workload, priced.hw_key, &layer_keys);
+        let per_layer: Vec<LayerReport> = request
+            .workload
+            .layers
+            .iter()
+            .zip(priced.per_layer)
+            .map(|(layer, perf)| {
+                let (weight_format, input_format) = request
+                    .sparse
+                    .effects(&layer.sparsity)
+                    .map_or((CompressedFormat::Dense, CompressedFormat::Dense), |e| {
+                        (e.weight_format, e.input_format)
+                    });
+                LayerReport {
+                    name: Arc::clone(&layer.name),
+                    count: layer.count,
+                    perf,
+                    weight_format,
+                    input_format,
+                }
+            })
+            .collect();
+        EvalReport {
+            // Provenance records the *request-level* fingerprints a driver
+            // matches reports to requests by, never the session's cache key.
+            provenance: Provenance {
+                request_id: priced.request_id,
+                version: env!("CARGO_PKG_VERSION").to_string(),
+                codec_version: crate::codec::VERSION,
+                request_fingerprint: fingerprint,
+                hw_key: priced.hw_key,
+                cache_hits: per_layer.len() as u64 - priced.cache_misses,
+                cache_misses: priced.cache_misses,
+            },
+            per_layer,
+            model: priced.model,
+            cost: priced.cost,
+        }
+    }
+
+    /// Prices a borrowed request view down to the numbers (see [`Priced`]):
+    /// the form the explorer and the mapping search use, since they price
+    /// thousands of configurations and never read the report rows.
+    pub fn price(&self, request: EvalRequestRef<'_>) -> Priced {
         // Mint this evaluation's request id and mark the calling thread
         // with it: every trace event recorded below (the eval/* spans and
         // cache counters) carries the id, which is how an exported trace
@@ -624,49 +704,30 @@ impl EvalSession {
         // and is recorded in provenance.
         let hw_fp = hw_fingerprint(request.hw, request.sparse, &request.tech, request.tile_cap);
         let cache_key = self.cache_key(&request, hw_fp);
-        let hashed: Vec<u64>;
-        let layer_keys = match request.layer_keys {
-            Some(keys) if keys.len() == request.workload.layers.len() => keys,
-            _ => {
-                hashed = request.workload.layers.iter().map(layer_key).collect();
-                &hashed
-            }
-        };
+        let layer_keys = request.covering_layer_keys();
         let ctx = self.obs.time("eval/context_build", || {
             CostContext::new(request.hw.clone(), request.tech)
                 .with_sram(self.sram)
                 .with_sparse(request.sparse)
         });
-        // Cache warmth is counted locally (not read from the global cache
+        // Cache warmth is counted locally (not read from the cache's
         // counters) so a report's provenance depends only on this
         // request's lookups, never on what parallel batch neighbors did.
         let computed = Cell::new(0u64);
         let search_span = self.obs.span("eval/mapping_search");
-        let per_layer: Vec<LayerReport> = request
+        let per_layer: Vec<LayerPerf> = request
             .workload
             .layers
             .iter()
-            .zip(layer_keys)
+            .zip(layer_keys.iter())
             .map(|(layer, &lk)| {
-                let perf = self.cache.get_or_compute(cache_key, lk, || {
+                self.cache.get_or_compute(cache_key, lk, || {
                     computed.set(computed.get() + 1);
                     let _span = self.obs.span("sim/best_mapping");
                     self.obs
                         .count("sim.mappings_tried", ctx.hw.dataflows.len().max(1) as u64);
                     best_mapping_ctx(layer, &ctx, request.tile_cap)
-                });
-                let (weight_format, input_format) = ctx
-                    .sparse_effects(&layer.sparsity)
-                    .map_or((CompressedFormat::Dense, CompressedFormat::Dense), |e| {
-                        (e.weight_format, e.input_format)
-                    });
-                LayerReport {
-                    name: Arc::clone(&layer.name),
-                    count: layer.count,
-                    perf,
-                    weight_format,
-                    input_format,
-                }
+                })
             })
             .collect();
         drop(search_span);
@@ -674,12 +735,9 @@ impl EvalSession {
         let cache_hits = per_layer.len() as u64 - cache_misses;
         self.obs.count("cache.hits", cache_hits);
         self.obs.count("cache.misses", cache_misses);
+        let counts = request.workload.layers.iter().map(|l| l.count);
         let model = self.obs.time("eval/aggregate", || {
-            aggregate_iter(
-                request.workload,
-                per_layer.iter().map(|l| (l.count, &l.perf)),
-                &request.tech,
-            )
+            aggregate_iter(request.workload, counts.zip(&per_layer), &request.tech)
         });
 
         let latency_cycles = model.cycles as f64;
@@ -695,7 +753,7 @@ impl EvalSession {
             area_um2: area.total_um2(),
         };
         let score = request.objective.score(&objectives, peak_power_mw);
-        EvalReport {
+        Priced {
             per_layer,
             model,
             cost: CostSummary {
@@ -705,21 +763,9 @@ impl EvalSession {
                 objective: request.objective,
                 score,
             },
-            // Provenance records *request-level* fingerprints — the
-            // values [`EvalRequest::hw_key`]/[`EvalRequest::fingerprint`]
-            // compute, so a driver can match reports back to requests.
-            // The session-internal cache key (which additionally folds
-            // in the SRAM model and any caller-supplied key) is an
-            // implementation detail and is deliberately not exposed.
-            provenance: Provenance {
-                request_id,
-                version: env!("CARGO_PKG_VERSION").to_string(),
-                codec_version: crate::codec::VERSION,
-                request_fingerprint: request_fingerprint(request.workload, hw_fp, layer_keys),
-                hw_key: hw_fp,
-                cache_hits,
-                cache_misses,
-            },
+            request_id,
+            hw_key: hw_fp,
+            cache_misses,
         }
     }
 
@@ -861,6 +907,70 @@ mod tests {
             report.model,
             aggregate_iter(&model, pairs.iter().map(|(c, p)| (*c, p)), &tech)
         );
+    }
+
+    #[test]
+    fn price_is_the_report_without_rows_and_provenance() {
+        let models = [
+            "lenet",
+            "mobilenet_v2",
+            "resnet50",
+            "bert_base",
+            "resnet50_2to4",
+            "bert_base_pruned90",
+            "gpt2_prefill_causal",
+        ]
+        .map(|name| zoo::by_name(name).expect("a zoo model"));
+        let variants = [
+            SparseHw::dense(),
+            SparseHw::with_accel(SparseAccel::Skipping),
+        ]
+        .into_iter()
+        .flat_map(|sparse| [(sparse, None), (sparse, Some(64))]);
+        for model in models {
+            for hw in [HwConfig::lego_256(), HwConfig::lego_icoc_1k()] {
+                for (sparse, tile_cap) in variants.clone() {
+                    let request = EvalRequest::new(model.clone(), hw.clone())
+                        .with_sparse(sparse)
+                        .with_tile_cap(tile_cap);
+                    let report = EvalSession::new().evaluate(&request);
+                    let priced = EvalSession::new().price(request.as_view());
+                    let perfs: Vec<LayerPerf> = report.per_layer.iter().map(|l| l.perf).collect();
+                    let case = format!("{} {sparse:?} {tile_cap:?}", model.name);
+                    assert_eq!(priced.per_layer, perfs, "{case}");
+                    assert_eq!(priced.model, report.model, "{case}");
+                    assert_eq!(priced.cost, report.cost, "{case}");
+                    assert_eq!(priced.request_id, report.provenance.request_id);
+                    assert_eq!(priced.hw_key, report.provenance.hw_key);
+                    assert_eq!(priced.cache_misses, report.provenance.cache_misses);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cache_counters_stay_exact_across_batch_lanes() {
+        let ctx = CostContext::new(HwConfig::lego_256(), TechModel::default());
+        let perf = best_mapping_ctx(&zoo::lenet().layers[0], &ctx, None);
+        // 64 distinct keys over every shard, each looked up eight times.
+        let lookups: Vec<(u64, u64)> = (0..512u64).map(|i| (i % 64, 7)).collect();
+        let look_up_all = |session: &EvalSession| {
+            session.run_batch(&lookups, |&(hw, layer)| {
+                session.cache().get_or_compute(hw, layer, || perf)
+            });
+        };
+        let cold = EvalSession::new().with_threads(4);
+        look_up_all(&cold);
+        let cache = cold.cache();
+        assert_eq!(cache.hits() + cache.misses(), lookups.len() as u64);
+        // Two lanes racing on a fresh key may both compute it.
+        assert!(cache.misses() >= 64, "every distinct key misses once");
+        assert_eq!(cache.len(), 64);
+        let warm = EvalSession::new().with_threads(4);
+        assert_eq!(warm.warm_cache(cache.entries()), 64);
+        look_up_all(&warm);
+        assert_eq!(warm.cache().misses(), 0);
+        assert_eq!(warm.cache().hits(), lookups.len() as u64);
     }
 
     #[test]

@@ -97,21 +97,11 @@ impl<'m> Evaluator<'m> {
         self
     }
 
-    /// The active feasibility budgets.
-    pub fn constraints(&self) -> &Constraints {
-        &self.constraints
-    }
-
     /// Sets the scalarization strategies minimize (default: plain EDP).
     #[must_use]
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
         self
-    }
-
-    /// The active scalarization.
-    pub fn objective(&self) -> &Objective {
-        &self.objective
     }
 
     /// Scores a point under the active scalarization (lower is better).
@@ -125,16 +115,6 @@ impl<'m> Evaluator<'m> {
     /// carries the latency → energy → area tie-break chain.
     pub fn key(&self, point: &DesignPoint) -> [f64; 3] {
         self.objective.key(&point.objectives, point.peak_power_mw)
-    }
-
-    /// The target model.
-    pub fn model(&self) -> &Model {
-        self.model
-    }
-
-    /// The underlying evaluation session.
-    pub fn session(&self) -> &EvalSession {
-        &self.session
     }
 
     /// The shared memo table.
@@ -158,10 +138,10 @@ impl<'m> Evaluator<'m> {
     /// threaded through every per-layer simulation, the area roll-up
     /// (which includes L2 router area for multi-cluster designs), and the
     /// peak-power figure the feasibility budgets check — all inside
-    /// [`EvalSession::evaluate_view`].
+    /// [`EvalSession::price`].
     pub fn eval(&self, genome: &Genome) -> DesignPoint {
         let hw = genome.to_hw_config();
-        let report = self.session.evaluate_view(EvalRequestRef {
+        let priced = self.session.price(EvalRequestRef {
             workload: self.model,
             hw: &hw,
             sparse: SparseHw::with_accel(genome.sparse),
@@ -175,10 +155,10 @@ impl<'m> Evaluator<'m> {
             genome: *genome,
             feasible: self
                 .constraints
-                .admits(report.cost.objectives.area_um2, report.cost.peak_power_mw),
-            objectives: report.cost.objectives,
-            perf: report.model,
-            peak_power_mw: report.cost.peak_power_mw,
+                .admits(priced.cost.objectives.area_um2, priced.cost.peak_power_mw),
+            objectives: priced.cost.objectives,
+            perf: priced.model,
+            peak_power_mw: priced.cost.peak_power_mw,
         }
     }
 

@@ -327,9 +327,8 @@ pub struct ShardedExplorationResult {
     pub shards: Vec<ShardRunResult>,
     /// Cache hits summed over all shards.
     pub cache_hits: u64,
-    /// Cache misses summed over all shards. `cache_misses - cache.len()`
-    /// is the duplicated simulation work a shared cache would have saved —
-    /// the price of shard isolation.
+    /// Cache misses summed over all shards: the distinct entries of the
+    /// merged `cache` plus the [`duplicate_evals`](Self::duplicate_evals).
     pub cache_misses: u64,
 }
 
@@ -339,8 +338,11 @@ impl ShardedExplorationResult {
         self.frontier.best_by_edp()
     }
 
-    /// Simulations shards re-ran that a peer had already computed
-    /// (cross-shard duplicate work the snapshot/merge workflow exposes).
+    /// Simulations shards re-ran that a peer had already computed, because
+    /// each shard prices through its own cache. They are not where a
+    /// sharded run's time goes: a layer simulation is cheap next to the
+    /// cache lookups and pricing around it, so one cache shared across
+    /// shards removes these misses without making a shard faster.
     pub fn duplicate_evals(&self) -> u64 {
         self.cache_misses.saturating_sub(self.cache.len() as u64)
     }

@@ -1,6 +1,6 @@
 //! Serializable shard snapshots: a binary format for [`ParetoFrontier`] +
-//! [`EvalCache`] contents, so a shard worker can checkpoint its results to
-//! a file and a coordinator can merge them.
+//! [`EvalCache`](crate::EvalCache) contents, so a shard worker can
+//! checkpoint its results to a file and a coordinator can merge them.
 //!
 //! The format is deliberately boring, and built on the byte-level toolkit
 //! of [`lego_eval::codec`]: a fixed magic + version header, then the
@@ -10,8 +10,8 @@
 //! [`wire_struct!`](lego_eval::wire_struct) field lists; [`DataflowSet`]
 //! (a validated bitmask), [`DesignPoint`] (a checked `feasible` byte) and
 //! [`ParetoFrontier`] (points sorted on the way out, re-inserted on the
-//! way in) are written by hand. Cache entries are
-//! written in sorted key order ([`EvalCache::entries`]) and frontier
+//! way in) are written by hand. Cache entries are written in sorted key
+//! order ([`EvalCache::entries`](crate::EvalCache::entries)) and frontier
 //! points sorted by genome fingerprint, so encoding is a pure function of
 //! the snapshot's contents (merge order never shows in the bytes) and
 //! `encode → decode → encode` is byte-identical. Decoding
@@ -22,8 +22,9 @@ use crate::eval::DesignPoint;
 use crate::pareto::{Objectives, ParetoFrontier};
 use crate::space::{DataflowSet, Genome};
 use lego_eval::codec::{CodecError, Dec, Enc, Wire};
-use lego_eval::{wire_struct, EvalCache};
+use lego_eval::wire_struct;
 use lego_sim::{LayerPerf, ModelPerf};
+use std::borrow::Cow;
 
 /// File magic: identifies a LEGO DSE snapshot.
 const MAGIC: &[u8; 8] = b"LEGOSNAP";
@@ -45,8 +46,8 @@ const VERSION: u8 = 3;
 
 /// One shard's checkpointed search state: where it ran (shard coordinates,
 /// seed, model), what it found (the feasible [`ParetoFrontier`]), and what
-/// it computed (the [`EvalCache`] entries, keyed by stable FNV
-/// fingerprints so cross-process merging is a set union).
+/// it computed (the [`EvalCache`](crate::EvalCache) entries, keyed by
+/// stable FNV fingerprints so cross-process merging is a set union).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Shard index in `0..shard_count`.
@@ -72,15 +73,29 @@ impl Snapshot {
     /// Merges another shard's snapshot into this one: the frontier folds
     /// in point-wise ([`ParetoFrontier::merge`]) and the caches set-union
     /// on their fingerprint keys with the resident entry winning
-    /// collisions (the [`EvalCache::absorb`] rule). Returns
-    /// `(frontier_points_added, cache_entries_added)`.
+    /// collisions (the [`EvalCache::absorb`](crate::EvalCache::absorb)
+    /// rule). Returns `(frontier_points_added, cache_entries_added)`.
+    ///
+    /// The union is one linear merge of the two key-sorted lists. A list
+    /// that is not strictly sorted (`cache` is a public field) is first put
+    /// in key order with the first entry of each key kept, which is what
+    /// absorbing it into an [`EvalCache`](crate::EvalCache) would keep.
     pub fn absorb(&mut self, other: &Snapshot) -> (usize, usize) {
         self.evaluated = self.evaluated.saturating_add(other.evaluated);
         let joined = self.frontier.merge(&other.frontier);
-        let resident = EvalCache::new();
-        resident.absorb(self.cache.iter().cloned());
-        let added = resident.absorb(other.cache.iter().cloned());
-        self.cache = resident.entries();
+        let resident = std::mem::take(&mut self.cache);
+        let (ours, theirs) = (canonical(&resident), canonical(&other.cache));
+        let mut merged = Vec::with_capacity(ours.len() + theirs.len());
+        let mut foreign = theirs.iter().copied().peekable();
+        for entry in ours.iter().copied() {
+            merged.extend(std::iter::from_fn(|| foreign.next_if(|f| f.0 < entry.0)));
+            // On an equal key the resident entry wins.
+            foreign.next_if(|f| f.0 == entry.0);
+            merged.push(entry);
+        }
+        merged.extend(foreign);
+        let added = merged.len() - ours.len();
+        self.cache = merged;
         (joined, added)
     }
 
@@ -130,6 +145,18 @@ impl Snapshot {
     pub fn read_from(path: &std::path::Path) -> Result<Snapshot, CodecError> {
         Snapshot::decode(&std::fs::read(path).map_err(CodecError::Io)?)
     }
+}
+
+/// `cache` itself when its keys are strictly increasing; otherwise a copy
+/// stable-sorted by key with only the first entry of each key kept.
+fn canonical(cache: &[((u64, u64), LayerPerf)]) -> Cow<'_, [((u64, u64), LayerPerf)]> {
+    if cache.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Cow::Borrowed(cache);
+    }
+    let mut sorted = cache.to_vec();
+    sorted.sort_by_key(|(key, _)| *key);
+    sorted.dedup_by_key(|(key, _)| *key);
+    Cow::Owned(sorted)
 }
 
 wire_struct! {

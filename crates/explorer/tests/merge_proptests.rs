@@ -158,6 +158,47 @@ proptest! {
     }
 
     #[test]
+    fn snapshot_absorb_equals_the_cache_union(
+        ours in vec((0u8..6, 0u8..6, 0i64..3), 0..24),
+        theirs in vec((0u8..6, 0u8..6, 3i64..6), 0..24),
+        sort_ours in proptest::bool::ANY,
+        sort_theirs in proptest::bool::ANY,
+    ) {
+        // Arbitrary lists: unsorted, with duplicate keys whose values
+        // differ by salt, unless the flag asks for the canonical form a
+        // snapshot normally carries.
+        let list = |xs: &[(u8, u8, i64)], canonical: bool| {
+            let raw: Vec<_> = xs.iter().map(|&(h, l, salt)| entry(h, l, salt)).collect();
+            if canonical {
+                let cache = EvalCache::new();
+                cache.absorb(raw);
+                cache.entries()
+            } else {
+                raw
+            }
+        };
+        let (a, b) = (list(&ours, sort_ours), list(&theirs, sort_theirs));
+        // The reference: both lists absorbed into one cache, resident first.
+        let union = EvalCache::new();
+        union.absorb(a.iter().cloned());
+        let expected_added = union.absorb(b.iter().cloned());
+        let snapshot = |cache| Snapshot {
+            shard_index: 0,
+            shard_count: 1,
+            seed: 0,
+            model: "synthetic".into(),
+            evaluated: 0,
+            frontier: ParetoFrontier::new(),
+            cache,
+        };
+        let mut merged = snapshot(a);
+        let (_, added) = merged.absorb(&snapshot(b));
+        prop_assert_eq!(added, expected_added);
+        prop_assert_eq!(&merged.cache, &union.entries());
+        prop_assert!(merged.cache.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    #[test]
     fn snapshot_roundtrips_any_merge_result(
         xs in vec((1u8..6, 1u8..6, 1u8..6), 0..20),
         ys in vec((1u8..6, 1u8..6, 1u8..6), 0..20),

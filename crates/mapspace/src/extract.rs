@@ -192,7 +192,7 @@ impl<'a> Pricer<'a> {
                     dataflows: vec![candidate.mapping],
                     ..self.hw.clone()
                 };
-                let report = self.session.evaluate_view(EvalRequestRef {
+                let priced = self.session.price(EvalRequestRef {
                     workload: self.model,
                     hw: &variant,
                     sparse: SparseHw::dense(),
@@ -204,7 +204,7 @@ impl<'a> Pricer<'a> {
                 });
                 self.evals += 1;
                 obs.count("mapspace.extract_evals", 1);
-                report.per_layer.iter().map(|l| l.perf).collect()
+                priced.per_layer
             })
     }
 }

@@ -270,7 +270,7 @@ impl<'a> MapSearch<'a> {
 
         // Enumerated baseline: the mapper's per-layer best over the
         // hardware's own dataflow menu at the seed tile cap.
-        let baseline = session.evaluate_view(EvalRequestRef {
+        let baseline = session.price(EvalRequestRef {
             workload: self.model,
             hw: &self.hw,
             sparse: SparseHw::dense(),
@@ -292,7 +292,7 @@ impl<'a> MapSearch<'a> {
         let mut roots: Vec<Id> = Vec::with_capacity(shape_keys.len());
         for (s, &first) in shape_first.iter().enumerate() {
             let kind = &self.model.layers[first].kind;
-            let seed_mapping = baseline.per_layer[first].perf.mapping;
+            let seed_mapping = baseline.per_layer[first].mapping;
             let (sa, sb) = seed_spatial_pair(kind, seed_mapping);
             let mut id = eg.add(ENode::Access { shape: s as u32 });
             for &axis in layer_axes(kind).iter().rev() {
@@ -335,7 +335,7 @@ impl<'a> MapSearch<'a> {
             // The enumerated seed choice is always a candidate, so the
             // descent below starts exactly at the baseline assignment.
             let seed = Candidate {
-                mapping: baseline.per_layer[shape_first[s]].perf.mapping,
+                mapping: baseline.per_layer[shape_first[s]].mapping,
                 tile_cap: self.tile_cap,
             };
             if !cands.contains(&seed) {
@@ -352,7 +352,7 @@ impl<'a> MapSearch<'a> {
         let mut pricer = Pricer::new(session, self.model, &self.hw, self.tech);
         let mut choice: Vec<Candidate> = (0..roots.len())
             .map(|s| Candidate {
-                mapping: baseline.per_layer[shape_first[s]].perf.mapping,
+                mapping: baseline.per_layer[shape_first[s]].mapping,
                 tile_cap: self.tile_cap,
             })
             .collect();
