@@ -16,8 +16,9 @@
 //! Because the closed partition is unique and the representatives are
 //! its minima, `rebuild` may repair stale nodes in any order and still
 //! leave the same memo keys and class lists. Class ids are minted densely in
-//! insertion order, and [`class_snapshot`](EGraph::class_snapshot) and
-//! [`nodes_of`](EGraph::nodes_of) are sorted.
+//! insertion order, so the class table is a vector indexed by id. A union
+//! moves the absorbed list onto the root and marks the root dirty, as does
+//! a stale node, and `rebuild` re-sorts only the dirty roots' lists.
 
 use crate::term::{ENode, Id};
 use lego_eval::FnvHasher;
@@ -110,11 +111,15 @@ pub struct EGraph {
     /// [`rebuild`](EGraph::rebuild) every key is canonical (its children
     /// are representatives), and no two keys are congruent.
     memo: FnvMap<ENode, Id>,
-    /// Representative → the class's canonical nodes, sorted. Derived from
-    /// `memo`: [`add`](EGraph::add) opens a new class's list, but merged
-    /// lists are regrouped by [`rebuild`](EGraph::rebuild) only, so
-    /// between a `union` and the next `rebuild` they are stale.
-    classes: FnvMap<u32, Vec<ENode>>,
+    /// Class id → the class's nodes: the memo keys grouped by
+    /// representative, so an id that is no longer a root holds an empty
+    /// list. [`add`](EGraph::add) opens a one-node list; a `union` appends
+    /// the absorbed list to the root's. After [`rebuild`](EGraph::rebuild)
+    /// every list is canonical and sorted.
+    classes: Vec<Vec<ENode>>,
+    /// Roots whose lists gained nodes or hold stale ones since the last
+    /// `rebuild`, which re-canonicalizes and re-sorts exactly these.
+    dirty: Vec<Id>,
     /// Total distinct nodes resident (the saturation budget's currency).
     n_nodes: usize,
     /// Times `add` returned an existing class instead of minting one.
@@ -134,9 +139,9 @@ impl EGraph {
         self.n_nodes
     }
 
-    /// Distinct e-classes.
+    /// Distinct e-classes: ids minted minus merges.
     pub fn class_count(&self) -> usize {
-        self.classes.len()
+        self.uf.len() - self.unions as usize
     }
 
     /// Times [`add`](EGraph::add) found its node already interned.
@@ -166,19 +171,25 @@ impl EGraph {
         }
         let id = self.uf.make_set();
         self.memo.insert(node, id);
-        self.classes.insert(id.0, vec![node]);
+        self.classes.push(vec![node]);
         self.n_nodes += 1;
         id
     }
 
     /// Asserts `a ≡ b`, merging their classes. Returns `true` when the
     /// classes were distinct. Callers must [`rebuild`](EGraph::rebuild)
-    /// before relying on congruence, [`class_count`](EGraph::class_count),
-    /// [`class_snapshot`](EGraph::class_snapshot) or
-    /// [`nodes_of`](EGraph::nodes_of) again.
+    /// before relying on congruence, [`class_snapshot`](EGraph::class_snapshot)
+    /// or [`nodes_of`](EGraph::nodes_of) again.
     pub fn union(&mut self, a: Id, b: Id) -> bool {
-        let (_, merged) = self.uf.union(a, b);
-        self.unions += u64::from(merged);
+        let (ra, rb) = (self.uf.find(a), self.uf.find(b));
+        let (root, merged) = self.uf.union(ra, rb);
+        if merged {
+            let child = if root == ra { rb } else { ra };
+            let moved = std::mem::take(&mut self.classes[child.0 as usize]);
+            self.classes[root.0 as usize].extend(moved);
+            self.dirty.push(root);
+            self.unions += 1;
+        }
         merged
     }
 
@@ -187,17 +198,21 @@ impl EGraph {
     /// that are still canonical and re-inserts only the stale ones under
     /// their canonical key; a collision with another class queues a
     /// union. Representatives are class minima, so the order in which
-    /// stale nodes are repaired cannot change the result.
+    /// stale nodes are repaired cannot change the result. Only the lists
+    /// of dirty roots are then re-canonicalized, sorted and deduplicated:
+    /// every other list is unchanged since the last `rebuild`.
     pub fn rebuild(&mut self) -> u64 {
         let mut induced = 0;
         loop {
             let uf = &mut self.uf;
+            let dirty = &mut self.dirty;
             let mut stale: Vec<(ENode, Id)> = Vec::new();
             self.memo.retain(|node, id| {
                 let canon = node.map_children(|c| uf.find(c));
                 if canon == *node {
                     return true;
                 }
+                dirty.push(uf.find(*id));
                 stale.push((canon, *id));
                 false
             });
@@ -224,40 +239,51 @@ impl EGraph {
                 }
             }
         }
-        self.refresh_class_lists();
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for id in &mut dirty {
+            *id = self.uf.find(*id);
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        for root in dirty {
+            let uf = &mut self.uf;
+            let nodes = &mut self.classes[root.0 as usize];
+            for node in nodes.iter_mut() {
+                *node = node.map_children(|c| uf.find(c));
+            }
+            nodes.sort_unstable();
+            nodes.dedup();
+        }
         induced
     }
 
-    /// Regroups the memo by representative, each class's list sorted.
-    fn refresh_class_lists(&mut self) {
-        self.classes.clear();
-        for (node, &id) in &self.memo {
-            let root = self.uf.find(id);
-            self.classes.entry(root.0).or_default().push(*node);
-        }
-        for nodes in self.classes.values_mut() {
-            nodes.sort_unstable();
-        }
-    }
-
-    /// Sorted snapshot of every class and its nodes — the deterministic
-    /// iteration surface rewrite rules and extraction walk.
+    /// Sorted snapshot of every class and its nodes.
     pub fn class_snapshot(&self) -> Vec<(Id, Vec<ENode>)> {
-        let mut all: Vec<(Id, Vec<ENode>)> = self
-            .classes
-            .iter()
-            .map(|(&id, nodes)| (Id(id), nodes.clone()))
-            .collect();
-        all.sort_unstable_by_key(|(id, _)| id.0);
-        all
+        (0..self.classes.len() as u32)
+            .map(Id)
+            .zip(&self.classes)
+            .filter(|(_, nodes)| !nodes.is_empty())
+            .map(|(id, nodes)| (id, nodes.clone()))
+            .collect()
     }
 
     /// The sorted nodes of `id`'s class.
     pub fn nodes_of(&self, id: Id) -> &[ENode] {
-        self.classes
-            .get(&self.uf.probe(id).0)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        &self.classes[self.uf.probe(id).0 as usize]
+    }
+
+    /// The nodes listed under root `class` if it is one of the first
+    /// `minted` ids, else none. Saturation matches through this while
+    /// `add` mints new classes, without a `find` or a snapshot copy.
+    pub(crate) fn nodes_below(&self, class: Id, minted: usize) -> &[ENode] {
+        self.classes[..minted]
+            .get(class.0 as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Class ids minted so far.
+    pub(crate) fn minted(&self) -> usize {
+        self.classes.len()
     }
 }
 

@@ -35,44 +35,58 @@ pub struct Candidate {
     pub tile_cap: Option<i64>,
 }
 
-/// A partial lowering of the nest below some class: which axes are bound
-/// spatially so far, and the tightest tile annotation seen.
+/// A partial lowering of the nest below some class, packed so that integer
+/// order compares the fields from the top: bits 21 and up hold `1 + axis`
+/// of the first spatial binding and bits 17–20 that of the second (0 =
+/// unbound); the low 17 bits hold the tightest tile plus one (0 = uncapped).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct State {
-    spatial: [Option<Axis>; 2],
-    tile: Option<i64>,
-}
+struct State(u32);
+
+/// Every axis, indexed by its declaration order (`axis as u32`).
+const AXES: [Axis; 8] = {
+    use Axis::*;
+    [M, N, K, Oh, Ow, Ic, Oc, Kh]
+};
+const TILE_BITS: u32 = 0x1_FFFF;
 
 impl State {
-    const LEAF: State = State {
-        spatial: [None, None],
-        tile: None,
-    };
+    const LEAF: State = State(0);
+
+    /// The `1 + axis` codes of the two spatial bindings (0 = unbound).
+    fn spatial(self) -> (u32, u32) {
+        (self.0 >> 21, (self.0 >> 17) & 0xF)
+    }
 
     fn bind(self, axis: Axis) -> Option<State> {
-        match self.spatial {
-            [None, None] => Some(State {
-                spatial: [Some(axis), None],
-                ..self
-            }),
-            [Some(a), None] if a != axis => Some(State {
-                spatial: [Some(a), Some(axis)],
-                ..self
-            }),
+        let code = 1 + axis as u32;
+        match self.spatial() {
+            (0, _) => Some(State(self.0 | (code << 21))),
+            (first, 0) if first != code => Some(State(self.0 | (code << 17))),
             // Three spatial bindings (or a duplicate) never lower.
             _ => None,
         }
     }
 
     fn cap(self, tile: u16) -> State {
-        if tile == 0 {
+        let prev = self.0 & TILE_BITS;
+        let code = 1 + u32::from(tile);
+        if tile == 0 || (prev != 0 && prev <= code) {
             return self;
         }
-        let t = i64::from(tile);
-        State {
-            tile: Some(self.tile.map_or(t, |prev| prev.min(t))),
-            ..self
-        }
+        State((self.0 & !TILE_BITS) | code)
+    }
+
+    /// The template both spatial bindings lower to, with the tile cap.
+    fn candidate(self) -> Option<Candidate> {
+        let (a, b) = match self.spatial() {
+            (0, _) | (_, 0) => return None,
+            (a, b) => (AXES[a as usize - 1], AXES[b as usize - 1]),
+        };
+        let tile = self.0 & TILE_BITS;
+        Some(Candidate {
+            mapping: lower_spatial(a, b)?,
+            tile_cap: (tile != 0).then(|| i64::from(tile - 1)),
+        })
     }
 }
 
@@ -85,13 +99,7 @@ pub fn lowerings(eg: &EGraph, root: Id, max: usize) -> (Vec<Candidate>, u64) {
     let root = class_states(eg, root, max, &mut memo, &mut truncated);
     let mut out: Vec<Candidate> = states_of(&memo, root)
         .iter()
-        .filter_map(|s| match s.spatial {
-            [Some(a), Some(b)] => lower_spatial(a, b).map(|mapping| Candidate {
-                mapping,
-                tile_cap: s.tile,
-            }),
-            _ => None,
-        })
+        .filter_map(|s| s.candidate())
         .collect();
     out.sort_unstable();
     out.dedup();

@@ -58,7 +58,8 @@ pub struct SearchConfig {
     pub node_budget: usize,
     /// Saturation round cap.
     pub max_rounds: usize,
-    /// Tile edges the split rule may introduce.
+    /// Tile edges the split rule may introduce; edges outside
+    /// `1..=u16::MAX` are ignored (see [`RewriteConfig::tile_ladder`]).
     pub tile_ladder: Vec<i64>,
     /// Cap on distinct partial lowerings kept per e-class.
     pub max_class_lowerings: usize,
@@ -327,6 +328,7 @@ impl<'a> MapSearch<'a> {
         let extract_span = self.obs.span("mapspace/extract");
         let hits_before = session.cache().hits();
         let mut candidates: Vec<Vec<Candidate>> = Vec::with_capacity(roots.len());
+        let mut seeds: Vec<Candidate> = Vec::with_capacity(roots.len());
         for (s, &root) in roots.iter().enumerate() {
             let (mut cands, truncated) = lowerings(&eg, root, self.config.max_class_lowerings);
             if truncated > 0 {
@@ -345,43 +347,51 @@ impl<'a> MapSearch<'a> {
             self.obs
                 .count("mapspace.extract_candidates", cands.len() as u64);
             candidates.push(cands);
+            seeds.push(seed);
         }
 
-        // Price every distinct candidate point and run a coordinate
-        // descent over per-shape choices, minimizing whole-model EDP.
+        // Price every distinct candidate point once into a table of
+        // per-layer EDP terms, then run a coordinate descent over per-shape
+        // choices (indices into `points`), minimizing whole-model EDP.
+        let mut points: Vec<Candidate> = candidates.concat();
+        points.sort_unstable();
+        points.dedup();
         let mut pricer = Pricer::new(session, self.model, &self.hw, self.tech);
-        let mut choice: Vec<Candidate> = (0..roots.len())
-            .map(|s| Candidate {
-                mapping: baseline.per_layer[shape_first[s]].mapping,
-                tile_cap: self.tile_cap,
-            })
+        let n_layers = self.model.layers.len();
+        let mut terms: Vec<(i64, f64)> = Vec::with_capacity(points.len() * n_layers);
+        for &point in &points {
+            for (l, p) in self.model.layers.iter().zip(pricer.price(point, &self.obs)) {
+                terms.push((l.count * p.cycles, l.count as f64 * p.energy.total_pj()));
+            }
+        }
+        let index = |c: &Candidate| points.binary_search(c).expect("every candidate is a point");
+        let options: Vec<Vec<usize>> = candidates
+            .iter()
+            .map(|cands| cands.iter().map(index).collect())
             .collect();
-        let edp_of = |pricer: &mut Pricer<'_>,
-                      choice: &[Candidate],
-                      obs: &Obs,
-                      model: &Model,
-                      layer_shape: &[usize]|
-         -> f64 {
+        let mut choice: Vec<usize> = seeds.iter().map(index).collect();
+        // Summed in layer order, exactly as pricing the layers one by one.
+        let edp_of = |choice: &[usize]| -> f64 {
             let mut cycles: i64 = 0;
             let mut energy_pj: f64 = 0.0;
-            for (i, layer) in model.layers.iter().enumerate() {
-                let perf = pricer.price(choice[layer_shape[i]], obs)[i];
-                cycles += layer.count * perf.cycles;
-                energy_pj += layer.count as f64 * perf.energy.total_pj();
+            for (i, &s) in layer_shape.iter().enumerate() {
+                let (c, e) = terms[choice[s] * n_layers + i];
+                cycles += c;
+                energy_pj += e;
             }
             cycles as f64 * energy_pj
         };
-        let mut best_edp = edp_of(&mut pricer, &choice, &self.obs, self.model, &layer_shape);
+        let mut best_edp = edp_of(&choice);
         for _pass in 0..8 {
             let mut changed = false;
             for s in 0..choice.len() {
-                for &cand in &candidates[s] {
+                for &cand in &options[s] {
                     if cand == choice[s] {
                         continue;
                     }
                     let prev = choice[s];
                     choice[s] = cand;
-                    let edp = edp_of(&mut pricer, &choice, &self.obs, self.model, &layer_shape);
+                    let edp = edp_of(&choice);
                     if edp < best_edp {
                         best_edp = edp;
                         changed = true;
@@ -394,6 +404,7 @@ impl<'a> MapSearch<'a> {
                 break;
             }
         }
+        let choice: Vec<Candidate> = choice.into_iter().map(|p| points[p]).collect();
         self.obs.count(
             "mapspace.extract_cache_hits",
             session.cache().hits() - hits_before,

@@ -31,7 +31,9 @@ pub struct RewriteConfig {
     /// Upper bound on saturation rounds (a safety net; small mapping
     /// spaces saturate in 3–5 rounds).
     pub max_rounds: usize,
-    /// Tile edges the split rule may introduce (each must fit `u16`).
+    /// Tile edges the split rule may introduce; an edge outside
+    /// `1..=u16::MAX` is not a tile an [`ENode::Temporal`] can carry and
+    /// is ignored.
     pub tile_ladder: Vec<i64>,
 }
 
@@ -65,35 +67,44 @@ pub struct SaturationStats {
 }
 
 /// Applies the rule set to saturation under `config.node_budget`,
-/// returning the run's statistics. Deterministic: rules match over
-/// sorted class snapshots, and all unions apply in match order.
+/// returning the run's statistics. Deterministic: rules match over the
+/// classes in id order, each class's nodes sorted, and all unions apply
+/// in match order. A round matches in the class table itself: while it
+/// runs, `add` only appends new classes and unions wait in `pending`, so
+/// the lists of the ids minted before the round cannot change under the
+/// walk. Ids minted during the round read as empty, as in a snapshot.
 pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> SaturationStats {
     let _span = obs.span("mapspace/saturate");
+    let ladder: Vec<u16> = config
+        .tile_ladder
+        .iter()
+        .filter_map(|&edge| u16::try_from(edge).ok().filter(|&e| e > 0))
+        .collect();
     let mut stats = SaturationStats::default();
     for _ in 0..config.max_rounds {
         stats.rounds += 1;
         obs.count("mapspace.rounds", 1);
         let before_nodes = eg.node_count();
         let before_unions = eg.union_count();
-        let snapshot = eg.class_snapshot();
+        let minted = eg.minted();
         let mut pending: Vec<(Id, Id)> = Vec::new();
-        'matching: for (class, nodes) in &snapshot {
-            for node in nodes {
+        'matching: for class in (0..minted as u32).map(Id) {
+            for i in 0..eg.nodes_below(class, minted).len() {
                 if eg.node_count() >= config.node_budget {
                     stats.budget_hit = true;
                     break 'matching;
                 }
-                match *node {
+                match eg.nodes_below(class, minted)[i] {
                     ENode::Temporal { axis, tile, body } => {
                         // Tile split: introduce each ladder edge.
                         if tile == 0 {
-                            for &edge in &config.tile_ladder {
+                            for &edge in &ladder {
                                 let split = eg.add(ENode::Temporal {
                                     axis,
-                                    tile: edge as u16,
+                                    tile: edge,
                                     body,
                                 });
-                                pending.push((*class, split));
+                                queue(&mut pending, class, split);
                             }
                         } else {
                             // Tile merge: fuse the tiles back into one sweep.
@@ -102,15 +113,16 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                                 tile: 0,
                                 body,
                             });
-                            pending.push((*class, merged));
+                            queue(&mut pending, class, merged);
                         }
                         // Loop interchange with the temporal loop below.
-                        for &inner in snapshot_nodes(&snapshot, eg.find(body)) {
+                        let below = eg.find(body);
+                        for j in 0..eg.nodes_below(below, minted).len() {
                             if let ENode::Temporal {
                                 axis: b_axis,
                                 tile: b_tile,
                                 body: inner_body,
-                            } = inner
+                            } = eg.nodes_below(below, minted)[j]
                             {
                                 if b_axis == axis {
                                     continue;
@@ -125,13 +137,14 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                                     tile: b_tile,
                                     body: new_inner,
                                 });
-                                pending.push((*class, swapped));
+                                queue(&mut pending, class, swapped);
                             }
                         }
                     }
                     ENode::Spatial { axis, body } => {
-                        for &inner in snapshot_nodes(&snapshot, eg.find(body)) {
-                            match inner {
+                        let below = eg.find(body);
+                        for j in 0..eg.nodes_below(below, minted).len() {
+                            match eg.nodes_below(below, minted)[j] {
                                 // Spatial ↔ temporal swap one level down.
                                 ENode::Temporal {
                                     axis: t_axis,
@@ -147,7 +160,7 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                                         axis: t_axis,
                                         body: demoted,
                                     });
-                                    pending.push((*class, swapped));
+                                    queue(&mut pending, class, swapped);
                                 }
                                 // Swap across the inner spatial loop, so the
                                 // *outer* spatial axis can change too.
@@ -155,12 +168,13 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                                     axis: s_axis,
                                     body: s_body,
                                 } => {
-                                    for &inner2 in snapshot_nodes(&snapshot, eg.find(s_body)) {
+                                    let below2 = eg.find(s_body);
+                                    for k in 0..eg.nodes_below(below2, minted).len() {
                                         if let ENode::Temporal {
                                             axis: t_axis,
                                             body: t_body,
                                             ..
-                                        } = inner2
+                                        } = eg.nodes_below(below2, minted)[k]
                                         {
                                             if t_axis == axis || t_axis == s_axis {
                                                 continue;
@@ -178,7 +192,7 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                                                 axis: t_axis,
                                                 body: mid,
                                             });
-                                            pending.push((*class, swapped));
+                                            queue(&mut pending, class, swapped);
                                         }
                                     }
                                 }
@@ -188,19 +202,21 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
                     }
                     ENode::Seq { a, b } => {
                         // (x; y); b ≡ x; (y; b)
-                        for &inner in snapshot_nodes(&snapshot, eg.find(a)) {
-                            if let ENode::Seq { a: x, b: y } = inner {
+                        let below = eg.find(a);
+                        for j in 0..eg.nodes_below(below, minted).len() {
+                            if let ENode::Seq { a: x, b: y } = eg.nodes_below(below, minted)[j] {
                                 let tail = eg.add(ENode::Seq { a: y, b });
                                 let rot = eg.add(ENode::Seq { a: x, b: tail });
-                                pending.push((*class, rot));
+                                queue(&mut pending, class, rot);
                             }
                         }
                         // a; (x; y) ≡ (a; x); y
-                        for &inner in snapshot_nodes(&snapshot, eg.find(b)) {
-                            if let ENode::Seq { a: x, b: y } = inner {
+                        let below = eg.find(b);
+                        for j in 0..eg.nodes_below(below, minted).len() {
+                            if let ENode::Seq { a: x, b: y } = eg.nodes_below(below, minted)[j] {
                                 let head = eg.add(ENode::Seq { a, b: x });
                                 let rot = eg.add(ENode::Seq { a: head, b: y });
-                                pending.push((*class, rot));
+                                queue(&mut pending, class, rot);
                             }
                         }
                     }
@@ -232,12 +248,10 @@ pub fn saturate(eg: &mut EGraph, config: &RewriteConfig, obs: &Obs) -> Saturatio
     stats
 }
 
-/// The nodes of `class` in the round's snapshot (empty when the class was
-/// minted after the snapshot was taken).
-fn snapshot_nodes(snapshot: &[(Id, Vec<ENode>)], class: Id) -> &[ENode] {
-    match snapshot.binary_search_by_key(&class.0, |(id, _)| id.0) {
-        Ok(i) => &snapshot[i].1,
-        Err(_) => &[],
+/// Queues `class ≡ rewritten` unless `add` returned `class` itself.
+fn queue(pending: &mut Vec<(Id, Id)>, class: Id, rewritten: Id) {
+    if rewritten != class {
+        pending.push((class, rewritten));
     }
 }
 
@@ -312,6 +326,23 @@ mod tests {
         // The budget is a growth cap, not a hard ceiling: one matching
         // sweep may overshoot by the rewrites already queued.
         assert!(eg.node_count() < 64, "{}", eg.node_count());
+    }
+
+    #[test]
+    fn ladder_edges_outside_u16_are_ignored() {
+        let run = |tile_ladder: Vec<i64>| {
+            let mut eg = EGraph::new();
+            nest(&mut eg, &[Axis::Ic, Axis::Oc], &[Axis::Oh, Axis::Kh]);
+            let config = RewriteConfig {
+                tile_ladder,
+                ..Default::default()
+            };
+            let stats = saturate(&mut eg, &config, &Obs::disabled());
+            (stats, eg.class_snapshot())
+        };
+        // Cast to `u16`, 65536 would be an untiled split and 70000 and -32
+        // would be tiles of 4464 and 65504.
+        assert_eq!(run(vec![0, -32, 65536, 70000, 64]), run(vec![64]));
     }
 
     #[test]

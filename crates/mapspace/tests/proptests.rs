@@ -99,6 +99,21 @@ fn naive_closure(nodes: &[(ENode, Id)], unions: &[(Id, Id)], n: usize) -> Vec<u3
     }
 }
 
+/// The class table rebuilt from scratch: every node of `classes`
+/// canonicalized under `eg`'s partition, grouped by representative, each
+/// class sorted and deduplicated.
+fn regroup(eg: &EGraph, classes: &[(Id, Vec<ENode>)]) -> Vec<(Id, Vec<ENode>)> {
+    let mut grouped: BTreeMap<Id, BTreeSet<ENode>> = BTreeMap::new();
+    for (id, nodes) in classes {
+        let canon = nodes.iter().map(|n| n.map_children(|c| eg.find(c)));
+        grouped.entry(eg.find(*id)).or_default().extend(canon);
+    }
+    grouped
+        .into_iter()
+        .map(|(id, nodes)| (id, nodes.into_iter().collect()))
+        .collect()
+}
+
 /// Every nest one rule application away from `nest` (innermost loop
 /// first), at any depth: the four rule families of `rewrite`, minus
 /// fusion regrouping, which needs `Seq` terms.
@@ -355,6 +370,42 @@ proptest! {
         prop_assert_eq!(eg.class_snapshot(), snapshot.clone(), "rebuild at fixpoint is a no-op");
         let (eg2, _, _) = run();
         prop_assert_eq!(eg2.class_snapshot(), snapshot, "identical replays converge identically");
+    }
+
+    // The incrementally kept class table equals a full regroup: after
+    // every one-round saturation and every rebuild after arbitrary
+    // unions, the snapshot is every node seen so far, canonicalized,
+    // grouped by representative, sorted and deduplicated, and the class
+    // counter agrees with it.
+    #[test]
+    fn class_table_equals_a_full_regroup(
+        wrap_sets in collection::vec(collection::vec(wrap_strategy(), 0usize..6), 1usize..4),
+        steps in collection::vec(collection::vec((0usize..64, 0usize..64), 0usize..6), 1usize..4),
+        budget in 0usize..512,
+    ) {
+        let mut eg = EGraph::new();
+        for (i, ws) in wrap_sets.iter().enumerate() {
+            build_nest(&mut eg, i as u32, ws);
+        }
+        let mut seen = eg.class_snapshot();
+        let config = RewriteConfig {
+            node_budget: budget,
+            max_rounds: 1,
+            ..RewriteConfig::default()
+        };
+        for unions in &steps {
+            saturate(&mut eg, &config, &Obs::disabled());
+            seen.extend(eg.class_snapshot());
+            prop_assert_eq!(eg.class_snapshot(), regroup(&eg, &seen));
+            prop_assert_eq!(eg.class_count(), eg.class_snapshot().len());
+            let classes: Vec<Id> = seen.iter().map(|&(id, _)| id).collect();
+            for &(a, b) in unions {
+                eg.union(classes[a % classes.len()], classes[b % classes.len()]);
+            }
+            eg.rebuild();
+            prop_assert_eq!(eg.class_snapshot(), regroup(&eg, &seen));
+            prop_assert_eq!(eg.class_count(), eg.class_snapshot().len());
+        }
     }
 
     // Saturation is deterministic: two runs over the same seed nest
