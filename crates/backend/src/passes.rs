@@ -473,11 +473,15 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
         }
     }
 
-    // Stage 3: exact re-matching; revert when not profitable. `saved`
-    // remembers its own solve, so matching it again costs nothing when the
-    // caller had matched it.
-    let _ = match_delays(dag);
-    if dag.pipeline_register_bits() > before || dag.check().is_err() {
+    // Stage 3: exact re-matching; revert when not profitable. Every rewiring
+    // adds a tap node, so without one stage 2 changed nothing and the exact
+    // match is `saved`'s own. `saved` remembers its own solve, so matching it
+    // again costs nothing when the caller had matched it.
+    let rewired = dag.nodes.len() > saved.nodes.len();
+    if rewired {
+        let _ = match_delays(dag);
+    }
+    if !rewired || dag.pipeline_register_bits() > before || dag.check().is_err() {
         *dag = saved;
         let _ = match_delays(dag);
     }
@@ -892,6 +896,24 @@ mod tests {
             for (a, b) in dag.edges.iter().zip(&fresh.edges) {
                 assert_eq!(a.extra_regs, b.extra_regs, "edit {k}");
             }
+        }
+    }
+
+    #[test]
+    fn rewiring_that_adds_no_tap_solves_only_the_optimistic_stage() {
+        let solves = || SOLVES.with(std::cell::Cell::get);
+        let gemm = kernels::gemm(8, 8, 8);
+        let mut dag = dag_for(&gemm, &[dataflows::gemm_ij(&gemm, 2)]);
+        infer_bitwidths(&mut dag);
+        let bits = match_delays(&mut dag).unwrap();
+        let matched = dag.clone();
+        let before = solves();
+        rewire_broadcasts(&mut dag);
+        assert_eq!(dag.nodes.len(), matched.nodes.len(), "nothing rewired");
+        assert_eq!(solves(), before + 1, "stage 1 only");
+        assert_eq!(dag.pipeline_register_bits(), bits);
+        for (a, b) in dag.edges.iter().zip(&matched.edges) {
+            assert_eq!((a.from, a.to, a.extra_regs), (b.from, b.to, b.extra_regs));
         }
     }
 

@@ -6,8 +6,8 @@
 //! one [`EvalSession`] from `lego-eval`, the same request/response layer
 //! the bench harness and the facade speak. The session owns the
 //! `CostContext`, the memoized [`EvalCache`], and the
-//! worker pool; the evaluator adds the genome↔request translation and the
-//! feasibility check.
+//! worker pool; the evaluator adds the genome↔request translation, the
+//! feasibility check, and a per-genome memo over batches.
 
 use crate::pareto::{Constraints, Objective};
 use crate::space::Genome;
@@ -16,6 +16,9 @@ use lego_model::{SparseHw, TechModel};
 use lego_obs::Obs;
 use lego_sim::{LayerPerf, ModelPerf};
 use lego_workloads::Model;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// One fully evaluated candidate.
 #[derive(Debug, Clone)]
@@ -41,6 +44,10 @@ pub struct DesignPoint {
 /// with snapshot checkpoints and warm-started caches. Evaluation is pure,
 /// so batches return in input order and the whole exploration is
 /// deterministic regardless of thread interleaving.
+///
+/// Batches also keep every point they priced, by genome, for the
+/// evaluator's lifetime (one shard in [`explore_shard`](crate::explore_shard)):
+/// sampling and evolution mostly re-request genomes already priced.
 pub struct Evaluator<'m> {
     model: &'m Model,
     /// Memoized `lego_eval::layer_key` per model layer: the model is fixed
@@ -51,6 +58,10 @@ pub struct Evaluator<'m> {
     session: EvalSession,
     constraints: Constraints,
     objective: Objective,
+    /// Points `eval_batch` priced; locked only outside the pool's lanes.
+    memo: Mutex<HashMap<Genome, DesignPoint>>,
+    /// Genomes `eval_batch` served from `memo`.
+    memo_hits: AtomicU64,
 }
 
 impl<'m> Evaluator<'m> {
@@ -64,6 +75,8 @@ impl<'m> Evaluator<'m> {
             session: EvalSession::new(),
             constraints: Constraints::none(),
             objective: Objective::EDP,
+            memo: Mutex::default(),
+            memo_hits: AtomicU64::new(0),
         }
     }
 
@@ -90,10 +103,12 @@ impl<'m> Evaluator<'m> {
         self.session.obs()
     }
 
-    /// Applies hard feasibility budgets to every evaluation.
+    /// Applies hard feasibility budgets to every evaluation. Memoized
+    /// points carry the old verdict, so the memo starts over.
     #[must_use]
     pub fn with_constraints(mut self, constraints: Constraints) -> Self {
         self.constraints = constraints;
+        self.memo = Mutex::default();
         self
     }
 
@@ -122,6 +137,13 @@ impl<'m> Evaluator<'m> {
         self.session.cache()
     }
 
+    /// The cache's hits plus, per genome the batch memo served, the
+    /// `model.layers.len()` all-hit lookups pricing it again would make.
+    pub fn cache_hits(&self) -> u64 {
+        let layers = self.model.layers.len() as u64;
+        self.cache().hits() + self.memo_hits.load(Ordering::Relaxed) * layers
+    }
+
     /// Preloads the session cache with entries from a previous run —
     /// typically a merged snapshot's cache
     /// ([`ExploreOptions::warm_cache`](crate::ExploreOptions)). Returns
@@ -132,7 +154,8 @@ impl<'m> Evaluator<'m> {
     }
 
     /// Evaluates one genome through the session, memoizing every per-layer
-    /// simulation under the genome's stable fingerprint.
+    /// simulation under the genome's stable fingerprint. This one-off path
+    /// neither reads nor fills the [`eval_batch`](Evaluator::eval_batch) memo.
     ///
     /// The genome's `CostContext` is built once per evaluation and
     /// threaded through every per-layer simulation, the area roll-up
@@ -162,10 +185,25 @@ impl<'m> Evaluator<'m> {
         }
     }
 
-    /// Evaluates a batch on the session's worker pool; results come back
-    /// in input order.
+    /// Evaluates a batch in input order. Only the first occurrence of each
+    /// genome not priced before goes to the session's worker pool; pricing
+    /// is pure, so the memo serves the rest exactly as they would price.
     pub fn eval_batch(&self, genomes: &[Genome]) -> Vec<DesignPoint> {
-        self.session.run_batch(genomes, |g| self.eval(g))
+        let fresh: Vec<Genome> = {
+            let memo = self.memo.lock().expect("evaluator memo poisoned");
+            let mut seen = HashSet::new();
+            genomes
+                .iter()
+                .filter(|g| !memo.contains_key(g) && seen.insert(**g))
+                .copied()
+                .collect()
+        };
+        let priced = self.session.run_batch(&fresh, |g| self.eval(g));
+        let served = (genomes.len() - fresh.len()) as u64;
+        self.memo_hits.fetch_add(served, Ordering::Relaxed);
+        let mut memo = self.memo.lock().expect("evaluator memo poisoned");
+        memo.extend(fresh.into_iter().zip(priced));
+        genomes.iter().map(|g| memo[g].clone()).collect()
     }
 }
 
@@ -206,6 +244,93 @@ mod tests {
             assert_eq!(p.perf.cycles, s.perf.cycles);
             assert!((p.objectives.edp() - s.objectives.edp()).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn a_repeated_genome_is_priced_once_per_evaluator() {
+        let model = zoo::lenet();
+        let obs = Obs::deterministic();
+        let ev = Evaluator::new(&model, TechModel::default())
+            .with_threads(4)
+            .with_obs(obs.clone());
+        let g = Genome::lego_256_baseline();
+        let other = crate::space::DesignSpace::tiny().enumerate()[0];
+        assert_ne!(g, other);
+        let batch = [g, g, other, g, g, g];
+        let points = ev.eval_batch(&batch);
+        assert_eq!(obs.summary().counter("eval.requests"), 2, "g priced once");
+        let lone = Evaluator::new(&model, TechModel::default()).eval(&g);
+        for (p, q) in points.iter().zip(&batch) {
+            assert_eq!(p.genome, *q, "input order");
+            if p.genome == g {
+                assert_eq!((p.perf, p.objectives), (lone.perf, lone.objectives));
+            }
+        }
+        // A later batch is served entirely from the memo, and every served
+        // genome counts its layers as hits.
+        ev.eval_batch(&[other, g]);
+        assert_eq!(obs.summary().counter("eval.requests"), 2);
+        let layers = model.layers.len() as u64;
+        assert_eq!(ev.cache_hits(), ev.cache().hits() + 6 * layers);
+    }
+
+    #[test]
+    fn the_batch_memo_changes_no_result_and_no_count() {
+        // Differential: every genome the portfolio requested, priced
+        // through a fresh evaluator's one-off `eval`, gives the memoized
+        // points, frontier, best, cache entries and misses; and a repeat
+        // counts the all-hit lookups pricing it again would have made.
+        let model = zoo::lenet();
+        let space = crate::DesignSpace::tiny();
+        let ev = Evaluator::new(&model, TechModel::default());
+        let mut frontier = crate::ParetoFrontier::new();
+        let reports: Vec<crate::SearchReport> = crate::default_strategies(7)
+            .iter_mut()
+            .map(|s| s.run(&space.full(), &ev, &mut frontier, 24))
+            .collect();
+        let requested: usize = reports.iter().map(|r| r.evaluated).sum();
+        let mut memo: Vec<DesignPoint> = ev.memo.lock().unwrap().values().cloned().collect();
+        memo.sort_by_key(|p| p.genome.key());
+        assert!(memo.len() < requested, "the portfolio repeats genomes");
+
+        let fresh = Evaluator::new(&model, TechModel::default());
+        let mut fresh_frontier = crate::ParetoFrontier::new();
+        let mut priced = HashMap::new();
+        for p in &memo {
+            let q = fresh.eval(&p.genome);
+            assert_eq!((p.perf, p.objectives), (q.perf, q.objectives));
+            assert_eq!((p.peak_power_mw, p.feasible), (q.peak_power_mw, q.feasible));
+            if q.feasible {
+                fresh_frontier.insert(q.clone());
+            }
+            priced.insert(q.genome, q);
+        }
+        for r in &reports {
+            let best = r.best.as_ref().unwrap();
+            assert_eq!(
+                best.objectives, priced[&best.genome].objectives,
+                "{}",
+                r.strategy
+            );
+        }
+        assert_eq!(frontier.genome_keys(), fresh_frontier.genome_keys());
+        assert_eq!(ev.cache().entries(), fresh.cache().entries());
+        assert_eq!(ev.cache().misses(), fresh.cache().misses());
+        let repeats = (requested - memo.len()) as u64 * model.layers.len() as u64;
+        assert_eq!(ev.cache_hits(), fresh.cache().hits() + repeats);
+        // `explore` runs the same portfolio and reports the same counts.
+        let explored = crate::explore(
+            &model,
+            &space,
+            &mut crate::default_strategies(7),
+            &crate::ExploreOptions {
+                budget_per_strategy: 24,
+                ..Default::default()
+            },
+        );
+        assert_eq!(explored.frontier.genome_keys(), frontier.genome_keys());
+        assert_eq!(explored.cache_hits, ev.cache_hits());
+        assert_eq!(explored.cache_misses, ev.cache().misses());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   worker thread so overlapping searches pay for each simulation once;
 //! * [`Evaluator`] — batch evaluation through `EvalSession::run_batch` on
 //!   the process-wide worker pool, deterministic regardless of
-//!   interleaving;
+//!   interleaving, with each genome priced once per evaluator;
 //! * [`ParetoFrontier`] — the surviving (latency, energy, area) trade-offs,
 //!   with EDP/EDAP scalarizations for ranking.
 //!
@@ -158,7 +158,8 @@ pub struct ExplorationResult {
     pub frontier: ParetoFrontier,
     /// One report per strategy, in execution order.
     pub reports: Vec<SearchReport>,
-    /// Layer evaluations answered from the shared cache.
+    /// Layer evaluations answered from the shared cache, memo-served
+    /// genomes' layers included ([`Evaluator::cache_hits`]).
     pub cache_hits: u64,
     /// Layer evaluations that ran the simulator.
     pub cache_misses: u64,
@@ -214,7 +215,8 @@ pub struct ShardRunResult {
     pub frontier: ParetoFrontier,
     /// One report per strategy, in execution order.
     pub reports: Vec<SearchReport>,
-    /// Layer evaluations answered from the shard's cache.
+    /// Layer evaluations answered from the shard's cache, memo-served
+    /// genomes' layers included ([`Evaluator::cache_hits`]).
     pub cache_hits: u64,
     /// Layer evaluations that ran the simulator.
     pub cache_misses: u64,
@@ -293,8 +295,7 @@ pub fn explore_shard(
     };
     // End-of-run cache gauges: entry count and resident bytes are pure
     // functions of the evaluations this shard performed, so they are safe
-    // for deterministic summaries (unlike the racing hit/miss split,
-    // which provenance accounts for per request instead).
+    // for deterministic summaries.
     let gauges = evaluator.cache().gauges();
     opts.obs
         .record("cache.resident_entries", gauges.entries as f64);
@@ -305,7 +306,7 @@ pub fn explore_shard(
         shard_count: shard.count(),
         frontier,
         reports,
-        cache_hits: evaluator.cache().hits(),
+        cache_hits: evaluator.cache_hits(),
         cache_misses: evaluator.cache().misses(),
         cache: evaluator.cache().entries(),
     }

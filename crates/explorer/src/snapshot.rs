@@ -106,10 +106,24 @@ impl Snapshot {
     /// the bytes are a pure function of the snapshot's *contents*: merging
     /// the same shard set in any order encodes identically.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut e = Enc::with_capacity(self.encoded_len_bound());
         e.header(MAGIC, VERSION);
         self.put(&mut e);
         e.into_bytes()
+    }
+
+    /// An upper bound on the encoded length, so `encode` allocates once:
+    /// cache entries are fixed-width and frontier points differ only by a
+    /// tile cap's 8-byte payload; 64 bytes cover the header and scalars.
+    fn encoded_len_bound(&self) -> usize {
+        fn first_len<T: Wire>(list: &[T]) -> usize {
+            let mut e = Enc::default();
+            list.iter().take(1).for_each(|v| v.put(&mut e));
+            e.into_bytes().len()
+        }
+        let point = first_len(self.frontier.points()) + 8;
+        let entry = first_len(&self.cache);
+        64 + self.model.len() + self.frontier.len() * point + self.cache.len() * entry
     }
 
     /// Decodes a snapshot, validating magic, version, every enum tag, and
@@ -266,6 +280,8 @@ mod tests {
         assert_eq!(decoded.cache, snap.cache);
         // Canonical form: re-encoding the decoded snapshot is the identity.
         assert_eq!(decoded.encode(), bytes);
+        // The buffer was sized once and never grew.
+        assert_eq!(bytes.capacity(), snap.encoded_len_bound());
     }
 
     #[test]
