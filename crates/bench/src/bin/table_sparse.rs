@@ -18,9 +18,8 @@ use lego_bench::harness::{f, row, section};
 use lego_eval::{EvalRequest, EvalSession};
 use lego_explorer::{
     default_strategies, explore, Constraints, DesignSpace, ExploreOptions, Genome, ParetoFrontier,
-    SparseAccel,
 };
-use lego_model::SparseHw;
+use lego_model::{SparseAccel, SparseHw};
 use lego_workloads::zoo;
 
 const SEED: u64 = 0x5BA5;

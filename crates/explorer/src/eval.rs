@@ -9,9 +9,9 @@
 //! worker pool; the evaluator adds the genome↔request translation, the
 //! feasibility check, and a per-genome memo over batches.
 
-use crate::pareto::{Constraints, Objective};
+use crate::pareto::Constraints;
 use crate::space::Genome;
-use lego_eval::{EvalCache, EvalRequestRef, EvalSession, Objectives};
+use lego_eval::{EvalCache, EvalRequestRef, EvalSession, Objective, Objectives};
 use lego_model::{SparseHw, TechModel};
 use lego_obs::Obs;
 use lego_sim::{LayerPerf, ModelPerf};

@@ -13,9 +13,10 @@
 //! * [`SearchStrategy`] — pluggable search: [`GridSearch`] (exhaustive),
 //!   [`RandomSearch`] (seeded sampling), and [`EvolutionarySearch`]
 //!   ((μ+λ) with mutation and crossover over config genomes);
-//! * [`EvalCache`] — a memoized, sharded map from (hardware fingerprint,
-//!   layer fingerprint) to layer performance, shared by every strategy and
-//!   worker thread so overlapping searches pay for each simulation once;
+//! * `lego-eval`'s [`EvalCache`] — a memoized, sharded map from (hardware
+//!   fingerprint, layer fingerprint) to layer performance, shared by every
+//!   strategy and worker thread so overlapping searches pay for each
+//!   simulation once;
 //! * [`Evaluator`] — batch evaluation through `EvalSession::run_batch` on
 //!   the process-wide worker pool, deterministic regardless of
 //!   interleaving, with each genome priced once per evaluator;
@@ -80,14 +81,13 @@ pub mod space;
 pub mod strategy;
 
 pub use eval::{DesignPoint, Evaluator};
-pub use lego_eval::{layer_key, EvalCache, EvalSession};
-pub use lego_model::SparseAccel;
-pub use pareto::{BaseObjective, Constraints, Objective, Objectives, ParetoFrontier};
+pub use pareto::{Constraints, ParetoFrontier};
 pub use rng::SplitMix64;
 pub use snapshot::Snapshot;
 pub use space::{DataflowSet, DesignSpace, Genome, SpaceShard};
 pub use strategy::{EvolutionarySearch, GridSearch, RandomSearch, SearchReport, SearchStrategy};
 
+use lego_eval::{EvalCache, Objective};
 use lego_model::TechModel;
 use lego_obs::Obs;
 use lego_sim::LayerPerf;
@@ -403,6 +403,7 @@ pub fn explore_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lego_model::SparseAccel;
     use lego_workloads::zoo;
 
     #[test]
@@ -710,6 +711,40 @@ mod tests {
             merged.best_by_edp().unwrap().genome,
             single.best_by_edp().unwrap().genome
         );
+    }
+
+    #[test]
+    fn explore_finds_a_design_for_lenet() {
+        let opts = ExploreOptions {
+            budget_per_strategy: 16,
+            ..Default::default()
+        };
+        let result = explore(
+            &zoo::lenet(),
+            &DesignSpace::tiny(),
+            &mut default_strategies(42),
+            &opts,
+        );
+        assert!(result.best_by_edp().is_some());
+        assert!(result.cache_hits > 0);
+    }
+
+    #[test]
+    fn explore_sharded_agrees_with_single_process_grid() {
+        let model = zoo::lenet();
+        let space = DesignSpace::tiny();
+        // Budget covers the whole space, so the grid strategy inside each
+        // portfolio is exhaustive over its shard and the union frontier
+        // must be dominance-equal to the single-process one.
+        let opts = ExploreOptions::default();
+        let single = explore(&model, &space, &mut default_strategies(42), &opts);
+        let sharded = explore_sharded(&model, &space, 4, 42, &opts);
+        assert!(sharded.frontier.dominance_equal(&single.frontier));
+        assert_eq!(
+            sharded.best_by_edp().unwrap().genome,
+            single.best_by_edp().unwrap().genome
+        );
+        assert_eq!(sharded.shards.len(), 4);
     }
 
     #[test]

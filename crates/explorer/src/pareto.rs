@@ -1,17 +1,16 @@
-//! Multi-objective bookkeeping: dominance, the Pareto frontier, hard
-//! feasibility constraints, and the scalarizations ([`Objective`]) used
-//! for ranking — including penalty-based *soft* budgets that compose with
-//! the hard [`Constraints`] filter.
+//! Multi-objective bookkeeping: dominance, the Pareto frontier, and hard
+//! feasibility constraints ([`Constraints`]).
 //!
-//! The objective vector and scalarization types ([`Objectives`],
-//! [`BaseObjective`], [`Objective`]) moved down into `lego-eval` with the
-//! evaluation layer — a request names the objective it is scored under —
-//! and are re-exported here so explorer-facing code keeps its paths.
+//! The objective vector and the scalarizations used for ranking
+//! ([`Objectives`], [`BaseObjective`](lego_eval::BaseObjective),
+//! [`Objective`](lego_eval::Objective), including penalty-based *soft*
+//! budgets that compose with the hard filter) live in `lego-eval` with the
+//! evaluation layer: a request names the objective it is scored under.
 
 use crate::eval::DesignPoint;
 use crate::space::Genome;
 
-pub use lego_eval::{BaseObjective, Objective, Objectives};
+use lego_eval::Objectives;
 
 /// Hard feasibility budgets applied to every candidate before it may join
 /// the frontier or be reported as a best design.
@@ -181,6 +180,7 @@ mod tests {
     use super::*;
     use crate::rng::SplitMix64;
     use crate::space::Genome;
+    use lego_eval::Objective;
     use lego_sim::ModelPerf;
 
     fn point(lat: f64, en: f64, area: f64) -> DesignPoint {

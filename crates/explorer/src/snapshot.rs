@@ -1,5 +1,5 @@
 //! Serializable shard snapshots: a binary format for [`ParetoFrontier`] +
-//! [`EvalCache`](crate::EvalCache) contents, so a shard worker can
+//! [`EvalCache`](lego_eval::EvalCache) contents, so a shard worker can
 //! checkpoint its results to a file and a coordinator can merge them.
 //!
 //! The format is deliberately boring, and built on the byte-level toolkit
@@ -11,7 +11,7 @@
 //! (a validated bitmask), [`DesignPoint`] (a checked `feasible` byte) and
 //! [`ParetoFrontier`] (points sorted on the way out, re-inserted on the
 //! way in) are written by hand. Cache entries are written in sorted key
-//! order ([`EvalCache::entries`](crate::EvalCache::entries)) and frontier
+//! order ([`EvalCache::entries`](lego_eval::EvalCache::entries)) and frontier
 //! points sorted by genome fingerprint, so encoding is a pure function of
 //! the snapshot's contents (merge order never shows in the bytes) and
 //! `encode → decode → encode` is byte-identical. Decoding
@@ -19,10 +19,10 @@
 //! panics — on truncated or corrupt input.
 
 use crate::eval::DesignPoint;
-use crate::pareto::{Objectives, ParetoFrontier};
+use crate::pareto::ParetoFrontier;
 use crate::space::{DataflowSet, Genome};
 use lego_eval::codec::{CodecError, Dec, Enc, Wire};
-use lego_eval::wire_struct;
+use lego_eval::{wire_struct, Objectives};
 use lego_sim::{LayerPerf, ModelPerf};
 use std::borrow::Cow;
 
@@ -46,7 +46,7 @@ const VERSION: u8 = 3;
 
 /// One shard's checkpointed search state: where it ran (shard coordinates,
 /// seed, model), what it found (the feasible [`ParetoFrontier`]), and what
-/// it computed (the [`EvalCache`](crate::EvalCache) entries, keyed by
+/// it computed (the [`EvalCache`](lego_eval::EvalCache) entries, keyed by
 /// stable FNV fingerprints so cross-process merging is a set union).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -73,13 +73,13 @@ impl Snapshot {
     /// Merges another shard's snapshot into this one: the frontier folds
     /// in point-wise ([`ParetoFrontier::merge`]) and the caches set-union
     /// on their fingerprint keys with the resident entry winning
-    /// collisions (the [`EvalCache::absorb`](crate::EvalCache::absorb)
+    /// collisions (the [`EvalCache::absorb`](lego_eval::EvalCache::absorb)
     /// rule). Returns `(frontier_points_added, cache_entries_added)`.
     ///
     /// The union is one linear merge of the two key-sorted lists. A list
     /// that is not strictly sorted (`cache` is a public field) is first put
     /// in key order with the first entry of each key kept, which is what
-    /// absorbing it into an [`EvalCache`](crate::EvalCache) would keep.
+    /// absorbing it into an [`EvalCache`](lego_eval::EvalCache) would keep.
     pub fn absorb(&mut self, other: &Snapshot) -> (usize, usize) {
         self.evaluated = self.evaluated.saturating_add(other.evaluated);
         let joined = self.frontier.merge(&other.frontier);

@@ -167,7 +167,7 @@ impl Genome {
     }
 
     /// Stable 64-bit fingerprint (FNV-1a over the fields), used as the
-    /// hardware half of [`EvalCache`](crate::EvalCache) keys and as the
+    /// hardware half of [`EvalCache`](lego_eval::EvalCache) keys and as the
     /// deterministic tie-break in scalar rankings.
     ///
     /// Dense-datapath genomes hash exactly the fields they had before the
@@ -467,11 +467,11 @@ impl DesignSpace {
 ///
 /// Shard `index` of `count` owns the strided subset of the canonical
 /// enumeration (positions ≡ `index` mod `count`), so grid search over all
-/// shards covers the space exactly once. Sampling, mutation, and crossover
-/// delegate to the full space (stochastic strategies are disjoint by
-/// *seed*, not by rejection — see [`SpaceShard::split_seed`]), which keeps
-/// evolutionary walks free to roam the whole space while the exhaustive
-/// partition stays airtight.
+/// shards covers the space exactly once. A shard does not sample: the
+/// stochastic strategies draw from the full space through
+/// [`SpaceShard::space`] and are disjoint by *seed*, not by rejection
+/// ([`SpaceShard::split_seed`]), which keeps evolutionary walks free to
+/// roam the whole space while the exhaustive partition stays airtight.
 #[derive(Debug, Clone, Copy)]
 pub struct SpaceShard<'a> {
     space: &'a DesignSpace,
@@ -528,21 +528,6 @@ impl<'a> SpaceShard<'a> {
         }
         let tag = (u64::from(self.index) << 32) | u64::from(self.count);
         SplitMix64::new(base ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15)).next_u64()
-    }
-
-    /// Uniform random genome from the *full* space (see the type docs).
-    pub fn sample(&self, rng: &mut SplitMix64) -> Genome {
-        self.space.sample(rng)
-    }
-
-    /// Mutation over the full space's axes.
-    pub fn mutate(&self, g: &Genome, rng: &mut SplitMix64) -> Genome {
-        self.space.mutate(g, rng)
-    }
-
-    /// Uniform crossover over the full space's axes.
-    pub fn crossover(&self, a: &Genome, b: &Genome, rng: &mut SplitMix64) -> Genome {
-        self.space.crossover(a, b, rng)
     }
 }
 

@@ -15,7 +15,7 @@ pub struct SearchReport {
     /// Candidates evaluated (cache hits included).
     pub evaluated: usize,
     /// The strategy's own best candidate under the evaluator's
-    /// [`Objective`](crate::Objective) (plain EDP by default).
+    /// [`Objective`](lego_eval::Objective) (plain EDP by default).
     pub best: Option<DesignPoint>,
 }
 
@@ -23,8 +23,8 @@ pub struct SearchReport {
 /// space.
 ///
 /// Strategies receive the shared [`Evaluator`] (and through it the shared
-/// [`EvalCache`](crate::EvalCache) and the active
-/// [`Objective`](crate::Objective)), push every candidate they score into
+/// [`EvalCache`](lego_eval::EvalCache) and the active
+/// [`Objective`](lego_eval::Objective)), push every candidate they score into
 /// the common [`ParetoFrontier`], and report their scalar best. All
 /// randomness must come from strategy-owned seeds — split per shard via
 /// [`SpaceShard::split_seed`], which is the identity on the full shard —
@@ -128,7 +128,9 @@ impl SearchStrategy for RandomSearch {
         budget: usize,
     ) -> SearchReport {
         let mut rng = SplitMix64::new(shard.split_seed(self.seed));
-        let genomes: Vec<Genome> = (0..budget).map(|_| shard.sample(&mut rng)).collect();
+        let genomes: Vec<Genome> = (0..budget)
+            .map(|_| shard.space().sample(&mut rng))
+            .collect();
         let mut best = None;
         score_batch(evaluator, frontier, &genomes, &mut best);
         SearchReport {
@@ -218,6 +220,8 @@ impl SearchStrategy for EvolutionarySearch {
     ) -> SearchReport {
         let mu = self.mu.max(2);
         let lambda = self.lambda.max(1);
+        // Sampling, crossover and mutation range over the full space.
+        let space = shard.space();
         let mut rng = SplitMix64::new(shard.split_seed(self.seed));
         let mut best = None;
 
@@ -230,7 +234,7 @@ impl SearchStrategy for EvolutionarySearch {
         let init_size = mu.min(budget.max(1));
         let mut init: Vec<Genome> = self.warm.iter().copied().take(init_size).collect();
         while init.len() < init_size {
-            init.push(shard.sample(&mut rng));
+            init.push(space.sample(&mut rng));
         }
         let mut evaluated = init.len();
         let mut population = {
@@ -262,9 +266,9 @@ impl SearchStrategy for EvolutionarySearch {
                     };
                     let pa = pick(&mut rng, &population);
                     let pb = pick(&mut rng, &population);
-                    let mut child = shard.crossover(&pa, &pb, &mut rng);
+                    let mut child = space.crossover(&pa, &pb, &mut rng);
                     if rng.chance(self.mutation_rate) {
-                        child = shard.mutate(&child, &mut rng);
+                        child = space.mutate(&child, &mut rng);
                     }
                     child
                 })
@@ -292,7 +296,7 @@ impl SearchStrategy for EvolutionarySearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::Objective;
+    use lego_eval::Objective;
     use lego_model::TechModel;
     use lego_workloads::zoo;
 
@@ -389,7 +393,7 @@ mod tests {
         let sample_trace = |i: u32, n: u32| -> Vec<Genome> {
             let shard = space.shard(i, n);
             let mut rng = SplitMix64::new(shard.split_seed(17));
-            (0..8).map(|_| shard.sample(&mut rng)).collect()
+            (0..8).map(|_| space.sample(&mut rng)).collect()
         };
         assert_ne!(sample_trace(0, 4), sample_trace(1, 4));
         assert_eq!(sample_trace(2, 4), sample_trace(2, 4));

@@ -8,9 +8,8 @@
 //! after a crash, or absorb the same snapshot twice, and the result must
 //! not depend on any of it.
 
-use lego_explorer::{
-    DesignPoint, EvalCache, Genome, Objectives, ParetoFrontier, Snapshot, SplitMix64,
-};
+use lego_eval::{EvalCache, Objectives};
+use lego_explorer::{DesignPoint, Genome, ParetoFrontier, Snapshot, SplitMix64};
 use lego_sim::{EnergyBreakdown, LayerPerf, ModelPerf, SpatialMapping};
 use proptest::collection::vec;
 use proptest::prelude::*;

@@ -4,7 +4,13 @@
 ///
 /// Used by the front end to partition FUs into *chains* — the sets of
 /// functional units that can share data through direct interconnections for
-/// a given spatial dataflow (paper §IV-C, Figure 5).
+/// a given spatial dataflow (paper §IV-C, Figure 5), and by the back end's
+/// broadcast rewiring through [`undirected_mst`](crate::undirected_mst).
+///
+/// The e-graph keeps its own `lego_mapspace::egraph::UnionFind`, whose
+/// union keeps the smaller root so class ids stay independent of union
+/// order; union by rank, as here, cannot promise that. Sharing one type
+/// would add a dependency edge that `benchmark/Cargo.lock` records.
 ///
 /// # Examples
 ///

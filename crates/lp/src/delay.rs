@@ -209,7 +209,7 @@ fn is_dag(n: usize, edges: &[DelayEdge]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::{solve_lp, Constraint, LpProblem, LpResult, Relation};
+    use crate::simplex::{solve, Constraint, Outcome, Problem, Relation};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Solves the same LP with the dense simplex as an oracle.
@@ -236,13 +236,13 @@ mod tests {
                 }
             })
             .collect();
-        let p = LpProblem {
+        let p = Problem {
             objective,
             minimize: true,
             constraints,
         };
-        match solve_lp(&p) {
-            LpResult::Optimal { objective, .. } => {
+        match solve(&p) {
+            Outcome::Optimal { objective, .. } => {
                 let base: f64 = edges.iter().map(|e| (e.width * e.latency) as f64).sum();
                 objective - base
             }

@@ -17,15 +17,15 @@
 //!    solved by [`optimize_pin_remap`] (exact branch-and-bound with a
 //!    Hungarian-assignment greedy fallback).
 //!
-//! A dense two-phase [`simplex`] solver is included for small general LPs
-//! and as an independent oracle for the specialized solvers.
+//! The tests check the delay-matching solver against a dense two-phase
+//! simplex, a test-only module.
 
 pub mod assign;
 pub mod delay;
 pub mod mcmf;
-pub mod simplex;
+#[cfg(test)]
+mod simplex;
 
 pub use assign::{hungarian, optimize_pin_remap, PinRemap};
 pub use delay::{solve_delay_matching, DelayAssignment, DelayEdge, DelayError};
 pub use mcmf::MinCostFlow;
-pub use simplex::{solve_lp, Constraint, LpProblem, LpResult, Relation};

@@ -1,8 +1,8 @@
-//! Dense two-phase primal simplex over `f64`.
+//! Dense two-phase primal simplex over `f64`, compiled for tests only.
 //!
-//! Designed for the small LP instances that appear in tests and ablations;
-//! the production delay-matching path uses the specialized network solver in
-//! [`crate::delay`], which this module cross-validates.
+//! The production delay-matching path uses the specialized network solver
+//! in [`crate::delay`]; this module is the independent oracle its tests
+//! compare against.
 
 /// Relation of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub struct Constraint {
 
 /// A linear program over non-negative variables.
 #[derive(Debug, Clone)]
-pub struct LpProblem {
+pub struct Problem {
     /// Objective coefficients, one per variable.
     pub objective: Vec<f64>,
     /// `true` to minimize, `false` to maximize.
@@ -39,7 +39,7 @@ pub struct LpProblem {
 
 /// Outcome of solving a linear program.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LpResult {
+pub enum Outcome {
     /// An optimal solution was found.
     Optimal {
         /// Optimal variable assignment.
@@ -60,30 +60,10 @@ const EPS: f64 = 1e-9;
 /// Variables are implicitly constrained to `x ≥ 0`. Bland's rule is used for
 /// pivot selection, so the method cannot cycle.
 ///
-/// # Examples
-///
-/// ```
-/// use lego_lp::{solve_lp, Constraint, LpProblem, LpResult, Relation};
-///
-/// // max x + y s.t. x + 2y <= 4, 3x + y <= 6
-/// let p = LpProblem {
-///     objective: vec![1.0, 1.0],
-///     minimize: false,
-///     constraints: vec![
-///         Constraint { coeffs: vec![1.0, 2.0], rel: Relation::Le, rhs: 4.0 },
-///         Constraint { coeffs: vec![3.0, 1.0], rel: Relation::Le, rhs: 6.0 },
-///     ],
-/// };
-/// match solve_lp(&p) {
-///     LpResult::Optimal { objective, .. } => assert!((objective - 2.8).abs() < 1e-6),
-///     other => panic!("expected optimum, got {other:?}"),
-/// }
-/// ```
-///
 /// # Panics
 ///
 /// Panics if a constraint's coefficient count differs from the objective's.
-pub fn solve_lp(p: &LpProblem) -> LpResult {
+pub fn solve(p: &Problem) -> Outcome {
     let n = p.objective.len();
     for c in &p.constraints {
         assert_eq!(c.coeffs.len(), n, "constraint arity mismatch");
@@ -174,7 +154,7 @@ pub fn solve_lp(p: &LpProblem) -> LpResult {
             unreachable!("phase 1 simplex reported unbounded");
         }
         if obj > 1e-7 {
-            return LpResult::Infeasible;
+            return Outcome::Infeasible;
         }
         // Drive any remaining artificial out of the basis if possible.
         for i in 0..m {
@@ -208,7 +188,7 @@ pub fn solve_lp(p: &LpProblem) -> LpResult {
     let mut reduced: Vec<f64> = (0..total).map(|j| cost[j] - z[j]).collect();
     let mut obj = z[total];
     if !iterate(&mut tab, &mut basis, &mut reduced, &mut obj, total) {
-        return LpResult::Unbounded;
+        return Outcome::Unbounded;
     }
 
     let mut x = vec![0.0f64; n];
@@ -218,7 +198,7 @@ pub fn solve_lp(p: &LpProblem) -> LpResult {
         }
     }
     let objective: f64 = p.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
-    LpResult::Optimal { x, objective }
+    Outcome::Optimal { x, objective }
 }
 
 /// Runs simplex iterations with Bland's rule. Returns `false` on unbounded.
@@ -295,9 +275,9 @@ fn pivot_with_reduced(
 mod tests {
     use super::*;
 
-    fn optimal(p: &LpProblem) -> (Vec<f64>, f64) {
-        match solve_lp(p) {
-            LpResult::Optimal { x, objective } => (x, objective),
+    fn optimal(p: &Problem) -> (Vec<f64>, f64) {
+        match solve(p) {
+            Outcome::Optimal { x, objective } => (x, objective),
             other => panic!("expected optimal, got {other:?}"),
         }
     }
@@ -305,7 +285,7 @@ mod tests {
     #[test]
     fn textbook_maximization() {
         // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 → 36 at (2, 6).
-        let p = LpProblem {
+        let p = Problem {
             objective: vec![3.0, 5.0],
             minimize: false,
             constraints: vec![
@@ -334,7 +314,7 @@ mod tests {
     #[test]
     fn minimization_with_ge_constraints() {
         // min 2x + 3y s.t. x + y >= 4, x >= 1 → 9 at (4 - 0, ...): x=4,y=0 gives 8.
-        let p = LpProblem {
+        let p = Problem {
             objective: vec![2.0, 3.0],
             minimize: true,
             constraints: vec![
@@ -357,7 +337,7 @@ mod tests {
     #[test]
     fn equality_constraints() {
         // min x + y s.t. x + 2y = 6, x <= 2 → x=0, y=3, obj=3.
-        let p = LpProblem {
+        let p = Problem {
             objective: vec![1.0, 1.0],
             minimize: true,
             constraints: vec![
@@ -380,7 +360,7 @@ mod tests {
 
     #[test]
     fn infeasible_detected() {
-        let p = LpProblem {
+        let p = Problem {
             objective: vec![1.0],
             minimize: true,
             constraints: vec![
@@ -396,12 +376,12 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(solve_lp(&p), LpResult::Infeasible);
+        assert_eq!(solve(&p), Outcome::Infeasible);
     }
 
     #[test]
     fn unbounded_detected() {
-        let p = LpProblem {
+        let p = Problem {
             objective: vec![1.0],
             minimize: false,
             constraints: vec![Constraint {
@@ -410,13 +390,13 @@ mod tests {
                 rhs: 1.0,
             }],
         };
-        assert_eq!(solve_lp(&p), LpResult::Unbounded);
+        assert_eq!(solve(&p), Outcome::Unbounded);
     }
 
     #[test]
     fn negative_rhs_normalized() {
         // x - y <= -2 with x,y >= 0: minimize y → y >= x + 2 → y = 2 at x = 0.
-        let p = LpProblem {
+        let p = Problem {
             objective: vec![0.0, 1.0],
             minimize: true,
             constraints: vec![Constraint {
@@ -432,7 +412,7 @@ mod tests {
     #[test]
     fn degenerate_does_not_cycle() {
         // A classic degenerate LP; Bland's rule must terminate.
-        let p = LpProblem {
+        let p = Problem {
             objective: vec![0.75, -150.0, 0.02, -6.0],
             minimize: false,
             constraints: vec![

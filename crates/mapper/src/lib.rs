@@ -3,15 +3,13 @@
 //! network layer based on the simulated #cycles and energy".
 //!
 //! The per-layer dataflow choice lives in `lego-sim`'s
-//! [`lego_sim::best_mapping_ctx`]; this crate adds two whole-model forms:
+//! [`lego_sim::best_mapping_ctx`]; this crate adds the whole-model form
 //! [`map_model_ctx`], the uncached layer loop that tests compare an
-//! [`lego_eval::EvalSession`] against, and [`map_model_rewrite`], the
-//! e-graph search that starts from it.
+//! [`lego_eval::EvalSession`] against. The e-graph search that starts
+//! from it is `lego_mapspace::MapSearch`.
 
-use lego_eval::EvalSession;
-use lego_mapspace::{MapSearch, RewriteOutcome};
-use lego_model::{CostContext, TechModel};
-use lego_sim::{aggregate_iter, best_mapping_ctx, HwConfig, LayerPerf, ModelPerf};
+use lego_model::CostContext;
+use lego_sim::{aggregate_iter, best_mapping_ctx, LayerPerf, ModelPerf};
 use lego_workloads::Model;
 use std::sync::Arc;
 
@@ -70,46 +68,13 @@ pub fn map_model_ctx(model: &Model, ctx: &CostContext, tile_cap: Option<i64>) ->
     Mapping { layers, perf }
 }
 
-/// Rewrite-based whole-model mapping (ROADMAP item 3): seeds an e-graph
-/// from the enumerated-best assignment, saturates the
-/// dataflow/tiling/fusion rewrite rules, and extracts the minimum-EDP
-/// assignment priced through `session` (sharing its
-/// [`EvalCache`](lego_eval::EvalCache)). The outcome's
-/// `enumerated_edp` is exactly what [`map_model_ctx`] achieves on the
-/// same hardware, so `outcome.improved()` reports whether rewriting beat
-/// enumeration.
-///
-/// # Examples
-///
-/// ```
-/// use lego_eval::EvalSession;
-/// use lego_mapper::map_model_rewrite;
-/// use lego_model::TechModel;
-/// use lego_sim::HwConfig;
-///
-/// let model = lego_workloads::zoo::lenet();
-/// let session = EvalSession::new();
-/// let out = map_model_rewrite(&model, HwConfig::lego_256(), TechModel::default(), None, &session);
-/// assert!(out.rewrite_edp <= out.enumerated_edp);
-/// ```
-pub fn map_model_rewrite(
-    model: &Model,
-    hw: HwConfig,
-    tech: TechModel,
-    tile_cap: Option<i64>,
-    session: &EvalSession,
-) -> RewriteOutcome {
-    MapSearch::new(model, hw, tech)
-        .with_tile_cap(tile_cap)
-        .with_obs(session.obs().clone())
-        .run(session)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lego_eval::EvalRequest;
-    use lego_sim::SpatialMapping;
+    use lego_eval::{EvalRequest, EvalSession};
+    use lego_mapspace::MapSearch;
+    use lego_model::TechModel;
+    use lego_sim::{HwConfig, SpatialMapping};
     use lego_workloads::zoo;
 
     fn ctx(hw: &HwConfig) -> CostContext {
@@ -171,7 +136,7 @@ mod tests {
         let t = TechModel::default();
         let m = zoo::mobilenet_v2();
         let session = EvalSession::new();
-        let out = map_model_rewrite(&m, hw.clone(), t, None, &session);
+        let out = MapSearch::new(&m, hw.clone(), t).run(&session);
         // The outcome's baseline is exactly the enumerated mapping's EDP.
         let enumerated = map_model_ctx(&m, &ctx(&hw), None);
         let time_s = enumerated.perf.cycles as f64 / (t.freq_ghz * 1e9);

@@ -31,6 +31,12 @@ type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 /// Union-find with path compression. A union keeps the smaller root id,
 /// so the representative of a set is its minimum id — which makes
 /// congruence closure order-free.
+///
+/// Why this is not `lego_graph::UnionFind`: that one unions by rank, so
+/// its representatives depend on union order, and e-class ids here must
+/// not. Its callers (the front end's chains, Kruskal's MST) want the rank
+/// bound instead. One shared type would also add a `lego-graph`
+/// dependency edge to this crate, which `benchmark/Cargo.lock` records.
 #[derive(Debug, Clone, Default)]
 pub struct UnionFind {
     parent: Vec<u32>,

@@ -46,7 +46,6 @@ pub use term::{layer_axes, lower_spatial, seed_spatial_pair, Axis, ENode, Id};
 use lego_eval::{layer_key, EvalRequestRef, EvalSession, Objective};
 use lego_explorer::{DataflowSet, Genome};
 use lego_model::{HwConfig, SparseHw, SpatialMapping, TechModel};
-use lego_obs::Obs;
 use lego_sim::{aggregate_iter, LayerPerf, ModelPerf};
 use lego_workloads::Model;
 use std::sync::Arc;
@@ -193,7 +192,6 @@ pub struct MapSearch<'a> {
     tech: TechModel,
     tile_cap: Option<i64>,
     config: SearchConfig,
-    obs: Obs,
 }
 
 impl<'a> MapSearch<'a> {
@@ -206,7 +204,6 @@ impl<'a> MapSearch<'a> {
             tech,
             tile_cap: None,
             config: SearchConfig::default(),
-            obs: Obs::disabled(),
         }
     }
 
@@ -234,20 +231,15 @@ impl<'a> MapSearch<'a> {
         self
     }
 
-    /// Attaches an observability handle (spans `mapspace/search`,
-    /// `mapspace/saturate`, `mapspace/extract`; counters `mapspace.*`).
-    #[must_use]
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// Runs seed → saturate → extract → select against `session`,
     /// returning the priced outcome. Deterministic for a fixed
     /// (model, hardware, tech, config); the session's cache only changes
-    /// how fast the answer arrives, never what it is.
+    /// how fast the answer arrives, never what it is. Spans
+    /// (`mapspace/search`, `mapspace/saturate`, `mapspace/extract`) and
+    /// `mapspace.*` counters go to `session.obs()`.
     pub fn run(&self, session: &EvalSession) -> RewriteOutcome {
-        let _span = self.obs.span("mapspace/search");
+        let obs = session.obs();
+        let _span = obs.span("mapspace/search");
 
         // Distinct layer shapes, first-occurrence order.
         let layer_keys: Vec<u64> = self.model.layers.iter().map(layer_key).collect();
@@ -322,17 +314,17 @@ impl<'a> MapSearch<'a> {
             max_rounds: self.config.max_rounds,
             tile_ladder: self.config.tile_ladder.clone(),
         };
-        let stats = saturate(&mut eg, &rw, &self.obs);
+        let stats = saturate(&mut eg, &rw, obs);
 
         // Extract the lowerable candidate set of every shape's class.
-        let extract_span = self.obs.span("mapspace/extract");
+        let extract_span = obs.span("mapspace/extract");
         let hits_before = session.cache().hits();
         let mut candidates: Vec<Vec<Candidate>> = Vec::with_capacity(roots.len());
         let mut seeds: Vec<Candidate> = Vec::with_capacity(roots.len());
         for (s, &root) in roots.iter().enumerate() {
             let (mut cands, truncated) = lowerings(&eg, root, self.config.max_class_lowerings);
             if truncated > 0 {
-                self.obs.count("mapspace.lowerings_truncated", truncated);
+                obs.count("mapspace.lowerings_truncated", truncated);
             }
             // The enumerated seed choice is always a candidate, so the
             // descent below starts exactly at the baseline assignment.
@@ -344,8 +336,7 @@ impl<'a> MapSearch<'a> {
                 cands.push(seed);
                 cands.sort_unstable();
             }
-            self.obs
-                .count("mapspace.extract_candidates", cands.len() as u64);
+            obs.count("mapspace.extract_candidates", cands.len() as u64);
             candidates.push(cands);
             seeds.push(seed);
         }
@@ -360,7 +351,7 @@ impl<'a> MapSearch<'a> {
         let n_layers = self.model.layers.len();
         let mut terms: Vec<(i64, f64)> = Vec::with_capacity(points.len() * n_layers);
         for &point in &points {
-            for (l, p) in self.model.layers.iter().zip(pricer.price(point, &self.obs)) {
+            for (l, p) in self.model.layers.iter().zip(pricer.price(point, obs)) {
                 terms.push((l.count * p.cycles, l.count as f64 * p.energy.total_pj()));
             }
         }
@@ -405,7 +396,7 @@ impl<'a> MapSearch<'a> {
             }
         }
         let choice: Vec<Candidate> = choice.into_iter().map(|p| points[p]).collect();
-        self.obs.count(
+        obs.count(
             "mapspace.extract_cache_hits",
             session.cache().hits() - hits_before,
         );
@@ -417,7 +408,7 @@ impl<'a> MapSearch<'a> {
             .layers
             .iter()
             .enumerate()
-            .map(|(i, _)| pricer.price(choice[layer_shape[i]], &self.obs)[i])
+            .map(|(i, _)| pricer.price(choice[layer_shape[i]], obs)[i])
             .collect();
         let perf = aggregate_iter(
             self.model,
@@ -500,6 +491,22 @@ mod tests {
         let cold = run();
         let warm = run();
         assert_eq!(cold, warm);
+    }
+
+    #[test]
+    fn search_records_into_the_session_obs_without_changing_the_outcome() {
+        let model = zoo::lenet();
+        let search = MapSearch::new(&model, HwConfig::lego_256(), TechModel::default());
+        let plain = search.run(&EvalSession::new());
+        let session = EvalSession::new().with_obs(lego_obs::Obs::deterministic());
+        let observed = search.run(&session);
+        assert_eq!(observed.render(), plain.render());
+        assert_eq!(observed.stats, plain.stats);
+        let summary = session.obs().summary();
+        for span in ["mapspace/search", "mapspace/saturate", "mapspace/extract"] {
+            assert!(summary.spans.contains_key(span), "missing span {span}");
+        }
+        assert!(summary.counter("mapspace.extract_evals") > 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use lego::eval::EvalSession;
 use lego::explorer::{
     DesignSpace, Evaluator, EvolutionarySearch, Genome, ParetoFrontier, SearchStrategy,
 };
-use lego::mapper::map_model_rewrite;
+use lego::mapspace::MapSearch;
 use lego::model::TechModel;
 use lego::sim::HwConfig;
 
@@ -34,7 +34,7 @@ fn main() {
     // assignment it can price. Both share the session's EvalCache, so a
     // candidate the baseline already priced costs nothing to revisit.
     let hw = HwConfig::lego_icoc_1k();
-    let out = map_model_rewrite(&model, hw, tech, None, &session);
+    let out = MapSearch::new(&model, hw, tech).run(&session);
     println!("{}", out.render());
     assert!(
         out.rewrite_edp <= out.enumerated_edp,

@@ -6,7 +6,7 @@
 //!
 //! * [`linalg`] — integer linear algebra (HNF, nullspaces, affine maps);
 //! * [`graph`] — Chu-Liu/Edmonds arborescences, MSTs, union-find;
-//! * [`lp`] — simplex, min-cost flow, exact delay-matching, pin remapping;
+//! * [`lp`] — min-cost flow, exact delay-matching, pin remapping;
 //! * [`ir`] — the relation-centric workload/dataflow representation (§III);
 //! * [`frontend`] — interconnect planning, fusion, memory banking (§IV);
 //! * [`backend`] — the primitive DAG and its optimization passes (§V);
@@ -29,7 +29,8 @@
 //!   `Transfer`-returning latency queries (broadcast, scatter, halo);
 //! * [`sim`] — the performance/energy simulator (multi-cluster designs pay
 //!   modeled L2-mesh latency, not just energy);
-//! * [`mapper`] — per-layer dataflow search;
+//! * [`mapper`] — the uncached per-layer mapping loop (`map_model_ctx`), the
+//!   reference an `EvalSession` is tested against;
 //! * [`mapspace`] — equality-saturation mapping search: a hash-consed
 //!   e-graph over loop-nest mapping terms, dataflow/tiling/fusion rewrite
 //!   rules saturated under a node budget, and a minimum-EDP extractor
@@ -50,7 +51,8 @@
 //!   plus pruned/masked sparse variants (ResNet50 @ 2:4, BERT @ 90 %
 //!   weight sparsity, causal-mask GPT-2 prefill);
 //! * [`baselines`] — Gemmini / AutoSA / TensorLib / SODA / DSAGen models;
-//! * [`core`] — the [`Lego`](core::Lego) builder tying it all together.
+//! * [`core`] — the [`Lego`](core::Lego) generator builder: workload and
+//!   dataflows in, optimized design, Verilog and simulation out.
 //!
 //! # Quickstart: evaluate a workload on a configuration
 //!
@@ -238,14 +240,13 @@
 //! layer simulation once:
 //!
 //! ```
-//! use lego::explorer::{DesignSpace, ExploreOptions};
-//! use lego::core::Lego;
+//! use lego::explorer::{default_strategies, explore, DesignSpace, ExploreOptions};
 //!
 //! let model = lego::workloads::zoo::lenet();
-//! let result = Lego::explore(
+//! let result = explore(
 //!     &model,
 //!     &DesignSpace::tiny(),
-//!     42,
+//!     &mut default_strategies(42),
 //!     &ExploreOptions { budget_per_strategy: 16, ..Default::default() },
 //! );
 //! let best = result.best_by_edp().unwrap();
@@ -272,19 +273,14 @@
 //! ```
 //! use lego::eval::EvalSession;
 //! use lego::explorer::Genome;
-//! use lego::mapper::map_model_rewrite;
+//! use lego::mapspace::MapSearch;
 //! use lego::model::TechModel;
 //! use lego::sim::HwConfig;
 //!
 //! let model = lego::workloads::zoo::lenet();
 //! let session = EvalSession::new();
-//! let out = map_model_rewrite(
-//!     &model,
-//!     HwConfig::lego_icoc_1k(),
-//!     TechModel::default(),
-//!     None,
-//!     &session,
-//! );
+//! let out = MapSearch::new(&model, HwConfig::lego_icoc_1k(), TechModel::default())
+//!     .run(&session);
 //! assert!(out.rewrite_edp <= out.enumerated_edp);
 //! println!("{}", out.render()); // per-layer choices + EDP summary
 //!
