@@ -9,10 +9,8 @@
 //! the host and are *excluded* from its cycle counts, matching the paper's
 //! methodology ("only counting the #cycles of the tensor kernel itself").
 
-use lego_model::{CostContext, TechModel};
-use lego_sim::{
-    aggregate_iter, simulate_layer_ctx, HwConfig, LayerPerf, ModelPerf, SpatialMapping,
-};
+use lego_model::{CostContext, HwConfig, SpatialMapping, TechModel};
+use lego_sim::{aggregate_iter, simulate_layer_ctx, LayerPerf, ModelPerf};
 use lego_workloads::Model;
 
 /// The Gemmini-comparable hardware configuration.

@@ -26,9 +26,9 @@
 use lego_bench::harness::section;
 use lego_eval::cli::{exit_code, file_ctx, no_more_args, take_flag, take_switch};
 use lego_eval::{CodecError, EvalError, EvalRequest, EvalSession};
+use lego_model::HwConfig;
 use lego_model::{SparseAccel, SparseHw};
 use lego_obs::Obs;
-use lego_sim::HwConfig;
 use lego_workloads::zoo;
 use std::path::Path;
 use std::process::ExitCode;

@@ -20,8 +20,8 @@ use lego_explorer::{
     DesignSpace, Evaluator, EvolutionarySearch, Genome, ParetoFrontier, SearchStrategy,
 };
 use lego_mapspace::MapSearch;
+use lego_model::HwConfig;
 use lego_model::TechModel;
-use lego_sim::HwConfig;
 use lego_workloads::zoo;
 
 const ES_SEED: u64 = 7;

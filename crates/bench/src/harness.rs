@@ -12,7 +12,7 @@ use lego_eval::{EvalReport, EvalRequest, EvalSession};
 use lego_frontend::{build_adg, Adg, FrontendConfig};
 use lego_ir::{Dataflow, Workload};
 use lego_model::{dag_cost, DagCost, TechModel};
-use lego_sim::{HwConfig, SpatialMapping};
+use lego_model::{HwConfig, SpatialMapping};
 use lego_workloads::Model;
 
 /// Prices `model` on `hw` under `tech` through the shared request/response

@@ -23,9 +23,9 @@ use lego_baselines::{
 use lego_eval::EvalSession;
 use lego_ir::kernels::{self, dataflows};
 use lego_ir::{Dataflow, DataflowBuilder, Workload};
+use lego_model::HwConfig;
+use lego_model::SpatialMapping::{ConvIcOc, ConvOhOw, GemmMN};
 use lego_model::{DagCost, SramModel, TechModel};
-use lego_sim::HwConfig;
-use lego_sim::SpatialMapping::{ConvIcOc, ConvOhOw, GemmMN};
 use lego_workloads::zoo;
 
 /// How a claim is compared with our measurement; the tolerance is a

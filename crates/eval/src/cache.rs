@@ -353,8 +353,8 @@ pub fn layer_key(layer: &Layer) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lego_model::{CostContext, TechModel};
-    use lego_sim::{simulate_layer_ctx, HwConfig, SpatialMapping};
+    use lego_model::{CostContext, HwConfig, SpatialMapping, TechModel};
+    use lego_sim::simulate_layer_ctx;
     use lego_workloads::LayerKind;
 
     fn perf() -> LayerPerf {
@@ -550,7 +550,7 @@ mod tests {
 
     #[test]
     fn layer_key_separates_sparsity_annotations() {
-        use lego_workloads::{DensityModel, LayerSparsity};
+        use lego_model::{DensityModel, LayerSparsity};
         let kind = LayerKind::Gemm { m: 4, n: 4, k: 4 };
         let dense = Layer::new("a", kind);
         let pruned = Layer::new("a", kind)

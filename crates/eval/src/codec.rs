@@ -32,9 +32,12 @@
 
 use crate::objective::{BaseObjective, Objective, Objectives};
 use crate::session::{CostSummary, EvalReport, EvalRequest, LayerReport, Provenance};
-use lego_model::{CompressedFormat, MacroArea, SparseAccel, SparseHw, SpatialMapping, TechModel};
-use lego_sim::{EnergyBreakdown, HwConfig, LayerPerf, ModelPerf};
-use lego_workloads::{DensityModel, Layer, LayerKind, LayerSparsity, Model, Nonlinear};
+use lego_model::{
+    CompressedFormat, DensityModel, HwConfig, LayerSparsity, MacroArea, SparseAccel, SparseHw,
+    SpatialMapping, TechModel,
+};
+use lego_sim::{EnergyBreakdown, LayerPerf, ModelPerf};
+use lego_workloads::{Layer, LayerKind, Model, Nonlinear};
 use std::fmt;
 use std::sync::Arc;
 

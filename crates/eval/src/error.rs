@@ -24,7 +24,7 @@
 //! changes meaning.
 
 use crate::codec::CodecError;
-use lego_sim::HwConfigError;
+use lego_model::HwConfigError;
 use std::fmt;
 
 /// A stable `u16` status for one evaluation outcome, written verbatim as
@@ -65,6 +65,9 @@ impl StatusCode {
     pub const UNKNOWN_NAME: StatusCode = StatusCode(203);
     /// Command-line / request usage error.
     pub const USAGE: StatusCode = StatusCode(204);
+    /// A technology constant is negative or not finite, or the clock is
+    /// not positive.
+    pub const INVALID_TECH: StatusCode = StatusCode(205);
 
     // 3xx — the request was fine; the server declined to admit it.
     /// The bounded admission queue was full.
@@ -113,13 +116,14 @@ impl StatusCode {
             202 => "invalid tile cap",
             203 => "unknown name",
             204 => "usage error",
+            205 => "invalid technology model",
             300 => "queue full",
             301 => "frame too large",
             302 => "shutting down",
             400 => "i/o failure",
             500 => "internal error",
             108..=199 => "malformed payload",
-            205..=299 => "invalid request",
+            206..=299 => "invalid request",
             303..=399 => "not admitted",
             401..=499 => "transport failure",
             _ => "internal error",
@@ -181,6 +185,9 @@ pub enum EvalError {
     EmptyWorkload,
     /// The request's tile cap is not a positive layer count.
     InvalidTileCap(i64),
+    /// A technology constant of the request is negative or not finite, or
+    /// its clock is not positive; carries the offending value.
+    InvalidTech(f64),
     /// A name looked up against a registry matched nothing.
     Unknown {
         /// What kind of thing was being looked up.
@@ -225,6 +232,7 @@ impl EvalError {
             EvalError::Hw(_) => StatusCode::INVALID_HW,
             EvalError::EmptyWorkload => StatusCode::EMPTY_WORKLOAD,
             EvalError::InvalidTileCap(_) => StatusCode::INVALID_TILE_CAP,
+            EvalError::InvalidTech(_) => StatusCode::INVALID_TECH,
             EvalError::Unknown { .. } => StatusCode::UNKNOWN_NAME,
             EvalError::Usage(_) => StatusCode::USAGE,
             EvalError::Rejected(r) => match r {
@@ -255,6 +263,10 @@ impl fmt::Display for EvalError {
             EvalError::InvalidTileCap(v) => {
                 write!(f, "tile cap must be a positive layer count, got {v}")
             }
+            EvalError::InvalidTech(v) => write!(
+                f,
+                "technology constants must be finite and non-negative, with a positive clock; got {v}"
+            ),
             EvalError::Unknown { what, name } => write!(f, "unknown {what} {name:?}"),
             EvalError::Usage(msg) => write!(f, "{msg}"),
             EvalError::Rejected(r) => write!(f, "{r}"),
@@ -327,6 +339,7 @@ mod tests {
         assert_eq!(StatusCode::INVALID_TILE_CAP.as_u16(), 202);
         assert_eq!(StatusCode::UNKNOWN_NAME.as_u16(), 203);
         assert_eq!(StatusCode::USAGE.as_u16(), 204);
+        assert_eq!(StatusCode::INVALID_TECH.as_u16(), 205);
         assert_eq!(StatusCode::QUEUE_FULL.as_u16(), 300);
         assert_eq!(StatusCode::FRAME_TOO_LARGE.as_u16(), 301);
         assert_eq!(StatusCode::SHUTTING_DOWN.as_u16(), 302);

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use lego_eval::{EvalRequest, EvalSession};
-//! use lego_sim::HwConfig;
+//! use lego_model::HwConfig;
 //!
 //! let session = EvalSession::new();
 //! let request = EvalRequest::new(lego_workloads::zoo::lenet(), HwConfig::lego_256());

@@ -36,7 +36,7 @@ use std::sync::Arc;
 ///
 /// ```
 /// use lego_eval::{EvalRequest, StatusCode};
-/// use lego_sim::HwConfig;
+/// use lego_model::HwConfig;
 ///
 /// let request = EvalRequest::new(lego_workloads::zoo::lenet(), HwConfig::lego_256())
 ///     .with_tile_cap(Some(64));
@@ -145,15 +145,17 @@ impl EvalRequest {
 
     /// Checks the request before it is priced — what `lego-serve` runs on
     /// every request admitted off the wire. Nothing else stops an empty
-    /// workload, a hardware configuration that fuses no dataflows, or a
-    /// non-positive tile cap from reaching the cost model, which would
-    /// price nonsense or panic deep in a mapping search.
+    /// workload, a hardware configuration that fuses no dataflows, a NaN
+    /// technology constant, or a non-positive tile cap from reaching the
+    /// cost model, which would price nonsense.
     ///
     /// # Errors
     ///
     /// - [`EvalError::EmptyWorkload`] if the workload has no layers;
     /// - [`EvalError::Hw`] if the hardware configuration fails
     ///   [`HwConfig::validate`];
+    /// - [`EvalError::InvalidTech`] if a technology constant is negative or
+    ///   not finite, or the clock is not positive;
     /// - [`EvalError::InvalidTileCap`] if a tile cap is set and is not
     ///   positive.
     pub fn validate(&self) -> Result<(), EvalError> {
@@ -161,6 +163,13 @@ impl EvalRequest {
             return Err(EvalError::EmptyWorkload);
         }
         self.hw.validate()?;
+        let tech = crate::codec::tech_fields(&self.tech);
+        if let Some(&bad) = tech.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
+            return Err(EvalError::InvalidTech(bad));
+        }
+        if self.tech.freq_ghz == 0.0 {
+            return Err(EvalError::InvalidTech(0.0));
+        }
         match self.tile_cap {
             Some(cap) if cap <= 0 => Err(EvalError::InvalidTileCap(cap)),
             _ => Ok(()),
@@ -455,7 +464,7 @@ impl EvalReport {
 ///
 /// ```
 /// use lego_eval::{EvalRequest, EvalSession};
-/// use lego_sim::HwConfig;
+/// use lego_model::HwConfig;
 ///
 /// let session = EvalSession::new();
 /// let report = session.evaluate(&EvalRequest::new(
@@ -845,6 +854,34 @@ mod tests {
             ),
         ] {
             assert_eq!(bad.validate().unwrap_err().status(), status);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_every_non_finite_cost_input() {
+        let ok = EvalRequest::new(zoo::mobilenet_v2(), HwConfig::lego_256());
+        let tech = |edit: fn(&mut TechModel)| {
+            let mut bad = ok.clone();
+            edit(&mut bad.tech);
+            (bad, StatusCode::INVALID_TECH)
+        };
+        let hw = |edit: fn(&mut HwConfig)| {
+            let mut bad = ok.clone();
+            edit(&mut bad.hw);
+            (bad, StatusCode::INVALID_HW)
+        };
+        for (bad, status) in [
+            tech(|t| t.freq_ghz = f64::NAN),
+            tech(|t| t.freq_ghz = 0.0),
+            tech(|t| t.dram_pj_per_byte = f64::NAN),
+            tech(|t| t.noc_pj_per_byte_hop = -1.0),
+            hw(|h| h.static_mw = f64::NAN),
+            hw(|h| h.dynamic_mw = f64::INFINITY),
+            hw(|h| h.dram_gbps = f64::NAN),
+            hw(|h| h.dram_gbps = f64::INFINITY),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert_eq!(err.status(), status, "{err}");
         }
     }
 

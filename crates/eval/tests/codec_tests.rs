@@ -3,8 +3,8 @@
 //! instead of panicking — the properties a multi-host driver leans on.
 
 use lego_eval::{CodecError, EvalReport, EvalRequest, EvalSession, Objective};
+use lego_model::HwConfig;
 use lego_model::{SparseAccel, SparseHw, TechModel};
-use lego_sim::HwConfig;
 use lego_workloads::zoo;
 
 /// A request exercising every codec branch: sparse model (uniform +

@@ -211,7 +211,7 @@ impl<'m> Evaluator<'m> {
 mod tests {
     use super::*;
     use lego_model::CostContext;
-    use lego_sim::HwConfig;
+    use lego_model::HwConfig;
     use lego_workloads::zoo;
 
     #[test]

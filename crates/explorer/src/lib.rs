@@ -528,7 +528,7 @@ mod tests {
         };
         let pruned = zoo::prune_weights(
             zoo::lenet(),
-            lego_workloads::DensityModel::two_to_four(),
+            lego_model::DensityModel::two_to_four(),
             "@2:4",
         );
         let run = |model: &lego_workloads::Model, space: &DesignSpace| {

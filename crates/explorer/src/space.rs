@@ -2,7 +2,7 @@
 
 use crate::rng::SplitMix64;
 use lego_eval::FnvHasher;
-use lego_sim::{HwConfig, SparseAccel, SpatialMapping};
+use lego_model::{HwConfig, SparseAccel, SpatialMapping};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 

@@ -10,7 +10,8 @@
 
 use lego_eval::{EvalCache, Objectives};
 use lego_explorer::{DesignPoint, Genome, ParetoFrontier, Snapshot, SplitMix64};
-use lego_sim::{EnergyBreakdown, LayerPerf, ModelPerf, SpatialMapping};
+use lego_model::SpatialMapping;
+use lego_sim::{EnergyBreakdown, LayerPerf, ModelPerf};
 use proptest::collection::vec;
 use proptest::prelude::*;
 

@@ -46,7 +46,7 @@ pub struct Mapping {
 /// ```
 /// use lego_mapper::map_model_ctx;
 /// use lego_model::{CostContext, TechModel};
-/// use lego_sim::HwConfig;
+/// use lego_model::HwConfig;
 ///
 /// let model = lego_workloads::zoo::resnet50();
 /// let ctx = CostContext::new(HwConfig::lego_256(), TechModel::default());
@@ -74,7 +74,7 @@ mod tests {
     use lego_eval::{EvalRequest, EvalSession};
     use lego_mapspace::MapSearch;
     use lego_model::TechModel;
-    use lego_sim::{HwConfig, SpatialMapping};
+    use lego_model::{HwConfig, SpatialMapping};
     use lego_workloads::zoo;
 
     fn ctx(hw: &HwConfig) -> CostContext {

@@ -144,8 +144,8 @@ impl CostContext {
 
     /// The sparse-execution effects of running a layer annotated with
     /// `sparsity` on this configuration, or `None` when the execution is
-    /// provably dense (no acceleration feature, or a fully dense layer) —
-    /// in which case callers must take their exact dense arithmetic path.
+    /// provably dense (no acceleration feature, or a fully dense layer),
+    /// which callers read as [`SparseEffects::DENSE`].
     pub fn sparse_effects(&self, sparsity: &LayerSparsity) -> Option<SparseEffects> {
         self.sparse.effects(sparsity)
     }
@@ -170,10 +170,8 @@ impl CostContext {
         // Sparse frontend (zero-detect latch or intersection unit) sits on
         // every FU datapath — paid even when the data turns out dense,
         // which is exactly what makes sparse support a real area trade-off.
-        if self.sparse.is_enabled() {
-            area.array_um2 +=
-                self.sparse.accel.frontend_area_um2_per_fu() * self.hw.num_fus() as f64;
-        }
+        // A dense datapath adds exactly 0.0.
+        area.array_um2 += self.sparse.accel.frontend_area_um2_per_fu() * self.hw.num_fus() as f64;
         area
     }
 
@@ -375,8 +373,8 @@ mod tests {
         let a = |c: &CostContext| c.area(32).total_um2();
         assert!(a(&dense) < a(&gate));
         assert!(a(&gate) < a(&skip));
-        // A dense layer yields no effects on any datapath: the exact dense
-        // arithmetic path is taken.
+        // A dense layer yields no effects on any datapath: it is priced
+        // through `SparseEffects::DENSE`.
         assert!(dense.sparse_effects(&LayerSparsity::dense()).is_none());
         assert!(skip.sparse_effects(&LayerSparsity::dense()).is_none());
         // A sparse layer yields effects only on sparse hardware.

@@ -3,8 +3,7 @@
 //! `HwConfig` (and the `SpatialMapping` dataflows it fuses) used to live in
 //! `lego-sim`; it moved down into the cost-model layer so that one
 //! [`CostContext`](crate::CostContext) can bundle the configuration with
-//! the technology, SRAM, and NoC models it is priced under. `lego-sim`
-//! re-exports both types, so simulator-facing code keeps its paths.
+//! the technology, SRAM, and NoC models it is priced under.
 
 use lego_noc::{Butterfly, Mesh};
 use std::fmt;
@@ -57,8 +56,10 @@ pub enum HwConfigError {
     EmptyClusterGrid,
     /// The on-chip buffer has zero capacity.
     NoBuffer,
-    /// DRAM bandwidth is non-positive.
+    /// DRAM bandwidth is not a positive finite number.
     NoBandwidth,
+    /// A power figure is negative or not finite.
+    InvalidPower,
 }
 
 impl fmt::Display for HwConfigError {
@@ -68,7 +69,13 @@ impl fmt::Display for HwConfigError {
             HwConfigError::EmptyArray => write!(f, "FU array extent must be positive"),
             HwConfigError::EmptyClusterGrid => write!(f, "cluster grid extent must be positive"),
             HwConfigError::NoBuffer => write!(f, "on-chip buffer capacity must be positive"),
-            HwConfigError::NoBandwidth => write!(f, "DRAM bandwidth must be positive"),
+            HwConfigError::NoBandwidth => write!(f, "DRAM bandwidth must be positive and finite"),
+            HwConfigError::InvalidPower => {
+                write!(
+                    f,
+                    "static and dynamic power must be finite and non-negative"
+                )
+            }
         }
     }
 }
@@ -148,8 +155,14 @@ impl HwConfig {
         if self.buffer_kb == 0 {
             return Err(HwConfigError::NoBuffer);
         }
-        if self.dram_gbps <= 0.0 {
+        if !(self.dram_gbps.is_finite() && self.dram_gbps > 0.0) {
             return Err(HwConfigError::NoBandwidth);
+        }
+        if ![self.static_mw, self.dynamic_mw]
+            .iter()
+            .all(|p| p.is_finite() && *p >= 0.0)
+        {
+            return Err(HwConfigError::InvalidPower);
         }
         if self.dataflows.is_empty() {
             return Err(HwConfigError::NoDataflows);
@@ -206,9 +219,19 @@ mod tests {
         let mut hw = HwConfig::lego_256();
         hw.buffer_kb = 0;
         assert_eq!(hw.validate(), Err(HwConfigError::NoBuffer));
-        let mut hw = HwConfig::lego_256();
-        hw.dram_gbps = 0.0;
-        assert_eq!(hw.validate(), Err(HwConfigError::NoBandwidth));
+        for gbps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut hw = HwConfig::lego_256();
+            hw.dram_gbps = gbps;
+            assert_eq!(hw.validate(), Err(HwConfigError::NoBandwidth), "{gbps}");
+        }
+        for mw in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut hw = HwConfig::lego_256();
+            hw.static_mw = mw;
+            assert_eq!(hw.validate(), Err(HwConfigError::InvalidPower), "{mw}");
+            let mut hw = HwConfig::lego_256();
+            hw.dynamic_mw = mw;
+            assert_eq!(hw.validate(), Err(HwConfigError::InvalidPower), "{mw}");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! combinations; a mix of `n` requests cycles through it round-robin.
 
 use lego_eval::{EvalError, EvalRequest};
+use lego_model::HwConfig;
 use lego_model::{SparseAccel, SparseHw};
-use lego_sim::HwConfig;
 use lego_workloads::zoo;
 
 /// A 2×2-cluster variant of LEGO-256: same per-cluster array, but the

@@ -214,7 +214,7 @@ mod tests {
     use super::*;
     use crate::wire::report_from_reply;
     use lego_eval::StatusCode;
-    use lego_sim::HwConfig;
+    use lego_model::HwConfig;
     use lego_workloads::{zoo, Model};
 
     fn request() -> EvalRequest {

@@ -2,9 +2,9 @@
 //! full error/status discipline a client can observe.
 
 use lego_eval::{CodecError, EvalError, EvalRequest, EvalSession, StatusCode};
+use lego_model::{HwConfig, TechModel};
 use lego_serve::frame::{self, KIND_REQUEST};
 use lego_serve::{Client, Server, ServerConfig};
-use lego_sim::HwConfig;
 use lego_workloads::zoo;
 use std::io::Write;
 use std::net::TcpStream;
@@ -160,6 +160,49 @@ fn invalid_requests_come_back_with_their_admission_status() {
     }
     // The refusal cost nothing: the connection still serves.
     assert!(client.evaluate_bytes(&request()).is_ok());
+    server.shutdown();
+}
+
+#[test]
+fn nan_cost_inputs_get_a_status_and_the_workers_keep_serving() {
+    // One bad request per worker and one more, so that a request slipping
+    // past validation would reach every worker.
+    let workers = 2;
+    let server = Server::new(ServerConfig {
+        workers,
+        ..Default::default()
+    });
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+
+    let good = EvalRequest::new(zoo::mobilenet_v2(), HwConfig::lego_256());
+    let nan_tech = |edit: fn(&mut TechModel)| {
+        let mut tech = TechModel::default();
+        edit(&mut tech);
+        good.clone().with_tech(tech)
+    };
+    let mut nan_static = good.clone();
+    nan_static.hw.static_mw = f64::NAN;
+    let bad = [
+        (
+            nan_tech(|t| t.freq_ghz = f64::NAN),
+            StatusCode::INVALID_TECH,
+        ),
+        (
+            nan_tech(|t| t.dram_pj_per_byte = f64::NAN),
+            StatusCode::INVALID_TECH,
+        ),
+        (nan_static, StatusCode::INVALID_HW),
+    ];
+    assert_eq!(bad.len(), workers + 1);
+    let mut client = Client::connect_tcp(addr).unwrap();
+    for (request, _) in &bad {
+        client.send(request).unwrap();
+    }
+    for (_, status) in &bad {
+        assert_eq!(client.recv_raw().unwrap().0, *status);
+    }
+    let offline = EvalSession::new().evaluate(&good).encode();
+    assert_eq!(client.evaluate_bytes(&good).unwrap(), offline);
     server.shutdown();
 }
 

@@ -9,30 +9,27 @@
 //! non-tensor operators (Figure 12b).
 //!
 //! All costs are priced through the unified cost stack in `lego-model`:
-//! a [`lego_model::CostContext`] is built once per [`HwConfig`] and
-//! consumed by [`simulate_layer_ctx`] / [`best_mapping_ctx`]. Multi-cluster
+//! a [`lego_model::CostContext`] is built once per
+//! [`HwConfig`](lego_model::HwConfig) and consumed by
+//! [`simulate_layer_ctx`] / [`best_mapping_ctx`]. Multi-cluster
 //! configurations charge modeled L2 wormhole-mesh *latency* (serialized
 //! head cycles plus a stream that competes with the compute/memory body),
 //! not just transport energy, so the cluster axis is an honest
 //! latency/energy/area trade-off.
 //!
-//! `HwConfig` and `SpatialMapping` live in `lego-model` (the configuration
-//! is what the cost stack prices) and are re-exported here for
-//! compatibility.
+//! `HwConfig`, `SpatialMapping` and the rest of the configuration live in
+//! `lego-model` (the configuration is what the cost stack prices); import
+//! them from there.
 
 pub mod perf;
 
-pub use lego_model::{
-    CostContext, DensityModel, HwConfig, HwConfigError, LayerSparsity, SparseAccel, SparseHw,
-    SpatialMapping,
-};
 pub use perf::{
-    aggregate_iter, best_mapping_ctx, simulate_layer_ctx, tiled_dram_traffic,
-    tiled_dram_traffic_sparse, EnergyBreakdown, LayerPerf, ModelPerf,
+    aggregate_iter, best_mapping_ctx, simulate_layer_ctx, tiled_dram_traffic, EnergyBreakdown,
+    LayerPerf, ModelPerf,
 };
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use lego_model::HwConfig;
 
     #[test]
     fn reference_configs() {

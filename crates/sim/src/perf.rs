@@ -2,13 +2,11 @@
 //!
 //! Every cost a layer pays — FU cycles, DRAM streams, SRAM/DRAM/NoC energy,
 //! L2 mesh latency — is charged through the [`CostContext`] built from the
-//! [`HwConfig`](crate::HwConfig) under evaluation, so the simulation and the design-space
-//! search price hardware through one stack.
+//! [`HwConfig`](lego_model::HwConfig) under evaluation, so the simulation
+//! and the design-space search price hardware through one stack.
 
-use lego_model::{CostContext, L2Traffic, SparseEffects, TechModel};
+use lego_model::{CostContext, L2Traffic, SparseEffects, SpatialMapping, TechModel};
 use lego_workloads::{Layer, LayerKind, Model};
-
-pub use lego_model::SpatialMapping;
 
 /// Energy breakdown of one layer execution (picojoules).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -25,7 +23,7 @@ pub struct EnergyBreakdown {
     pub static_pj: f64,
     /// Post-processing unit energy.
     pub ppu_pj: f64,
-    /// Sparse frontend + format-decode energy (zero on the dense path).
+    /// Sparse frontend + format-decode energy (zero for a dense execution).
     pub sparse_pj: f64,
 }
 
@@ -95,6 +93,14 @@ pub struct ModelPerf {
 /// integers is unstable).
 fn div_ceil(a: i64, b: i64) -> i64 {
     (a + b - 1) / b
+}
+
+/// `x.ceil() as i64`, bit for bit for every `x` (NaN and infinities
+/// included), without the libm call `f64::ceil` compiles to on baseline
+/// x86-64. Every scaled count in this module goes through it.
+fn ceil_i64(x: f64) -> i64 {
+    let t = x as i64;
+    t.saturating_add(i64::from((t as f64) < x))
 }
 
 /// `dim` work items on `p` lanes: achieved fraction of peak.
@@ -172,7 +178,8 @@ fn spatial_utilization(kind: &LayerKind, mapping: SpatialMapping, p0: i64, p1: i
     }
 }
 
-/// DRAM traffic of a tiled `m×n×k` contraction with a byte budget.
+/// DRAM traffic of a tiled `m×n×k` contraction with a byte budget, each
+/// operand scaled by its compressed-to-dense byte ratio in `e`.
 ///
 /// Square-ish L1 tiles with full-`k` panels: each output tile loads a
 /// `t×k` input panel and a `k×t` weight panel, outputs are written once
@@ -184,74 +191,35 @@ fn spatial_utilization(kind: &LayerKind, mapping: SpatialMapping, p0: i64, p1: i
 /// `Some(t)` additionally clamps the tile edge to `t`, which trades on-chip
 /// reuse for smaller working sets — the tiling axis of the design-space
 /// exploration in `lego-explorer`.
-pub fn tiled_dram_traffic(m: i64, n: i64, k: i64, buffer_bytes: i64, tile_cap: Option<i64>) -> i64 {
-    let weights = n * k;
-    let inputs = m * k;
-    let outputs = m * n;
-    // Pick the largest square tile fitting the double-buffered budget:
-    // t·k (weights) + t·k (inputs) + t·t (outputs) ≤ B/2. The fit
-    // condition t² + 2kt ≤ B is monotone in t, so the edge is the positive
-    // root √(k² + B) − k; the two exact walks below repair any float
-    // rounding against the integer predicate (they run 0–1 steps), which
-    // keeps the result bit-identical to the incremental search this
-    // replaces — pinned by the hand-count tests.
-    let budget = (buffer_bytes / 2).max(64);
-    let cap_mn = m.max(n).max(1);
-    let root = ((k as f64) * (k as f64) + budget as f64).sqrt() - k as f64;
-    let mut t = (root.floor() as i64).clamp(1, cap_mn);
-    while (t + 1) * k * 2 + (t + 1) * (t + 1) <= budget && t < cap_mn {
-        t += 1;
-    }
-    while t > 1 && t * k * 2 + t * t > budget {
-        t -= 1;
-    }
-    if let Some(cap) = tile_cap {
-        t = t.min(cap.max(1));
-    }
-    let tm = t.min(m).max(1);
-    let tn = t.min(n).max(1);
-    let m_sweeps = div_ceil(m, tm);
-    let n_sweeps = div_ceil(n, tn);
-    // N-innermost: weights re-read once per M-tile, inputs streamed once.
-    let n_inner = weights * m_sweeps + inputs;
-    // M-innermost: inputs re-read once per N-tile, weights streamed once.
-    let m_inner = weights + inputs * n_sweeps;
-    n_inner.min(m_inner) + outputs
-}
-
-/// [`tiled_dram_traffic`] with per-operand byte scales for compressed
-/// operands (`w_scale` weights, `i_scale` inputs, `o_scale` outputs, each
-/// in `(0, 1]`).
 ///
 /// Compression shrinks the streams *and* the working set, so the same
 /// buffer holds larger tiles and the re-read sweeps get cheaper — the
 /// compound win Sparseloop attributes to compressed on-chip residency.
-/// Unit scales delegate to [`tiled_dram_traffic`] itself, so the
-/// dense-equivalence guarantee (density 1.0, and gating's dense-traffic
-/// contract) is structural, not a property of two twin implementations
-/// staying in sync.
-#[allow(clippy::too_many_arguments)] // a contraction shape plus one scale per operand
-pub fn tiled_dram_traffic_sparse(
+/// Under [`SparseEffects::DENSE`] every product below is an exact integer
+/// (below 2^53), so the dense traffic is exact too; the integer oracle in
+/// this module's tests holds it to that.
+pub fn tiled_dram_traffic(
     m: i64,
     n: i64,
     k: i64,
     buffer_bytes: i64,
     tile_cap: Option<i64>,
-    w_scale: f64,
-    i_scale: f64,
-    o_scale: f64,
+    e: &SparseEffects,
 ) -> i64 {
-    if w_scale == 1.0 && i_scale == 1.0 && o_scale == 1.0 {
-        return tiled_dram_traffic(m, n, k, buffer_bytes, tile_cap);
-    }
+    let (w_scale, i_scale, o_scale) = (
+        e.weight_bytes_scale,
+        e.input_bytes_scale,
+        e.output_bytes_scale,
+    );
     let weights = (n * k) as f64 * w_scale;
     let inputs = (m * k) as f64 * i_scale;
     let outputs = (m * n) as f64 * o_scale;
+    // Pick the largest square tile fitting the double-buffered budget:
+    // t·k·(w+i) (weight and input panels) + t²·o (outputs) ≤ B/2. The fit
+    // condition is monotone in t, so the edge is the positive root of that
+    // quadratic; the two exact walks repair any float rounding against the
+    // predicate (they run 0–1 steps).
     let budget = (buffer_bytes / 2).max(64) as f64;
-    // Same closed-form tile solve as the dense path, with per-operand
-    // scales: o·t² + k(w+i)·t ≤ B. The walks repair float rounding against
-    // the exact predicate of the incremental search this replaces, so
-    // results stay bit-identical.
     let cap_mn = m.max(n).max(1);
     let operand = k as f64 * (w_scale + i_scale);
     let root = if o_scale > 0.0 {
@@ -276,9 +244,11 @@ pub fn tiled_dram_traffic_sparse(
     let tn = t.min(n).max(1);
     let m_sweeps = div_ceil(m, tm);
     let n_sweeps = div_ceil(n, tn);
+    // N-innermost: weights re-read once per M-tile, inputs streamed once.
     let n_inner = weights * m_sweeps as f64 + inputs;
+    // M-innermost: inputs re-read once per N-tile, weights streamed once.
     let m_inner = weights + inputs * n_sweeps as f64;
-    (n_inner.min(m_inner) + outputs).ceil() as i64
+    ceil_i64(n_inner.min(m_inner) + outputs)
 }
 
 /// Halo bytes exchanged between adjacent clusters when `n_clusters` split
@@ -313,15 +283,15 @@ fn cluster_halo_bytes(kind: &LayerKind, n_clusters: i64) -> i64 {
 /// Simulates one layer instance under a fixed mapping, charging every cost
 /// through the configuration's [`CostContext`].
 ///
-/// When the context's datapath has a sparse acceleration feature *and* the
-/// layer carries density annotations, the dense cost components are scaled
-/// by the [`SparseEffects`] of that pairing: expected-nonzero MAC counts
+/// Every cost component is the dense one scaled by the layer's
+/// [`SparseEffects`] on this datapath: expected-nonzero MAC counts
 /// (skipping), gated datapath energy (gating), compressed DRAM/SRAM
 /// traffic, plus frontend/decode overhead energy. When
 /// [`CostContext::sparse_effects`] returns `None` — dense hardware or a
-/// fully dense layer — every expression below reduces to the exact dense
-/// arithmetic, so dense results are byte-identical with sparsity modeling
-/// compiled in.
+/// fully dense layer — the layer is priced under [`SparseEffects::DENSE`].
+/// Its unit scales reproduce dense arithmetic bit for bit (`x·1.0` and
+/// `x + 0.0` are exact, and every scaled integer stays below 2^53), so this
+/// one path prices dense and sparse layers alike.
 pub fn simulate_layer_ctx(
     layer: &Layer,
     mapping: SpatialMapping,
@@ -333,33 +303,23 @@ pub fn simulate_layer_ctx(
     let n_clusters = hw.num_clusters();
     let macs = layer.macs();
     let util = spatial_utilization(&layer.kind, mapping, p0, p1).max(1e-4);
-    let sparse: Option<SparseEffects> = ctx.sparse_effects(&layer.sparsity);
+    let e = ctx
+        .sparse_effects(&layer.sparsity)
+        .unwrap_or(SparseEffects::DENSE);
 
     // Compute cycles: clusters split the M dimension of the layer. A
-    // skipping datapath issues only the (imbalance-padded) nonzero MACs.
-    let compute_cycles = match &sparse {
-        None => ctx.compute_cycles(macs, util),
-        Some(e) => ctx.compute_cycles(((macs as f64 * e.compute_scale).ceil() as i64).max(1), util),
-    };
+    // skipping datapath issues only the (imbalance-padded) nonzero MACs,
+    // but at least one when the layer has any.
+    let issued = ceil_i64(macs as f64 * e.compute_scale).max(macs.min(1));
+    let compute_cycles = ctx.compute_cycles(issued, util);
 
     // DRAM traffic (int8 operands, int8 writeback after quantization);
     // sparse operands stream in their compressed formats.
     let (m, n, k) = gemm_view(&layer.kind);
     let buffer_bytes = hw.buffer_kb as i64 * 1024;
-    let mut bytes = match &sparse {
-        None => tiled_dram_traffic(m, n, k, buffer_bytes, tile_cap),
-        Some(e) => tiled_dram_traffic_sparse(
-            m,
-            n,
-            k,
-            buffer_bytes,
-            tile_cap,
-            e.weight_bytes_scale,
-            e.input_bytes_scale,
-            e.output_bytes_scale,
-        ),
-    };
-    // Convs re-read less input than the im2col view thanks to halo overlap.
+    let mut bytes = tiled_dram_traffic(m, n, k, buffer_bytes, tile_cap, &e);
+    // Convs re-read less input than the im2col view thanks to halo overlap;
+    // the over-counted input bytes were compressed too.
     if matches!(
         layer.kind,
         LayerKind::Conv { .. } | LayerKind::DwConv { .. }
@@ -367,11 +327,7 @@ pub fn simulate_layer_ctx(
         let dense_in = layer.input_elems();
         let im2col_in = m * k;
         let correction = im2col_in - dense_in.min(im2col_in);
-        bytes -= match &sparse {
-            None => correction,
-            // The over-counted input bytes were compressed too.
-            Some(e) => (correction as f64 * e.input_bytes_scale).ceil() as i64,
-        };
+        bytes -= ceil_i64(correction as f64 * e.input_bytes_scale);
     }
     let mem_cycles = ctx.dram_cycles(bytes);
 
@@ -382,10 +338,7 @@ pub fn simulate_layer_ctx(
     // neighbors. The wormhole stream competes with the compute/memory body,
     // and the X-Y head latency to the farthest cluster is serialized.
     let halo_bytes = cluster_halo_bytes(&layer.kind, n_clusters);
-    let broadcast_bytes = match &sparse {
-        None => (n * k).min(bytes),
-        Some(e) => (((n * k) as f64 * e.weight_bytes_scale).ceil() as i64).min(bytes),
-    };
+    let broadcast_bytes = ceil_i64((n * k) as f64 * e.weight_bytes_scale).min(bytes);
     let l2_traffic = L2Traffic {
         scatter_bytes: (bytes - broadcast_bytes).max(0),
         broadcast_bytes,
@@ -419,26 +372,17 @@ pub fn simulate_layer_ctx(
     let in_reads = macs / reuse_in.max(1);
     let w_reads = macs / reuse_w.max(1);
     let out_writes = layer.output_elems();
-    let l1_accesses = match &sparse {
-        None => in_reads + w_reads + out_writes,
-        // A skipping frontend never fetches operands of skipped MACs, and
-        // masked outputs are never written (gating keeps all scales at 1).
-        Some(e) => {
-            ((in_reads + w_reads) as f64 * e.operand_read_scale).ceil() as i64
-                + (out_writes as f64 * e.output_bytes_scale).ceil() as i64
-        }
-    };
+    // A skipping frontend never fetches operands of skipped MACs, and
+    // masked outputs are never written (gating keeps all scales at 1).
+    let l1_accesses = ceil_i64((in_reads + w_reads) as f64 * e.compute_scale)
+        + ceil_i64(out_writes as f64 * e.output_bytes_scale);
 
-    // Energy roll-up through the cost stack.
+    // Energy roll-up through the cost stack. Only effectual MACs toggle the
+    // datapath (gating and skipping).
     let time_ns = cycles as f64 / ctx.tech.freq_ghz;
     let busy = compute_cycles as f64 / cycles.max(1) as f64;
-    let mac_pj = match &sparse {
-        None => ctx.mac_energy_pj(macs) + ctx.array_energy_pj(time_ns, busy, util),
-        // Only effectual MACs toggle the datapath (gating and skipping).
-        Some(e) => {
-            ctx.mac_energy_pj(macs) * e.mac_energy_scale + ctx.array_energy_pj(time_ns, busy, util)
-        }
-    };
+    let mac_pj =
+        ctx.mac_energy_pj(macs) * e.mac_energy_scale + ctx.array_energy_pj(time_ns, busy, util);
     let sram_pj = ctx.sram_energy_pj(l1_accesses);
     let dram_pj = ctx.dram_energy_pj(bytes);
     let noc_pj = ctx.transport_energy_pj(bytes, halo_bytes);
@@ -446,7 +390,7 @@ pub fn simulate_layer_ctx(
     let ppu_pj = ppu_total as f64 * hw.num_ppus as f64 * 0.9;
     // What sparsity costs: the frontend examines MAC positions and the
     // decoders walk the compressed operand streams.
-    let sparse_pj = sparse.map_or(0.0, |e| e.overhead_pj(macs, n * k, m * k));
+    let sparse_pj = e.overhead_pj(macs, n * k, m * k);
 
     LayerPerf {
         cycles,
@@ -474,17 +418,20 @@ pub fn simulate_layer_ctx(
 /// tool at layer granularity.
 ///
 /// A configuration with an empty dataflow set cannot map anything
-/// ([`HwConfig::validate`](crate::HwConfig::validate) rejects it); rather than panic, the layer falls
-/// back to the universal im2col `GemmMN` mapping.
+/// ([`HwConfig::validate`](lego_model::HwConfig::validate) rejects it);
+/// rather than panic, the layer falls back to the universal im2col `GemmMN`
+/// mapping. Ties in cycles go to the lower energy, and remaining ties to
+/// the earlier mapping in the menu; the order is total, so a NaN energy
+/// cannot panic the search.
 pub fn best_mapping_ctx(layer: &Layer, ctx: &CostContext, tile_cap: Option<i64>) -> LayerPerf {
     ctx.hw
         .dataflows
         .iter()
         .map(|&m| simulate_layer_ctx(layer, m, ctx, tile_cap))
         .min_by(|a, b| {
-            (a.cycles, a.energy.total_pj())
-                .partial_cmp(&(b.cycles, b.energy.total_pj()))
-                .expect("finite costs")
+            a.cycles
+                .cmp(&b.cycles)
+                .then_with(|| a.energy.total_pj().total_cmp(&b.energy.total_pj()))
         })
         .unwrap_or_else(|| simulate_layer_ctx(layer, SpatialMapping::GemmMN, ctx, tile_cap))
 }
@@ -538,8 +485,44 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HwConfig;
+    use lego_model::{DensityModel, HwConfig, LayerSparsity, SparseAccel, SparseHw};
     use lego_workloads::zoo;
+
+    const DENSE: SparseEffects = SparseEffects::DENSE;
+
+    /// The integer tile solver that [`tiled_dram_traffic`] replaced: every
+    /// dense traffic figure is held to it exactly.
+    fn tiled_dram_traffic_reference(
+        m: i64,
+        n: i64,
+        k: i64,
+        buffer_bytes: i64,
+        tile_cap: Option<i64>,
+    ) -> i64 {
+        let weights = n * k;
+        let inputs = m * k;
+        let outputs = m * n;
+        // Largest square tile with t·k (weights) + t·k (inputs) + t·t
+        // (outputs) ≤ B/2, walked from the positive root √(k² + B) − k.
+        let budget = (buffer_bytes / 2).max(64);
+        let cap_mn = m.max(n).max(1);
+        let root = ((k as f64) * (k as f64) + budget as f64).sqrt() - k as f64;
+        let mut t = (root.floor() as i64).clamp(1, cap_mn);
+        while (t + 1) * k * 2 + (t + 1) * (t + 1) <= budget && t < cap_mn {
+            t += 1;
+        }
+        while t > 1 && t * k * 2 + t * t > budget {
+            t -= 1;
+        }
+        if let Some(cap) = tile_cap {
+            t = t.min(cap.max(1));
+        }
+        let tm = t.min(m).max(1);
+        let tn = t.min(n).max(1);
+        let n_inner = weights * div_ceil(m, tm) + inputs;
+        let m_inner = weights + inputs * div_ceil(n, tn);
+        n_inner.min(m_inner) + outputs
+    }
 
     fn tech() -> TechModel {
         TechModel::default()
@@ -706,11 +689,14 @@ mod tests {
         // with inputs (m·k = 12) re-read per N-sweep: 8 + 12·2 = 32 beats
         // re-reading weights per M-sweep (8·3 + 12 = 36). Outputs (24)
         // written once. Hand count: 32 + 24 = 56.
-        assert_eq!(tiled_dram_traffic(6, 4, 2, 128, Some(2)), 56);
+        assert_eq!(tiled_dram_traffic(6, 4, 2, 128, Some(2), &DENSE), 56);
         // The mirrored shape swaps the operand roles and loop order, so by
         // symmetry the traffic is identical: weights (12) re-read per
         // M-sweep (×2) with inputs (8) streamed once, plus 24 outputs.
-        assert_eq!(tiled_dram_traffic(4, 6, 2, 128, Some(2)), 12 * 2 + 8 + 24);
+        assert_eq!(
+            tiled_dram_traffic(4, 6, 2, 128, Some(2), &DENSE),
+            12 * 2 + 8 + 24
+        );
     }
 
     #[test]
@@ -719,7 +705,7 @@ mod tests {
         // bounded by one full pass of one operand plus sweeps of the other,
         // never sweeps of both.
         for (m, n, k, cap) in [(64, 8, 16, 4), (8, 64, 16, 4), (128, 128, 32, 8)] {
-            let t = tiled_dram_traffic(m, n, k, 1024, Some(cap));
+            let t = tiled_dram_traffic(m, n, k, 1024, Some(cap), &DENSE);
             let tm = cap.min(m);
             let tn = cap.min(n);
             let both = n * k * div_ceil(m, tm) + m * k * div_ceil(n, tn) + m * n;
@@ -730,9 +716,9 @@ mod tests {
     #[test]
     fn tile_cap_only_adds_traffic() {
         let b = 256 * 1024;
-        let auto = tiled_dram_traffic(512, 512, 512, b, None);
+        let auto = tiled_dram_traffic(512, 512, 512, b, None, &DENSE);
         for cap in [4, 8, 16, 64, 1 << 20] {
-            let capped = tiled_dram_traffic(512, 512, 512, b, Some(cap));
+            let capped = tiled_dram_traffic(512, 512, 512, b, Some(cap), &DENSE);
             assert!(capped >= auto, "cap {cap}: {capped} < {auto}");
         }
         // A generous cap is a no-op, so the uncapped path is the None case.
@@ -849,27 +835,106 @@ mod tests {
     }
 
     #[test]
-    fn sparse_traffic_with_unit_scales_matches_dense_exactly() {
-        for (m, n, k, buf, cap) in [
-            (6i64, 4i64, 2i64, 128i64, Some(2)),
-            (512, 512, 512, 256 * 1024, None),
-            (1, 3072, 768, 256 * 1024, Some(64)),
-            (50257, 768, 1, 512 * 1024, None),
-        ] {
+    fn dense_traffic_matches_the_integer_oracle() {
+        let check = |m: i64, n: i64, k: i64, buffer: i64, cap: Option<i64>| {
             assert_eq!(
-                tiled_dram_traffic_sparse(m, n, k, buf, cap, 1.0, 1.0, 1.0),
-                tiled_dram_traffic(m, n, k, buf, cap),
-                "({m},{n},{k})"
+                tiled_dram_traffic(m, n, k, buffer, cap, &DENSE),
+                tiled_dram_traffic_reference(m, n, k, buffer, cap),
+                "({m},{n},{k}) buffer {buffer} cap {cap:?}"
             );
+        };
+        // Fixed grid: the GEMM view of every zoo layer, plus edge shapes,
+        // under buffers from 0 to 16 MiB and every cap from 1 to 256.
+        let mut models = zoo::figure11_models();
+        models.extend(zoo::sparse_models());
+        models.extend([
+            zoo::lenet(),
+            zoo::ddpm(),
+            zoo::stable_diffusion(),
+            zoo::llama7b_decode(1),
+            zoo::llama7b_decode(32),
+        ]);
+        let mut shapes: Vec<(i64, i64, i64)> = models
+            .iter()
+            .flat_map(|model| model.layers.iter().map(|l| gemm_view(&l.kind)))
+            .chain([(6, 4, 2), (1, 3072, 768), (50257, 768, 1), (1, 1, 1)])
+            .collect();
+        shapes.sort_unstable();
+        shapes.dedup();
+        let buffers = [
+            0,
+            127,
+            128,
+            4096,
+            64 << 10,
+            256 << 10,
+            576 << 10,
+            4 << 20,
+            16 << 20,
+        ];
+        let caps = std::iter::once(None).chain((1..=256).map(Some));
+        for &(m, n, k) in &shapes {
+            for buffer in buffers {
+                for cap in caps.clone() {
+                    check(m, n, k, buffer, cap);
+                }
+            }
+        }
+        // Seeded random shapes and buffers (SplitMix64), both spread over
+        // orders of magnitude so that small panels against large buffers,
+        // the reverse, and the 64-byte budget floor all come up; half the
+        // draws are uncapped, the rest capped at 1–256.
+        let mut state = 0x5EED_u64;
+        let mut next = |bits: u32| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let z = z ^ (z >> 31);
+            (z >> (64 - bits)) as i64
+        };
+        for _ in 0..400_000 {
+            let mut dim = || (1i64 << next(4)) + next(16) % (1i64 << next(4));
+            let (m, n, k) = (dim(), dim(), dim());
+            let buffer = next(25) >> next(5);
+            let cap = match next(9) {
+                0..=255 => None,
+                c => Some(c - 255),
+            };
+            check(m, n, k, buffer, cap);
+        }
+    }
+
+    #[test]
+    fn ceil_i64_is_ceil_then_cast() {
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            2.000_000_1,
+            1e15 + 0.5,
+            9.3e18,
+            -9.3e18,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(ceil_i64(x), x.ceil() as i64, "{x}");
         }
     }
 
     #[test]
     fn compressed_weights_cut_traffic_and_grow_tiles() {
         let (m, n, k, buf) = (512i64, 512i64, 512i64, 64 * 1024i64);
-        let dense = tiled_dram_traffic(m, n, k, buf, None);
+        let dense = tiled_dram_traffic(m, n, k, buf, None, &DENSE);
         // 2:4 weights in bitmask: 0.625× footprint.
-        let sparse = tiled_dram_traffic_sparse(m, n, k, buf, None, 0.625, 1.0, 1.0);
+        let bitmask = SparseEffects {
+            weight_bytes_scale: 0.625,
+            ..DENSE
+        };
+        let sparse = tiled_dram_traffic(m, n, k, buf, None, &bitmask);
         assert!(sparse < dense, "{sparse} !< {dense}");
     }
 
@@ -887,11 +952,8 @@ mod tests {
             },
         );
         let dense = simulate_layer_ctx(&l, SpatialMapping::GemmMN, &ctx, None);
-        for accel in [
-            lego_model::SparseAccel::Gating,
-            lego_model::SparseAccel::Skipping,
-        ] {
-            ctx.sparse = lego_model::SparseHw::with_accel(accel);
+        for accel in [SparseAccel::Gating, SparseAccel::Skipping] {
+            ctx.sparse = SparseHw::with_accel(accel);
             assert_eq!(
                 simulate_layer_ctx(&l, SpatialMapping::GemmMN, &ctx, None),
                 dense,
@@ -911,12 +973,9 @@ mod tests {
                 k: 256,
             },
         );
-        let sparse_layer =
-            dense_layer
-                .clone()
-                .with_sparsity(lego_workloads::LayerSparsity::weights(
-                    lego_workloads::DensityModel::two_to_four(),
-                ));
+        let sparse_layer = dense_layer
+            .clone()
+            .with_sparsity(LayerSparsity::weights(DensityModel::two_to_four()));
         assert_eq!(
             simulate_layer_ctx(&dense_layer, SpatialMapping::GemmMN, &ctx, None),
             simulate_layer_ctx(&sparse_layer, SpatialMapping::GemmMN, &ctx, None),
@@ -935,11 +994,9 @@ mod tests {
                 k: 512,
             },
         )
-        .with_sparsity(lego_workloads::LayerSparsity::weights(
-            lego_workloads::DensityModel::two_to_four(),
-        ));
+        .with_sparsity(LayerSparsity::weights(DensityModel::two_to_four()));
         let dense = simulate_layer_ctx(&l, SpatialMapping::GemmMN, &ctx, None);
-        ctx.sparse = lego_model::SparseHw::with_accel(lego_model::SparseAccel::Gating);
+        ctx.sparse = SparseHw::with_accel(SparseAccel::Gating);
         let gated = simulate_layer_ctx(&l, SpatialMapping::GemmMN, &ctx, None);
         assert_eq!(gated.cycles, dense.cycles, "gating never changes timing");
         assert_eq!(gated.dram_bytes, dense.dram_bytes);
@@ -959,11 +1016,9 @@ mod tests {
                 k: 512,
             },
         )
-        .with_sparsity(lego_workloads::LayerSparsity::weights(
-            lego_workloads::DensityModel::two_to_four(),
-        ));
+        .with_sparsity(LayerSparsity::weights(DensityModel::two_to_four()));
         let dense = simulate_layer_ctx(&l, SpatialMapping::GemmMN, &ctx, None);
-        ctx.sparse = lego_model::SparseHw::with_accel(lego_model::SparseAccel::Skipping);
+        ctx.sparse = SparseHw::with_accel(SparseAccel::Skipping);
         let skipped = simulate_layer_ctx(&l, SpatialMapping::GemmMN, &ctx, None);
         assert!(skipped.cycles < dense.cycles, "skipping cuts cycles");
         assert!(skipped.dram_bytes < dense.dram_bytes, "compressed weights");
@@ -980,7 +1035,7 @@ mod tests {
     fn sparse_costs_are_monotone_in_density() {
         // Lower density ⇒ no more cycles, bytes, or energy on skipping HW.
         let mut ctx = CostContext::new(HwConfig::lego_256(), tech());
-        ctx.sparse = lego_model::SparseHw::with_accel(lego_model::SparseAccel::Skipping);
+        ctx.sparse = SparseHw::with_accel(SparseAccel::Skipping);
         let perf_at = |permille: u16| {
             let l = lego_workloads::Layer::new(
                 "g",
@@ -990,9 +1045,7 @@ mod tests {
                     k: 384,
                 },
             )
-            .with_sparsity(lego_workloads::LayerSparsity::weights(
-                lego_workloads::DensityModel::Uniform { permille },
-            ));
+            .with_sparsity(LayerSparsity::weights(DensityModel::Uniform { permille }));
             simulate_layer_ctx(&l, SpatialMapping::GemmMN, &ctx, None)
         };
         let mut last = perf_at(50);

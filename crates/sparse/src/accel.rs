@@ -17,10 +17,13 @@
 //!   compressed byte. Unstructured sparsity additionally pays a
 //!   load-imbalance factor — the reason N:M structured formats exist.
 //!
-//! Both features cost area on the PE datapath even when the data is dense;
-//! a layer with density 1.0, however, takes the *exact* dense arithmetic
-//! path ([`SparseHw::effects`] returns `None`), which is what keeps every
-//! dense result byte-identical with sparse modeling compiled in.
+//! Both features cost area on the PE datapath even when the data is dense.
+//! A layer with density 1.0 gets no effects ([`SparseHw::effects`] returns
+//! `None`), which callers read as [`SparseEffects::DENSE`]: every scale 1
+//! and no frontend energy. Pricing through unit scales reproduces dense
+//! arithmetic bit for bit, because `x·1.0` and `x + 0.0` are exact and every
+//! scaled integer stays below 2^53, so there is one pricing path and dense
+//! results stay byte-identical with sparse modeling compiled in.
 
 use crate::density::LayerSparsity;
 use crate::format::CompressedFormat;
@@ -144,58 +147,46 @@ impl SparseHw {
 
     /// The multiplicative effects of running a layer with `sparsity` on
     /// this datapath, or `None` when the execution is **provably dense**:
-    /// no acceleration feature, or a fully dense layer. Callers must treat
-    /// `None` as "take the exact dense arithmetic path" — that invariant
-    /// is what keeps dense results byte-identical.
+    /// no acceleration feature, or a fully dense layer. Callers read `None`
+    /// as [`SparseEffects::DENSE`], whose unit scales price a layer exactly
+    /// as dense arithmetic would (see the module header).
     pub fn effects(&self, sparsity: &LayerSparsity) -> Option<SparseEffects> {
         if !self.is_enabled() || sparsity.is_dense() {
             return None;
         }
+        let mac_density = sparsity.mac_density();
+        if self.accel == SparseAccel::Gating {
+            return Some(SparseEffects {
+                mac_energy_scale: mac_density,
+                frontend_pj_per_mac: self.accel.frontend_pj_per_mac(),
+                ..SparseEffects::DENSE
+            });
+        }
+        // Skipping: compressed operand streams, only effectual MACs issued.
         let wd = sparsity.weights.density();
         let id = sparsity.inputs.density();
-        let od = sparsity.outputs.density();
-        let mac_density = sparsity.mac_density();
-        match self.accel {
-            SparseAccel::None => None,
-            SparseAccel::Gating => Some(SparseEffects {
-                compute_scale: 1.0,
-                mac_energy_scale: mac_density,
-                weight_bytes_scale: 1.0,
-                input_bytes_scale: 1.0,
-                output_bytes_scale: 1.0,
-                operand_read_scale: 1.0,
-                weight_format: CompressedFormat::Dense,
-                input_format: CompressedFormat::Dense,
-                frontend_pj_per_mac: self.accel.frontend_pj_per_mac(),
-                frontend_mac_scale: 1.0,
-            }),
-            SparseAccel::Skipping => {
-                let formats = self.accel.supported_formats();
-                let pick = |density: f64| {
-                    const BLOCK: i64 = 4096;
-                    let nnz = (BLOCK as f64 * density).ceil() as i64;
-                    CompressedFormat::best_for(BLOCK, nnz, formats)
-                };
-                let weight_format = pick(wd);
-                let input_format = pick(id);
-                let eff = SparseAccel::skip_efficiency(sparsity.is_structured());
-                // Achieved cycles: ideal nonzero fraction, padded back
-                // toward dense by the imbalance the scheduler cannot hide.
-                let compute_scale = (mac_density + (1.0 - mac_density) * (1.0 - eff)).min(1.0);
-                Some(SparseEffects {
-                    compute_scale,
-                    mac_energy_scale: mac_density,
-                    weight_bytes_scale: weight_format.compression_ratio(wd).min(1.0),
-                    input_bytes_scale: input_format.compression_ratio(id).min(1.0),
-                    output_bytes_scale: od,
-                    operand_read_scale: compute_scale,
-                    weight_format,
-                    input_format,
-                    frontend_pj_per_mac: self.accel.frontend_pj_per_mac(),
-                    frontend_mac_scale: compute_scale,
-                })
-            }
-        }
+        let formats = self.accel.supported_formats();
+        let pick = |density: f64| {
+            const BLOCK: i64 = 4096;
+            let nnz = (BLOCK as f64 * density).ceil() as i64;
+            CompressedFormat::best_for(BLOCK, nnz, formats)
+        };
+        let weight_format = pick(wd);
+        let input_format = pick(id);
+        let eff = SparseAccel::skip_efficiency(sparsity.is_structured());
+        // Achieved cycles: ideal nonzero fraction, padded back toward dense
+        // by the imbalance the scheduler cannot hide.
+        let compute_scale = (mac_density + (1.0 - mac_density) * (1.0 - eff)).min(1.0);
+        Some(SparseEffects {
+            compute_scale,
+            mac_energy_scale: mac_density,
+            weight_bytes_scale: weight_format.compression_ratio(wd).min(1.0),
+            input_bytes_scale: input_format.compression_ratio(id).min(1.0),
+            output_bytes_scale: sparsity.outputs.density(),
+            weight_format,
+            input_format,
+            frontend_pj_per_mac: self.accel.frontend_pj_per_mac(),
+        })
     }
 }
 
@@ -210,7 +201,9 @@ impl std::fmt::Display for SparseHw {
 /// quantities yields the expected sparse quantities.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseEffects {
-    /// Fraction of dense compute cycles actually issued.
+    /// Fraction of dense compute cycles actually issued — and so of operand
+    /// buffer reads issued and of MAC positions the frontend examines
+    /// (dense positions for gating, surviving positions for skipping).
     pub compute_scale: f64,
     /// Fraction of MACs that toggle the datapath (energy).
     pub mac_energy_scale: f64,
@@ -221,24 +214,32 @@ pub struct SparseEffects {
     /// Fraction of output positions materialized (masked outputs are
     /// never computed or written).
     pub output_bytes_scale: f64,
-    /// Fraction of operand buffer reads issued (skipped fetches).
-    pub operand_read_scale: f64,
     /// Chosen weight storage format.
     pub weight_format: CompressedFormat,
     /// Chosen input-activation storage format.
     pub input_format: CompressedFormat,
     /// Frontend energy per examined MAC position, in pJ.
     pub frontend_pj_per_mac: f64,
-    /// Fraction of MAC positions the frontend examines (dense positions
-    /// for gating, surviving positions for skipping).
-    pub frontend_mac_scale: f64,
 }
 
 impl SparseEffects {
+    /// A dense execution: every scale 1, `Dense` formats, no frontend
+    /// energy. What [`SparseHw::effects`]' `None` stands for.
+    pub const DENSE: SparseEffects = SparseEffects {
+        compute_scale: 1.0,
+        mac_energy_scale: 1.0,
+        weight_bytes_scale: 1.0,
+        input_bytes_scale: 1.0,
+        output_bytes_scale: 1.0,
+        weight_format: CompressedFormat::Dense,
+        input_format: CompressedFormat::Dense,
+        frontend_pj_per_mac: 0.0,
+    };
+
     /// Frontend + decode energy for a layer that executes `dense_macs` MAC
     /// positions and streams the given dense operand footprints, in pJ.
     pub fn overhead_pj(&self, dense_macs: i64, weight_bytes: i64, input_bytes: i64) -> f64 {
-        let frontend = self.frontend_pj_per_mac * dense_macs as f64 * self.frontend_mac_scale;
+        let frontend = self.frontend_pj_per_mac * dense_macs as f64 * self.compute_scale;
         let decode = self.weight_format.decode_pj_per_byte()
             * (weight_bytes as f64 * self.weight_bytes_scale)
             + self.input_format.decode_pj_per_byte()
@@ -320,8 +321,6 @@ mod tests {
                     e.weight_bytes_scale,
                     e.input_bytes_scale,
                     e.output_bytes_scale,
-                    e.operand_read_scale,
-                    e.frontend_mac_scale,
                 ] {
                     assert!((0.0..=1.0).contains(&s), "{accel:?} {permille} {s}");
                     assert!(s > 0.0);

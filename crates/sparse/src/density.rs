@@ -148,7 +148,7 @@ impl LayerSparsity {
     }
 
     /// Whether every tensor is dense (nothing for sparse hardware to
-    /// exploit — the cost stack must take the exact dense path).
+    /// exploit — the cost stack prices it as `SparseEffects::DENSE`).
     pub fn is_dense(&self) -> bool {
         self.weights.is_dense() && self.inputs.is_dense() && self.outputs.is_dense()
     }

@@ -30,10 +30,12 @@
 //! [`SparseEffects`] on the dense cost components (expected-nonzero MAC
 //! counts, compressed traffic, skipped fetches, frontend/decode
 //! overheads) — or `None` when the execution is provably dense (no
-//! acceleration feature, or density 1.0), in which case the consumer must
-//! take its exact dense arithmetic path. That `None` contract is what
-//! keeps every dense result byte-identical with sparsity modeling
-//! compiled in.
+//! acceleration feature, or density 1.0), which the consumer reads as
+//! [`SparseEffects::DENSE`]: every scale 1, `Dense` formats, no frontend
+//! energy. Unit scales are exact — `x·1.0` and `x + 0.0` change no bit and
+//! every scaled integer stays below 2^53 — so the cost stack prices dense
+//! and sparse layers through one path, and every dense result stays
+//! byte-identical with sparsity modeling compiled in.
 //!
 //! The crate is deliberately dependency-free: `lego-workloads` annotates
 //! its layers with these types, `lego-model` bundles a [`SparseHw`] into
@@ -51,7 +53,7 @@
 //! let eff = hw.effects(&layer).expect("sparse work on sparse hardware");
 //! assert_eq!(eff.compute_scale, 0.5);          // N:M skips perfectly
 //! assert!(eff.weight_bytes_scale < 0.7);       // bitmask-compressed weights
-//! // Dense data takes the exact dense path, always:
+//! // Dense data has no effects, which prices as `SparseEffects::DENSE`:
 //! assert!(hw.effects(&LayerSparsity::dense()).is_none());
 //! ```
 

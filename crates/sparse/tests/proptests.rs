@@ -7,13 +7,14 @@
 //!    nondecreasing in density);
 //! 3. density 1.0 is **byte-identical** to the dense path on random
 //!    layers — sparse hardware running dense data produces the exact
-//!    dense `LayerPerf`, and unit traffic scales reproduce the dense
-//!    traffic function bit-for-bit.
+//!    dense `LayerPerf` — and compressed operands never add DRAM traffic.
+//!    (That unit scales reproduce dense traffic exactly is checked in
+//!    `lego-sim`, against the integer tile solver kept there as an oracle.)
 
-use lego_model::{CostContext, SparseAccel, SparseHw, TechModel};
-use lego_sim::{
-    simulate_layer_ctx, tiled_dram_traffic, tiled_dram_traffic_sparse, HwConfig, SpatialMapping,
+use lego_model::{
+    CostContext, HwConfig, SparseAccel, SparseEffects, SparseHw, SpatialMapping, TechModel,
 };
+use lego_sim::{simulate_layer_ctx, tiled_dram_traffic};
 use lego_sparse::{CompressedFormat, DensityModel, LayerSparsity};
 use lego_workloads::{Layer, LayerKind};
 use proptest::prelude::*;
@@ -137,7 +138,7 @@ proptest! {
     }
 
     #[test]
-    fn unit_scales_reproduce_dense_traffic_bit_for_bit(
+    fn compressed_operands_never_add_traffic(
         m in 1i64..2048,
         n in 1i64..2048,
         k in 1i64..512,
@@ -146,14 +147,13 @@ proptest! {
     ) {
         let buffer = buffer_kb * 1024;
         let tile_cap = if cap == 0 { None } else { Some(cap) };
-        prop_assert_eq!(
-            tiled_dram_traffic_sparse(m, n, k, buffer, tile_cap, 1.0, 1.0, 1.0),
-            tiled_dram_traffic(m, n, k, buffer, tile_cap)
-        );
-        // Scaled traffic is monotone in each operand scale and never
-        // exceeds the dense traffic.
-        let dense = tiled_dram_traffic(m, n, k, buffer, tile_cap);
-        let scaled = tiled_dram_traffic_sparse(m, n, k, buffer, tile_cap, 0.625, 0.8, 1.0);
+        let dense = tiled_dram_traffic(m, n, k, buffer, tile_cap, &SparseEffects::DENSE);
+        let compressed = SparseEffects {
+            weight_bytes_scale: 0.625,
+            input_bytes_scale: 0.8,
+            ..SparseEffects::DENSE
+        };
+        let scaled = tiled_dram_traffic(m, n, k, buffer, tile_cap, &compressed);
         prop_assert!(scaled <= dense, "{} > {}", scaled, dense);
     }
 }

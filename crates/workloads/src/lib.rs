@@ -9,8 +9,7 @@
 
 pub mod zoo;
 
-pub use lego_sparse::{DensityModel, LayerSparsity};
-pub use zoo::*;
+use lego_sparse::LayerSparsity;
 
 /// A tensor layer: the unit of mapping and simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

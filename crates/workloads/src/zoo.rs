@@ -5,7 +5,8 @@
 //! Shapes are the standard published configurations; grouped convolutions
 //! are folded into their dense-equivalent MAC counts.
 
-use crate::{DensityModel, Layer, LayerKind, LayerSparsity, Model, Nonlinear};
+use crate::{Layer, LayerKind, Model, Nonlinear};
+use lego_sparse::{DensityModel, LayerSparsity};
 
 fn conv(name: &str, ic: i64, oc: i64, oh: i64, kh: i64, stride: i64) -> Layer {
     let l = Layer::new(

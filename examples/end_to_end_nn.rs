@@ -8,8 +8,8 @@
 
 use lego::baselines::simulate_model_gemmini;
 use lego::eval::{EvalRequest, EvalSession};
+use lego::model::HwConfig;
 use lego::model::TechModel;
-use lego::sim::HwConfig;
 use lego::workloads::zoo;
 
 fn main() {

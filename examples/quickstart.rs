@@ -16,9 +16,9 @@ use lego::core::Lego;
 use lego::eval::{EvalRequest, EvalSession};
 use lego::ir::kernels::{self, dataflows};
 use lego::ir::{tensor::reference_execute, TensorData};
+use lego::model::HwConfig;
 use lego::model::TechModel;
 use lego::obs::Obs;
-use lego::sim::HwConfig;
 
 fn main() {
     // ── 1. Evaluate a workload on a configuration ──────────────────────

@@ -19,8 +19,8 @@ use lego::explorer::{
     DesignSpace, Evaluator, EvolutionarySearch, Genome, ParetoFrontier, SearchStrategy,
 };
 use lego::mapspace::MapSearch;
+use lego::model::HwConfig;
 use lego::model::TechModel;
-use lego::sim::HwConfig;
 
 fn main() {
     let model = lego::workloads::zoo::mobilenet_v2();

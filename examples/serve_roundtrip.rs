@@ -17,8 +17,8 @@
 //! Run with: `cargo run --example serve_roundtrip`
 
 use lego::eval::{EvalError, EvalRequest, EvalSession, StatusCode};
+use lego::model::HwConfig;
 use lego::serve::{Client, Server, ServerConfig};
-use lego::sim::HwConfig;
 
 fn main() {
     // ── A server with a byte-budgeted cache, on two transports ─────────

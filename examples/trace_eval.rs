@@ -19,8 +19,8 @@
 //! Run with: `cargo run --example trace_eval`
 
 use lego::eval::{EvalRequest, EvalSession};
+use lego::model::HwConfig;
 use lego::obs::Obs;
-use lego::sim::HwConfig;
 
 fn main() {
     // A wall-clock recorder with a 64Ki-event trace ring. The ring is

@@ -64,7 +64,7 @@
 //!
 //! ```
 //! use lego::eval::{EvalRequest, EvalSession};
-//! use lego::sim::HwConfig;
+//! use lego::model::HwConfig;
 //!
 //! let session = EvalSession::new();
 //! let request = EvalRequest::new(
@@ -102,7 +102,7 @@
 //! ```
 //! use lego::eval::{EvalRequest, EvalSession};
 //! use lego::serve::{Client, Server, ServerConfig};
-//! use lego::sim::HwConfig;
+//! use lego::model::HwConfig;
 //!
 //! let server = Server::new(ServerConfig::default());
 //! let addr = server.listen_tcp("127.0.0.1:0").unwrap();
@@ -133,7 +133,7 @@
 //! ```
 //! use lego::eval::{EvalRequest, EvalSession};
 //! use lego::obs::Obs;
-//! use lego::sim::HwConfig;
+//! use lego::model::HwConfig;
 //!
 //! let obs = Obs::deterministic();
 //! let session = EvalSession::new().with_obs(obs.clone());
@@ -182,7 +182,7 @@
 //! ```
 //! use lego::eval::{EvalRequest, EvalSession};
 //! use lego::obs::Obs;
-//! use lego::sim::HwConfig;
+//! use lego::model::HwConfig;
 //!
 //! // Deterministic here so the doctest is stable; use wall_clock() to
 //! // profile for real.
@@ -275,7 +275,7 @@
 //! use lego::explorer::Genome;
 //! use lego::mapspace::MapSearch;
 //! use lego::model::TechModel;
-//! use lego::sim::HwConfig;
+//! use lego::model::HwConfig;
 //!
 //! let model = lego::workloads::zoo::lenet();
 //! let session = EvalSession::new();

@@ -15,9 +15,9 @@ use lego::eval::{
 use lego::explorer::{
     explore_shard, DesignSpace, ExploreOptions, GridSearch, SearchStrategy, Snapshot,
 };
+use lego::model::{DensityModel, HwConfig, LayerSparsity};
 use lego::model::{SparseAccel, SparseHw, SpatialMapping, TechModel};
-use lego::sim::HwConfig;
-use lego::workloads::{DensityModel, Layer, LayerKind, LayerSparsity, Model, Nonlinear};
+use lego::workloads::{Layer, LayerKind, Model, Nonlinear};
 
 /// All four layer kinds, all three density models and all three
 /// nonlinear kinds.

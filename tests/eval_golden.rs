@@ -10,8 +10,8 @@
 
 use lego::eval::{EvalRequest, EvalSession};
 use lego::mapper::map_model_ctx;
+use lego::model::HwConfig;
 use lego::model::{CostContext, SparseAccel, SparseHw, TechModel};
-use lego::sim::HwConfig;
 use lego::workloads::{zoo, Model};
 
 fn dense_zoo() -> Vec<Model> {

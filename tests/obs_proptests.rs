@@ -7,8 +7,8 @@
 //!    property the CI determinism job's `cmp` of trace exports rests on.
 
 use lego::eval::{EvalRequest, EvalSession};
+use lego::model::HwConfig;
 use lego::obs::Obs;
-use lego::sim::HwConfig;
 use proptest::prelude::*;
 
 fn model_by_index(i: usize) -> lego::workloads::Model {
