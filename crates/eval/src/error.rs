@@ -68,6 +68,9 @@ impl StatusCode {
     /// A technology constant is negative or not finite, or the clock is
     /// not positive.
     pub const INVALID_TECH: StatusCode = StatusCode(205);
+    /// A penalized objective's weight is negative or not finite, or a
+    /// soft budget is not finite.
+    pub const INVALID_OBJECTIVE: StatusCode = StatusCode(206);
 
     // 3xx — the request was fine; the server declined to admit it.
     /// The bounded admission queue was full.
@@ -117,13 +120,14 @@ impl StatusCode {
             203 => "unknown name",
             204 => "usage error",
             205 => "invalid technology model",
+            206 => "invalid objective",
             300 => "queue full",
             301 => "frame too large",
             302 => "shutting down",
             400 => "i/o failure",
             500 => "internal error",
             108..=199 => "malformed payload",
-            206..=299 => "invalid request",
+            207..=299 => "invalid request",
             303..=399 => "not admitted",
             401..=499 => "transport failure",
             _ => "internal error",
@@ -188,6 +192,9 @@ pub enum EvalError {
     /// A technology constant of the request is negative or not finite, or
     /// its clock is not positive; carries the offending value.
     InvalidTech(f64),
+    /// A penalized objective's weight is negative or not finite, or a soft
+    /// budget is not finite; carries the offending value.
+    InvalidObjective(f64),
     /// A name looked up against a registry matched nothing.
     Unknown {
         /// What kind of thing was being looked up.
@@ -233,6 +240,7 @@ impl EvalError {
             EvalError::EmptyWorkload => StatusCode::EMPTY_WORKLOAD,
             EvalError::InvalidTileCap(_) => StatusCode::INVALID_TILE_CAP,
             EvalError::InvalidTech(_) => StatusCode::INVALID_TECH,
+            EvalError::InvalidObjective(_) => StatusCode::INVALID_OBJECTIVE,
             EvalError::Unknown { .. } => StatusCode::UNKNOWN_NAME,
             EvalError::Usage(_) => StatusCode::USAGE,
             EvalError::Rejected(r) => match r {
@@ -266,6 +274,10 @@ impl fmt::Display for EvalError {
             EvalError::InvalidTech(v) => write!(
                 f,
                 "technology constants must be finite and non-negative, with a positive clock; got {v}"
+            ),
+            EvalError::InvalidObjective(v) => write!(
+                f,
+                "penalty weights must be finite and non-negative, and soft budgets finite; got {v}"
             ),
             EvalError::Unknown { what, name } => write!(f, "unknown {what} {name:?}"),
             EvalError::Usage(msg) => write!(f, "{msg}"),
@@ -340,6 +352,7 @@ mod tests {
         assert_eq!(StatusCode::UNKNOWN_NAME.as_u16(), 203);
         assert_eq!(StatusCode::USAGE.as_u16(), 204);
         assert_eq!(StatusCode::INVALID_TECH.as_u16(), 205);
+        assert_eq!(StatusCode::INVALID_OBJECTIVE.as_u16(), 206);
         assert_eq!(StatusCode::QUEUE_FULL.as_u16(), 300);
         assert_eq!(StatusCode::FRAME_TOO_LARGE.as_u16(), 301);
         assert_eq!(StatusCode::SHUTTING_DOWN.as_u16(), 302);

@@ -153,7 +153,14 @@ impl Objective {
                 };
                 let penalty = overshoot(objectives.area_um2, area_budget)
                     + overshoot(peak_power_mw, power_budget);
-                base.score(objectives) * (1.0 + weight.max(0.0) * penalty)
+                let score = base.score(objectives);
+                // An in-budget design scores its base exactly, even under
+                // an infinite weight (where `∞ · 0` would be NaN).
+                if penalty == 0.0 {
+                    score
+                } else {
+                    score * (1.0 + weight.max(0.0) * penalty)
+                }
             }
         }
     }
@@ -234,6 +241,14 @@ mod tests {
         assert!(hard.score(&over, power) > soft.score(&over, power));
         let zero = Objective::penalized_edp(Some(2.0), Some(1.0), 0.0);
         assert!((zero.score(&over, power) - over.edp()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn infinite_weight_scores_in_budget_designs_at_their_base() {
+        let inside = o(10.0, 2.0, 1.5e6);
+        let wall = Objective::penalized_edp(Some(2.0), None, f64::INFINITY);
+        assert_eq!(wall.score(&inside, 0.0), inside.edp());
+        assert_eq!(wall.score(&o(10.0, 2.0, 3.0e6), 0.0), f64::INFINITY);
     }
 
     #[test]

@@ -156,6 +156,8 @@ impl EvalRequest {
     ///   [`HwConfig::validate`];
     /// - [`EvalError::InvalidTech`] if a technology constant is negative or
     ///   not finite, or the clock is not positive;
+    /// - [`EvalError::InvalidObjective`] if a penalized objective's weight
+    ///   is negative or not finite, or a soft budget is not finite;
     /// - [`EvalError::InvalidTileCap`] if a tile cap is set and is not
     ///   positive.
     pub fn validate(&self) -> Result<(), EvalError> {
@@ -169,6 +171,21 @@ impl EvalRequest {
         }
         if self.tech.freq_ghz == 0.0 {
             return Err(EvalError::InvalidTech(0.0));
+        }
+        if let Objective::Penalized {
+            area_budget,
+            power_budget,
+            weight,
+            ..
+        } = self.objective
+        {
+            if !(weight.is_finite() && weight >= 0.0) {
+                return Err(EvalError::InvalidObjective(weight));
+            }
+            let mut budgets = [area_budget, power_budget].into_iter().flatten();
+            if let Some(bad) = budgets.find(|b| !b.is_finite()) {
+                return Err(EvalError::InvalidObjective(bad));
+            }
         }
         match self.tile_cap {
             Some(cap) if cap <= 0 => Err(EvalError::InvalidTileCap(cap)),
@@ -870,7 +887,17 @@ mod tests {
             edit(&mut bad.hw);
             (bad, StatusCode::INVALID_HW)
         };
+        let objective = |objective| {
+            (
+                ok.clone().with_objective(objective),
+                StatusCode::INVALID_OBJECTIVE,
+            )
+        };
         for (bad, status) in [
+            objective(Objective::penalized_edp(Some(1e9), None, f64::INFINITY)),
+            objective(Objective::penalized_edp(Some(1e9), None, -1.0)),
+            objective(Objective::penalized_edp(Some(f64::NAN), None, 1.0)),
+            objective(Objective::penalized_edp(None, Some(f64::INFINITY), 1.0)),
             tech(|t| t.freq_ghz = f64::NAN),
             tech(|t| t.freq_ghz = 0.0),
             tech(|t| t.dram_pj_per_byte = f64::NAN),

@@ -42,7 +42,7 @@
 //!
 //! Production-size sweeps split the space across processes or hosts.
 //! [`DesignSpace::shard`] deterministically partitions the genome
-//! enumeration (and splits each strategy's RNG stream), a worker explores
+//! enumeration (and keeps each strategy inside its slice), a worker explores
 //! its shard with [`explore_shard`] and checkpoints the resulting
 //! frontier + evaluation cache as a [`Snapshot`] file, and a coordinator
 //! merges snapshots with [`ParetoFrontier::merge`] / [`EvalCache::absorb`]
@@ -247,9 +247,9 @@ impl ShardRunResult {
 
 /// Runs every strategy over one [`SpaceShard`] — the unit of work a
 /// distributed sweep hands to each process. The full shard
-/// ([`DesignSpace::full`]) reproduces [`explore`] exactly; any other
-/// shard enumerates its strided slice of the space and splits the
-/// stochastic strategies' RNG streams deterministically.
+/// ([`DesignSpace::full`]) reproduces [`explore`] exactly; any other shard
+/// enumerates its strided slice, splits the stochastic strategies' RNG
+/// streams deterministically and snaps their genomes into the slice.
 pub fn explore_shard(
     model: &Model,
     shard: &SpaceShard<'_>,
@@ -339,11 +339,10 @@ impl ShardedExplorationResult {
         self.frontier.best_by_edp()
     }
 
-    /// Simulations shards re-ran that a peer had already computed, because
-    /// each shard prices through its own cache. They are not where a
-    /// sharded run's time goes: a layer simulation is cheap next to the
-    /// cache lookups and pricing around it, so one cache shared across
-    /// shards removes these misses without making a shard faster.
+    /// Simulations shards re-ran that a peer had already computed. Every
+    /// strategy keeps to its own shard's slice ([`SpaceShard::snap`]), so
+    /// this is 0 unless [`ExploreOptions::warm_start`] genomes, which every
+    /// shard prices, are set.
     pub fn duplicate_evals(&self) -> u64 {
         self.cache_misses.saturating_sub(self.cache.len() as u64)
     }
@@ -352,10 +351,11 @@ impl ShardedExplorationResult {
 /// Explores `space` split into `shards` disjoint slices — each with its
 /// own [`default_strategies`] portfolio seeded from `seed` and split per
 /// shard — then merges the per-shard frontiers and caches, exactly as a
-/// coordinator merging worker snapshot files would. Every shard's
-/// evaluation batch still runs on the worker thread pool, so this is the
-/// in-process rehearsal of the distributed workflow (and the reference
-/// the `dse_shard` binary's `verify` mode checks against).
+/// coordinator merging worker snapshot files would. Every strategy prices
+/// only its own shard's genomes, so no shard pays for a peer's work. Every
+/// shard's evaluation batch still runs on the worker thread pool, so this
+/// is the in-process rehearsal of the distributed workflow (and the
+/// reference the `dse_shard` binary's `verify` mode checks against).
 ///
 /// `opts.budget_per_strategy` applies **per shard**: `n` shards spend up
 /// to `n ×` the budget of one [`explore`] call. In particular, comparing
@@ -780,6 +780,90 @@ mod tests {
         let again = explore_sharded(&model, &space, 3, 7, &opts);
         assert_eq!(again.frontier.genome_keys(), sharded.frontier.genome_keys());
         assert_eq!(again.cache.entries(), sharded.cache.entries());
+    }
+
+    #[test]
+    fn sharded_portfolios_never_overlap() {
+        use std::collections::HashSet;
+        use std::hash::Hasher;
+        let model = zoo::lenet();
+        let grid_only = || vec![Box::new(GridSearch) as Box<dyn SearchStrategy>];
+        for (space, shards) in [(DesignSpace::tiny(), 3), (DesignSpace::paper(), 2)] {
+            let opts = ExploreOptions {
+                budget_per_strategy: space.size(),
+                ..Default::default()
+            };
+            let sharded = explore_sharded(&model, &space, shards, 7, &opts);
+            assert_eq!(sharded.duplicate_evals(), 0);
+            let mut keys: Vec<(u64, u64)> = Vec::new();
+            for run in &sharded.shards {
+                keys.extend(run.cache.iter().map(|(k, _)| *k));
+                let owned: HashSet<Genome> = space
+                    .shard(run.shard_index, shards)
+                    .enumerate()
+                    .into_iter()
+                    .collect();
+                assert!(run
+                    .frontier
+                    .points()
+                    .iter()
+                    .all(|p| owned.contains(&p.genome)));
+            }
+            let total = keys.len();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), total, "shard caches are pairwise disjoint");
+            let grid = explore_shard(&model, &space.full(), &mut grid_only(), &opts);
+            assert_eq!(sharded.cache.entries(), grid.cache);
+            if shards == 3 {
+                // The merged snapshot is byte-identical to the one shards
+                // that sampled the whole space produced.
+                let mut merged = sharded.shards[0].snapshot(&model.name, 7);
+                for run in &sharded.shards[1..] {
+                    merged.absorb(&run.snapshot(&model.name, 7));
+                }
+                let mut h = lego_eval::FnvHasher::new();
+                h.write(&merged.encode());
+                assert_eq!(h.finish(), 7242034134556262160);
+            }
+        }
+        // A shard that owns no genome evaluates nothing, under any strategy.
+        let space = DesignSpace::tiny();
+        let empty = explore_shard(
+            &model,
+            &space.shard(40, 41),
+            &mut default_strategies(7),
+            &ExploreOptions::default(),
+        );
+        assert!(empty.reports.iter().all(|r| r.evaluated == 0));
+        assert!(empty.cache.is_empty());
+    }
+
+    #[test]
+    fn infinite_penalty_weight_searches_like_its_base_objective() {
+        let model = zoo::lenet();
+        let run = |objective| {
+            explore(
+                &model,
+                &DesignSpace::tiny(),
+                &mut default_strategies(7),
+                &ExploreOptions {
+                    budget_per_strategy: 24,
+                    objective,
+                    ..Default::default()
+                },
+            )
+        };
+        let edp = run(Objective::EDP);
+        let wall = run(Objective::penalized_edp(Some(1e9), None, f64::INFINITY));
+        assert_eq!(wall.frontier.genome_keys(), edp.frontier.genome_keys());
+        let bests = |r: &ExplorationResult| -> Vec<Option<Genome>> {
+            r.reports
+                .iter()
+                .map(|s| s.best.as_ref().map(|p| p.genome))
+                .collect()
+        };
+        assert_eq!(bests(&wall), bests(&edp));
     }
 
     #[test]

@@ -289,14 +289,21 @@ impl DesignSpace {
 
     /// Number of distinct genomes.
     pub fn size(&self) -> usize {
-        self.rows.len()
-            * self.cols.len()
-            * self.clusters.len()
-            * self.buffer_kb.len()
-            * self.dram_gbps.len()
-            * self.dataflow_sets.len()
-            * self.tile_caps.len()
-            * self.sparse_accels.len().max(1)
+        self.radices().iter().product()
+    }
+
+    /// Axis lengths in enumeration order, most significant first.
+    fn radices(&self) -> [usize; 8] {
+        [
+            self.rows.len(),
+            self.cols.len(),
+            self.clusters.len(),
+            self.buffer_kb.len(),
+            self.dram_gbps.len(),
+            self.dataflow_sets.len(),
+            self.tile_caps.len(),
+            self.sparse_axis().len(),
+        ]
     }
 
     /// The sparse axis, defaulting to a dense-only datapath when the
@@ -311,34 +318,49 @@ impl DesignSpace {
 
     /// Every genome in the space, in a fixed lexicographic order.
     pub fn enumerate(&self) -> Vec<Genome> {
-        let mut out = Vec::with_capacity(self.size());
-        for &rows in &self.rows {
-            for &cols in &self.cols {
-                for &clusters in &self.clusters {
-                    for &buffer_kb in &self.buffer_kb {
-                        for &dram_gbps in &self.dram_gbps {
-                            for &dataflows in &self.dataflow_sets {
-                                for &tile_cap in &self.tile_caps {
-                                    for &sparse in self.sparse_axis() {
-                                        out.push(Genome {
-                                            rows,
-                                            cols,
-                                            clusters,
-                                            buffer_kb,
-                                            dram_gbps,
-                                            dataflows,
-                                            tile_cap,
-                                            sparse,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        (0..self.size()).map(|i| self.genome_at(i)).collect()
+    }
+
+    /// The genome at enumeration position `index < size()`: the index as a
+    /// mixed-radix number over the axes, `rows` most significant.
+    pub fn genome_at(&self, index: usize) -> Genome {
+        let mut digits = [0; 8];
+        let mut rest = index;
+        for (digit, radix) in digits.iter_mut().zip(self.radices()).rev() {
+            *digit = rest % radix;
+            rest /= radix;
         }
-        out
+        assert_eq!(rest, 0, "genome index {index} out of range");
+        Genome {
+            rows: self.rows[digits[0]],
+            cols: self.cols[digits[1]],
+            clusters: self.clusters[digits[2]],
+            buffer_kb: self.buffer_kb[digits[3]],
+            dram_gbps: self.dram_gbps[digits[4]],
+            dataflows: self.dataflow_sets[digits[5]],
+            tile_cap: self.tile_caps[digits[6]],
+            sparse: self.sparse_axis()[digits[7]],
+        }
+    }
+
+    /// The inverse of [`DesignSpace::genome_at`]; `None` if a field of `g`
+    /// is not on its axis.
+    pub fn index_of(&self, g: &Genome) -> Option<usize> {
+        fn at<T: PartialEq>(axis: &[T], value: &T) -> Option<usize> {
+            axis.iter().position(|v| v == value)
+        }
+        let digits = [
+            at(&self.rows, &g.rows)?,
+            at(&self.cols, &g.cols)?,
+            at(&self.clusters, &g.clusters)?,
+            at(&self.buffer_kb, &g.buffer_kb)?,
+            at(&self.dram_gbps, &g.dram_gbps)?,
+            at(&self.dataflow_sets, &g.dataflows)?,
+            at(&self.tile_caps, &g.tile_cap)?,
+            at(self.sparse_axis(), &g.sparse)?,
+        ];
+        let positional = digits.into_iter().zip(self.radices());
+        Some(positional.fold(0, |index, (d, radix)| index * radix + d))
     }
 
     /// Uniform random genome.
@@ -391,8 +413,9 @@ impl DesignSpace {
     /// `index, index + count, index + 2·count, …`, so the `count` shards
     /// cover [`DesignSpace::enumerate`] disjointly and reproducibly. The
     /// shard also splits seeded RNG streams ([`SpaceShard::split_seed`])
-    /// so random/evolutionary strategies on different shards draw
-    /// different sample sequences from the same base seed.
+    /// and moves generated genomes into its slice ([`SpaceShard::snap`]),
+    /// so random/evolutionary strategies on different shards never price
+    /// the same genome.
     ///
     /// # Panics
     ///
@@ -467,11 +490,11 @@ impl DesignSpace {
 ///
 /// Shard `index` of `count` owns the strided subset of the canonical
 /// enumeration (positions ≡ `index` mod `count`), so grid search over all
-/// shards covers the space exactly once. A shard does not sample: the
-/// stochastic strategies draw from the full space through
-/// [`SpaceShard::space`] and are disjoint by *seed*, not by rejection
-/// ([`SpaceShard::split_seed`]), which keeps evolutionary walks free to
-/// roam the whole space while the exhaustive partition stays airtight.
+/// shards covers the space exactly once. The stochastic strategies draw
+/// from the full space through [`SpaceShard::space`] with a per-shard seed
+/// ([`SpaceShard::split_seed`]) and move every genome they generate into
+/// the shard with [`SpaceShard::snap`], so no shard prices a genome a peer
+/// owns.
 #[derive(Debug, Clone, Copy)]
 pub struct SpaceShard<'a> {
     space: &'a DesignSpace,
@@ -497,25 +520,35 @@ impl<'a> SpaceShard<'a> {
 
     /// Number of genomes this shard owns.
     pub fn size(&self) -> usize {
-        let total = self.space.size();
-        let (i, n) = (self.index as usize, self.count as usize);
-        if i >= total {
-            0
-        } else {
-            (total - i).div_ceil(n)
-        }
+        (self.index as usize..self.space.size())
+            .step_by(self.count as usize)
+            .len()
     }
 
     /// This shard's genomes: every `count`-th genome of the canonical
     /// enumeration starting at `index`. The union over all shards is
     /// exactly [`DesignSpace::enumerate`], with no duplicates.
     pub fn enumerate(&self) -> Vec<Genome> {
-        self.space
-            .enumerate()
-            .into_iter()
-            .skip(self.index as usize)
+        (self.index as usize..self.space.size())
             .step_by(self.count as usize)
+            .map(|i| self.space.genome_at(i))
             .collect()
+    }
+
+    /// Moves a genome of the space to this shard's member in its block of
+    /// `count` consecutive positions, one stride back past the end of the
+    /// space (the last, partial block). Draws no randomness; the identity
+    /// on members, the full shard, an empty shard and out-of-space genomes.
+    pub fn snap(&self, g: &Genome) -> Genome {
+        let (index, count, size) = (self.index as usize, self.count as usize, self.space.size());
+        match self.space.index_of(g) {
+            Some(at) if index < size => {
+                let member = at - at % count + index;
+                self.space
+                    .genome_at(member - if member < size { 0 } else { count })
+            }
+            _ => *g,
+        }
     }
 
     /// Splits a strategy's base seed for this shard. The full shard is the
@@ -717,6 +750,116 @@ mod tests {
         assert_eq!(a, s.shard(0, 4).split_seed(7));
         // A different shard count gives a different stream, too.
         assert_ne!(a, s.shard(0, 2).split_seed(7));
+    }
+
+    /// The nested loop [`DesignSpace::enumerate`] used before
+    /// [`DesignSpace::genome_at`], kept as its oracle.
+    fn nested_enumeration(s: &DesignSpace) -> Vec<Genome> {
+        let mut out = Vec::new();
+        for &rows in &s.rows {
+            for &cols in &s.cols {
+                for &clusters in &s.clusters {
+                    for &buffer_kb in &s.buffer_kb {
+                        for &dram_gbps in &s.dram_gbps {
+                            for &dataflows in &s.dataflow_sets {
+                                for &tile_cap in &s.tile_caps {
+                                    for &sparse in s.sparse_axis() {
+                                        out.push(Genome {
+                                            rows,
+                                            cols,
+                                            clusters,
+                                            buffer_kb,
+                                            dram_gbps,
+                                            dataflows,
+                                            tile_cap,
+                                            sparse,
+                                        });
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A random prefix (1–3 choices) of every axis of the sparse paper
+    /// space; the sparse axis may also be left empty (dense by default).
+    fn small_space(rng: &mut SplitMix64) -> DesignSpace {
+        fn prefix<T: Clone>(axis: &[T], len: usize) -> Vec<T> {
+            axis[..len.min(axis.len())].to_vec()
+        }
+        let s = DesignSpace::sparse();
+        DesignSpace {
+            rows: prefix(&s.rows, 1 + rng.below(3)),
+            cols: prefix(&s.cols, 1 + rng.below(3)),
+            clusters: prefix(&s.clusters, 1 + rng.below(3)),
+            buffer_kb: prefix(&s.buffer_kb, 1 + rng.below(3)),
+            dram_gbps: prefix(&s.dram_gbps, 1 + rng.below(3)),
+            dataflow_sets: prefix(&s.dataflow_sets, 1 + rng.below(3)),
+            tile_caps: prefix(&s.tile_caps, 1 + rng.below(2)),
+            sparse_accels: prefix(&s.sparse_accels, rng.below(4)),
+        }
+    }
+
+    #[test]
+    fn shard_snap_partitions_random_small_spaces_airtight() {
+        let mut rng = SplitMix64::new(0x5a4d);
+        for _ in 0..300 {
+            let s = small_space(&mut rng);
+            let all = nested_enumeration(&s);
+            let size = s.size();
+            assert_eq!(all.len(), size);
+            assert_eq!(s.enumerate(), all);
+            for (i, g) in all.iter().enumerate() {
+                assert_eq!(s.genome_at(i), *g);
+                assert_eq!(s.index_of(g), Some(i));
+            }
+            let outside = Genome {
+                rows: 7,
+                ..all[size / 2]
+            };
+            assert_eq!(s.index_of(&outside), None);
+            for count in 1..=6u32 {
+                for index in 0..count {
+                    let shard = s.shard(index, count);
+                    let members = shard.enumerate();
+                    assert_eq!(shard.snap(&outside), outside);
+                    let (i, n) = (index as usize, count as usize);
+                    if i >= size || n == 1 {
+                        // Empty and full shards leave every genome alone.
+                        assert_eq!(members.is_empty(), i >= size);
+                        assert!(all.iter().all(|g| shard.snap(g) == *g));
+                        continue;
+                    }
+                    for m in &members {
+                        assert_eq!(shard.snap(m), *m, "members are fixed points");
+                    }
+                    // Group every space position by the member it snaps to.
+                    let mut preimages = std::collections::BTreeMap::<usize, Vec<usize>>::new();
+                    for (p, g) in all.iter().enumerate() {
+                        let snapped = shard.snap(g);
+                        assert!(members.contains(&snapped), "{g} left shard {i}/{n}");
+                        let at = s.index_of(&snapped).unwrap();
+                        preimages.entry(at).or_default().push(p);
+                    }
+                    assert_eq!(preimages.len(), members.len(), "every member is hit");
+                    for (&m, from) in &preimages {
+                        // Its own block of `n` positions, extended to the
+                        // end of the space when the next block is the
+                        // partial last one and holds no member.
+                        let start = m - i;
+                        let mut end = (start + n).min(size);
+                        if end < size && end + i >= size {
+                            end = size;
+                        }
+                        assert_eq!(*from, (start..end).collect::<Vec<_>>(), "member {m}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

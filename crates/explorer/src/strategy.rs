@@ -6,6 +6,7 @@ use crate::rng::SplitMix64;
 #[cfg(test)]
 use crate::space::DesignSpace;
 use crate::space::{Genome, SpaceShard};
+use std::cmp::Ordering;
 
 /// What one strategy did with its evaluation budget.
 #[derive(Debug, Clone)]
@@ -108,7 +109,7 @@ impl SearchStrategy for GridSearch {
     }
 }
 
-/// Seeded uniform random sampling.
+/// Seeded uniform random sampling, snapped into the shard.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomSearch {
     /// RNG seed (same seed ⇒ same samples).
@@ -128,8 +129,9 @@ impl SearchStrategy for RandomSearch {
         budget: usize,
     ) -> SearchReport {
         let mut rng = SplitMix64::new(shard.split_seed(self.seed));
+        let budget = if shard.size() == 0 { 0 } else { budget };
         let genomes: Vec<Genome> = (0..budget)
-            .map(|_| shard.space().sample(&mut rng))
+            .map(|_| shard.snap(&shard.space().sample(&mut rng)))
             .collect();
         let mut best = None;
         score_batch(evaluator, frontier, &genomes, &mut best);
@@ -183,18 +185,21 @@ impl Default for EvolutionarySearch {
 }
 
 impl EvolutionarySearch {
-    fn fitness(evaluator: &Evaluator<'_>, p: &DesignPoint) -> ([f64; 3], u64) {
+    fn cmp_fitness(evaluator: &Evaluator<'_>, a: &DesignPoint, b: &DesignPoint) -> Ordering {
         // Deterministic total order: the objective's ranking key (score
-        // plus tie-breakers under a lexicographic objective), then the
-        // genome fingerprint. Infeasible designs sort behind every
-        // feasible one (but stay in the population, so search can cross
-        // the infeasible region).
-        let key = if p.feasible {
-            evaluator.key(p)
-        } else {
-            [f64::INFINITY; 3]
+        // plus tie-breakers under a lexicographic objective) under
+        // `total_cmp`, then the genome fingerprint. Infeasible designs
+        // sort behind every feasible one (but stay in the population, so
+        // search can cross the infeasible region).
+        let key = |p: &DesignPoint| match p.feasible {
+            true => evaluator.key(p),
+            false => [f64::INFINITY; 3],
         };
-        (key, p.genome.key())
+        let (ka, kb) = (key(a), key(b));
+        ka.iter()
+            .zip(&kb)
+            .fold(Ordering::Equal, |o, (x, y)| o.then(x.total_cmp(y)))
+            .then_with(|| a.genome.key().cmp(&b.genome.key()))
     }
 }
 
@@ -218,9 +223,11 @@ impl SearchStrategy for EvolutionarySearch {
         frontier: &mut ParetoFrontier,
         budget: usize,
     ) -> SearchReport {
+        let budget = if shard.size() == 0 { 0 } else { budget };
         let mu = self.mu.max(2);
         let lambda = self.lambda.max(1);
-        // Sampling, crossover and mutation range over the full space.
+        // Sampling, crossover and mutation draw from the full space; every
+        // genome they generate is then snapped into the shard's slice.
         let space = shard.space();
         let mut rng = SplitMix64::new(shard.split_seed(self.seed));
         let mut best = None;
@@ -231,10 +238,10 @@ impl SearchStrategy for EvolutionarySearch {
         // the budget goes to evolution, not to re-scoring known points.
         // An empty warm set draws exactly the samples it always did, so
         // cold runs replay bit-for-bit.
-        let init_size = mu.min(budget.max(1));
+        let init_size = mu.min(budget);
         let mut init: Vec<Genome> = self.warm.iter().copied().take(init_size).collect();
         while init.len() < init_size {
-            init.push(space.sample(&mut rng));
+            init.push(shard.snap(&space.sample(&mut rng)));
         }
         let mut evaluated = init.len();
         let mut population = {
@@ -258,7 +265,7 @@ impl SearchStrategy for EvolutionarySearch {
                     let pick = |rng: &mut SplitMix64, pop: &[DesignPoint]| -> Genome {
                         let a = &pop[rng.below(pop.len())];
                         let b = &pop[rng.below(pop.len())];
-                        if Self::fitness(evaluator, a) <= Self::fitness(evaluator, b) {
+                        if Self::cmp_fitness(evaluator, a, b).is_le() {
                             a.genome
                         } else {
                             b.genome
@@ -270,18 +277,14 @@ impl SearchStrategy for EvolutionarySearch {
                     if rng.chance(self.mutation_rate) {
                         child = space.mutate(&child, &mut rng);
                     }
-                    child
+                    shard.snap(&child)
                 })
                 .collect();
             evaluated += children.len();
             let scored = score_batch(evaluator, frontier, &children, &mut best);
             // (μ+λ) selection: keep the best μ of parents ∪ children.
             population.extend(scored);
-            population.sort_by(|a, b| {
-                Self::fitness(evaluator, a)
-                    .partial_cmp(&Self::fitness(evaluator, b))
-                    .expect("finite fitness")
-            });
+            population.sort_by(|a, b| Self::cmp_fitness(evaluator, a, b));
             population.truncate(mu);
         }
 

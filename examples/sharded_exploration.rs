@@ -3,12 +3,14 @@
 //!
 //! Each of four "workers" explores a disjoint slice of the space
 //! (`DesignSpace::shard` splits the grid enumeration and the stochastic
-//! strategies' RNG streams), checkpoints its Pareto frontier + evaluation
-//! cache to a snapshot file through the dependency-free binary codec, and
-//! a "coordinator" reads the snapshots back and union-merges them. The
-//! merged frontier is then checked against a single-process run of the
-//! same grid — they must describe the same trade-off surface
-//! (`ParetoFrontier::dominance_equal`).
+//! strategies' RNG streams, and `SpaceShard::snap` keeps every sampled or
+//! evolved genome inside the slice), checkpoints its Pareto frontier +
+//! evaluation cache to a snapshot file through the dependency-free binary
+//! codec, and a "coordinator" reads the snapshots back and union-merges
+//! them. The shard caches are disjoint, so each merge absorbs the next
+//! shard's whole cache. The merged frontier is then checked against a
+//! single-process run of the same grid — they must describe the same
+//! trade-off surface (`ParetoFrontier::dominance_equal`).
 //!
 //! Run with: `cargo run --release --example sharded_exploration`
 
@@ -63,6 +65,11 @@ fn main() {
     for path in &paths[1..] {
         let next = Snapshot::read_from(path).expect("snapshot reads");
         let (joined, absorbed) = merged.absorb(&next);
+        assert_eq!(
+            absorbed,
+            next.cache.len(),
+            "shards never price a peer's genomes"
+        );
         println!(
             "merge {}: +{joined} frontier points, +{absorbed} cache entries",
             path.file_name().unwrap().to_string_lossy()
