@@ -100,7 +100,8 @@ impl Design {
     ///
     /// # Panics
     ///
-    /// Panics if `df` is out of range or inputs mismatch the workload.
+    /// Panics if `df` is out of range or the inputs mismatch the workload in
+    /// count or shape (`"shape mismatch"`, as `reference_execute` does).
     pub fn simulate(&self, df: usize, inputs: &[&TensorData]) -> SimOutput {
         simulate(&self.adg, df, inputs)
     }

@@ -4,7 +4,8 @@
 //! against [`reference_execute`], which runs the workload's loop nest
 //! exactly as written (paper Figure 3a) on exact integer data.
 
-use crate::workload::Workload;
+use crate::workload::{TensorAccess, Workload};
+use lego_linalg::AffineMap;
 
 /// A dense row-major integer tensor.
 ///
@@ -102,6 +103,82 @@ impl TensorData {
     pub fn as_slice(&self) -> &[i64] {
         &self.data
     }
+
+    /// Mutably borrow the flat element storage.
+    pub fn as_mut_slice(&mut self) -> &mut [i64] {
+        &mut self.data
+    }
+
+    /// `(coefs, base)` with `offset(map(x)) == coefs·x + base` for every `x`
+    /// in the box `0 ≤ x < extents`: the row-major layout folded into `map`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `map` sends a point of the box out of bounds. Each
+    /// coordinate is affine in `x`, so checking the box's corners is exact.
+    pub fn offset_map(&self, map: &AffineMap, extents: &[i64]) -> (Vec<i64>, i64) {
+        assert_eq!(map.out_dim(), self.shape.len(), "index rank mismatch");
+        let (mut coefs, mut base) = (vec![0i64; map.in_dim()], 0i64);
+        for (r, (&d, &b)) in self.shape.iter().zip(map.bias()).enumerate() {
+            let row = map.matrix().row(r);
+            let corner = |f: fn(i64, i64) -> i64| {
+                b + row
+                    .iter()
+                    .zip(extents)
+                    .map(|(m, e)| f(m * (e - 1), 0))
+                    .sum::<i64>()
+            };
+            let (lo, hi) = (corner(i64::min), corner(i64::max));
+            assert!(
+                lo >= 0 && hi < d,
+                "index {lo}..={hi} out of bounds {d} on axis {r}"
+            );
+            base = base * d + b;
+            coefs.iter_mut().zip(row).for_each(|(c, m)| *c = *c * d + m);
+        }
+        (coefs, base)
+    }
+}
+
+/// Steps the row-major odometer `digits` over `extents` to its next point,
+/// moving each `offsets[j]` along by `coefs[j]` (read at `digits`' axes) as
+/// the digits change. Returns `false` once the box is exhausted, with
+/// `digits` and `offsets` back at its first point.
+pub fn advance(
+    digits: &mut [i64],
+    extents: &[i64],
+    coefs: &[Vec<i64>],
+    offsets: &mut [i64],
+) -> bool {
+    for k in (0..digits.len()).rev() {
+        let carry = digits[k] + 1 == extents[k];
+        let step = if carry { 1 - extents[k] } else { 1 };
+        digits[k] += step;
+        offsets
+            .iter_mut()
+            .zip(coefs)
+            .for_each(|(o, c)| *o += step * c[k]);
+        if !carry {
+            return true;
+        }
+    }
+    false
+}
+
+/// The workload's input accesses, after checking `inputs` (in declaration
+/// order) against them.
+///
+/// # Panics
+///
+/// Panics if the number or shapes of inputs do not match the workload.
+pub fn checked_inputs<'w>(workload: &'w Workload, inputs: &[&TensorData]) -> Vec<&'w TensorAccess> {
+    let accesses: Vec<_> = workload.inputs().collect();
+    assert_eq!(inputs.len(), accesses.len(), "input count mismatch");
+    for (t, a) in inputs.iter().zip(&accesses) {
+        let shape = workload.tensor_shape(&a.tensor);
+        assert_eq!(t.shape(), shape, "shape mismatch for tensor `{}`", a.tensor);
+    }
+    accesses
 }
 
 /// Executes the workload's loop nest on the given inputs (in the workload's
@@ -124,46 +201,28 @@ impl TensorData {
 /// assert_eq!(y.get(&[1, 1]), 2 * 2 + 3 * 4);
 /// ```
 pub fn reference_execute(workload: &Workload, inputs: &[&TensorData]) -> TensorData {
-    let input_accesses: Vec<_> = workload.inputs().collect();
-    assert_eq!(
-        inputs.len(),
-        input_accesses.len(),
-        "wrong number of input tensors"
-    );
-    for (t, a) in inputs.iter().zip(&input_accesses) {
-        assert_eq!(
-            t.shape(),
-            workload.tensor_shape(&a.tensor),
-            "shape mismatch for tensor `{}`",
-            a.tensor
-        );
-    }
+    let input_accesses = checked_inputs(workload, inputs);
     let out_access = workload.output();
     let mut out = TensorData::zeros(&workload.tensor_shape(&out_access.tensor));
 
-    let rank = workload.rank();
-    let mut idx = vec![0i64; rank];
+    // Walk the domain with one odometer carrying every access's flat offset.
+    let bounds = &workload.bounds;
+    let data = inputs.iter().copied().chain([&out]);
+    let maps = input_accesses.iter().copied().chain([out_access]);
+    let (coefs, mut offsets): (Vec<_>, Vec<_>) = data
+        .zip(maps)
+        .map(|(t, a)| t.offset_map(&a.map, bounds))
+        .unzip();
+    let mut idx = vec![0i64; bounds.len()];
     let mut vals = vec![0i64; inputs.len()];
     loop {
-        for ((v, t), a) in vals.iter_mut().zip(inputs).zip(&input_accesses) {
-            *v = t.get(&a.map.apply(&idx));
+        for ((v, t), &o) in vals.iter_mut().zip(inputs).zip(&offsets) {
+            *v = t.data[o as usize];
         }
-        let y_idx = out_access.map.apply(&idx);
-        let acc = out.get(&y_idx);
-        out.set(&y_idx, workload.op.apply(acc, &vals));
-
-        // Odometer increment, innermost dimension fastest.
-        let mut d = rank;
-        loop {
-            if d == 0 {
-                return out;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < workload.bounds[d] {
-                break;
-            }
-            idx[d] = 0;
+        let y = offsets[inputs.len()] as usize;
+        out.data[y] = workload.op.apply(out.data[y], &vals);
+        if !advance(&mut idx, bounds, &coefs, &mut offsets) {
+            return out;
         }
     }
 }
