@@ -4,7 +4,8 @@
 //! twice renders the same Verilog byte for byte. An FNV-1a hash of what
 //! `examples/gen_verilog` prints per design — every DAG edge with its
 //! `extra_regs`, then the Verilog — pins each register and each emitted
-//! byte where it is. The paper tables price designs through
+//! byte where it is: the eleven p = 8 designs, and the two fused ones at
+//! p = 16 and, in release builds, p = 32. The paper tables price designs through
 //! `lego_bench::harness`; it must price exactly what `Lego::generate`
 //! builds.
 
@@ -24,8 +25,9 @@ fn generate(d: &KernelDesign) -> Design {
     lego.generate().expect("paper design generates")
 }
 
-fn fused_256_fu_designs() -> Vec<KernelDesign> {
-    let mut fused = kernel_designs(16);
+/// The two fused designs at `p × p` FUs.
+fn fused_designs(p: i64) -> Vec<KernelDesign> {
+    let mut fused = kernel_designs(p);
     fused.retain(|d| matches!(d.name, "Attention" | "Conv2d-MNICOC"));
     fused
 }
@@ -67,7 +69,7 @@ fn register_bits_of_the_64_fu_designs_are_pinned() {
 #[test]
 fn register_bits_of_the_fused_256_fu_designs_are_pinned() {
     assert_eq!(
-        register_bits(&fused_256_fu_designs()),
+        register_bits(&fused_designs(16)),
         [("Attention", 48608, 16272), ("Conv2d-MNICOC", 35168, 5143)]
     );
 }
@@ -116,10 +118,24 @@ fn edges_and_verilog_of_the_64_fu_designs_are_pinned() {
 #[test]
 fn edges_and_verilog_of_the_fused_256_fu_designs_are_pinned() {
     assert_eq!(
-        text_hashes(&fused_256_fu_designs()),
+        text_hashes(&fused_designs(16)),
         [
             ("Attention", 7764881003389078129),
             ("Conv2d-MNICOC", 11519110171863134539)
+        ]
+    );
+}
+
+/// The p = 32 fused designs take seconds to generate in a debug build, so
+/// this pin runs in release only: `cargo test --release --test generator_pins`.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn edges_and_verilog_of_the_fused_1024_fu_designs_are_pinned() {
+    assert_eq!(
+        text_hashes(&fused_designs(32)),
+        [
+            ("Attention", 5164900069016068632),
+            ("Conv2d-MNICOC", 11473778929952033752)
         ]
     );
 }
@@ -137,7 +153,7 @@ fn generating_twice_renders_identical_verilog() {
 fn the_bench_harness_prices_what_generate_builds() {
     let (full, tech) = (OptimizeOptions::default(), TechModel::default());
     let mut designs = kernel_designs(8);
-    designs.extend(fused_256_fu_designs());
+    designs.extend(fused_designs(16));
     for d in &designs {
         let adg = harness::adg(&d.workload, &d.dataflows);
         let priced = harness::price(&adg, &full, &tech, 1.0);
