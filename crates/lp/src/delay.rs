@@ -15,6 +15,14 @@
 //! (`a_w` = in-width minus out-width) maximizing `Σ L·y`. We solve that with
 //! [`MinCostFlow`] and read the primal `D` off the optimal node potentials —
 //! an exact integral optimum, no external LP solver required.
+//!
+//! The LP has many optima; [`solve_delay_matching`] returns one fixed by
+//! the LP alone, the *earliest optimal schedule*: the pointwise least `D`
+//! over all optimal schedules with `D ≥ 0`. Given an optimal flow `y`, the
+//! optimal schedules are the feasible ones that are tight (`EL_uv = 0`) on
+//! every edge with `y_uv > 0`, so the earliest is one longest-path pass
+//! over those constraints ([`MinCostFlow::run`]'s last step). Each weakly
+//! connected component starts at cycle 0, and a node on no edge gets 0.
 
 use crate::mcmf::MinCostFlow;
 
@@ -35,7 +43,8 @@ pub struct DelayEdge {
 /// Result of delay matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DelayAssignment {
-    /// Arrival cycle `D_v` of each node's output, normalized to min 0.
+    /// Arrival cycle `D_v` of each node's output: the earliest optimal
+    /// schedule, so each connected component starts at 0.
     pub node_delay: Vec<i64>,
     /// Extra pipeline registers `EL_uv` per edge, in input order.
     pub extra_latency: Vec<i64>,
@@ -68,8 +77,9 @@ impl std::error::Error for DelayError {}
 
 /// Solves the delay-matching LP exactly.
 ///
-/// Returns per-node arrival times and per-edge inserted register counts that
-/// minimize total register bits. Nodes not touched by any edge get delay 0.
+/// Returns the earliest optimal schedule (see the module docs) and the
+/// per-edge inserted register counts it implies, which minimize total
+/// register bits.
 ///
 /// # Errors
 ///
@@ -95,6 +105,7 @@ impl std::error::Error for DelayError {}
 /// ];
 /// let sol = solve_delay_matching(2, &edges).unwrap();
 /// assert_eq!(sol.register_cost, 8 * 2);
+/// assert_eq!(sol.node_delay, [0, 3]);
 /// ```
 pub fn solve_delay_matching(n: usize, edges: &[DelayEdge]) -> Result<DelayAssignment, DelayError> {
     for e in edges {
@@ -105,40 +116,12 @@ pub fn solve_delay_matching(n: usize, edges: &[DelayEdge]) -> Result<DelayAssign
             return Err(DelayError::NegativeWidth);
         }
     }
-    if !is_dag(n, edges) {
-        return Err(DelayError::Cyclic);
-    }
+    let mut net = flow_network(n, edges);
+    net.run().ok_or(DelayError::Cyclic)?;
 
-    let (mut net, total_supply) = flow_network(n, edges);
-    let (flow, _cost) = net.run(n, n + 1);
-    debug_assert_eq!(flow, total_supply, "transshipment must saturate");
-
-    // Primal solution from the dual potentials: D_w = −π_w.
-    let pi = net.potentials();
-    let mut node_delay: Vec<i64> = (0..n).map(|w| -pi[w]).collect();
-    // Isolated nodes keep delay 0 after normalization; normalize over nodes
-    // that participate in at least one edge.
-    let mut touched = vec![false; n];
-    for e in edges {
-        touched[e.from] = true;
-        touched[e.to] = true;
-    }
-    if let Some(min) = node_delay
-        .iter()
-        .zip(&touched)
-        .filter(|(_, &t)| t)
-        .map(|(&d, _)| d)
-        .min()
-    {
-        for (d, &t) in node_delay.iter_mut().zip(&touched) {
-            if t {
-                *d -= min;
-            } else {
-                *d = 0;
-            }
-        }
-    }
-
+    // The greatest optimal potentials with π ≤ 0 are minus the earliest
+    // optimal schedule.
+    let node_delay: Vec<i64> = net.potentials().iter().map(|&p| -p).collect();
     let mut register_cost = 0i64;
     let extra_latency: Vec<i64> = edges
         .iter()
@@ -157,53 +140,19 @@ pub fn solve_delay_matching(n: usize, edges: &[DelayEdge]) -> Result<DelayAssign
     })
 }
 
-/// The transshipment dual of the LP as a flow network: nodes `0..n`, source
-/// `n`, sink `n + 1`. Also returns the total supply a max-flow must route.
-fn flow_network(n: usize, edges: &[DelayEdge]) -> (MinCostFlow, i64) {
-    // Node balance a_w = Σ_in W − Σ_out W.
-    let mut a = vec![0i64; n];
+/// The transshipment dual of the LP as a flow network: each edge's tail
+/// supplies its width and its head demands it.
+fn flow_network(n: usize, edges: &[DelayEdge]) -> MinCostFlow {
+    // No arc carries more than the total supply, so this capacity never
+    // binds: every edge stays a constraint of the residual graph.
+    let cap = edges.iter().map(|e| e.width).sum::<i64>() + 1;
+    let mut net = MinCostFlow::new(n);
     for e in edges {
-        a[e.to] += e.width;
-        a[e.from] -= e.width;
+        net.add_arc(e.from, e.to, cap, -e.latency);
+        net.add_supply(e.from, e.width);
+        net.add_supply(e.to, -e.width);
     }
-    let total_supply: i64 = a.iter().filter(|&&x| x < 0).map(|&x| -x).sum();
-
-    let (s, t) = (n, n + 1);
-    let mut net = MinCostFlow::new(n + 2);
-    for e in edges {
-        // The feasible point y = W routes at most total_supply extra units
-        // through any single arc, so this capacity is effectively infinite.
-        net.add_arc(e.from, e.to, e.width + total_supply, -e.latency);
-    }
-    for (w, &bal) in a.iter().enumerate() {
-        if bal < 0 {
-            net.add_arc(s, w, -bal, 0);
-        } else if bal > 0 {
-            net.add_arc(w, t, bal, 0);
-        }
-    }
-    (net, total_supply)
-}
-
-fn is_dag(n: usize, edges: &[DelayEdge]) -> bool {
-    let mut indeg = vec![0usize; n];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in edges {
-        indeg[e.to] += 1;
-        out[e.from].push(e.to);
-    }
-    let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-    let mut seen = 0;
-    while let Some(v) = queue.pop_front() {
-        seen += 1;
-        for &w in &out[v] {
-            indeg[w] -= 1;
-            if indeg[w] == 0 {
-                queue.push_back(w);
-            }
-        }
-    }
-    seen == n
+    net
 }
 
 #[cfg(test)]
@@ -466,13 +415,20 @@ mod tests {
     }
 
     /// `run` against `run_reference` on one delay network: flow, cost and
-    /// the potentials delay matching reads.
+    /// the potentials delay matching reads. The two find different flows;
+    /// the snap must make the potentials equal anyway.
     fn assert_matches_reference(n: usize, edges: &[DelayEdge], what: &str) {
-        let (mut net, total_supply) = flow_network(n, edges);
+        let mut net = flow_network(n, edges);
         let mut reference = net.clone();
-        let got = net.run(n, n + 1);
-        let want = reference.run_reference(n, n + 1);
+        let got = net.run().expect("acyclic");
+        let want = reference.run_reference().expect("acyclic");
         assert_eq!(got, want, "{what}: (flow, cost)");
+        let mut supply = vec![0i64; n];
+        for e in edges {
+            supply[e.from] += e.width;
+            supply[e.to] -= e.width;
+        }
+        let total_supply: i64 = supply.iter().filter(|&&x| x > 0).sum();
         assert_eq!(got.0, total_supply, "{what}: saturates");
         assert_eq!(
             net.potentials(),
@@ -523,6 +479,149 @@ mod tests {
                 (sol.register_cost as f64 - oracle).abs() < 1e-6,
                 "trial {trial}: network {} vs simplex {oracle}",
                 sol.register_cost
+            );
+        }
+    }
+
+    /// The least optimal schedule, node by node: minimise `D_v` over the
+    /// constraints, `D ≥ 0` and an objective pinned to the optimum.
+    fn least_optimal_schedule(n: usize, edges: &[DelayEdge], register_cost: i64) -> Vec<i64> {
+        let mut objective = vec![0.0; n];
+        for e in edges {
+            objective[e.to] += e.width as f64;
+            objective[e.from] -= e.width as f64;
+        }
+        let base: i64 = edges.iter().map(|e| e.width * e.latency).sum();
+        let mut constraints: Vec<Constraint> = edges
+            .iter()
+            .map(|e| {
+                let mut coeffs = vec![0.0; n];
+                coeffs[e.to] += 1.0;
+                coeffs[e.from] -= 1.0;
+                Constraint {
+                    coeffs,
+                    rel: Relation::Ge,
+                    rhs: e.latency as f64,
+                }
+            })
+            .collect();
+        constraints.push(Constraint {
+            coeffs: objective,
+            rel: Relation::Eq,
+            rhs: (register_cost + base) as f64,
+        });
+        (0..n)
+            .map(|v| {
+                let mut objective = vec![0.0; n];
+                objective[v] = 1.0;
+                let p = Problem {
+                    objective,
+                    minimize: true,
+                    constraints: constraints.clone(),
+                };
+                match solve(&p) {
+                    Outcome::Optimal { objective, .. } => objective.round() as i64,
+                    other => panic!("node {v}: {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    /// `count` random DAGs on `n` nodes with `n − 1` to `3n` edges, each
+    /// one weakly connected component (the others are drawn and dropped).
+    fn connected_dags(rng: &mut StdRng, n: usize, count: usize) -> Vec<Vec<DelayEdge>> {
+        let mut dags = Vec::new();
+        while dags.len() < count {
+            let m = rng.gen_range(n - 1..=3 * n);
+            let edges = random_dag(rng, n, m, 16);
+            let mut parent: Vec<usize> = (0..n).collect();
+            let root = |parent: &[usize], mut v: usize| {
+                while parent[v] != v {
+                    v = parent[v];
+                }
+                v
+            };
+            for e in &edges {
+                let (a, b) = (root(&parent, e.from), root(&parent, e.to));
+                parent[a] = b;
+            }
+            if (0..n).all(|v| root(&parent, v) == root(&parent, 0)) {
+                dags.push(edges);
+            }
+        }
+        dags
+    }
+
+    #[test]
+    fn node_delay_is_the_least_optimal_schedule() {
+        // Half the trials join two random DAGs on disjoint nodes, so every
+        // component must start at 0 on its own.
+        let mut rng = StdRng::seed_from_u64(11);
+        for trial in 0..150 {
+            let n1 = rng.gen_range(2..=5);
+            let m = rng.gen_range(1..=8);
+            let mut edges = random_dag(&mut rng, n1, m, 8);
+            let n2 = if trial % 2 == 0 {
+                rng.gen_range(2..=5)
+            } else {
+                0
+            };
+            if n2 > 0 {
+                let m = rng.gen_range(1..=8);
+                edges.extend(
+                    random_dag(&mut rng, n2, m, 8)
+                        .into_iter()
+                        .map(|e| DelayEdge {
+                            from: e.from + n1,
+                            to: e.to + n1,
+                            ..e
+                        }),
+                );
+            }
+            let n = n1 + n2;
+            let sol = solve_delay_matching(n, &edges).unwrap();
+            assert_eq!(
+                sol.node_delay,
+                least_optimal_schedule(n, &edges, sol.register_cost),
+                "trial {trial}"
+            );
+        }
+    }
+
+    #[test]
+    fn cost_matches_simplex_on_array_shaped_networks() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for p in [2, 3, 4, 5] {
+            let (n, edges) = array_dag(&mut rng, p);
+            let sol = solve_delay_matching(n, &edges).unwrap();
+            let oracle = simplex_oracle(n, &edges);
+            assert!(
+                (sol.register_cost as f64 - oracle).abs() < 1e-6,
+                "{p} x {p}: network {} vs simplex {oracle}",
+                sol.register_cost
+            );
+        }
+    }
+
+    #[test]
+    fn the_earliest_schedule_where_reading_potentials_off_was_later() {
+        // Of these 300 connected 30-node DAGs, the s–t primal–dual that
+        // read its final potentials off unchanged returned an optimum later
+        // than the earliest on six.
+        let mut rng = StdRng::seed_from_u64(7);
+        let dags = connected_dags(&mut rng, 30, 300);
+        for trial in [38, 40, 50, 99, 118, 174] {
+            let edges = &dags[trial];
+            let sol = solve_delay_matching(30, edges).unwrap();
+            assert_eq!(
+                sol.register_cost as f64,
+                simplex_oracle(30, edges),
+                "trial {trial}"
+            );
+            assert_eq!(
+                sol.node_delay,
+                least_optimal_schedule(30, edges, sol.register_cost),
+                "trial {trial}"
             );
         }
     }

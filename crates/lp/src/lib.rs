@@ -8,7 +8,8 @@
 //!    LP `min Σ W_uv·EL_uv` with `EL_uv = D_v − D_u − L_uv ≥ 0`. The paper
 //!    uses HiGHS; we exploit that the constraint matrix is a network matrix —
 //!    the LP is the dual of a min-cost flow — and solve it exactly with
-//!    [`solve_delay_matching`].
+//!    [`solve_delay_matching`], which returns the earliest optimal
+//!    schedule: a property of the LP, not of the flow algorithm.
 //! 2. **Broadcast pin rewiring** (§V-B): re-runs the same LP with an
 //!    optimistic cost for broadcast pins (implemented in `lego-backend`,
 //!    using the hooks here).
@@ -17,8 +18,8 @@
 //!    solved by [`optimize_pin_remap`] (exact branch-and-bound with a
 //!    Hungarian-assignment greedy fallback).
 //!
-//! The tests check the delay-matching solver against a dense two-phase
-//! simplex, a test-only module.
+//! The tests check the delay-matching solver node by node against a dense
+//! two-phase simplex, a test-only module.
 
 pub mod assign;
 pub mod delay;

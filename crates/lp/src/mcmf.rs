@@ -1,66 +1,58 @@
-//! Min-cost max-flow with node potentials.
+//! Min-cost transshipment with node potentials.
 //!
-//! Primal–dual implementation. One Bellman-Ford pass initializes the
-//! potentials `π` (the networks built by [`crate::delay`] contain negative
-//! arc costs but never negative cycles). Then two steps alternate until `t`
-//! is unreachable:
+//! Every node carries a supply (positive) or a demand (negative), and
+//! [`MinCostFlow::run`] routes as much supply to demand as the arcs allow,
+//! at least cost. The arcs must form a DAG (a delay network's do; its
+//! residual graph need not). Primal–dual: the potentials `π` start at the
+//! ASAP schedule `π_v = min(0, min_u π_u + c_uv)`, one topological pass,
+//! so every reduced cost `c_uv + π_u − π_v` is non-negative. Then two steps
+//! alternate until no supply can reach a demand:
 //!
-//! 1. **Primal:** a max-flow over the *admissible* residual arcs — those
-//!    with capacity left and zero reduced cost `c_uv + π_u − π_v` — by
-//!    Dinic's blocking flows. A node's level is its hop distance *to `t`*
-//!    (a BFS backward from `t` over the paired reverse arcs, stopped once
-//!    `s` has a level), and the current-arc DFS only steps to the next
-//!    smaller level, so it never enters a node that cannot reach the sink:
-//!    `s` feeds every supply node of a delay network, and levels counted
-//!    from `s` would send the DFS into each of them. Every unit pushed
-//!    travels a shortest path, so the flow stays min-cost for its value.
+//! 1. **Primal:** Dinic's blocking flows over the *admissible* residual
+//!    arcs (capacity left, reduced cost zero). A node's level is its hop
+//!    distance to the nearest node with demand left (a BFS backward from
+//!    all of them, stopped at the first node with supply left it pops); the
+//!    current-arc DFS runs from each supply node on that level and only
+//!    steps to the next smaller level. The s–t form's arcs from a
+//!    super-source and into a super-sink would be admissible whenever they
+//!    had capacity, so they are neither stored nor priced: supply and demand
+//!    left are per-node counters. Every unit travels a shortest path.
 //! 2. **Dual:** one Dijkstra over reduced costs on a monotone queue (a
-//!    radix heap: 65 buckets whatever the cost magnitude), and
-//!    `π_v += min(dist_v, dist_t)`. The admissible graph was saturated, so
-//!    `dist_t > 0` and new arcs become admissible. The search drops every
-//!    relaxation with `nd ≥ dist_t` (the tentative `dist_t`, an upper bound
-//!    on the final one) and stops at the first popped key `≥ dist_t`. That
-//!    cannot change `min(dist_v, dist_t)`: a node nearer than the final
-//!    `dist_t` has a shortest path whose every prefix is shorter than
-//!    `dist_t`, so none of its relaxations is dropped and its `dist_v` is
-//!    exact; any other node ends on a tentative value or on `INF`, both at
-//!    least its true distance `≥ dist_t`, and is clamped to `dist_t`.
+//!    radix heap: 65 buckets whatever the cost magnitude), seeded at 0 from
+//!    every node with supply left, and `π_v += min(dist_v, d)` for `d` the
+//!    distance of the nearest demand, which is `> 0` because the admissible
+//!    graph was saturated. The search drops every relaxation with `nd ≥ d`
+//!    (the tentative `d`) and stops at the first popped key `≥ d`. That
+//!    cannot change `min(dist_v, d)`: a node nearer than the final `d` has a
+//!    shortest path whose every prefix is shorter, so its `dist_v` is exact;
+//!    any other node ends on a value at least its true distance `≥ d`.
 //!
-//! A solve costs one dual step per *distinct* `s`–`t` distance (tens on the
-//! delay networks of a 256-FU design) instead of one per augmenting path
-//! (a thousand and more).
+//! # The answer does not depend on the flow chosen
 //!
-//! # The potentials do not depend on the flow chosen
-//!
-//! Delay matching reads its answer off the final potentials — they are the
-//! dual variables of the flow LP — so they must not move with the order in
-//! which paths are found. They do not. If `f` is a min-cost flow of value
-//! `F`, then `π` has non-negative reduced costs on the residual graph of
-//! `f` exactly when `π` is an optimal dual for value `F` (complementary
-//! slackness), a set that does not mention `f`. The shortest residual
-//! distance to `v` is the largest `π_v − π_s` over that set (shortest-path
-//! duality), so it is the same for every min-cost flow of value `F`. The
-//! `s`–`t` distance is therefore a function of the flow value alone, it
-//! rises at the same values `F_1 < F_2 < …` for every augmentation order,
-//! and at each of them the update `π_v += min(dist_v, dist_t)` adds the
-//! same numbers. In between, `dist_t = 0` in reduced costs and the update
-//! adds nothing. Successive shortest paths — one Dijkstra per path, kept
-//! as the `#[cfg(test)]` reference `run_reference` — and this solver thus
-//! end on identical potentials; `delay`'s differential tests check it on
-//! random and on array-shaped delay networks.
+//! When every supply is routed, the potentials with non-negative reduced
+//! costs on the residual graph of a min-cost flow are exactly the optimal
+//! duals, a set that does not mention the flow (complementary slackness),
+//! but where in it the loop ends depends on the order paths were found in.
+//! So `run` ends with one more Dijkstra over the residual graph, seeded at
+//! `max π − π_v`: it sets `π` to the shortest residual distances from a
+//! root joined to every node at cost 0, which shortest-path duality makes
+//! the pointwise greatest optimal duals with `π ≤ 0`. Delay matching reads
+//! `−π` as the earliest optimal schedule. Tests hold `run` to the
+//! `#[cfg(test)]` successive shortest paths `run_reference` on random and
+//! array-shaped delay networks: other flows, equal potentials.
 
 const INF: i64 = i64::MAX / 4;
 
+/// One residual arc. Arcs `2i` and `2i + 1` are public arc `i` and its
+/// reverse, whose capacity is the flow on arc `i`.
 #[derive(Debug, Clone, Copy)]
 struct Arc {
     to: usize,
     cap: i64,
     cost: i64,
-    /// Index of the reverse arc in `arcs`.
-    rev: usize,
 }
 
-/// A min-cost max-flow network over dense node indices.
+/// A min-cost transshipment network over dense node indices.
 ///
 /// # Examples
 ///
@@ -70,38 +62,63 @@ struct Arc {
 /// let mut net = MinCostFlow::new(3);
 /// let a = net.add_arc(0, 1, 10, 1);
 /// let _ = net.add_arc(1, 2, 10, 1);
-/// let (flow, cost) = net.run(0, 2);
-/// assert_eq!((flow, cost), (10, 20));
+/// net.add_supply(0, 10);
+/// net.add_supply(2, -10);
+/// assert_eq!(net.run(), Some((10, 20)));
 /// assert_eq!(net.flow_on(a), 10);
+/// assert_eq!(net.potentials(), [-2, -1, 0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MinCostFlow {
-    graph: Vec<Vec<usize>>,
     arcs: Vec<Arc>,
-    /// Original capacity per public arc id, used to report flow.
-    caps: Vec<i64>,
+    /// Supply (> 0) or demand (< 0) not yet routed, per node.
+    excess: Vec<i64>,
     potentials: Vec<i64>,
 }
 
-/// Scratch buffers of [`MinCostFlow::saturate_admissible`], allocated once
-/// per [`MinCostFlow::run`].
-struct BlockingFlow {
-    /// Admissible hops from each node to `t` (`u32::MAX` = not labelled).
+/// The buffers of one [`MinCostFlow::run`], allocated once per solve.
+struct Scratch {
+    /// Residual arc ids grouped by tail: node `v`'s are
+    /// `adj[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    adj: Vec<usize>,
+    /// Admissible hops from each node to a demand (`u32::MAX` = none).
     level: Vec<u32>,
-    /// Current-arc pointer per node into its adjacency list.
+    /// Current-arc pointer per node into `adj`.
     next_arc: Vec<usize>,
     queue: Vec<usize>,
-    /// Arc ids of the DFS path from `s` to the current node.
+    /// Arc ids of the DFS path from the supply node to the current node.
     path: Vec<usize>,
+    dist: Vec<i64>,
+    heap: RadixHeap,
 }
 
-impl BlockingFlow {
-    fn new(n: usize) -> Self {
-        BlockingFlow {
+impl Scratch {
+    fn new(net: &MinCostFlow) -> Self {
+        let n = net.excess.len();
+        let mut start = vec![0; n + 1];
+        for ai in 0..net.arcs.len() {
+            start[net.tail(ai) + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next_arc = start[..n].to_vec();
+        let mut adj = vec![0; net.arcs.len()];
+        for ai in 0..net.arcs.len() {
+            let v = net.tail(ai);
+            adj[next_arc[v]] = ai;
+            next_arc[v] += 1;
+        }
+        Scratch {
+            start,
+            adj,
             level: vec![u32::MAX; n],
-            next_arc: vec![0; n],
+            next_arc,
             queue: Vec::with_capacity(n),
             path: Vec::new(),
+            dist: vec![INF; n],
+            heap: RadixHeap::new(),
         }
     }
 }
@@ -154,12 +171,11 @@ impl RadixHeap {
 }
 
 impl MinCostFlow {
-    /// Creates an empty network with `n` nodes.
+    /// Creates an empty network with `n` nodes, none with supply or demand.
     pub fn new(n: usize) -> Self {
         MinCostFlow {
-            graph: vec![Vec::new(); n],
             arcs: Vec::new(),
-            caps: Vec::new(),
+            excess: vec![0; n],
             potentials: vec![0; n],
         }
     }
@@ -170,97 +186,84 @@ impl MinCostFlow {
     ///
     /// Panics if an endpoint is out of range or `cap < 0`.
     pub fn add_arc(&mut self, from: usize, to: usize, cap: i64, cost: i64) -> usize {
-        assert!(
-            from < self.graph.len() && to < self.graph.len(),
-            "arc endpoint out of range"
-        );
+        let n = self.excess.len();
+        assert!(from < n && to < n, "arc endpoint out of range");
         assert!(cap >= 0, "negative capacity");
-        let fwd = self.arcs.len();
-        self.arcs.push(Arc {
-            to,
-            cap,
-            cost,
-            rev: fwd + 1,
-        });
+        self.arcs.push(Arc { to, cap, cost });
         self.arcs.push(Arc {
             to: from,
             cap: 0,
             cost: -cost,
-            rev: fwd,
         });
-        self.graph[from].push(fwd);
-        self.graph[to].push(fwd + 1);
-        self.caps.push(cap);
-        fwd / 2
+        self.arcs.len() / 2 - 1
+    }
+
+    /// Adds `amount` to node `v`'s supply; a negative amount is demand.
+    pub fn add_supply(&mut self, v: usize, amount: i64) {
+        self.excess[v] += amount;
     }
 
     /// Flow currently routed through the arc with the given public id.
     pub fn flow_on(&self, arc_id: usize) -> i64 {
-        self.caps[arc_id] - self.arcs[arc_id * 2].cap
+        self.arcs[2 * arc_id + 1].cap
     }
 
-    /// Node potentials (shortest-path duals) after [`Self::run`].
+    /// Node potentials after [`Self::run`]: the greatest optimal duals with
+    /// `π ≤ 0` (see the module docs).
     pub fn potentials(&self) -> &[i64] {
         &self.potentials
     }
 
-    /// Computes a min-cost max-flow from `s` to `t`.
+    /// Routes as much supply to demand as the arcs allow, at least cost.
     ///
-    /// Returns `(total_flow, total_cost)`. Arc costs may be negative as long
-    /// as the network has no negative-cost directed cycle (true for all
-    /// networks LEGO builds, which are DAG-shaped plus source/sink arcs).
-    pub fn run(&mut self, s: usize, t: usize) -> (i64, i64) {
-        let n = self.graph.len();
-        self.bellman_ford_init(s);
-        let mut total_flow = 0i64;
-        let mut total_cost = 0i64;
-        let mut dist = vec![INF; n];
-        let mut heap = RadixHeap::new();
-        let mut scratch = BlockingFlow::new(n);
+    /// Returns `(flow, cost)`, or `None` if the arcs contain a directed
+    /// cycle. Arc costs may be negative.
+    pub fn run(&mut self) -> Option<(i64, i64)> {
+        let mut sc = Scratch::new(self);
+        self.asap(&mut sc)?;
+        let mut flow = self.saturate_admissible(&mut sc);
+        while self.dual_step(&mut sc) {
+            flow += self.saturate_admissible(&mut sc);
+        }
+        self.snap(&mut sc);
+        Some((flow, self.cost()))
+    }
 
-        loop {
-            // Saturate the admissible graph: every unit costs π_t − π_s.
-            let pushed = self.saturate_admissible(s, t, &mut scratch);
-            total_flow += pushed;
-            total_cost += pushed * (self.potentials[t] - self.potentials[s]);
+    fn tail(&self, ai: usize) -> usize {
+        self.arcs[ai ^ 1].to
+    }
 
-            // Dijkstra over reduced costs, pruned at `dist[t]`: whatever is
-            // dropped, still queued or unseen is at least as far as `t` and
-            // is clamped to `dist[t]` below either way.
-            dist.fill(INF);
-            heap.clear();
-            dist[s] = 0;
-            heap.push(0, s);
-            while let Some((d, v)) = heap.pop() {
-                if d >= dist[t] {
-                    break;
+    fn cost(&self) -> i64 {
+        self.arcs.chunks(2).map(|p| p[0].cost * p[1].cap).sum()
+    }
+
+    /// Shortest distances from every node at 0 over the forward arcs, in
+    /// one topological pass (Kahn's, with `next_arc` as the in-degree
+    /// count); `None` when the arcs contain a directed cycle.
+    fn asap(&mut self, sc: &mut Scratch) -> Option<()> {
+        let n = self.excess.len();
+        sc.next_arc.fill(0);
+        for arc in self.arcs.iter().step_by(2) {
+            sc.next_arc[arc.to] += 1;
+        }
+        sc.queue.clear();
+        sc.queue.extend((0..n).filter(|&v| sc.next_arc[v] == 0));
+        let mut head = 0;
+        while let Some(&u) = sc.queue.get(head) {
+            head += 1;
+            for &ai in sc.adj[sc.start[u]..sc.start[u + 1]]
+                .iter()
+                .filter(|&&ai| ai % 2 == 0)
+            {
+                let Arc { to, cost, .. } = self.arcs[ai];
+                self.potentials[to] = self.potentials[to].min(self.potentials[u] + cost);
+                sc.next_arc[to] -= 1;
+                if sc.next_arc[to] == 0 {
+                    sc.queue.push(to);
                 }
-                if d > dist[v] {
-                    continue;
-                }
-                for &ai in &self.graph[v] {
-                    let arc = self.arcs[ai];
-                    if arc.cap <= 0 {
-                        continue;
-                    }
-                    let rc = arc.cost + self.potentials[v] - self.potentials[arc.to];
-                    debug_assert!(rc >= 0, "negative reduced cost: potentials invalid");
-                    let nd = d + rc;
-                    if nd < dist[arc.to].min(dist[t]) {
-                        dist[arc.to] = nd;
-                        heap.push(nd, arc.to);
-                    }
-                }
-            }
-            if dist[t] >= INF {
-                break;
-            }
-            // Update potentials; unreached nodes keep validity via clamping.
-            for v in 0..n {
-                self.potentials[v] += dist[v].min(dist[t]);
             }
         }
-        (total_flow, total_cost)
+        (sc.queue.len() == n).then_some(())
     }
 
     /// `true` for a residual arc out of `from` with zero reduced cost.
@@ -268,182 +271,230 @@ impl MinCostFlow {
         arc.cap > 0 && arc.cost + self.potentials[from] - self.potentials[arc.to] == 0
     }
 
-    /// Max-flow from `s` to `t` over admissible arcs only (Dinic: levels by
-    /// BFS backward from `t`, then current-arc DFS until the level graph is
-    /// blocked, until `s` no longer reaches `t`). Returns the flow pushed.
-    fn saturate_admissible(&mut self, s: usize, t: usize, bf: &mut BlockingFlow) -> i64 {
-        let mut pushed = 0i64;
+    /// Max-flow from supply to demand over admissible arcs only (Dinic:
+    /// levels by BFS backward from the demand nodes, then current-arc DFS
+    /// from the nearest supply nodes until the level graph is blocked,
+    /// until no supply node reaches a demand). Returns the flow pushed.
+    fn saturate_admissible(&mut self, sc: &mut Scratch) -> i64 {
+        let mut pushed = 0;
         loop {
             // Each arc out of `v` is paired with the arc `u → v` that the
-            // backward search follows. Levels past `s`'s are never read (the
-            // DFS only steps down), so the search stops once `s` has one.
-            bf.level.fill(u32::MAX);
-            bf.level[t] = 0;
-            bf.queue.clear();
-            bf.queue.push(t);
+            // backward search follows. Levels past the first supply node's
+            // are never read (the DFS only steps down), so the search stops
+            // once it pops one.
+            sc.level.fill(u32::MAX);
+            sc.queue.clear();
+            for (v, &x) in self.excess.iter().enumerate() {
+                if x < 0 {
+                    sc.level[v] = 0;
+                    sc.queue.push(v);
+                }
+            }
             let mut head = 0;
-            while head < bf.queue.len() && bf.level[s] == u32::MAX {
-                let v = bf.queue[head];
+            let top = loop {
+                let Some(&v) = sc.queue.get(head) else {
+                    return pushed;
+                };
                 head += 1;
-                for &ai in &self.graph[v] {
-                    let Arc { to: u, rev, .. } = self.arcs[ai];
-                    if bf.level[u] == u32::MAX && self.admissible(u, &self.arcs[rev]) {
-                        bf.level[u] = bf.level[v] + 1;
-                        bf.queue.push(u);
+                if self.excess[v] > 0 {
+                    break sc.level[v];
+                }
+                for &ai in &sc.adj[sc.start[v]..sc.start[v + 1]] {
+                    let u = self.arcs[ai].to;
+                    if sc.level[u] == u32::MAX && self.admissible(u, &self.arcs[ai ^ 1]) {
+                        sc.level[u] = sc.level[v] + 1;
+                        sc.queue.push(u);
                     }
                 }
-            }
-            if bf.level[s] == u32::MAX {
-                return pushed;
-            }
+            };
 
-            bf.next_arc.fill(0);
-            bf.path.clear();
-            let mut v = s;
-            loop {
-                if v == t {
-                    let bottleneck = bf
-                        .path
-                        .iter()
-                        .map(|&ai| self.arcs[ai].cap)
-                        .min()
-                        .expect("s != t, so the path has an arc");
-                    for &ai in &bf.path {
-                        self.arcs[ai].cap -= bottleneck;
-                        let rev = self.arcs[ai].rev;
-                        self.arcs[rev].cap += bottleneck;
-                    }
-                    pushed += bottleneck;
-                    bf.path.clear();
-                    v = s;
-                    continue;
-                }
-                let step = self.graph[v][bf.next_arc[v]..].iter().position(|&ai| {
-                    let arc = &self.arcs[ai];
-                    bf.level[arc.to] == bf.level[v] - 1 && self.admissible(v, arc)
-                });
-                match step {
-                    Some(k) => {
-                        bf.next_arc[v] += k;
-                        let ai = self.graph[v][bf.next_arc[v]];
-                        bf.path.push(ai);
-                        v = self.arcs[ai].to;
-                    }
-                    None => {
-                        // Dead end: drop `v` from the level graph and retreat.
-                        bf.next_arc[v] = self.graph[v].len();
-                        bf.level[v] = u32::MAX;
-                        let Some(ai) = bf.path.pop() else { break };
-                        v = self.arcs[self.arcs[ai].rev].to;
-                    }
+            sc.next_arc.copy_from_slice(&sc.start[..self.excess.len()]);
+            for i in head - 1..sc.queue.len() {
+                let x = sc.queue[i];
+                if sc.level[x] == top && self.excess[x] > 0 {
+                    pushed += self.augment_from(x, sc);
                 }
             }
         }
     }
 
-    /// Initializes potentials with Bellman-Ford distances from `s` so the
-    /// first Dijkstra sees non-negative reduced costs.
-    fn bellman_ford_init(&mut self, s: usize) {
-        let n = self.graph.len();
-        let mut dist = vec![INF; n];
-        dist[s] = 0;
-        // SPFA-style relaxation.
-        let mut in_queue = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(s);
-        in_queue[s] = true;
-        let mut relaxations = 0usize;
-        let budget = n.saturating_mul(self.arcs.len()).max(64);
-        while let Some(v) = queue.pop_front() {
-            in_queue[v] = false;
-            for &ai in &self.graph[v] {
+    /// Pushes supply from `x` down the level graph until `x` is empty or
+    /// cut off from every demand. Returns the flow pushed.
+    fn augment_from(&mut self, x: usize, sc: &mut Scratch) -> i64 {
+        let mut pushed = 0;
+        sc.path.clear();
+        let mut v = x;
+        while self.excess[x] > 0 {
+            if self.excess[v] < 0 {
+                let bottleneck = sc
+                    .path
+                    .iter()
+                    .map(|&ai| self.arcs[ai].cap)
+                    .fold(self.excess[x].min(-self.excess[v]), i64::min);
+                for &ai in &sc.path {
+                    self.arcs[ai].cap -= bottleneck;
+                    self.arcs[ai ^ 1].cap += bottleneck;
+                }
+                self.excess[x] -= bottleneck;
+                self.excess[v] += bottleneck;
+                pushed += bottleneck;
+                sc.path.clear();
+                v = x;
+                continue;
+            }
+            let end = sc.start[v + 1];
+            let step = sc.adj[sc.next_arc[v]..end].iter().position(|&ai| {
+                let arc = &self.arcs[ai];
+                sc.level[v] > 0 && sc.level[arc.to] == sc.level[v] - 1 && self.admissible(v, arc)
+            });
+            match step {
+                Some(k) => {
+                    sc.next_arc[v] += k;
+                    let ai = sc.adj[sc.next_arc[v]];
+                    sc.path.push(ai);
+                    v = self.arcs[ai].to;
+                }
+                None => {
+                    // Dead end: drop `v` from the level graph and retreat.
+                    sc.next_arc[v] = end;
+                    sc.level[v] = u32::MAX;
+                    let Some(ai) = sc.path.pop() else { break };
+                    v = self.tail(ai);
+                }
+            }
+        }
+        pushed
+    }
+
+    /// Dijkstra over reduced costs from every node `v` at distance
+    /// `seed(v)` (`INF`: not a seed). With `to_demand`, it is pruned at the
+    /// tentative distance of the nearest node with demand left, which it
+    /// returns (`INF` if none is reachable).
+    fn shortest_paths(
+        &self,
+        sc: &mut Scratch,
+        seed: impl Fn(usize) -> i64,
+        to_demand: bool,
+    ) -> i64 {
+        sc.heap.clear();
+        for v in 0..self.excess.len() {
+            sc.dist[v] = seed(v);
+            if sc.dist[v] < INF {
+                sc.heap.push(sc.dist[v], v);
+            }
+        }
+        let mut best = INF;
+        while let Some((d, v)) = sc.heap.pop() {
+            if d >= best {
+                break;
+            }
+            if d > sc.dist[v] {
+                continue;
+            }
+            for &ai in &sc.adj[sc.start[v]..sc.start[v + 1]] {
                 let arc = self.arcs[ai];
-                if arc.cap <= 0 || dist[v] >= INF {
+                if arc.cap <= 0 {
                     continue;
                 }
-                let nd = dist[v] + arc.cost;
-                if nd < dist[arc.to] {
-                    dist[arc.to] = nd;
-                    relaxations += 1;
-                    assert!(
-                        relaxations <= budget,
-                        "negative cycle detected in flow network"
-                    );
-                    if !in_queue[arc.to] {
-                        in_queue[arc.to] = true;
-                        queue.push_back(arc.to);
+                let rc = arc.cost + self.potentials[v] - self.potentials[arc.to];
+                debug_assert!(rc >= 0, "negative reduced cost: potentials invalid");
+                let nd = d + rc;
+                if nd < sc.dist[arc.to].min(best) {
+                    sc.dist[arc.to] = nd;
+                    sc.heap.push(nd, arc.to);
+                    if to_demand && self.excess[arc.to] < 0 {
+                        best = nd;
                     }
                 }
             }
         }
-        for (pot, &d) in self.potentials.iter_mut().zip(&dist).take(n) {
-            // Unreachable nodes get potential 0; they are never on a path.
-            *pot = if d >= INF { 0 } else { d };
+        best
+    }
+
+    /// The dual step; `false` when no supply left reaches a demand.
+    fn dual_step(&mut self, sc: &mut Scratch) -> bool {
+        let supply = |v: usize| if self.excess[v] > 0 { 0 } else { INF };
+        let d = self.shortest_paths(sc, supply, true);
+        if d >= INF {
+            return false;
         }
-        // Clamp so reduced costs stay provably non-negative for arcs leaving
-        // reachable nodes into unreachable ones (cap > 0 can't occur there:
-        // if an arc with capacity existed, the head would be reachable).
+        for (p, &dv) in self.potentials.iter_mut().zip(&sc.dist) {
+            *p += dv.min(d);
+        }
+        true
+    }
+
+    /// Replaces the potentials by the greatest optimal duals with `π ≤ 0`:
+    /// shortest residual distances from a root joined to every node at 0.
+    fn snap(&mut self, sc: &mut Scratch) {
+        let top = self.potentials.iter().copied().max().unwrap_or(0);
+        self.shortest_paths(sc, |v| top - self.potentials[v], false);
+        for (p, &dv) in self.potentials.iter_mut().zip(&sc.dist) {
+            *p += dv - top;
+        }
     }
 }
 
 #[cfg(test)]
 impl MinCostFlow {
-    /// The successive-shortest-path loop [`Self::run`] replaced — one full
-    /// Dijkstra per augmenting path — kept as the differential-test oracle.
-    pub(crate) fn run_reference(&mut self, s: usize, t: usize) -> (i64, i64) {
+    /// Successive shortest paths — one full Dijkstra from every node with
+    /// supply left per augmenting path — ending on the same snap as
+    /// [`Self::run`]; kept as the differential-test oracle.
+    pub(crate) fn run_reference(&mut self) -> Option<(i64, i64)> {
         use std::{cmp::Reverse, collections::BinaryHeap};
-        let n = self.graph.len();
-        self.bellman_ford_init(s);
-        let mut total_flow = 0i64;
-        let mut total_cost = 0i64;
+        let mut sc = Scratch::new(self);
+        self.asap(&mut sc)?;
+        let n = self.excess.len();
+        let mut flow = 0;
         loop {
             let mut dist = vec![INF; n];
             let mut prev_arc = vec![usize::MAX; n];
             let mut heap = BinaryHeap::new();
-            dist[s] = 0;
-            heap.push(Reverse((0i64, s)));
+            for v in (0..n).filter(|&v| self.excess[v] > 0) {
+                dist[v] = 0;
+                heap.push(Reverse((0, v)));
+            }
             while let Some(Reverse((d, v))) = heap.pop() {
                 if d > dist[v] {
                     continue;
                 }
-                for &ai in &self.graph[v] {
+                for &ai in &sc.adj[sc.start[v]..sc.start[v + 1]] {
                     let arc = self.arcs[ai];
-                    if arc.cap <= 0 {
-                        continue;
-                    }
                     let nd = d + arc.cost + self.potentials[v] - self.potentials[arc.to];
-                    if nd < dist[arc.to] {
+                    if arc.cap > 0 && nd < dist[arc.to] {
                         dist[arc.to] = nd;
                         prev_arc[arc.to] = ai;
                         heap.push(Reverse((nd, arc.to)));
                     }
                 }
             }
-            if dist[t] >= INF {
+            let demands = (0..n).filter(|&v| self.excess[v] < 0 && dist[v] < INF);
+            let Some(t) = demands.min_by_key(|&v| dist[v]) else {
                 break;
-            }
+            };
             for v in 0..n {
                 self.potentials[v] += dist[v].min(dist[t]);
             }
-            let mut bottleneck = INF;
-            let mut v = t;
-            while v != s {
-                let ai = prev_arc[v];
-                bottleneck = bottleneck.min(self.arcs[ai].cap);
-                v = self.arcs[self.arcs[ai].rev].to;
+            let mut path = Vec::new();
+            let mut x = t;
+            while prev_arc[x] != usize::MAX {
+                path.push(prev_arc[x]);
+                x = self.tail(prev_arc[x]);
             }
-            let mut v = t;
-            while v != s {
-                let ai = prev_arc[v];
+            let bottleneck = path
+                .iter()
+                .map(|&ai| self.arcs[ai].cap)
+                .fold(self.excess[x].min(-self.excess[t]), i64::min);
+            for &ai in &path {
                 self.arcs[ai].cap -= bottleneck;
-                let rev = self.arcs[ai].rev;
-                self.arcs[rev].cap += bottleneck;
-                total_cost += bottleneck * self.arcs[ai].cost;
-                v = self.arcs[rev].to;
+                self.arcs[ai ^ 1].cap += bottleneck;
             }
-            total_flow += bottleneck;
+            self.excess[x] -= bottleneck;
+            self.excess[t] += bottleneck;
+            flow += bottleneck;
         }
-        (total_flow, total_cost)
+        self.snap(&mut sc);
+        Some((flow, self.cost()))
     }
 }
 
@@ -451,61 +502,62 @@ impl MinCostFlow {
 mod tests {
     use super::*;
 
+    /// A network whose node `s` supplies `amount` and node `t` demands it.
+    fn st_network(
+        n: usize,
+        arcs: &[(usize, usize, i64, i64)],
+        s: usize,
+        t: usize,
+        amount: i64,
+    ) -> (MinCostFlow, Vec<usize>) {
+        let mut net = MinCostFlow::new(n);
+        let ids = arcs
+            .iter()
+            .map(|&(u, v, cap, cost)| net.add_arc(u, v, cap, cost))
+            .collect();
+        net.add_supply(s, amount);
+        net.add_supply(t, -amount);
+        (net, ids)
+    }
+
     #[test]
     fn simple_path() {
-        let mut net = MinCostFlow::new(4);
-        net.add_arc(0, 1, 5, 1);
-        net.add_arc(1, 3, 5, 1);
-        net.add_arc(0, 2, 5, 2);
-        net.add_arc(2, 3, 5, 2);
-        let (flow, cost) = net.run(0, 3);
-        assert_eq!(flow, 10);
-        assert_eq!(cost, 5 * 2 + 5 * 4);
+        let arcs = [(0, 1, 5, 1), (1, 3, 5, 1), (0, 2, 5, 2), (2, 3, 5, 2)];
+        let (mut net, _) = st_network(4, &arcs, 0, 3, 10);
+        assert_eq!(net.run(), Some((10, 5 * 2 + 5 * 4)));
     }
 
     #[test]
     fn prefers_cheap_route_first() {
-        let mut net = MinCostFlow::new(3);
-        let cheap = net.add_arc(0, 1, 3, 0);
-        let pricey = net.add_arc(0, 1, 3, 10);
-        net.add_arc(1, 2, 4, 0);
-        let (flow, cost) = net.run(0, 2);
-        assert_eq!(flow, 4);
-        assert_eq!(cost, 10);
-        assert_eq!(net.flow_on(cheap), 3);
-        assert_eq!(net.flow_on(pricey), 1);
+        let arcs = [(0, 1, 3, 0), (0, 1, 3, 10), (1, 2, 4, 0)];
+        let (mut net, ids) = st_network(3, &arcs, 0, 2, 4);
+        assert_eq!(net.run(), Some((4, 10)));
+        assert_eq!((net.flow_on(ids[0]), net.flow_on(ids[1])), (3, 1));
     }
 
     #[test]
     fn negative_costs_handled() {
         // DAG with a negative arc: still no negative cycle.
-        let mut net = MinCostFlow::new(4);
-        net.add_arc(0, 1, 2, 4);
-        net.add_arc(0, 2, 2, 1);
-        net.add_arc(2, 1, 2, -3);
-        net.add_arc(1, 3, 4, 0);
-        let (flow, cost) = net.run(0, 3);
-        assert_eq!(flow, 4);
+        let arcs = [(0, 1, 2, 4), (0, 2, 2, 1), (2, 1, 2, -3), (1, 3, 4, 0)];
+        let (mut net, _) = st_network(4, &arcs, 0, 3, 4);
         // 2 units via 0→2→1 (cost -2 each), 2 units via 0→1 (cost 4 each).
-        assert_eq!(cost, 2 * (1 - 3) + 2 * 4);
+        assert_eq!(net.run(), Some((4, 2 * (1 - 3) + 2 * 4)));
     }
 
     #[test]
     fn rerouting_through_residual_arcs() {
-        // Classic case where a later augmentation must undo earlier flow.
-        let mut net = MinCostFlow::new(4);
-        net.add_arc(0, 1, 1, 1);
-        net.add_arc(0, 2, 1, 5);
-        net.add_arc(1, 2, 1, -4);
-        net.add_arc(1, 3, 1, 5);
-        net.add_arc(2, 3, 1, 1);
-        let (flow, cost) = net.run(0, 3);
-        assert_eq!(flow, 2);
-        // Optimal: 0→1→2→3 (1-4+1=-2) and 0→2... cap(2→3)=1. So
-        // 0→1→2→3 = -2 and 0→2 is blocked at 2→3; use 0→1? cap used.
-        // Best pair: 0→1→2→3 (-2) + rerouted 0→2→(residual 2→1)→1→3:
-        // 5 + 4 + 5 = 14; total 12. Alternative 0→1→3 (6) + 0→2→3 (6) = 12.
-        assert_eq!(cost, 12);
+        // Classic case where a later augmentation must undo earlier flow:
+        // 0→1→2→3 costs −2 but blocks both other routes; 0→1→3 plus
+        // 0→2→3 costs 6 + 6 = 12, as does rerouting through 2→1.
+        let arcs = [
+            (0, 1, 1, 1),
+            (0, 2, 1, 5),
+            (1, 2, 1, -4),
+            (1, 3, 1, 5),
+            (2, 3, 1, 1),
+        ];
+        let (mut net, _) = st_network(4, &arcs, 0, 3, 2);
+        assert_eq!(net.run(), Some((2, 12)));
     }
 
     #[test]
@@ -513,51 +565,50 @@ mod tests {
         // The cheap arc saturates first, so the dual step has to carry the
         // distance 2^40 through its queue: memory must not scale with it.
         let big = 1i64 << 40;
-        let mut net = MinCostFlow::new(3);
-        let cheap = net.add_arc(0, 1, 1, 0);
-        let pricey = net.add_arc(0, 1, 1, big);
-        net.add_arc(1, 2, 2, 0);
-        assert_eq!(net.run(0, 2), (2, big));
-        assert_eq!((net.flow_on(cheap), net.flow_on(pricey)), (1, 1));
-        assert_eq!(net.potentials(), [0, big, big]);
+        let arcs = [(0, 1, 1, 0), (0, 1, 1, big), (1, 2, 2, 0)];
+        let (mut net, ids) = st_network(3, &arcs, 0, 2, 2);
+        assert_eq!(net.run(), Some((2, big)));
+        assert_eq!((net.flow_on(ids[0]), net.flow_on(ids[1])), (1, 1));
+        assert_eq!(net.potentials(), [-big, 0, 0]);
     }
 
     #[test]
     fn disconnected_sink_gives_zero_flow() {
-        let mut net = MinCostFlow::new(3);
-        net.add_arc(0, 1, 1, 1);
-        let (flow, cost) = net.run(0, 2);
-        assert_eq!((flow, cost), (0, 0));
+        let (mut net, _) = st_network(3, &[(0, 1, 1, 1)], 0, 2, 1);
+        assert_eq!(net.run(), Some((0, 0)));
     }
 
     #[test]
     fn potentials_satisfy_reduced_cost_optimality() {
-        let mut net = MinCostFlow::new(5);
         let arcs = [
-            (0usize, 1usize, 3i64, 2i64),
+            (0, 1, 3, 2),
             (0, 2, 2, 4),
             (1, 2, 2, 1),
             (1, 3, 2, 7),
             (2, 3, 4, 2),
             (3, 4, 5, 0),
         ];
-        let mut ids = Vec::new();
-        for &(u, v, c, w) in &arcs {
-            ids.push((net.add_arc(u, v, c, w), u, v, c, w));
-        }
-        net.run(0, 4);
+        let (mut net, ids) = st_network(5, &arcs, 0, 4, 5);
+        assert_eq!(net.run().map(|(flow, _)| flow), Some(5));
         let pi = net.potentials().to_vec();
-        for &(id, u, v, _c, w) in &ids {
+        assert!(pi.iter().all(|&p| p <= 0) && pi.contains(&0));
+        for (&id, &(u, v, cap, cost)) in ids.iter().zip(&arcs) {
             let f = net.flow_on(id);
-            let rc = w + pi[u] - pi[v];
+            let rc = cost + pi[u] - pi[v];
             // Arcs with leftover capacity must have non-negative reduced cost;
             // arcs carrying flow must have non-positive reduced cost.
-            if f < _c {
+            if f < cap {
                 assert!(rc >= 0, "arc {u}->{v} violates optimality");
             }
             if f > 0 {
                 assert!(rc <= 0, "arc {u}->{v} with flow has positive reduced cost");
             }
         }
+    }
+
+    #[test]
+    fn a_directed_cycle_is_rejected() {
+        let (mut net, _) = st_network(2, &[(0, 1, 1, 0), (1, 0, 1, 0)], 0, 1, 1);
+        assert_eq!(net.run(), None);
     }
 }
