@@ -937,4 +937,46 @@ mod tests {
         // The FIFO edge absorbs its own skew: no registers on it.
         assert_eq!(dag.edges[0].extra_regs, 0);
     }
+
+    #[test]
+    fn opposite_wiring_across_dataflows_falls_back_to_per_dataflow_solves() {
+        // Dataflow 0 wires p → q and dataflow 1 wires q → p, so the whole
+        // constraint graph is cyclic. Each dataflow alone is reconvergent:
+        // s reaches its far adder directly and through the near one.
+        let mut dag = Dag::new(2);
+        let s = dag.add_node(Prim::Const { value: 0 }, None, 8, "s");
+        let p = dag.add_node(Prim::Add, None, 8, "p");
+        let q = dag.add_node(Prim::Add, None, 8, "q");
+        dag.add_edge(s, p, 0, 8, vec![true, true], 0);
+        dag.add_edge(s, q, 0, 8, vec![true, true], 0);
+        dag.add_edge(p, q, 1, 8, vec![true, false], 0);
+        dag.add_edge(q, p, 1, 8, vec![false, true], 0);
+        let whole: Vec<DelayEdge> = dag
+            .edges
+            .iter()
+            .map(|e| DelayEdge {
+                from: e.from,
+                to: e.to,
+                width: i64::from(e.width),
+                latency: dag.nodes[e.to].prim.latency(),
+            })
+            .collect();
+        assert_eq!(solve_delay_matching(3, &whole), Err(DelayError::Cyclic));
+
+        let mut want = vec![0; whole.len()];
+        for k in 0..2 {
+            let ids: Vec<usize> = (0..whole.len())
+                .filter(|&i| dag.edges[i].active[k])
+                .collect();
+            let edges: Vec<DelayEdge> = ids.iter().map(|&i| whole[i]).collect();
+            let sol = solve_delay_matching(3, &edges).unwrap();
+            for (&i, &el) in ids.iter().zip(&sol.extra_latency) {
+                want[i] = want[i].max(el);
+            }
+        }
+        assert_eq!(want, [1, 1, 0, 0]);
+        assert_eq!(match_delays(&mut dag), Ok(16));
+        let got: Vec<i64> = dag.edges.iter().map(|e| e.extra_regs).collect();
+        assert_eq!(got, want);
+    }
 }
