@@ -479,6 +479,20 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
     // again costs nothing when the caller had matched it.
     let rewired = dag.nodes.len() > saved.nodes.len();
     if rewired {
+        // A tap forwards to every branch re-driven from it, so its input
+        // must be active whenever one of its outputs is. A child tap is fed
+        // by its parent and created after it, so settling the taps newest
+        // first carries the union up every tap-to-tap chain.
+        let index = dag.edge_index();
+        for t in (saved.nodes.len()..dag.nodes.len()).rev() {
+            let mut active = vec![false; dag.n_dataflows];
+            for &o in index.outs(t) {
+                for (a, &b) in active.iter_mut().zip(&dag.edges[o].active) {
+                    *a |= b;
+                }
+            }
+            dag.edges[index.ins(t)[0]].active = active;
+        }
         let _ = match_delays(dag);
     }
     if !rewired || dag.pipeline_register_bits() > before || dag.check().is_err() {

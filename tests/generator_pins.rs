@@ -11,7 +11,7 @@
 
 use std::hash::Hasher;
 
-use lego::backend::OptimizeOptions;
+use lego::backend::{OptimizeOptions, Prim};
 use lego::core::{Design, Lego};
 use lego::eval::FnvHasher;
 use lego::model::TechModel;
@@ -138,6 +138,36 @@ fn edges_and_verilog_of_the_fused_1024_fu_designs_are_pinned() {
             ("Conv2d-MNICOC", 11473778929952033752)
         ]
     );
+}
+
+/// A tap forwards its input to every branch rewiring re-drove from it, so
+/// its input must be active in every dataflow one of its outputs is, or
+/// power gating prices a live forwarded branch as idle there.
+#[test]
+fn every_tap_input_is_active_whenever_one_of_its_outputs_is() {
+    let mut designs = kernel_designs(8);
+    designs.retain(|d| d.dataflows.len() > 1);
+    designs.extend(fused_designs(16));
+    let mut taps = 0;
+    for d in &designs {
+        let dag = generate(d).dag;
+        for (t, node) in dag.nodes.iter().enumerate() {
+            if !matches!(node.prim, Prim::CtrlFwd) || !node.label.starts_with("tap_") {
+                continue;
+            }
+            let mut union = vec![false; dag.n_dataflows];
+            for e in dag.edges.iter().filter(|e| e.from == t) {
+                for (u, &a) in union.iter_mut().zip(&e.active) {
+                    *u |= a;
+                }
+            }
+            let inputs: Vec<_> = dag.edges.iter().filter(|e| e.to == t).collect();
+            assert_eq!(inputs.len(), 1, "{}: tap {t} has one input", d.name);
+            assert_eq!(inputs[0].active, union, "{}: tap {t}", d.name);
+            taps += 1;
+        }
+    }
+    assert!(taps > 0, "rewiring added no tap to any fused design");
 }
 
 #[test]
