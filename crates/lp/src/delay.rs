@@ -613,9 +613,9 @@ mod tests {
         for trial in [38, 40, 50, 99, 118, 174] {
             let edges = &dags[trial];
             let sol = solve_delay_matching(30, edges).unwrap();
-            assert_eq!(
-                sol.register_cost as f64,
-                simplex_oracle(30, edges),
+            let oracle = simplex_oracle(30, edges);
+            assert!(
+                (sol.register_cost as f64 - oracle).abs() < 1e-6,
                 "trial {trial}"
             );
             assert_eq!(

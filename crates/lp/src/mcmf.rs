@@ -237,9 +237,9 @@ impl MinCostFlow {
         self.arcs.chunks(2).map(|p| p[0].cost * p[1].cap).sum()
     }
 
-    /// Shortest distances from every node at 0 over the forward arcs, in
-    /// one topological pass (Kahn's, with `next_arc` as the in-degree
-    /// count); `None` when the arcs contain a directed cycle.
+    /// Sets the potentials to the shortest distances from every node at 0
+    /// over the forward arcs, in one topological pass (Kahn's, with
+    /// `next_arc` as the in-degree count); `None` on a directed cycle.
     fn asap(&mut self, sc: &mut Scratch) -> Option<()> {
         let n = self.excess.len();
         sc.next_arc.fill(0);

@@ -5,9 +5,9 @@
 //! `examples/gen_verilog` prints per design — every DAG edge with its
 //! `extra_regs`, then the Verilog — pins each register and each emitted
 //! byte where it is: the eleven p = 8 designs, and the two fused ones at
-//! p = 16 and, in release builds, p = 32. The paper tables price designs through
-//! `lego_bench::harness`; it must price exactly what `Lego::generate`
-//! builds.
+//! p = 16 and, in release builds, p = 32. The paper tables price designs
+//! through `lego_bench::harness`; it must price exactly what
+//! `Lego::generate` builds.
 
 use std::hash::Hasher;
 
@@ -126,8 +126,9 @@ fn edges_and_verilog_of_the_fused_256_fu_designs_are_pinned() {
     );
 }
 
-/// The p = 32 fused designs take seconds to generate in a debug build, so
-/// this pin runs in release only: `cargo test --release --test generator_pins`.
+/// The p = 32 designs are the costliest generation in this file, so this
+/// pin runs in release builds only (CI's determinism job runs it):
+/// `cargo test --release --test generator_pins`.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn edges_and_verilog_of_the_fused_1024_fu_designs_are_pinned() {
