@@ -2,23 +2,40 @@
 //!
 //! Naive codegen reproduces the paper's starting point deliberately:
 //! reductions become *long adder chains*, zero-depth distribution becomes a
-//! *star* from the producing driver (the broadcast pins of Figure 8), every
-//! multi-source pin gets a mux, and FIFOs carry their per-dataflow
-//! programmed depths. The optimization passes then earn their savings from
-//! exactly these structures, as in the paper.
+//! *star* from the producing driver (the broadcast pins of Figure 8), a pin
+//! that several drivers reach before it resolves gets a mux (a driver that
+//! arrives later is dropped; see [`lower`]), and FIFOs carry their
+//! per-dataflow programmed depths. The optimization passes then earn their
+//! savings from exactly these structures, as in the paper.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::dag::{Dag, NodeId, Prim};
 use crate::BackendConfig;
 use lego_frontend::{Adg, FuEdge, TensorPlan};
 use lego_ir::{FuOp, TensorRole};
 
+/// Width of the operand words entering the FU array (the paper evaluates
+/// 8-bit MACs).
+const INPUT_WIDTH: u32 = 8;
+/// Accumulator width (partial-sum precision cap).
+const ACC_WIDTH: u32 = 32;
+/// Address and control signal width.
+const ADDR_WIDTH: u32 = 16;
+
 /// Lowers an ADG into the primitive-level DAG.
 ///
 /// The result is unoptimized: run [`crate::passes::optimize`] (or
 /// [`crate::passes::match_delays`] alone for the paper's mandatory
 /// baseline) before costing or emission.
+///
+/// Each input tensor is delivered by one breadth-first walk from its
+/// data-node FUs. An FU resolves its operand pin the first time the walk
+/// dequeues it, from whatever drivers have reached it by then; a driver
+/// that arrives later is dropped, and the FIFO built for it feeds nothing.
+/// Conv2d-MNICOC delivers X along a graph that is cyclic across its two
+/// dataflows, so this happens there; `tests/generator_pins.rs` pins how
+/// often.
 ///
 /// # Examples
 ///
@@ -35,437 +52,310 @@ use lego_ir::{FuOp, TensorRole};
 /// dag.check().unwrap();
 /// ```
 pub fn lower(adg: &Adg, config: &BackendConfig) -> Dag {
-    let n_df = adg.dataflows.len();
-    let mut dag = Dag::new(n_df);
-    let all = vec![true; n_df];
+    let mut dag = Dag::new(adg.dataflows.len());
+    let addr = lower_control(&mut dag, adg, config.per_fu_control);
+    let operands: Vec<Vec<NodeId>> = adg
+        .tensors
+        .iter()
+        .zip(&addr)
+        .filter(|(plan, _)| plan.role == TensorRole::Input)
+        .map(|(plan, addr)| lower_input_delivery(&mut dag, adg, plan, addr))
+        .collect();
+    let product = lower_compute(&mut dag, adg.workload.op, adg.num_fus, &operands);
+    let (plan, addr) = adg
+        .tensors
+        .iter()
+        .zip(&addr)
+        .find(|(plan, _)| plan.role == TensorRole::Output)
+        .expect("workload has an output");
+    lower_output(&mut dag, adg, plan, addr, &product);
+    dag
+}
 
-    // ------------------------------------------------------------------
-    // Control: shared counters + one address generator per tensor, with a
-    // store-and-forward register chain when any dataflow is systolic
-    // (paper §III-C/D); or the per-FU replica used by the related-work
-    // structural baselines.
-    // ------------------------------------------------------------------
-    let max_levels = adg
+/// Activity of a memory port: live in the dataflows that use it.
+fn port_activity(active_in: &[usize], n_df: usize) -> Vec<bool> {
+    (0..n_df).map(|k| active_in.contains(&k)).collect()
+}
+
+/// Activity of an ADG edge: live in the dataflows that use it.
+fn edge_activity(e: &FuEdge, n_df: usize) -> Vec<bool> {
+    (0..n_df).map(|k| e.active_in(k)).collect()
+}
+
+/// `src` carried along the ADG edge `e`: through a FIFO at `e.to` programmed
+/// with `e`'s per-dataflow depths, or, where `e` has depth 0 in every
+/// dataflow, `src` itself (a star wire from the driver).
+fn delayed(dag: &mut Dag, src: NodeId, e: &FuEdge, act: &[bool], width: u32) -> NodeId {
+    let depth = e.max_depth();
+    if depth == 0 {
+        return src;
+    }
+    let fifo = dag.add_node(
+        Prim::Fifo {
+            depth: e.depth_per_df.clone(),
+        },
+        Some(e.to),
+        width,
+        format!("fifo_{}_{}to{}", e.tensor, e.from, e.to),
+    );
+    dag.add_edge(src, fifo, 0, width, act.to_vec(), depth);
+    fifo
+}
+
+/// Builds the control network and returns the address source of every
+/// tensor at every FU, as `addr[tensor][fu]`.
+///
+/// LEGO shares one counter and one address generator per tensor, and taps a
+/// store-and-forward register chain at each FU when any dataflow is
+/// systolic (paper §III-C/D). With `per_fu_control`, every FU re-derives
+/// indices with its own counter and address generators behind HLS
+/// handshake FIFOs, as the polyhedral/STT generators of the related-work
+/// baselines do (§III-D).
+fn lower_control(dag: &mut Dag, adg: &Adg, per_fu_control: bool) -> Vec<Vec<NodeId>> {
+    let n_df = adg.dataflows.len();
+    let all = vec![true; n_df];
+    let levels = adg
         .dataflows
         .iter()
         .map(|d| d.temporal_sizes.len())
         .max()
         .unwrap_or(1);
-    let systolic = adg
-        .dataflows
-        .iter()
-        .any(|d| d.control.iter().any(|&c| c != 0));
+    let ctr_width = ADDR_WIDTH * levels as u32;
+    let mut addr = vec![Vec::new(); adg.tensors.len()];
 
-    // Address source node per (tensor, fu) — shared mode points every FU at
-    // the same generator (possibly through the forwarding chain).
-    let mut addr_at: HashMap<(String, usize), NodeId> = HashMap::new();
-
-    if config.per_fu_control {
-        // Polyhedral/STT-style generation (paper §III-D): the timestamp is
-        // global, so every PE re-derives indices with its own counters and
-        // address generators, and PE boundaries carry HLS handshake FIFOs.
+    if per_fu_control {
         for fu in 0..adg.num_fus {
             let ctr = dag.add_node(
-                Prim::Counter { levels: max_levels },
+                Prim::Counter { levels },
                 Some(fu),
-                config.addr_width,
+                ADDR_WIDTH,
                 format!("ctr_fu{fu}"),
             );
-            for plan in &adg.tensors {
+            for (plan, at) in adg.tensors.iter().zip(&mut addr) {
                 let ag = dag.add_node(
-                    Prim::AddrGen { terms: max_levels },
+                    Prim::AddrGen { terms: levels },
                     Some(fu),
-                    config.addr_width,
+                    ADDR_WIDTH,
                     format!("ag_{}_fu{fu}", plan.tensor),
                 );
-                dag.add_edge(
-                    ctr,
-                    ag,
-                    0,
-                    config.addr_width * max_levels as u32,
-                    all.clone(),
-                    0,
-                );
+                dag.add_edge(ctr, ag, 0, ctr_width, all.clone(), 0);
                 let hs = dag.add_node(
                     Prim::Fifo {
                         depth: vec![Some(2); n_df],
                     },
                     Some(fu),
-                    config.addr_width,
+                    ADDR_WIDTH,
                     format!("hs_{}_fu{fu}", plan.tensor),
                 );
-                dag.add_edge(ag, hs, 0, config.addr_width, all.clone(), 2);
-                addr_at.insert((plan.tensor.clone(), fu), hs);
+                dag.add_edge(ag, hs, 0, ADDR_WIDTH, all.clone(), 2);
+                at.push(hs);
             }
         }
-    } else {
-        let ctr = dag.add_node(
-            Prim::Counter { levels: max_levels },
+        return addr;
+    }
+
+    let systolic = adg
+        .dataflows
+        .iter()
+        .any(|d| d.control.iter().any(|&c| c != 0));
+    let ctr = dag.add_node(Prim::Counter { levels }, None, ADDR_WIDTH, "ctr");
+    for (plan, at) in adg.tensors.iter().zip(&mut addr) {
+        let ag = dag.add_node(
+            Prim::AddrGen { terms: levels },
             None,
-            config.addr_width,
-            "ctr",
+            ADDR_WIDTH,
+            format!("ag_{}", plan.tensor),
         );
-        for plan in &adg.tensors {
-            let ag = dag.add_node(
-                Prim::AddrGen { terms: max_levels },
-                None,
-                config.addr_width,
-                format!("ag_{}", plan.tensor),
-            );
-            dag.add_edge(
-                ctr,
-                ag,
-                0,
-                config.addr_width * max_levels as u32,
-                all.clone(),
-                0,
-            );
-            let mut tap = ag;
+        dag.add_edge(ctr, ag, 0, ctr_width, all.clone(), 0);
+        let mut tap = ag;
+        for fu in 0..adg.num_fus {
             if systolic {
                 // One forwarding register per FU hop; ports tap the chain at
-                // their FU position instead of each owning an address unit.
-                for fu in 0..adg.num_fus {
-                    let fwd = dag.add_node(
-                        Prim::CtrlFwd,
-                        Some(fu),
-                        config.addr_width,
-                        format!("ctl_{}_{fu}", plan.tensor),
-                    );
-                    dag.add_edge(tap, fwd, 0, config.addr_width, all.clone(), 0);
-                    addr_at.insert((plan.tensor.clone(), fu), fwd);
-                    tap = fwd;
-                }
-            } else {
-                for fu in 0..adg.num_fus {
-                    addr_at.insert((plan.tensor.clone(), fu), ag);
-                }
+                // their FU instead of each owning an address unit.
+                let fwd = dag.add_node(
+                    Prim::CtrlFwd,
+                    Some(fu),
+                    ADDR_WIDTH,
+                    format!("ctl_{}_{fu}", plan.tensor),
+                );
+                dag.add_edge(tap, fwd, 0, ADDR_WIDTH, all.clone(), 0);
+                tap = fwd;
             }
+            at.push(tap);
         }
     }
-
-    // ------------------------------------------------------------------
-    // Input operand delivery per tensor.
-    // ------------------------------------------------------------------
-    let mut pin: HashMap<(String, usize), NodeId> = HashMap::new();
-    for plan in &adg.tensors {
-        if plan.role != TensorRole::Input {
-            continue;
-        }
-        lower_input_delivery(&mut dag, adg, plan, config, &addr_at, &mut pin);
-    }
-
-    // ------------------------------------------------------------------
-    // Compute per FU.
-    // ------------------------------------------------------------------
-    let inputs: Vec<&str> = adg.workload.inputs().map(|a| a.tensor.as_str()).collect();
-    let mut product: Vec<NodeId> = Vec::with_capacity(adg.num_fus);
-    for fu in 0..adg.num_fus {
-        let operand = |_dag: &mut Dag, name: &str| -> NodeId {
-            *pin.get(&(name.to_string(), fu))
-                .unwrap_or_else(|| panic!("operand {name} undelivered at FU {fu}"))
-        };
-        let out = match adg.workload.op {
-            FuOp::MulAcc => {
-                let a = operand(&mut dag, inputs[0]);
-                let b = operand(&mut dag, inputs[1]);
-                let m = dag.add_node(
-                    Prim::Mul,
-                    Some(fu),
-                    config.input_width * 2,
-                    format!("mul_fu{fu}"),
-                );
-                dag.add_edge(a, m, 0, config.input_width, all.clone(), 0);
-                dag.add_edge(b, m, 1, config.input_width, all.clone(), 0);
-                m
-            }
-            FuOp::TripleMulAcc => {
-                let a = operand(&mut dag, inputs[0]);
-                let b = operand(&mut dag, inputs[1]);
-                let c = operand(&mut dag, inputs[2]);
-                let m1 = dag.add_node(
-                    Prim::Mul,
-                    Some(fu),
-                    config.input_width * 2,
-                    format!("mul1_fu{fu}"),
-                );
-                dag.add_edge(a, m1, 0, config.input_width, all.clone(), 0);
-                dag.add_edge(b, m1, 1, config.input_width, all.clone(), 0);
-                let m2 = dag.add_node(
-                    Prim::Mul,
-                    Some(fu),
-                    config.input_width * 3,
-                    format!("mul2_fu{fu}"),
-                );
-                dag.add_edge(m1, m2, 0, config.input_width * 2, all.clone(), 0);
-                dag.add_edge(c, m2, 1, config.input_width, all.clone(), 0);
-                m2
-            }
-            FuOp::MulShiftAcc => {
-                let a = operand(&mut dag, inputs[0]);
-                let b = operand(&mut dag, inputs[1]);
-                let c = operand(&mut dag, inputs[2]);
-                let m = dag.add_node(
-                    Prim::Mul,
-                    Some(fu),
-                    config.input_width * 2,
-                    format!("mul_fu{fu}"),
-                );
-                dag.add_edge(a, m, 0, config.input_width, all.clone(), 0);
-                dag.add_edge(b, m, 1, config.input_width, all.clone(), 0);
-                let sh = dag.add_node(
-                    Prim::Shift,
-                    Some(fu),
-                    config.acc_width,
-                    format!("shift_fu{fu}"),
-                );
-                dag.add_edge(m, sh, 0, config.input_width * 2, all.clone(), 0);
-                dag.add_edge(c, sh, 1, config.input_width, all.clone(), 0);
-                sh
-            }
-            FuOp::MaxAcc => {
-                let a = operand(&mut dag, inputs[0]);
-                let mx = dag.add_node(
-                    Prim::Max,
-                    Some(fu),
-                    config.input_width,
-                    format!("max_fu{fu}"),
-                );
-                dag.add_edge(a, mx, 0, config.input_width, all.clone(), 0);
-                mx
-            }
-        };
-        product.push(out);
-    }
-
-    // ------------------------------------------------------------------
-    // Output accumulation and commit: adder chains along the ADG's partial
-    // sum edges, local accumulators where the output is stationary.
-    // ------------------------------------------------------------------
-    let out_plan = adg
-        .tensors
-        .iter()
-        .find(|t| t.role == TensorRole::Output)
-        .expect("workload has an output");
-    lower_output(&mut dag, adg, out_plan, config, &addr_at, &product);
-
-    dag
+    addr
 }
 
-/// Builds the delivery network for one input tensor: read ports at data
-/// nodes, FIFOs on delayed edges, star wiring for zero-depth distribution,
-/// muxes where several sources feed one FU.
+/// Builds the delivery network for one input tensor and returns each FU's
+/// operand pin: read ports at data nodes, FIFOs on delayed edges, star
+/// wiring for zero-depth distribution, and muxes. The walk is seeded with
+/// the data-node FUs in FU order; a resolved FU drives its out-edges in
+/// ADG edge order.
 fn lower_input_delivery(
     dag: &mut Dag,
     adg: &Adg,
     plan: &TensorPlan,
-    config: &BackendConfig,
-    addr_at: &HashMap<(String, usize), NodeId>,
-    pin: &mut HashMap<(String, usize), NodeId>,
-) {
+    addr: &[NodeId],
+) -> Vec<NodeId> {
     let n_df = adg.dataflows.len();
-    let tensor = plan.tensor.clone();
+    let tensor = &plan.tensor;
+    let mut out: Vec<Vec<&FuEdge>> = vec![Vec::new(); adg.num_fus];
+    for e in adg.edges_for(tensor) {
+        out[e.from].push(e);
+    }
 
-    // Drivers per FU: (node, activity) — filled in delivery order.
-    let mut drivers: BTreeMap<usize, Vec<(NodeId, Vec<bool>)>> = BTreeMap::new();
-
+    // Drivers per FU, `(node, activity)` in arrival order.
+    let mut drivers: Vec<Vec<(NodeId, Vec<bool>)>> = vec![Vec::new(); adg.num_fus];
     for dn in &plan.data_nodes {
         let port = dag.add_node(
             Prim::ReadPort {
                 tensor: tensor.clone(),
             },
             Some(dn.fu),
-            config.input_width,
+            INPUT_WIDTH,
             format!("rd_{tensor}_fu{}", dn.fu),
         );
-        let addr = addr_at[&(tensor.clone(), dn.fu)];
-        let mut act = vec![false; n_df];
-        for &k in &dn.active_in {
-            act[k] = true;
-        }
-        dag.add_edge(addr, port, 0, config.addr_width, act.clone(), 0);
-        drivers.entry(dn.fu).or_default().push((port, act));
+        let act = port_activity(&dn.active_in, n_df);
+        dag.add_edge(addr[dn.fu], port, 0, ADDR_WIDTH, act.clone(), 0);
+        drivers[dn.fu].push((port, act));
     }
 
-    // Deliver along edges in BFS order from data nodes so upstream pins
-    // exist before downstream consumers.
-    let mut resolved: HashMap<usize, NodeId> = HashMap::new();
-    let mut pending: Vec<&lego_frontend::FuEdge> = adg.edges_for(&tensor).collect();
-    let mut queue: VecDeque<usize> = drivers.keys().copied().collect();
-    let mut guard = 0usize;
-    while !queue.is_empty() || !pending.is_empty() {
-        guard += 1;
-        assert!(
-            guard <= 4 * (adg.num_fus + pending.len() + 1),
-            "delivery for {tensor} did not converge"
-        );
-        let fu = match queue.pop_front() {
-            Some(fu) => fu,
-            None => break,
-        };
-        if resolved.contains_key(&fu) {
+    let mut pin: Vec<Option<NodeId>> = vec![None; adg.num_fus];
+    let mut queue: VecDeque<usize> = (0..adg.num_fus)
+        .filter(|&fu| !drivers[fu].is_empty())
+        .collect();
+    while let Some(fu) = queue.pop_front() {
+        if pin[fu].is_some() {
             continue;
         }
-        // Resolve this FU's pin from its accumulated drivers.
-        let Some(srcs) = drivers.get(&fu) else {
-            // Not ready yet; skip (will be re-queued by its feeding edge).
-            continue;
-        };
+        let srcs = std::mem::take(&mut drivers[fu]);
         let node = if srcs.len() == 1 {
             srcs[0].0
         } else {
             let mux = dag.add_node(
                 Prim::Mux { inputs: srcs.len() },
                 Some(fu),
-                config.input_width,
+                INPUT_WIDTH,
                 format!("mux_{tensor}_fu{fu}"),
             );
-            for (i, (src, act)) in srcs.iter().enumerate() {
-                dag.add_edge(*src, mux, i, config.input_width, act.clone(), 0);
+            for (i, (src, act)) in srcs.into_iter().enumerate() {
+                dag.add_edge(src, mux, i, INPUT_WIDTH, act, 0);
             }
             mux
         };
-        resolved.insert(fu, node);
-        pin.insert((tensor.clone(), fu), node);
+        pin[fu] = Some(node);
 
-        // Push downstream deliveries whose source is now resolved.
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].from == fu {
-                let e = pending.remove(i);
-                let act: Vec<bool> = (0..n_df).map(|k| e.active_in(k)).collect();
-                let max_depth = e.max_depth();
-                let drv = if max_depth > 0 {
-                    let fifo = dag.add_node(
-                        Prim::Fifo {
-                            depth: e.depth_per_df.clone(),
-                        },
-                        Some(e.to),
-                        config.input_width,
-                        format!("fifo_{tensor}_{}to{}", e.from, e.to),
-                    );
-                    dag.add_edge(node, fifo, 0, config.input_width, act.clone(), max_depth);
-                    fifo
-                } else {
-                    // Zero-depth: star wire from the resolved driver.
-                    node
-                };
-                drivers.entry(e.to).or_default().push((drv, act));
-                queue.push_back(e.to);
-            } else {
-                i += 1;
-            }
+        for e in &out[fu] {
+            let act = edge_activity(e, n_df);
+            drivers[e.to].push((delayed(dag, node, e, &act, INPUT_WIDTH), act));
+            queue.push_back(e.to);
         }
-        // An FU with several incoming edges resolves once all arrived; the
-        // queue may hold it multiple times, which is harmless.
     }
 
-    // Any FU not reached has no delivery in any dataflow — that would be a
-    // front-end bug; fail loudly.
-    for fu in 0..adg.num_fus {
-        assert!(
-            resolved.contains_key(&fu),
-            "tensor {tensor} undelivered at FU {fu}"
-        );
+    // An FU no walk reaches would be a front-end bug.
+    pin.into_iter()
+        .enumerate()
+        .map(|(fu, p)| p.unwrap_or_else(|| panic!("tensor {tensor} undelivered at FU {fu}")))
+        .collect()
+}
+
+/// Builds each FU's operator from its operand pins (`operands[i][fu]` is
+/// the `i`-th input's pin) and returns each FU's product.
+fn lower_compute(dag: &mut Dag, op: FuOp, num_fus: usize, operands: &[Vec<NodeId>]) -> Vec<NodeId> {
+    let w = INPUT_WIDTH;
+    (0..num_fus)
+        .map(|fu| {
+            let x = |i: usize| (operands[i][fu], w);
+            match op {
+                FuOp::MulAcc => stage(dag, fu, Prim::Mul, 2 * w, "mul", &[x(0), x(1)]),
+                FuOp::TripleMulAcc => {
+                    let m = stage(dag, fu, Prim::Mul, 2 * w, "mul1", &[x(0), x(1)]);
+                    stage(dag, fu, Prim::Mul, 3 * w, "mul2", &[(m, 2 * w), x(2)])
+                }
+                FuOp::MulShiftAcc => {
+                    let m = stage(dag, fu, Prim::Mul, 2 * w, "mul", &[x(0), x(1)]);
+                    let shifted = [(m, 2 * w), x(2)];
+                    stage(dag, fu, Prim::Shift, ACC_WIDTH, "shift", &shifted)
+                }
+                FuOp::MaxAcc => stage(dag, fu, Prim::Max, w, "max", &[x(0)]),
+            }
+        })
+        .collect()
+}
+
+/// Adds one operator node `{name}_fu{fu}`, fed on pins 0, 1, … by
+/// `inputs`, each a `(driver, width)` live in every dataflow.
+fn stage(
+    dag: &mut Dag,
+    fu: usize,
+    prim: Prim,
+    width: u32,
+    name: &str,
+    inputs: &[(NodeId, u32)],
+) -> NodeId {
+    let node = dag.add_node(prim, Some(fu), width, format!("{name}_fu{fu}"));
+    for (pin, &(src, src_width)) in inputs.iter().enumerate() {
+        dag.add_edge(src, node, pin, src_width, vec![true; dag.n_dataflows], 0);
     }
+    node
 }
 
 /// Builds the partial-sum network: per-FU adders (chained per the ADG's
 /// output edges, forming the naive "long adder chain"), local accumulators
 /// for stationary outputs, FIFOs on delayed partial-sum hops, and write
 /// ports at committing FUs.
-fn lower_output(
-    dag: &mut Dag,
-    adg: &Adg,
-    plan: &TensorPlan,
-    config: &BackendConfig,
-    addr_at: &HashMap<(String, usize), NodeId>,
-    product: &[NodeId],
-) {
+fn lower_output(dag: &mut Dag, adg: &Adg, plan: &TensorPlan, addr: &[NodeId], product: &[NodeId]) {
     let n_df = adg.dataflows.len();
-    let tensor = plan.tensor.clone();
-    let stationary_any = plan.stationary_in.iter().any(|&s| s);
+    let all = vec![true; n_df];
+    let tensor = &plan.tensor;
 
-    // Incoming partial-sum sources and outgoing targets per FU (from ADG
-    // output edges, both in edge order).
-    let mut incoming: BTreeMap<usize, Vec<(&FuEdge, Vec<bool>)>> = BTreeMap::new();
+    // Partial-sum edges into each FU and targets out of it, in edge order.
+    let mut incoming: Vec<Vec<&FuEdge>> = vec![Vec::new(); adg.num_fus];
     let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); adg.num_fus];
-    for e in adg.edges_for(&tensor) {
-        let act: Vec<bool> = (0..n_df).map(|k| e.active_in(k)).collect();
-        incoming.entry(e.to).or_default().push((e, act));
+    for e in adg.edges_for(tensor) {
+        incoming[e.to].push(e);
         outgoing[e.from].push(e.to);
     }
 
-    // The accumulated output of each FU: local product + incoming partials,
-    // realized as a chain of binary adders (naive codegen).
-    let mut acc_out: Vec<Option<NodeId>> = vec![None; adg.num_fus];
-    // Topological order over the partial-sum forest (leaves first).
-    let order = {
-        let mut fanin = vec![0usize; adg.num_fus];
-        for (to, srcs) in &incoming {
-            fanin[*to] += srcs.len();
-        }
-        let mut q: VecDeque<usize> = (0..adg.num_fus).filter(|&f| fanin[f] == 0).collect();
-        let mut order = Vec::new();
-        let mut consumed = vec![0usize; adg.num_fus];
-        while let Some(f) = q.pop_front() {
-            order.push(f);
-            for &to in &outgoing[f] {
-                consumed[to] += 1;
-                if consumed[to] == fanin[to] {
-                    q.push_back(to);
-                }
+    // Kahn order over the partial-sum forest, leaves first.
+    let mut waiting: Vec<usize> = incoming.iter().map(Vec::len).collect();
+    let mut queue: VecDeque<usize> = (0..adg.num_fus).filter(|&f| waiting[f] == 0).collect();
+    let mut order = Vec::with_capacity(adg.num_fus);
+    while let Some(f) = queue.pop_front() {
+        order.push(f);
+        for &to in &outgoing[f] {
+            waiting[to] -= 1;
+            if waiting[to] == 0 {
+                queue.push_back(to);
             }
         }
-        assert_eq!(order.len(), adg.num_fus, "cyclic partial-sum network");
-        order
-    };
+    }
+    assert_eq!(order.len(), adg.num_fus, "cyclic partial-sum network");
 
-    let all = vec![true; n_df];
+    // Each FU's accumulated output: its product plus the incoming partials,
+    // chained in one binary adder at a time.
+    let stationary = plan.stationary_in.iter().any(|&s| s);
+    let mut acc_out: Vec<Option<NodeId>> = vec![None; adg.num_fus];
     for fu in order {
-        let mut acc = dag.add_node(Prim::Add, Some(fu), config.acc_width, format!("acc_fu{fu}"));
-        dag.nodes[acc].accumulate = stationary_any;
-        dag.add_edge(product[fu], acc, 0, config.input_width * 2, all.clone(), 0);
-        // Chain in incoming partials one binary adder at a time.
-        let mut chain_head = acc;
-        let mut pin_idx = 1usize;
-        if let Some(srcs) = incoming.get(&fu) {
-            for (idx, (e, act)) in srcs.iter().enumerate() {
-                let (from, depth) = (e.from, e.max_depth());
-                let src_node = acc_out[from].expect("topological order");
-                let src = if depth > 0 {
-                    let fifo = dag.add_node(
-                        Prim::Fifo {
-                            depth: e.depth_per_df.clone(),
-                        },
-                        Some(fu),
-                        config.acc_width,
-                        format!("fifo_{tensor}_{from}to{fu}"),
-                    );
-                    dag.add_edge(src_node, fifo, 0, config.acc_width, act.clone(), depth);
-                    fifo
-                } else {
-                    src_node
-                };
-                if idx == 0 {
-                    dag.add_edge(src, chain_head, pin_idx, config.acc_width, act.clone(), 0);
-                    pin_idx += 1;
-                } else {
-                    // Extend the adder chain.
-                    let next = dag.add_node(
-                        Prim::Add,
-                        Some(fu),
-                        config.acc_width,
-                        format!("acc_fu{fu}_{idx}"),
-                    );
-                    dag.add_edge(chain_head, next, 0, config.acc_width, all.clone(), 0);
-                    dag.add_edge(src, next, 1, config.acc_width, act.clone(), 0);
-                    chain_head = next;
-                }
+        let mut head = dag.add_node(Prim::Add, Some(fu), ACC_WIDTH, format!("acc_fu{fu}"));
+        dag.nodes[head].accumulate = stationary;
+        dag.add_edge(product[fu], head, 0, 2 * INPUT_WIDTH, all.clone(), 0);
+        for (idx, e) in incoming[fu].iter().enumerate() {
+            let act = edge_activity(e, n_df);
+            let partial = acc_out[e.from].expect("Kahn order");
+            let src = delayed(dag, partial, e, &act, ACC_WIDTH);
+            if idx == 0 {
+                dag.add_edge(src, head, 1, ACC_WIDTH, act, 0);
+            } else {
+                let next =
+                    dag.add_node(Prim::Add, Some(fu), ACC_WIDTH, format!("acc_fu{fu}_{idx}"));
+                dag.add_edge(head, next, 0, ACC_WIDTH, all.clone(), 0);
+                dag.add_edge(src, next, 1, ACC_WIDTH, act, 0);
+                head = next;
             }
         }
-        let _ = pin_idx;
-        acc = chain_head;
-        acc_out[fu] = Some(acc);
+        acc_out[fu] = Some(head);
     }
 
     for dn in &plan.data_nodes {
@@ -474,23 +364,13 @@ fn lower_output(
                 tensor: tensor.clone(),
             },
             Some(dn.fu),
-            config.acc_width,
+            ACC_WIDTH,
             format!("wr_{tensor}_fu{}", dn.fu),
         );
-        let mut act = vec![false; n_df];
-        for &k in &dn.active_in {
-            act[k] = true;
-        }
-        dag.add_edge(
-            acc_out[dn.fu].expect("committing FU accumulates"),
-            port,
-            0,
-            config.acc_width,
-            act.clone(),
-            0,
-        );
-        let addr = addr_at[&(tensor.clone(), dn.fu)];
-        dag.add_edge(addr, port, 1, config.addr_width, act, 0);
+        let act = port_activity(&dn.active_in, n_df);
+        let acc = acc_out[dn.fu].expect("every FU accumulates");
+        dag.add_edge(acc, port, 0, ACC_WIDTH, act.clone(), 0);
+        dag.add_edge(addr[dn.fu], port, 1, ADDR_WIDTH, act, 0);
     }
 }
 
@@ -543,7 +423,6 @@ mod tests {
         let gemm = kernels::gemm(4, 4, 4);
         let cfg = BackendConfig {
             per_fu_control: true,
-            ..Default::default()
         };
         let dag = dag_for(&gemm, &[dataflows::gemm_ij(&gemm, 2)], &cfg);
         // AutoSA/TensorLib-style: counters and address generators per FU.

@@ -30,32 +30,14 @@ pub use codegen::lower;
 pub use dag::{Dag, DagEdge, DagNode, EdgeIndex, NodeId, Prim};
 pub use passes::{optimize, OptimizeReport, PassStats};
 
-/// Bit-width and structural configuration for lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Structural configuration for lowering.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendConfig {
-    /// Width of tensor operand words entering the FU array (paper evaluates
-    /// 8-bit MACs).
-    pub input_width: u32,
-    /// Accumulator width (partial-sum precision cap).
-    pub acc_width: u32,
-    /// Address/control signal width.
-    pub addr_width: u32,
     /// Replicate the control unit per FU instead of sharing one and
     /// forwarding along the control-flow vector. LEGO keeps this `false`;
     /// setting it models AutoSA/TensorLib-style per-FU control for the
     /// related-work comparisons (Tables VI and VIII).
     pub per_fu_control: bool,
-}
-
-impl Default for BackendConfig {
-    fn default() -> Self {
-        BackendConfig {
-            input_width: 8,
-            acc_width: 32,
-            addr_width: 16,
-            per_fu_control: false,
-        }
-    }
 }
 
 /// Which optimization passes to run (ablation switch for Figures 13/14).

@@ -35,7 +35,6 @@ pub fn per_fu_control_cost(
         &adg,
         &BackendConfig {
             per_fu_control: true,
-            ..Default::default()
         },
     );
     optimize(&mut dag, &OptimizeOptions::baseline());

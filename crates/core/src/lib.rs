@@ -33,7 +33,6 @@ use lego_rtl::{emit_verilog, simulate, SimOutput};
 pub struct Lego {
     workload: Workload,
     dataflows: Vec<Dataflow>,
-    options: OptimizeOptions,
 }
 
 impl Lego {
@@ -42,7 +41,6 @@ impl Lego {
         Lego {
             workload,
             dataflows: Vec::new(),
-            options: OptimizeOptions::default(),
         }
     }
 
@@ -53,15 +51,8 @@ impl Lego {
         self
     }
 
-    /// Selects which optimization passes run.
-    #[must_use]
-    pub fn optimize_options(mut self, opts: OptimizeOptions) -> Self {
-        self.options = opts;
-        self
-    }
-
     /// Runs the full pipeline: interconnect planning, memory synthesis,
-    /// lowering, and back-end optimization.
+    /// lowering, and every back-end optimization pass.
     ///
     /// # Errors
     ///
@@ -69,7 +60,7 @@ impl Lego {
     pub fn generate(&self) -> Result<Design, FrontendError> {
         let adg = build_adg(&self.workload, &self.dataflows, &FrontendConfig::default())?;
         let mut dag = lower(&adg, &BackendConfig::default());
-        let report = optimize(&mut dag, &self.options);
+        let report = optimize(&mut dag, &OptimizeOptions::default());
         Ok(Design { adg, dag, report })
     }
 }
@@ -142,16 +133,5 @@ mod tests {
             .unwrap();
         assert_eq!(design.adg.dataflows.len(), 2);
         assert!(design.report.final_stats.register_bits <= design.report.baseline.register_bits);
-    }
-
-    #[test]
-    fn baseline_options_respected() {
-        let gemm = kernels::gemm(4, 4, 4);
-        let design = Lego::new(gemm.clone())
-            .dataflow(dataflows::gemm_ij(&gemm, 2))
-            .optimize_options(OptimizeOptions::baseline())
-            .generate()
-            .unwrap();
-        assert!(design.report.after_reduction.is_none());
     }
 }

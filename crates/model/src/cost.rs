@@ -281,7 +281,6 @@ mod tests {
             &adg,
             &BackendConfig {
                 per_fu_control: true,
-                ..Default::default()
             },
         );
         optimize(&mut shared, &OptimizeOptions::default());

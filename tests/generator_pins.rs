@@ -173,7 +173,6 @@ fn edges_and_verilog_of_the_per_fu_control_designs_are_pinned() {
                 &adg,
                 &BackendConfig {
                     per_fu_control: true,
-                    ..Default::default()
                 },
             );
             optimize(&mut dag, &OptimizeOptions::baseline());
