@@ -8,15 +8,6 @@
 use crate::memory::MemoryPlan;
 use lego_ir::{Dataflow, TensorRole, Workload};
 
-/// Kind of physical FU-to-FU connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConnKind {
-    /// Plain wire (absolute-cycle depth 0).
-    Direct,
-    /// Programmable-depth FIFO.
-    Delay,
-}
-
 /// One FU-to-FU interconnection in the fused design.
 ///
 /// `from` produces the value, `to` consumes it. For output tensors the
@@ -35,15 +26,6 @@ pub struct FuEdge {
 }
 
 impl FuEdge {
-    /// The connection kind required by the worst-case active dataflow.
-    pub fn kind(&self) -> ConnKind {
-        if self.max_depth() > 0 {
-            ConnKind::Delay
-        } else {
-            ConnKind::Direct
-        }
-    }
-
     /// Maximum FIFO depth over the dataflows that activate this edge.
     pub fn max_depth(&self) -> i64 {
         self.depth_per_df

@@ -34,7 +34,7 @@ pub mod interconnect;
 pub mod memory;
 pub mod plan;
 
-pub use adg::{Adg, ConnKind, DataNode, FuEdge, TensorPlan};
+pub use adg::{Adg, DataNode, FuEdge, TensorPlan};
 pub use interconnect::{analyze_tensor, ReuseKind, ReuseSolution};
 pub use memory::{BankShape, MemoryPlan};
 

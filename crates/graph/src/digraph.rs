@@ -32,13 +32,12 @@ pub struct EdgeRef {
 /// let mut g = DiGraph::new(2);
 /// let e = g.add_edge(0, 1, 7);
 /// assert_eq!(g.edge(e).weight, 7);
-/// assert_eq!(g.out_edges(0).count(), 1);
+/// assert_eq!(g.edges().count(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DiGraph {
     n: usize,
     edges: Vec<EdgeRef>,
-    out: Vec<Vec<EdgeId>>,
 }
 
 impl DiGraph {
@@ -47,7 +46,6 @@ impl DiGraph {
         DiGraph {
             n,
             edges: Vec::new(),
-            out: vec![Vec::new(); n],
         }
     }
 
@@ -59,7 +57,6 @@ impl DiGraph {
     /// Adds a node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
         self.n += 1;
-        self.out.push(Vec::new());
         self.n - 1
     }
 
@@ -77,7 +74,6 @@ impl DiGraph {
             to,
             weight,
         });
-        self.out[from].push(id);
         id
     }
 
@@ -94,11 +90,6 @@ impl DiGraph {
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
         self.edges.iter().copied()
     }
-
-    /// Iterates over the out-edges of `v`.
-    pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.out[v].iter().map(move |&id| self.edges[id])
-    }
 }
 
 #[cfg(test)]
@@ -111,8 +102,9 @@ mod tests {
         g.add_edge(0, 1, 1);
         g.add_edge(0, 2, 2);
         g.add_edge(2, 1, 3);
-        let targets: Vec<_> = g.out_edges(0).map(|e| e.to).collect();
-        assert_eq!(targets, vec![1, 2]);
+        let from_0: Vec<_> = g.edges().filter(|e| e.from == 0).map(|e| e.to).collect();
+        assert_eq!(from_0, vec![1, 2]);
+        assert_eq!(g.edge(2).id, 2);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`hnf`] — column-style Hermite normal form, integer nullspace bases and
 //!   exact integer solving of `A·x = b`,
 //! * [`AffineMap`] — an affine transformation `x ↦ M·x + b` with composition,
-//! * small vector helpers ([`dot`], [`lex_cmp`], [`linearize`]) used across
-//!   the workspace.
+//! * small vector helpers ([`dot`], [`linearize`]) used across the
+//!   workspace.
 //!
 //! # Examples
 //!
@@ -48,19 +48,6 @@ pub use mat::IMat;
 pub fn dot(a: &[i64], b: &[i64]) -> i64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Lexicographic comparison of two equal-length integer vectors.
-///
-/// Used to orient delay interconnections from past to future
-/// (paper §IV-A: data must always be shared forward in time).
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn lex_cmp(a: &[i64], b: &[i64]) -> std::cmp::Ordering {
-    assert_eq!(a.len(), b.len(), "lex_cmp: length mismatch");
-    a.cmp(b)
 }
 
 /// Flattens a multi-dimensional loop index into a scalar timestamp
@@ -129,14 +116,6 @@ mod tests {
     fn dot_products() {
         assert_eq!(dot(&[], &[]), 0);
         assert_eq!(dot(&[1, -2, 3], &[4, 5, 6]), 4 - 10 + 18);
-    }
-
-    #[test]
-    fn lex_ordering_orients_time() {
-        use std::cmp::Ordering;
-        assert_eq!(lex_cmp(&[0, 0, 1], &[0, 1, 0]), Ordering::Less);
-        assert_eq!(lex_cmp(&[1, 0], &[1, 0]), Ordering::Equal);
-        assert_eq!(lex_cmp(&[2, 0], &[1, 9]), Ordering::Greater);
     }
 
     #[test]

@@ -145,22 +145,6 @@ impl IMat {
         m
     }
 
-    /// Vertically concatenates `self` on top of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &IMat) -> IMat {
-        assert_eq!(self.cols, other.cols, "vstack: column count mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        IMat {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Extracts the sub-matrix of the given column range.
     ///
     /// # Panics
@@ -350,10 +334,6 @@ mod tests {
         let a = IMat::from_rows(&[vec![1], vec![2]]);
         let b = IMat::from_rows(&[vec![3], vec![4]]);
         assert_eq!(a.hstack(&b), IMat::from_rows(&[vec![1, 3], vec![2, 4]]));
-        assert_eq!(
-            a.vstack(&b),
-            IMat::from_rows(&[vec![1], vec![2], vec![3], vec![4]])
-        );
     }
 
     #[test]
