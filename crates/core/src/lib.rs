@@ -89,6 +89,10 @@ impl Design {
 
     /// Runs the edge-accurate functional simulation under one dataflow.
     ///
+    /// This executes the ADG (`self.adg`), not the lowered and optimized
+    /// DAG and not the emitted Verilog: nothing here checks that the
+    /// Verilog computes what the ADG does.
+    ///
     /// # Panics
     ///
     /// Panics if `df` is out of range or the inputs mismatch the workload in

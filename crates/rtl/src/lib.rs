@@ -11,7 +11,9 @@
 //!   timestamp biases), each datum tagged with its tensor index so a wrong
 //!   topology or depth is caught as a delivery failure, not a silent
 //!   coincidence. The computed output is compared against the workload's
-//!   reference loop nest in the integration tests.
+//!   reference loop nest in the integration tests. [`simulate`] runs the
+//!   ADG, not the lowered DAG and not the emitted Verilog, so it does not
+//!   check what [`emit_verilog`] prints.
 
 pub mod sim;
 pub mod verilog;
