@@ -6,8 +6,10 @@
 //! `extra_regs`, then the Verilog — pins each register and each emitted
 //! byte where it is: the eleven p = 8 designs, the same eleven lowered
 //! with per-FU control, the shift and max operators, and the two fused
-//! designs at p = 16 and, in release builds, p = 32 and 64. The paper
-//! tables price designs through `lego_bench::harness`; it must price
+//! designs at p = 16 and, in release builds, p = 32 and 64. A second
+//! hash pins the front end's ADG itself — every edge in `adg.edges` order
+//! and every tensor's ports and bank plan — which no DAG pin sees. The
+//! paper tables price designs through `lego_bench::harness`; it must price
 //! exactly what `Lego::generate` builds.
 
 use std::collections::HashMap;
@@ -16,6 +18,7 @@ use std::hash::Hasher;
 use lego::backend::{lower, optimize, BackendConfig, Dag, OptimizeOptions, Prim};
 use lego::core::{Design, Lego};
 use lego::eval::FnvHasher;
+use lego::frontend::Adg;
 use lego::ir::kernels::{self, dataflows};
 use lego::ir::{DataflowBuilder, TensorRole};
 use lego::model::TechModel;
@@ -200,8 +203,7 @@ fn edges_and_verilog_of_the_per_fu_control_designs_are_pinned() {
 /// The two FU operators no Figure 10 design uses: Bit Fusion's
 /// `Y += (A·B) << S` and max pooling, with `tests/full_pipeline.rs`'s
 /// dataflows.
-#[test]
-fn edges_and_verilog_of_the_shift_and_max_operators_are_pinned() {
+fn operator_designs() -> Vec<KernelDesign> {
     let bitfusion = kernels::bitfusion_gemm(4, 4, 4);
     let pool = kernels::max_pool2d(1, 4, 4, 4, 2, 2, 2);
     let pool_ohow = DataflowBuilder::new(&pool)
@@ -209,7 +211,7 @@ fn edges_and_verilog_of_the_shift_and_max_operators_are_pinned() {
         .par("ow", 2)
         .build("POOL-OHOW")
         .unwrap();
-    let designs = [
+    vec![
         KernelDesign {
             name: "BitFusion-IJ",
             dataflows: vec![dataflows::gemm_ij(&bitfusion, 2)],
@@ -220,12 +222,104 @@ fn edges_and_verilog_of_the_shift_and_max_operators_are_pinned() {
             workload: pool,
             dataflows: vec![pool_ohow],
         },
-    ];
+    ]
+}
+
+#[test]
+fn edges_and_verilog_of_the_shift_and_max_operators_are_pinned() {
     assert_eq!(
-        text_hashes(&designs),
+        text_hashes(&operator_designs()),
         [
             ("BitFusion-IJ", 8686275322388337876),
             ("MaxPool-OHOW", 17481984243196468507)
+        ]
+    );
+}
+
+/// FNV-1a of the front end's ADG: every edge in `adg.edges` order with its
+/// depth per dataflow, then every tensor plan in access order with its
+/// role, ports and the dataflows each serves, each dataflow's bank counts
+/// and stride divisors, and where the operand is stationary.
+fn adg_hash(adg: &Adg) -> u64 {
+    let mut h = FnvHasher::new();
+    for e in &adg.edges {
+        let line = format!(
+            "edge {} {} {} {:?}\n",
+            e.tensor, e.from, e.to, e.depth_per_df
+        );
+        h.write(line.as_bytes());
+    }
+    for t in &adg.tensors {
+        h.write(format!("tensor {} {:?}\n", t.tensor, t.role).as_bytes());
+        for n in &t.data_nodes {
+            h.write(format!("port {} {:?}\n", n.fu, n.active_in).as_bytes());
+        }
+        for b in &t.memory.per_dataflow {
+            h.write(format!("banks {:?} {:?}\n", b.counts, b.gcds).as_bytes());
+        }
+        h.write(format!("stationary {:?}\n", t.stationary_in).as_bytes());
+    }
+    h.finish()
+}
+
+fn adg_hashes(designs: &[KernelDesign]) -> Vec<(&'static str, u64)> {
+    designs
+        .iter()
+        .map(|d| (d.name, adg_hash(&harness::adg(&d.workload, &d.dataflows))))
+        .collect()
+}
+
+#[test]
+fn adgs_of_the_64_fu_designs_are_pinned() {
+    assert_eq!(
+        adg_hashes(&kernel_designs(8)),
+        [
+            ("Attention", 821376236254373876),
+            ("Conv2d-ICOC", 3517917259055222982),
+            ("Conv2d-MNICOC", 8045668262006687124),
+            ("Conv2d-OHOW", 18220348348171174768),
+            ("GEMM-IJ", 12018597520849359064),
+            ("GEMM-IK", 3108457673479050167),
+            ("GEMM-KJ", 7513171025802424730),
+            ("GEMM-MJ", 2377768289975397783),
+            ("MTTKRP-IJ", 13290872096379983902),
+            ("MTTKRP-KJ", 2708624628689534872),
+            ("MTTKRP-MJ", 9847283139434999601)
+        ]
+    );
+}
+
+#[test]
+fn adgs_of_the_fused_256_fu_designs_and_the_operators_are_pinned() {
+    let mut designs = fused_designs(16);
+    designs.extend(operator_designs());
+    assert_eq!(
+        adg_hashes(&designs),
+        [
+            ("Attention", 6737274183672457657),
+            ("Conv2d-MNICOC", 13822755045055029588),
+            ("BitFusion-IJ", 18289112516074957238),
+            ("MaxPool-OHOW", 15100641746574824152)
+        ]
+    );
+}
+
+/// Release builds only, like the p = 32 and 64 edges and Verilog pins.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn adgs_of_the_fused_1024_and_4096_fu_designs_are_pinned() {
+    assert_eq!(
+        adg_hashes(&fused_designs(32)),
+        [
+            ("Attention", 7681265631108583825),
+            ("Conv2d-MNICOC", 13896263762476586896)
+        ]
+    );
+    assert_eq!(
+        adg_hashes(&fused_designs(64)),
+        [
+            ("Attention", 3892496544860994014),
+            ("Conv2d-MNICOC", 18088931490915644973)
         ]
     );
 }
