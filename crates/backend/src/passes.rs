@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::dag::{Dag, DagEdge, DelayMemo, NodeId, Prim};
 use crate::OptimizeOptions;
+use lego_graph::{undirected_mst, Edge};
 use lego_lp::{optimize_pin_remap, solve_delay_matching, DelayEdge, DelayError};
 
 /// Structural cost snapshot taken between passes.
@@ -426,7 +427,7 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
             .collect();
 
         let g = rewiring_graph(&lat);
-        let mst = lego_graph::undirected_mst(&g);
+        let mst = undirected_mst(lat.len() + 1, &g);
 
         // Build forwarding taps: a zero-latency pass-through node per branch
         // that forwards the (delayed) source value onward.
@@ -453,7 +454,7 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
         // Order forwarding edges so parents are wired before children.
         let mut adj: Vec<(usize, usize)> = Vec::new();
         for id in mst {
-            let e = g.edge(id);
+            let e = g[id];
             if e.from != 0 && e.to != 0 {
                 adj.push((e.from - 1, e.to - 1));
             }
@@ -516,11 +517,15 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
 /// the source). From then on all edges between two classes join the same
 /// two components at the same weight, so only the first in order — the one
 /// between the two lowest branches — can be taken.
-fn rewiring_graph(lat: &[i64]) -> lego_graph::DiGraph {
-    let mut g = lego_graph::DiGraph::new(lat.len() + 1);
+fn rewiring_graph(lat: &[i64]) -> Vec<Edge> {
+    let mut g = Vec::new();
     let mut classes: BTreeMap<i64, Vec<usize>> = BTreeMap::new();
     for (bi, &l) in lat.iter().enumerate() {
-        g.add_edge(0, bi + 1, l.max(1));
+        g.push(Edge {
+            from: 0,
+            to: bi + 1,
+            weight: l.max(1),
+        });
         classes.entry(l).or_default().push(bi);
     }
     let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -535,9 +540,11 @@ fn rewiring_graph(lat: &[i64]) -> lego_graph::DiGraph {
         );
     }
     pairs.sort_unstable();
-    for (a, b) in pairs {
-        g.add_edge(a + 1, b + 1, (lat[a] - lat[b]).abs() + 1);
-    }
+    g.extend(pairs.into_iter().map(|(a, b)| Edge {
+        from: a + 1,
+        to: b + 1,
+        weight: (lat[a] - lat[b]).abs() + 1,
+    }));
     g
 }
 
@@ -699,23 +706,29 @@ mod tests {
     #[test]
     fn class_level_rewiring_mst_equals_the_complete_graph_mst() {
         // The complete rewiring graph `rewiring_graph` stands in for.
-        fn complete(lat: &[i64]) -> lego_graph::DiGraph {
-            let mut g = lego_graph::DiGraph::new(lat.len() + 1);
+        fn complete(lat: &[i64]) -> Vec<Edge> {
+            let mut g = Vec::new();
             for (bi, &l) in lat.iter().enumerate() {
-                g.add_edge(0, bi + 1, l.max(1));
+                g.push(Edge {
+                    from: 0,
+                    to: bi + 1,
+                    weight: l.max(1),
+                });
             }
             for a in 0..lat.len() {
                 for b in a + 1..lat.len() {
-                    g.add_edge(a + 1, b + 1, (lat[a] - lat[b]).abs() + 1);
+                    g.push(Edge {
+                        from: a + 1,
+                        to: b + 1,
+                        weight: (lat[a] - lat[b]).abs() + 1,
+                    });
                 }
             }
             g
         }
-        fn mst_endpoints(g: &lego_graph::DiGraph) -> Vec<(usize, usize)> {
-            let ids = lego_graph::undirected_mst(g);
-            ids.into_iter()
-                .map(|id| (g.edge(id).from, g.edge(id).to))
-                .collect()
+        fn mst_endpoints(n: usize, g: &[Edge]) -> Vec<(usize, usize)> {
+            let ids = undirected_mst(n, g);
+            ids.into_iter().map(|id| (g[id].from, g[id].to)).collect()
         }
         // A pair of endpoints names one edge of the complete graph, so equal
         // endpoint sequences are equal edge ids in equal order.
@@ -731,8 +744,8 @@ mod tests {
             let span = 1 + draw(7);
             let lat: Vec<i64> = (0..b).map(|_| draw(span) as i64).collect();
             assert_eq!(
-                mst_endpoints(&rewiring_graph(&lat)),
-                mst_endpoints(&complete(&lat)),
+                mst_endpoints(b + 1, &rewiring_graph(&lat)),
+                mst_endpoints(b + 1, &complete(&lat)),
                 "trial {trial}: latencies {lat:?}"
             );
         }

@@ -40,29 +40,13 @@ pub use memory::{BankShape, MemoryPlan};
 
 use lego_ir::{Dataflow, Workload};
 
-/// Tuning knobs for the front end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontendConfig {
-    /// Maximum spatial distance `d_S` of an interconnection (Equation 6's
-    /// `‖Δs‖∞ ≤ d_S` constraint). The paper uses nearest neighbors.
-    pub max_spatial_distance: i64,
-    /// Cost of labeling an FU with a data node (a memory port) in the
-    /// spanning-tree objective; larger values trade FIFO depth for fewer
-    /// data-distribution switches.
-    pub root_cost: i64,
-    /// Cost per FIFO stage in the spanning-tree objective.
-    pub depth_cost: i64,
-}
-
-impl Default for FrontendConfig {
-    fn default() -> Self {
-        FrontendConfig {
-            max_spatial_distance: 1,
-            root_cost: 64,
-            depth_cost: 8,
-        }
-    }
-}
+/// The front end's settings: none. Its interconnection distance and
+/// spanning-tree weights are constants of [`plan`], because every caller
+/// used one value. The struct and [`build_adg`]'s parameter remain only
+/// because the benchmark names them; ROADMAP items 1 and 4 drop both
+/// together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontendConfig {}
 
 /// Errors raised by [`build_adg`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,8 +60,6 @@ pub enum FrontendError {
     },
     /// At least one dataflow is required.
     NoDataflows,
-    /// A tensor in one dataflow references a different workload shape.
-    Internal(String),
 }
 
 impl std::fmt::Display for FrontendError {
@@ -87,7 +69,6 @@ impl std::fmt::Display for FrontendError {
                 write!(f, "dataflows disagree on FU count: {first} vs {other}")
             }
             FrontendError::NoDataflows => write!(f, "at least one dataflow is required"),
-            FrontendError::Internal(msg) => write!(f, "internal front-end error: {msg}"),
         }
     }
 }
@@ -104,7 +85,7 @@ impl std::error::Error for FrontendError {}
 pub fn build_adg(
     workload: &Workload,
     dataflows: &[Dataflow],
-    config: &FrontendConfig,
+    _config: &FrontendConfig,
 ) -> Result<Adg, FrontendError> {
     let Some(first) = dataflows.first() else {
         return Err(FrontendError::NoDataflows);
@@ -117,5 +98,5 @@ pub fn build_adg(
             });
         }
     }
-    plan::plan_architecture(workload, dataflows, config)
+    Ok(plan::plan_architecture(workload, dataflows))
 }

@@ -17,14 +17,26 @@
 //! connections already present in the merged design.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use crate::adg::{Adg, DataNode, FuEdge, TensorPlan};
 use crate::interconnect::{analyze_tensor, ReuseKind, ReuseSolution};
 use crate::memory::{bank_shape, MemoryPlan};
-use crate::{FrontendConfig, FrontendError};
-use lego_graph::{min_spanning_arborescence, DiGraph, UnionFind};
+use lego_graph::{min_spanning_arborescence, Edge, UnionFind};
 use lego_ir::{Dataflow, TensorAccess, TensorRole, Workload};
+
+/// Largest spatial distance `d_S` of an interconnection (Equation 6's
+/// `‖Δs‖∞ ≤ d_S` constraint): nearest neighbours, as in the paper.
+const MAX_SPATIAL_DISTANCE: i64 = 1;
+/// Arborescence weight of feeding a chain from memory (a data node); larger
+/// values trade FIFO depth for fewer data-distribution switches.
+const ROOT_COST: i64 = 64;
+/// Arborescence weight per FIFO stage of a delay delivery.
+const DEPTH_COST: i64 = 8;
+
+/// One tensor's merged edges: physical flow `(from, to)` → FIFO depth per
+/// dataflow (`None` where the edge is inactive).
+type TensorEdges = BTreeMap<(usize, usize), Vec<Option<i64>>>;
 
 /// How a chain receives (input) or disposes of (output) its data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +53,8 @@ enum ChainLink {
 }
 
 struct DfPlan {
+    /// Partial sums flow against the direct solutions' `Δs`.
+    is_output: bool,
     directs: Vec<ReuseSolution>,
     chains: Vec<Vec<usize>>,
     links: Vec<ChainLink>,
@@ -48,38 +62,26 @@ struct DfPlan {
 }
 
 /// Runs planning for every tensor and assembles the ADG.
-pub(crate) fn plan_architecture(
-    workload: &Workload,
-    dataflows: &[Dataflow],
-    config: &FrontendConfig,
-) -> Result<Adg, FrontendError> {
+pub(crate) fn plan_architecture(workload: &Workload, dataflows: &[Dataflow]) -> Adg {
     let num_fus = dataflows[0].num_fus() as usize;
     let grids: Vec<FuGrid> = dataflows.iter().map(FuGrid::new).collect();
-    let mut edges: BTreeMap<(String, usize, usize), Vec<Option<i64>>> = BTreeMap::new();
-    let mut tensors = Vec::new();
-
-    for access in &workload.accesses {
-        let plan = plan_tensor(&grids, access, config, num_fus, &mut edges)?;
-        tensors.push(plan);
-    }
-
-    let edges = edges
-        .into_iter()
-        .map(|((tensor, from, to), depth_per_df)| FuEdge {
-            tensor,
-            from,
-            to,
-            depth_per_df,
-        })
+    let mut edges: Vec<FuEdge> = Vec::new();
+    let tensors = workload
+        .accesses
+        .iter()
+        .map(|access| plan_tensor(&grids, access, num_fus, &mut edges))
         .collect();
+    // `adg.edges` is sorted by tensor name, then by `(from, to)`: each
+    // tensor appends its edges in that order, and the sort is stable.
+    edges.sort_by(|a, b| a.tensor.cmp(&b.tensor));
 
-    Ok(Adg {
+    Adg {
         workload: workload.clone(),
         dataflows: dataflows.to_vec(),
         num_fus,
         edges,
         tensors,
-    })
+    }
 }
 
 /// One dataflow with its FU coordinate table, built once per
@@ -116,21 +118,21 @@ impl<'a> FuGrid<'a> {
     }
 }
 
+/// Plans one tensor and appends its edges to `adg_edges`.
 fn plan_tensor(
     grids: &[FuGrid],
     access: &TensorAccess,
-    config: &FrontendConfig,
     num_fus: usize,
-    edges: &mut BTreeMap<(String, usize, usize), Vec<Option<i64>>>,
-) -> Result<TensorPlan, FrontendError> {
+    adg_edges: &mut Vec<FuEdge>,
+) -> TensorPlan {
     let n_df = grids.len();
     let is_output = access.role == TensorRole::Output;
 
     // Per-dataflow analysis: solutions, chains, delivery links.
-    let mut df_plans = Vec::with_capacity(n_df);
-    for grid in grids {
-        df_plans.push(analyze_dataflow(grid, access, config, is_output)?);
-    }
+    let df_plans: Vec<DfPlan> = grids
+        .iter()
+        .map(|grid| analyze_dataflow(grid, access))
+        .collect();
 
     // Static possible-input-direct-interconnection degree per FU, over all
     // dataflows (the root-selection metric of Figure 5).
@@ -146,36 +148,39 @@ fn plan_tensor(
         }
     }
 
-    // Merged planning state.
-    let mut data_nodes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut built_root_len: HashMap<usize, usize> = HashMap::new();
-    let mut merged: HashSet<(usize, usize)> = HashSet::new();
+    // Merged planning state, indexed by FU: the dataflows each data node
+    // serves, the length of the longest chain each FU roots, and each FU's
+    // position in the chain being planned (`usize::MAX` if not in it).
+    let mut data_nodes: Vec<Vec<usize>> = vec![Vec::new(); num_fus];
+    let mut root_len = vec![0usize; num_fus];
+    let mut pos = vec![usize::MAX; num_fus];
+    let mut edges = TensorEdges::new();
 
     // Work list: (df, chain members, link), longest chains first; leftover
-    // fragments are appended with a Memory link.
-    let mut work: VecDeque<(usize, Vec<usize>, ChainLink)> = {
-        let mut items: Vec<(usize, usize)> = (0..n_df)
-            .flat_map(|k| (0..df_plans[k].chains.len()).map(move |c| (k, c)))
-            .collect();
-        items.sort_by_key(|&(k, c)| Reverse(df_plans[k].chains[c].len()));
-        items
-            .into_iter()
-            .map(|(k, c)| (k, df_plans[k].chains[c].clone(), df_plans[k].links[c]))
-            .collect()
-    };
+    // fragments are appended with a Memory link. Every item plans at least
+    // its root, so leftovers shrink and the list drains.
+    let mut work: Vec<(usize, Vec<usize>, ChainLink)> = df_plans
+        .iter()
+        .enumerate()
+        .flat_map(|(k, p)| {
+            p.chains
+                .iter()
+                .zip(&p.links)
+                .map(move |(c, &l)| (k, c.clone(), l))
+        })
+        .collect();
+    work.sort_by_key(|(_, members, _)| Reverse(members.len()));
+    let mut work = VecDeque::from(work);
 
-    let mut chain_seq = 0usize;
     while let Some((k, members, link)) = work.pop_front() {
-        chain_seq += 1;
-        if chain_seq > 16 * num_fus * n_df.max(1) {
-            return Err(FrontendError::Internal(
-                "chain planning did not converge".into(),
-            ));
-        }
         let grid = &grids[k];
         let plan = &df_plans[k];
+        for (i, &fu) in members.iter().enumerate() {
+            pos[fu] = i;
+        }
 
-        // Root candidates per Figure 5 steps 2-3.
+        // Root candidates per Figure 5 steps 2-3. A delay delivery enters
+        // its chain at a member.
         let mut candidates: Vec<usize> = match link {
             ChainLink::Delay { from_fu, to_fu, .. } => {
                 vec![if is_output { from_fu } else { to_fu }]
@@ -184,127 +189,103 @@ fn plan_tensor(
         };
         // Step 4: fewest possible input direct interconnections, preferring
         // FUs already labeled with a data node.
-        candidates.sort_by_key(|&fu| {
-            (
-                static_in[fu],
-                usize::from(!data_nodes.contains_key(&fu)),
-                fu,
-            )
-        });
+        candidates.sort_by_key(|&fu| (static_in[fu], usize::from(data_nodes[fu].is_empty()), fu));
 
         // Grow the chain from the best candidate that spans it fully;
         // otherwise take the best partial cover and re-queue the leftovers.
         #[allow(clippy::type_complexity)]
         let mut best: Option<(usize, Vec<(usize, usize, i64)>, Vec<bool>)> = None;
         for &root in &candidates {
-            let (chosen, visited) = grow_chain(
-                grid,
-                plan,
-                &members,
-                root,
-                is_output,
-                &merged,
-                &built_root_len,
-            );
-            let count = visited.iter().filter(|&&v| v).count();
-            if count == members.len() {
-                best = Some((root, chosen, visited));
-                break;
-            }
+            let (chosen, visited) = grow_chain(grid, plan, &members, &pos, root, &edges, &root_len);
+            let spans = chosen.len() + 1 == members.len();
             if best
                 .as_ref()
-                .is_none_or(|(_, _, bv)| count > bv.iter().filter(|&&v| v).count())
+                .is_none_or(|(_, best_chosen, _)| chosen.len() > best_chosen.len())
             {
                 best = Some((root, chosen, visited));
             }
+            if spans {
+                break;
+            }
         }
-        let (root, chosen, visited) = best.expect("chain always has at least one candidate root");
-
-        for (from, to, depth) in chosen {
-            insert_edge(edges, &access.tensor, from, to, k, depth, n_df);
-            merged.insert((from, to));
-        }
-        let len = visited.iter().filter(|&&v| v).count();
-        let entry = built_root_len.entry(root).or_insert(0);
-        *entry = (*entry).max(len);
-
+        let (root, mut chosen, visited) =
+            best.expect("chain always has at least one candidate root");
+        let len = chosen.len() + 1;
+        root_len[root] = root_len[root].max(len);
         match link {
             ChainLink::Memory => {
-                let active = data_nodes.entry(root).or_default();
-                if !active.contains(&k) {
-                    active.push(k);
+                if !data_nodes[root].contains(&k) {
+                    data_nodes[root].push(k);
                 }
             }
             ChainLink::Delay {
                 from_fu,
                 to_fu,
                 depth,
-            } => {
-                insert_edge(edges, &access.tensor, from_fu, to_fu, k, depth, n_df);
-                merged.insert((from_fu, to_fu));
-            }
+            } => chosen.push((from_fu, to_fu, depth)),
+        }
+        for (from, to, depth) in chosen {
+            let slot = &mut edges.entry((from, to)).or_insert_with(|| vec![None; n_df])[k];
+            *slot = (*slot).max(Some(depth));
         }
 
         // Leftovers (unreachable under the directed direct solutions from
         // the chosen root) become memory-fed fragments.
-        let leftover: Vec<usize> = members
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !visited[i])
-            .map(|(_, &fu)| fu)
-            .collect();
-        if !leftover.is_empty() {
-            for frag in fragments(grid, plan, &leftover) {
+        if len < members.len() {
+            for frag in fragments(grid, plan, &members, &visited, &pos) {
                 work.push_back((k, frag, ChainLink::Memory));
             }
         }
+        for &fu in &members {
+            pos[fu] = usize::MAX;
+        }
     }
+
+    let data_nodes: Vec<DataNode> = data_nodes
+        .into_iter()
+        .enumerate()
+        .filter(|(_, active_in)| !active_in.is_empty())
+        .map(|(fu, active_in)| DataNode { fu, active_in })
+        .collect();
 
     // Memory analysis per dataflow over the data nodes active in it.
     let per_dataflow = (0..n_df)
         .map(|k| {
             let coords: Vec<Vec<i64>> = data_nodes
                 .iter()
-                .filter(|(_, dfs)| dfs.contains(&k))
-                .map(|(&fu, _)| grids[k].coords[fu].clone())
+                .filter(|d| d.active_in.contains(&k))
+                .map(|d| grids[k].coords[d.fu].clone())
                 .collect();
             bank_shape(grids[k].df, access, &coords)
         })
         .collect();
 
-    Ok(TensorPlan {
+    adg_edges.extend(edges.into_iter().map(|((from, to), depth_per_df)| FuEdge {
+        tensor: access.tensor.clone(),
+        from,
+        to,
+        depth_per_df,
+    }));
+    TensorPlan {
         tensor: access.tensor.clone(),
         role: access.role,
-        data_nodes: data_nodes
-            .into_iter()
-            .map(|(fu, active_in)| DataNode { fu, active_in })
-            .collect(),
+        data_nodes,
         memory: MemoryPlan { per_dataflow },
         stationary_in: df_plans.iter().map(|p| p.stationary).collect(),
-    })
+    }
 }
 
 /// Analysis of one tensor under one dataflow: reuse solutions, chains from
 /// the direct relation, and the chain-level spanning arborescence that
 /// assigns each chain a data node or a delay delivery.
-fn analyze_dataflow(
-    grid: &FuGrid,
-    access: &TensorAccess,
-    config: &FrontendConfig,
-    is_output: bool,
-) -> Result<DfPlan, FrontendError> {
-    let solutions = analyze_tensor(grid.df, access, config.max_spatial_distance);
+fn analyze_dataflow(grid: &FuGrid, access: &TensorAccess) -> DfPlan {
+    let is_output = access.role == TensorRole::Output;
+    let solutions = analyze_tensor(grid.df, access, MAX_SPATIAL_DISTANCE);
     let stationary = solutions.iter().any(|s| s.kind == ReuseKind::Stationary);
-    let directs: Vec<ReuseSolution> = solutions
-        .iter()
-        .filter(|s| s.kind == ReuseKind::Direct)
-        .cloned()
-        .collect();
-    let delays: Vec<ReuseSolution> = solutions
-        .iter()
-        .filter(|s| s.kind == ReuseKind::Delay)
-        .cloned()
-        .collect();
+    let (directs, delays): (Vec<ReuseSolution>, Vec<ReuseSolution>) = solutions
+        .into_iter()
+        .filter(|s| s.kind != ReuseKind::Stationary)
+        .partition(|s| s.kind == ReuseKind::Direct);
 
     let n = grid.coords.len();
     let mut uf = UnionFind::new(n);
@@ -323,16 +304,19 @@ fn analyze_dataflow(
         }
     }
 
-    // Chain-level arborescence with a virtual memory root. For outputs the
-    // graph is reversed so the arborescence root side is the committer.
+    // Chain-level arborescence with a virtual memory root: edges `0..virt`
+    // feed each chain from memory, and edge `virt + i` is delay delivery
+    // `deliveries[i]` (physical flow from→to, depth). For outputs the graph
+    // is reversed so the arborescence root side is the committer.
     let virt = chains.len();
-    let mut g = DiGraph::new(virt + 1);
-    let mut payload: Vec<(usize, usize, i64)> = Vec::new(); // flow from→to, depth
-    let mut payload_of_edge: HashMap<usize, usize> = HashMap::new();
-    for c in 0..chains.len() {
-        let id = g.add_edge(virt, c, config.root_cost);
-        let _ = id;
-    }
+    let mut edges: Vec<Edge> = (0..virt)
+        .map(|c| Edge {
+            from: virt,
+            to: c,
+            weight: ROOT_COST,
+        })
+        .collect();
+    let mut deliveries: Vec<(usize, usize, i64)> = Vec::new();
     for u in 0..n {
         for sol in &delays {
             if let Some(v) = grid.step(u, &sol.delta_s, 1) {
@@ -340,52 +324,46 @@ fn analyze_dataflow(
                 if cu == cv {
                     continue;
                 }
-                let w = sol.depth * config.depth_cost + 1;
-                let eid = if is_output {
-                    g.add_edge(cv, cu, w)
-                } else {
-                    g.add_edge(cu, cv, w)
-                };
-                payload_of_edge.insert(eid, payload.len());
-                payload.push((u, v, sol.depth));
+                let (from, to) = if is_output { (cv, cu) } else { (cu, cv) };
+                edges.push(Edge {
+                    from,
+                    to,
+                    weight: sol.depth * DEPTH_COST + 1,
+                });
+                deliveries.push((u, v, sol.depth));
             }
         }
     }
 
-    let arb = min_spanning_arborescence(&g, virt).ok_or_else(|| {
-        FrontendError::Internal("chain arborescence infeasible despite virtual root".into())
-    })?;
+    let arb = min_spanning_arborescence(virt + 1, &edges, virt)
+        .expect("the virtual root has an edge to every chain");
     let mut links = vec![ChainLink::Memory; chains.len()];
-    for eid in arb.edges {
-        let e = g.edge(eid);
-        if e.from == virt {
-            continue;
-        }
-        let &(from_fu, to_fu, depth) = payload
-            .get(*payload_of_edge.get(&eid).expect("payload recorded"))
-            .expect("payload index valid");
+    for id in arb.edges.into_iter().filter(|&id| id >= virt) {
+        let (from_fu, to_fu, depth) = deliveries[id - virt];
         // For input the arborescence edge enters the receiving chain; for
         // output it enters the *sending* chain of the physical flow.
-        let chain = e.to;
-        links[chain] = ChainLink::Delay {
+        links[edges[id].to] = ChainLink::Delay {
             from_fu,
             to_fu,
             depth,
         };
     }
 
-    Ok(DfPlan {
+    DfPlan {
+        is_output,
         directs,
         chains,
         links,
         stationary,
-    })
+    }
 }
 
 /// Prim/BFS growth of one chain from `root` (Figure 5 step 5): repeatedly
 /// attach the unvisited member reachable through a valid direct solution,
 /// preferring edges that already exist in the merged design, then smaller
 /// forwarding depth, then targets that root longer previously-built chains.
+/// `pos` maps each FU to its position in `members` (`usize::MAX` if not a
+/// member), and `root` is a member.
 ///
 /// Returns the chosen physical edges `(from, to, depth)` and the visit mask
 /// (parallel to `members`).
@@ -393,18 +371,14 @@ fn grow_chain(
     grid: &FuGrid,
     plan: &DfPlan,
     members: &[usize],
+    pos: &[usize],
     root: usize,
-    is_output: bool,
-    merged: &HashSet<(usize, usize)>,
-    built_root_len: &HashMap<usize, usize>,
+    merged: &TensorEdges,
+    root_len: &[usize],
 ) -> (Vec<(usize, usize, i64)>, Vec<bool>) {
-    let member_pos: HashMap<usize, usize> =
-        members.iter().enumerate().map(|(i, &fu)| (fu, i)).collect();
+    let is_output = plan.is_output;
     let mut visited = vec![false; members.len()];
-    let Some(&root_pos) = member_pos.get(&root) else {
-        return (Vec::new(), visited);
-    };
-    visited[root_pos] = true;
+    visited[pos[root]] = true;
     let mut chosen = Vec::new();
     // Input: data flows u → w, so w = u + Δs.
     // Output: partial sums flow w → u, so w = u − Δs.
@@ -417,20 +391,20 @@ fn grow_chain(
     // call, so a move is queued once, when the member it leaves from is
     // attached, and one whose target got attached meanwhile is skipped.
     let mut moves = BinaryHeap::new();
-    let mut newest = root_pos;
+    let mut newest = pos[root];
     loop {
         let u = members[newest];
         for (si, sol) in plan.directs.iter().enumerate() {
             let Some(w) = grid.step(u, &sol.delta_s, sign) else {
                 continue;
             };
-            if member_pos.get(&w).is_none_or(|&wp| visited[wp]) {
+            if pos[w] == usize::MAX || visited[pos[w]] {
                 continue;
             }
             moves.push(Reverse((
-                usize::from(!merged.contains(&physical(u, w))),
+                usize::from(!merged.contains_key(&physical(u, w))),
                 sol.depth,
-                -(built_root_len.get(&w).copied().unwrap_or(0) as i64),
+                -(root_len[w] as i64),
                 w,
                 newest,
                 si,
@@ -438,64 +412,56 @@ fn grow_chain(
         }
         let next = std::iter::from_fn(|| moves.pop())
             .map(|Reverse((_, depth, _, w, from_pos, _))| (depth, w, members[from_pos]))
-            .find(|&(_, w, _)| !visited[member_pos[&w]]);
+            .find(|&(_, w, _)| !visited[pos[w]]);
         let Some((depth, w, u)) = next else {
             break;
         };
         let (pf, pt) = physical(u, w);
         chosen.push((pf, pt, depth));
-        newest = member_pos[&w];
+        newest = pos[w];
         visited[newest] = true;
     }
     (chosen, visited)
 }
 
-/// Splits leftover FUs into connected fragments under the undirected direct
-/// relation, so each fragment can be re-planned as its own memory-fed chain.
-fn fragments(grid: &FuGrid, plan: &DfPlan, leftover: &[usize]) -> Vec<Vec<usize>> {
-    let set: HashSet<usize> = leftover.iter().copied().collect();
-    let mut uf_index: HashMap<usize, usize> = HashMap::new();
-    for (i, &fu) in leftover.iter().enumerate() {
-        uf_index.insert(fu, i);
-    }
-    let mut uf = UnionFind::new(leftover.len());
-    for &u in leftover {
+/// Splits the members `visited` leaves out into connected fragments under
+/// the undirected direct relation, so each fragment can be re-planned as
+/// its own memory-fed chain. `pos` maps each FU to its position in
+/// `members` (`usize::MAX` if not a member).
+fn fragments(
+    grid: &FuGrid,
+    plan: &DfPlan,
+    members: &[usize],
+    visited: &[bool],
+    pos: &[usize],
+) -> Vec<Vec<usize>> {
+    let leftover = |fu: usize| pos[fu] != usize::MAX && !visited[pos[fu]];
+    let mut uf = UnionFind::new(members.len());
+    for &u in members.iter().filter(|&&u| leftover(u)) {
         for sol in &plan.directs {
             for sign in [1i64, -1] {
                 if let Some(v) = grid.step(u, &sol.delta_s, sign) {
-                    if set.contains(&v) {
-                        uf.union(uf_index[&u], uf_index[&v]);
+                    if leftover(v) {
+                        uf.union(pos[u], pos[v]);
                     }
                 }
             }
         }
     }
+    // A visited member is never united with anything: it is a group alone.
     uf.groups()
         .into_iter()
-        .map(|g| g.into_iter().map(|i| leftover[i]).collect())
+        .filter(|g| !visited[g[0]])
+        .map(|g| g.into_iter().map(|i| members[i]).collect())
         .collect()
-}
-
-fn insert_edge(
-    edges: &mut BTreeMap<(String, usize, usize), Vec<Option<i64>>>,
-    tensor: &str,
-    from: usize,
-    to: usize,
-    df: usize,
-    depth: i64,
-    n_df: usize,
-) {
-    let slot = edges
-        .entry((tensor.to_string(), from, to))
-        .or_insert_with(|| vec![None; n_df]);
-    slot[df] = Some(slot[df].map_or(depth, |d: i64| d.max(depth)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_adg;
+    use crate::{build_adg, FrontendConfig, FrontendError};
     use lego_ir::kernels::{self, dataflows};
+    use std::collections::HashSet;
 
     fn cfg() -> FrontendConfig {
         FrontendConfig::default()

@@ -6,26 +6,20 @@
 //! minimum spanning arborescence rooted at a virtual memory node
 //! (paper §IV-B, citing Tarjan's formulation of Chu-Liu/Edmonds).
 
-use crate::digraph::{DiGraph, EdgeId, NodeId};
+use crate::Edge;
 
 /// Result of a minimum spanning arborescence computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Arborescence {
     /// Total weight of the selected edges.
     pub cost: i64,
-    /// Selected edge ids (exactly one incoming edge per non-root node).
-    pub edges: Vec<EdgeId>,
+    /// Selected edges as indices into the input slice (exactly one incoming
+    /// edge per non-root node).
+    pub edges: Vec<usize>,
 }
 
-#[derive(Clone, Copy)]
-struct Ed {
-    from: usize,
-    to: usize,
-    w: i64,
-    parent_idx: usize,
-}
-
-/// Computes a minimum spanning arborescence of `g` rooted at `root`.
+/// Computes a minimum spanning arborescence over nodes `0..n` and `edges`,
+/// rooted at `root`.
 ///
 /// Returns `None` if some node is unreachable from the root. Self-loops are
 /// ignored; parallel edges are allowed.
@@ -33,37 +27,29 @@ struct Ed {
 /// # Examples
 ///
 /// ```
-/// use lego_graph::{min_spanning_arborescence, DiGraph};
+/// use lego_graph::{min_spanning_arborescence, Edge};
 ///
-/// let mut g = DiGraph::new(3);
-/// g.add_edge(0, 1, 5);
-/// g.add_edge(0, 2, 1);
-/// g.add_edge(2, 1, 1);
-/// let arb = min_spanning_arborescence(&g, 0).unwrap();
+/// let edges = [
+///     Edge { from: 0, to: 1, weight: 5 },
+///     Edge { from: 0, to: 2, weight: 1 },
+///     Edge { from: 2, to: 1, weight: 1 },
+/// ];
+/// let arb = min_spanning_arborescence(3, &edges, 0).unwrap();
 /// assert_eq!(arb.cost, 2); // 0→2 (1) then 2→1 (1) beats 0→1 (5)
+/// assert_eq!(arb.edges, [2, 1]);
 /// ```
-pub fn min_spanning_arborescence(g: &DiGraph, root: NodeId) -> Option<Arborescence> {
-    let edges: Vec<Ed> = g
-        .edges()
-        .map(|e| Ed {
-            from: e.from,
-            to: e.to,
-            w: e.weight,
-            parent_idx: e.id,
-        })
-        .collect();
-    let chosen = mst_rec(g.node_count(), &edges, root)?;
-    let edge_ids: Vec<EdgeId> = chosen.iter().map(|&i| edges[i].parent_idx).collect();
-    let cost = edge_ids.iter().map(|&id| g.edge(id).weight).sum();
+pub fn min_spanning_arborescence(n: usize, edges: &[Edge], root: usize) -> Option<Arborescence> {
+    let chosen = mst_rec(n, edges, root)?;
+    let cost = chosen.iter().map(|&i| edges[i].weight).sum();
     Some(Arborescence {
         cost,
-        edges: edge_ids,
+        edges: chosen,
     })
 }
 
 /// Recursive Chu-Liu/Edmonds. Returns indices into `edges` forming a minimum
 /// arborescence over nodes `0..n` rooted at `root`.
-fn mst_rec(n: usize, edges: &[Ed], root: usize) -> Option<Vec<usize>> {
+fn mst_rec(n: usize, edges: &[Edge], root: usize) -> Option<Vec<usize>> {
     if n <= 1 {
         return Some(Vec::new());
     }
@@ -73,7 +59,7 @@ fn mst_rec(n: usize, edges: &[Ed], root: usize) -> Option<Vec<usize>> {
         if e.to == root || e.from == e.to {
             continue;
         }
-        if best[e.to].is_none_or(|b| e.w < edges[b].w) {
+        if best[e.to].is_none_or(|b| e.weight < edges[b].weight) {
             best[e.to] = Some(i);
         }
     }
@@ -137,7 +123,9 @@ fn mst_rec(n: usize, edges: &[Ed], root: usize) -> Option<Vec<usize>> {
         comp[v] = super_id;
     }
 
+    // Each contracted edge remembers the edge it stands for.
     let mut new_edges = Vec::new();
+    let mut parent = Vec::new();
     for (i, e) in edges.iter().enumerate() {
         let (cu, cv) = (comp[e.from], comp[e.to]);
         if cu == cv {
@@ -145,21 +133,21 @@ fn mst_rec(n: usize, edges: &[Ed], root: usize) -> Option<Vec<usize>> {
         }
         // Edges entering the cycle are re-weighted by the cycle edge they
         // would displace (the classic Chu-Liu reduction).
-        let w = if cv == super_id {
-            e.w - edges[best[e.to].expect("cycle node has best edge")].w
+        let weight = if cv == super_id {
+            e.weight - edges[best[e.to].expect("cycle node has best edge")].weight
         } else {
-            e.w
+            e.weight
         };
-        new_edges.push(Ed {
+        new_edges.push(Edge {
             from: cu,
             to: cv,
-            w,
-            parent_idx: i,
+            weight,
         });
+        parent.push(i);
     }
 
     let sub = mst_rec(next, &new_edges, comp[root])?;
-    let mut result: Vec<usize> = sub.iter().map(|&j| new_edges[j].parent_idx).collect();
+    let mut result: Vec<usize> = sub.iter().map(|&j| parent[j]).collect();
 
     // 4. Expand: keep all cycle edges except the one displaced by the single
     // chosen edge that enters the contracted node.
@@ -181,13 +169,16 @@ fn mst_rec(n: usize, edges: &[Ed], root: usize) -> Option<Vec<usize>> {
 mod tests {
     use super::*;
 
+    fn edge(from: usize, to: usize, weight: i64) -> Edge {
+        Edge { from, to, weight }
+    }
+
     /// Exhaustive minimum arborescence for small graphs (test oracle).
-    fn brute_force(g: &DiGraph, root: NodeId) -> Option<i64> {
-        let n = g.node_count();
-        let mut per_node: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        for e in g.edges() {
+    fn brute_force(n: usize, edges: &[Edge], root: usize) -> Option<i64> {
+        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (id, e) in edges.iter().enumerate() {
             if e.to != root && e.from != e.to {
-                per_node[e.to].push(e.id);
+                per_node[e.to].push(id);
             }
         }
         let non_root: Vec<usize> = (0..n).filter(|&v| v != root).collect();
@@ -201,7 +192,7 @@ mod tests {
             let mut parent = vec![usize::MAX; n];
             let mut cost = 0i64;
             for (slot, &v) in non_root.iter().enumerate() {
-                let e = g.edge(per_node[v][pick[slot]]);
+                let e = edges[per_node[v][pick[slot]]];
                 parent[v] = e.from;
                 cost += e.weight;
             }
@@ -233,13 +224,12 @@ mod tests {
         }
     }
 
-    fn validate(g: &DiGraph, root: NodeId, arb: &Arborescence) {
-        let n = g.node_count();
+    fn validate(n: usize, edges: &[Edge], root: usize, arb: &Arborescence) {
         // One incoming edge per non-root node.
         let mut indeg = vec![0usize; n];
         let mut parent = vec![usize::MAX; n];
         for &id in &arb.edges {
-            let e = g.edge(id);
+            let e = edges[id];
             indeg[e.to] += 1;
             parent[e.to] = e.from;
         }
@@ -263,39 +253,29 @@ mod tests {
 
     #[test]
     fn chain_beats_direct() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(0, 1, 5);
-        g.add_edge(0, 2, 1);
-        g.add_edge(2, 1, 1);
-        let arb = min_spanning_arborescence(&g, 0).unwrap();
-        validate(&g, 0, &arb);
+        let g = [edge(0, 1, 5), edge(0, 2, 1), edge(2, 1, 1)];
+        let arb = min_spanning_arborescence(3, &g, 0).unwrap();
+        validate(3, &g, 0, &arb);
         assert_eq!(arb.cost, 2);
     }
 
     #[test]
     fn cycle_contraction_case() {
         // Classic case that forces a contraction: 1 and 2 prefer each other.
-        let mut g = DiGraph::new(3);
-        g.add_edge(1, 2, 1);
-        g.add_edge(2, 1, 1);
-        g.add_edge(0, 1, 10);
-        g.add_edge(0, 2, 12);
-        let arb = min_spanning_arborescence(&g, 0).unwrap();
-        validate(&g, 0, &arb);
+        let g = [edge(1, 2, 1), edge(2, 1, 1), edge(0, 1, 10), edge(0, 2, 12)];
+        let arb = min_spanning_arborescence(3, &g, 0).unwrap();
+        validate(3, &g, 0, &arb);
         assert_eq!(arb.cost, 11); // 0→1 (10) + 1→2 (1)
     }
 
     #[test]
     fn unreachable_returns_none() {
-        let mut g = DiGraph::new(3);
-        g.add_edge(0, 1, 1);
-        assert!(min_spanning_arborescence(&g, 0).is_none());
+        assert!(min_spanning_arborescence(3, &[edge(0, 1, 1)], 0).is_none());
     }
 
     #[test]
     fn single_node_is_trivial() {
-        let g = DiGraph::new(1);
-        let arb = min_spanning_arborescence(&g, 0).unwrap();
+        let arb = min_spanning_arborescence(1, &[], 0).unwrap();
         assert_eq!(arb.cost, 0);
         assert!(arb.edges.is_empty());
     }
@@ -307,20 +287,20 @@ mod tests {
         for trial in 0..300 {
             let n = rng.gen_range(2..=5);
             let m = rng.gen_range(1..=9);
-            let mut g = DiGraph::new(n);
+            let mut g = Vec::new();
             for _ in 0..m {
                 let from = rng.gen_range(0..n);
                 let to = rng.gen_range(0..n);
                 let w = rng.gen_range(0..=8);
-                g.add_edge(from, to, w);
+                g.push(edge(from, to, w));
             }
             let root = rng.gen_range(0..n);
-            let expected = brute_force(&g, root);
-            let actual = min_spanning_arborescence(&g, root);
+            let expected = brute_force(n, &g, root);
+            let actual = min_spanning_arborescence(n, &g, root);
             match (expected, actual) {
                 (None, None) => {}
                 (Some(c), Some(arb)) => {
-                    validate(&g, root, &arb);
+                    validate(n, &g, root, &arb);
                     assert_eq!(arb.cost, c, "trial {trial}: wrong cost");
                 }
                 (e, a) => panic!(

@@ -5,35 +5,39 @@
 //! between spatially adjacent destinations compete; the MST picks the
 //! cheapest mix of broadcast and forwarding.
 
-use crate::digraph::{DiGraph, EdgeId};
 use crate::unionfind::UnionFind;
+use crate::Edge;
 
-/// Computes a minimum spanning forest of `g` viewed as an undirected graph.
+/// Computes a minimum spanning forest over nodes `0..n` and `edges`, with
+/// every edge taken as undirected.
 ///
-/// Returns the selected edge ids. If the graph is connected, the result is a
-/// spanning tree with `node_count() - 1` edges; otherwise one tree per
+/// Returns the selected edges as indices into `edges`, in the order Kruskal
+/// takes them (by weight, ties by index). If the graph is connected, the
+/// result is a spanning tree with `n - 1` edges; otherwise one tree per
 /// component. Self-loops are never selected.
 ///
 /// # Examples
 ///
 /// ```
-/// use lego_graph::{undirected_mst, DiGraph};
+/// use lego_graph::{undirected_mst, Edge};
 ///
-/// let mut g = DiGraph::new(3);
-/// g.add_edge(0, 1, 4);
-/// g.add_edge(1, 2, 1);
-/// g.add_edge(0, 2, 2);
-/// let mst = undirected_mst(&g);
-/// let cost: i64 = mst.iter().map(|&id| g.edge(id).weight).sum();
-/// assert_eq!(cost, 3);
+/// let edges = [
+///     Edge { from: 0, to: 1, weight: 4 },
+///     Edge { from: 1, to: 2, weight: 1 },
+///     Edge { from: 0, to: 2, weight: 2 },
+/// ];
+/// let mst = undirected_mst(3, &edges);
+/// assert_eq!(mst, [1, 2]);
 /// ```
-pub fn undirected_mst(g: &DiGraph) -> Vec<EdgeId> {
-    let mut ids: Vec<EdgeId> = g.edges().filter(|e| e.from != e.to).map(|e| e.id).collect();
-    ids.sort_by_key(|&id| (g.edge(id).weight, id));
-    let mut uf = UnionFind::new(g.node_count());
+pub fn undirected_mst(n: usize, edges: &[Edge]) -> Vec<usize> {
+    let mut ids: Vec<usize> = (0..edges.len())
+        .filter(|&id| edges[id].from != edges[id].to)
+        .collect();
+    ids.sort_by_key(|&id| (edges[id].weight, id));
+    let mut uf = UnionFind::new(n);
     let mut chosen = Vec::new();
     for id in ids {
-        let e = g.edge(id);
+        let e = edges[id];
         if uf.union(e.from, e.to) {
             chosen.push(id);
         }
@@ -45,37 +49,37 @@ pub fn undirected_mst(g: &DiGraph) -> Vec<EdgeId> {
 mod tests {
     use super::*;
 
+    fn edge(from: usize, to: usize, weight: i64) -> Edge {
+        Edge { from, to, weight }
+    }
+
     #[test]
     fn spanning_tree_of_connected_graph() {
-        let mut g = DiGraph::new(4);
-        g.add_edge(0, 1, 1);
-        g.add_edge(1, 2, 2);
-        g.add_edge(2, 3, 3);
-        g.add_edge(0, 3, 10);
-        g.add_edge(0, 2, 10);
-        let mst = undirected_mst(&g);
+        let g = [
+            edge(0, 1, 1),
+            edge(1, 2, 2),
+            edge(2, 3, 3),
+            edge(0, 3, 10),
+            edge(0, 2, 10),
+        ];
+        let mst = undirected_mst(4, &g);
         assert_eq!(mst.len(), 3);
-        let cost: i64 = mst.iter().map(|&id| g.edge(id).weight).sum();
+        let cost: i64 = mst.iter().map(|&id| g[id].weight).sum();
         assert_eq!(cost, 6);
     }
 
     #[test]
     fn forest_for_disconnected_graph() {
-        let mut g = DiGraph::new(4);
-        g.add_edge(0, 1, 1);
-        g.add_edge(2, 3, 1);
-        let mst = undirected_mst(&g);
+        let mst = undirected_mst(4, &[edge(0, 1, 1), edge(2, 3, 1)]);
         assert_eq!(mst.len(), 2);
     }
 
     #[test]
     fn self_loops_ignored() {
-        let mut g = DiGraph::new(2);
-        g.add_edge(0, 0, 0);
-        g.add_edge(0, 1, 5);
-        let mst = undirected_mst(&g);
+        let g = [edge(0, 0, 0), edge(0, 1, 5)];
+        let mst = undirected_mst(2, &g);
         assert_eq!(mst.len(), 1);
-        assert_eq!(g.edge(mst[0]).weight, 5);
+        assert_eq!(g[mst[0]].weight, 5);
     }
 
     #[test]
@@ -84,26 +88,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..100 {
             let n = rng.gen_range(2..=6);
-            let mut g = DiGraph::new(n);
+            let mut g = Vec::new();
             // Random connected graph: a random spanning path plus extras.
             for v in 1..n {
-                g.add_edge(v - 1, v, rng.gen_range(1..=9));
+                g.push(edge(v - 1, v, rng.gen_range(1..=9)));
             }
             for _ in 0..rng.gen_range(0..6) {
                 let a = rng.gen_range(0..n);
                 let b = rng.gen_range(0..n);
-                g.add_edge(a, b, rng.gen_range(1..=9));
+                g.push(edge(a, b, rng.gen_range(1..=9)));
             }
-            let mst = undirected_mst(&g);
+            let mst = undirected_mst(n, &g);
             assert_eq!(mst.len(), n - 1);
-            let cost: i64 = mst.iter().map(|&id| g.edge(id).weight).sum();
+            let cost: i64 = mst.iter().map(|&id| g[id].weight).sum();
             // Oracle: Prim's algorithm.
             let mut in_tree = vec![false; n];
             in_tree[0] = true;
             let mut oracle = 0i64;
             for _ in 1..n {
                 let mut best: Option<(i64, usize)> = None;
-                for e in g.edges() {
+                for e in &g {
                     if e.from == e.to {
                         continue;
                     }
