@@ -126,30 +126,21 @@ pub fn analyze_tensor(
         let bias = dot(&delta_s, &dataflow.control);
         let rhs: Vec<i64> = m_sd.mul_vec(&delta_s).iter().map(|&x| -x).collect();
 
-        if rhs.iter().all(|&x| x == 0) {
-            if bias >= 0 {
-                // Direct interconnection (Δt = 0), systolic depth = bias.
-                solutions.push(ReuseSolution {
-                    delta_s: delta_s.clone(),
-                    delta_t: vec![0; sizes.len()],
-                    depth: bias,
-                    kind: ReuseKind::Direct,
-                });
-            } else if let Some((delta_t, gap)) = minimal_shift(&m_td, &rhs, sizes, -bias) {
-                // The direct form would flow backward in absolute time;
-                // realize the reuse as a delay connection instead (the
-                // paper's Δs = (0,−1) example in §IV-A).
-                solutions.push(ReuseSolution {
-                    delta_s: delta_s.clone(),
-                    delta_t,
-                    depth: gap + bias,
-                    kind: ReuseKind::Delay,
-                });
-            }
+        if bias >= 0 && rhs.iter().all(|&x| x == 0) {
+            // Direct interconnection (Δt = 0), systolic depth = bias.
+            solutions.push(ReuseSolution {
+                delta_s,
+                delta_t: vec![0; sizes.len()],
+                depth: bias,
+                kind: ReuseKind::Direct,
+            });
             continue;
         }
 
         // Delay interconnection: minimal in-bounds Δt, depth = gap + bias.
+        // This also takes a direct form with negative bias, which would
+        // flow backward in absolute time (the paper's Δs = (0,−1) example
+        // in §IV-A).
         if let Some((delta_t, gap)) = minimal_shift(&m_td, &rhs, sizes, -bias) {
             let depth = gap + bias;
             debug_assert!(depth >= 0);
