@@ -1,10 +1,12 @@
 //! Property-based tests of the front end's core guarantees over randomized
 //! dataflows: reuse solutions satisfy their defining equations, every FU is
-//! fed under every dataflow, memory plans are conflict-free, and output
-//! partial sums always reach a committer.
+//! fed under every dataflow of a single or fused design, memory plans are
+//! conflict-free, and output partial sums always reach a committer.
+
+use std::collections::HashSet;
 
 use lego_frontend::{analyze_tensor, build_adg, memory, FrontendConfig};
-use lego_ir::{kernels, DataflowBuilder, TensorRole};
+use lego_ir::{kernels, Dataflow, DataflowBuilder, TensorRole, Workload};
 use proptest::prelude::*;
 
 fn gemm_dataflow_strategy() -> impl Strategy<Value = (lego_ir::Workload, lego_ir::Dataflow)> {
@@ -35,6 +37,34 @@ fn gemm_dataflow_strategy() -> impl Strategy<Value = (lego_ir::Workload, lego_ir
         })
 }
 
+/// A random GEMM dataflow alone or, when `fused`, paired with a second one
+/// that parallelizes two of `i`, `j`, `k` by the first one's factors, so
+/// both run on the same FUs.
+fn gemm_design_strategy() -> impl Strategy<Value = (Workload, Vec<Dataflow>)> {
+    (
+        gemm_dataflow_strategy(),
+        0usize..3,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+        proptest::bool::ANY,
+    )
+        .prop_map(|((g, df), dims, swap, systolic, fused)| {
+            let [a, b] = [["i", "j"], ["i", "k"], ["k", "j"]][dims];
+            let [mut pa, mut pb] = [df.spatial_sizes[0], df.spatial_sizes[1]];
+            if swap {
+                std::mem::swap(&mut pa, &mut pb);
+            }
+            let second = DataflowBuilder::new(&g)
+                .par(a, pa)
+                .par(b, pb)
+                .control(if systolic { vec![1, 1] } else { vec![0, 0] })
+                .build("rand2")
+                .expect("divisor parallelization is valid");
+            let dfs = if fused { vec![df, second] } else { vec![df] };
+            (g, dfs)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -59,38 +89,38 @@ proptest! {
     }
 
     #[test]
-    fn every_fu_is_fed_and_outputs_drain((w, df) in gemm_dataflow_strategy()) {
-        let adg = build_adg(&w, &[df], &FrontendConfig::default()).unwrap();
-        for plan in &adg.tensors {
-            if plan.role == TensorRole::Input {
-                // Reachability from ports over the tensor's edges.
-                let mut fed: std::collections::HashSet<usize> =
-                    plan.data_nodes.iter().map(|d| d.fu).collect();
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for e in adg.edges_for(&plan.tensor) {
-                        if fed.contains(&e.from) && fed.insert(e.to) {
-                            changed = true;
+    fn every_fu_is_fed_and_outputs_drain((w, dfs) in gemm_design_strategy()) {
+        let adg = build_adg(&w, &dfs, &FrontendConfig::default()).unwrap();
+        // Each dataflow on its own: only the ports and edges active in it.
+        for k in 0..dfs.len() {
+            for plan in &adg.tensors {
+                let ports: HashSet<usize> = plan.data_nodes_in(k).map(|d| d.fu).collect();
+                let edges = || adg.edges_for(&plan.tensor).filter(|e| e.active_in(k));
+                if plan.role == TensorRole::Input {
+                    // Reachability from ports over the tensor's edges.
+                    let mut fed = ports;
+                    let mut changed = true;
+                    while changed {
+                        changed = false;
+                        for e in edges() {
+                            if fed.contains(&e.from) && fed.insert(e.to) {
+                                changed = true;
+                            }
                         }
                     }
-                }
-                prop_assert_eq!(fed.len(), adg.num_fus);
-            } else {
-                // Every FU's partial sums reach a committer acyclically.
-                let committers: std::collections::HashSet<usize> =
-                    plan.data_nodes.iter().map(|d| d.fu).collect();
-                for start in 0..adg.num_fus {
-                    let mut cur = start;
-                    let mut steps = 0;
-                    while !committers.contains(&cur) {
-                        let next = adg
-                            .edges_for(&plan.tensor)
-                            .find(|e| e.from == cur);
-                        prop_assert!(next.is_some(), "FU {cur} cannot drain");
-                        cur = next.unwrap().to;
-                        steps += 1;
-                        prop_assert!(steps <= adg.num_fus, "cycle in drain path");
+                    prop_assert_eq!(fed.len(), adg.num_fus, "{} in dataflow {}", plan.tensor, k);
+                } else {
+                    // Every FU's partial sums reach a committer acyclically.
+                    for start in 0..adg.num_fus {
+                        let mut cur = start;
+                        let mut steps = 0;
+                        while !ports.contains(&cur) {
+                            let next = edges().find(|e| e.from == cur);
+                            prop_assert!(next.is_some(), "FU {cur} cannot drain in dataflow {k}");
+                            cur = next.unwrap().to;
+                            steps += 1;
+                            prop_assert!(steps <= adg.num_fus, "cycle in drain path");
+                        }
                     }
                 }
             }
