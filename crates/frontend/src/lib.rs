@@ -41,10 +41,9 @@ pub use memory::{BankShape, MemoryPlan};
 use lego_ir::{Dataflow, Workload};
 
 /// The front end's settings: none. Its interconnection distance and
-/// spanning-tree weights are constants of [`plan`], because every caller
-/// used one value. The struct and [`build_adg`]'s parameter remain only
-/// because the benchmark names them; ROADMAP items 1 and 4 drop both
-/// together.
+/// spanning-tree weights are constants of [`plan`]. The struct and
+/// [`build_adg`]'s parameter remain only because the benchmark names them;
+/// ROADMAP items 1 and 4 drop both together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendConfig {}
 
