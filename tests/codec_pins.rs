@@ -4,19 +4,24 @@
 //! (the `{:?}` of decoding the payload with each byte in turn XOR-ed with
 //! `0xA5`) pins every error variant, every `InvalidTag` name and every
 //! `Truncated` offset, so a codec refactor that reorders a read fails
-//! here even when round trips still succeed.
+//! here even when round trips still succeed. The lego-serve frames that
+//! carry those payloads are pinned the same way, with the frame checksum
+//! itself over lengths around its word boundaries.
 
 use std::fmt::Debug;
 use std::hash::Hasher;
 
 use lego::eval::{
-    BaseObjective, CodecError, EvalReport, EvalRequest, EvalSession, FnvHasher, Objective,
+    BaseObjective, CodecError, EvalError, EvalReport, EvalRequest, EvalSession, FnvHasher,
+    Objective, Reject,
 };
 use lego::explorer::{
     explore_shard, DesignSpace, ExploreOptions, GridSearch, SearchStrategy, Snapshot,
 };
 use lego::model::{DensityModel, HwConfig, LayerSparsity};
 use lego::model::{SparseAccel, SparseHw, SpatialMapping, TechModel};
+use lego::serve::frame::{self, KIND_REPLY, KIND_REQUEST};
+use lego::serve::wire;
 use lego::workloads::{Layer, LayerKind, Model, Nonlinear};
 
 /// All four layer kinds, all three density models and all three
@@ -238,6 +243,53 @@ fn corruption_transcripts_are_pinned() {
             15870315820857655616,
             2899124651395111306,
             16119164337395693990
+        ]
+    );
+}
+
+#[test]
+fn frame_bytes_are_pinned() {
+    let request = kitchen_sink_request();
+    let report = report_of(&request);
+    let status = EvalError::Rejected(Reject::QueueFull { capacity: 8 });
+    assert_eq!(
+        [
+            fnv(&frame::encode_frame(KIND_REQUEST, &request.encode())),
+            fnv(&frame::encode_frame(
+                KIND_REPLY,
+                &wire::encode_ok_reply(&report.encode())
+            )),
+            fnv(&frame::encode_frame(
+                KIND_REPLY,
+                &wire::encode_status_reply(&status)
+            )),
+        ],
+        [
+            14452630034293298534,
+            10464159388267564967,
+            2745238808354632742
+        ]
+    );
+}
+
+/// The frame checksum of `len` bytes `i * 31 + 7`, for lengths around
+/// an 8-byte word: empty, a partial word, one word, one and a bit, and a
+/// served payload's size.
+#[test]
+fn frame_checksums_are_pinned() {
+    let checksums: Vec<u64> = [0usize, 1, 7, 8, 9, 12_500]
+        .iter()
+        .map(|&len| frame::checksum(&(0..len).map(|i| (i * 31 + 7) as u8).collect::<Vec<u8>>()))
+        .collect();
+    assert_eq!(
+        checksums,
+        [
+            14695981039346656037,
+            12642369742787687110,
+            15217389461884415447,
+            2575069782186546293,
+            16037283928161494654,
+            9072081095842640225
         ]
     );
 }
