@@ -6,24 +6,27 @@
 //! Frames add the minimum structure a byte stream needs: a magic so a
 //! desynchronized peer is detected immediately, a kind byte so control
 //! frames can ride the same pipe as requests, a length prefix so the
-//! receiver knows where the payload ends, and an FNV-64 checksum so
+//! receiver knows where the payload ends, and a 64-bit checksum so
 //! corrupted payloads fail loudly instead of decoding into garbage.
 //!
 //! ```text
-//! "LGFR" | kind u8 | len u32 LE | checksum u64 LE | payload (len bytes)
+//! "LGF2" | kind u8 | len u32 LE | checksum u64 LE | payload (len bytes)
 //! ```
+//!
+//! The checksum folds the payload a word at a time ([`checksum`]). Frames
+//! with a byte-wise FNV-1a checksum carried `"LGFR"`; a peer still sending
+//! them is refused with `BAD_MAGIC`, not a checksum mismatch.
 //!
 //! Every failure is a plain [`CodecError`] — the same error type the
 //! payload codec uses — so one [`lego_eval::EvalError`] covers the whole
 //! decode path and maps onto a stable wire status.
 
 use lego_eval::codec::{Dec, Enc};
-use lego_eval::{CodecError, FnvHasher};
-use std::hash::Hasher;
+use lego_eval::CodecError;
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first four bytes of every frame on a lego-serve stream.
-pub const MAGIC: [u8; 4] = *b"LGFR";
+pub const MAGIC: [u8; 4] = *b"LGF2";
 
 /// Frame carrying an encoded [`lego_eval::EvalRequest`].
 pub const KIND_REQUEST: u8 = 1;
@@ -49,12 +52,23 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// FNV-64 checksum of a payload — the same hash the evaluation layer uses
-/// for fingerprints, so both ends agree without a new dependency.
+/// Checksum of a payload: from the FNV-64 offset basis XOR-ed with the
+/// length, each little-endian 8-byte word `w` (the last zero-padded) folds
+/// in as `h = (h ^ w) * FNV prime; h ^= h >> 32`. Every step is a bijection
+/// of `h`, so a change inside one word is always caught; without the
+/// `h >> 32` fold, two bit flips in different words can cancel.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FnvHasher::new();
-    h.write(bytes);
-    h.finish()
+    let words = bytes.chunks_exact(8);
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let tail = (bytes.len() % 8 != 0).then_some(&tail[..]);
+    words
+        .chain(tail)
+        .fold(0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64, |h, w| {
+            let h = (h ^ u64::from_le_bytes(w.try_into().expect("8-byte word")))
+                .wrapping_mul(0x100_0000_01b3);
+            h ^ (h >> 32)
+        })
 }
 
 /// Encodes one frame to bytes.
@@ -259,6 +273,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Payload bytes that differ within every word.
+    fn payload(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn every_one_and_two_bit_flip_changes_the_checksum() {
+        for len in [64, 67] {
+            let mut bytes = payload(len);
+            let clean = checksum(&bytes);
+            let bits = len * 8;
+            let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (bit % 8);
+            for a in 0..bits {
+                flip(&mut bytes, a);
+                assert_ne!(checksum(&bytes), clean, "{len} B, bit {a}");
+                for b in a + 1..bits {
+                    flip(&mut bytes, b);
+                    assert_ne!(checksum(&bytes), clean, "{len} B, bits {a} and {b}");
+                    flip(&mut bytes, b);
+                }
+                flip(&mut bytes, a);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_payloads_of_every_length_have_distinct_checksums() {
+        // The zero-padded tail must not make `[0; n]` and `[0; n + 1]`
+        // collide: the length in the seed tells them apart.
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=64 {
+            assert!(seen.insert(checksum(&vec![0u8; len])), "length {len}");
+        }
+    }
+
+    #[test]
+    fn byte_wise_checksummed_frames_are_refused_by_their_magic() {
+        let mut bytes = encode_frame(KIND_REQUEST, &payload(40));
+        bytes[..4].copy_from_slice(b"LGFR");
+        let err = decode_frame(&bytes, DEFAULT_MAX_FRAME_LEN).unwrap_err();
+        assert!(matches!(err, CodecError::BadMagic), "{err:?}");
+        assert_stream_fails_alike(&bytes, &err);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! The layering, bottom up:
 //!
-//! * [`frame`] — `"LGFR" | kind | len | checksum | payload` framing with
+//! * [`frame`] — `"LGF2" | kind | len | checksum | payload` framing with
 //!   never-trust-wire-lengths decoding;
 //! * [`wire`] — the reply payload contract: `status u16 | body`, where
 //!   OK carries an encoded report and anything else carries the stable

@@ -265,9 +265,9 @@ fn frame_bytes_are_pinned() {
             )),
         ],
         [
-            14452630034293298534,
-            10464159388267564967,
-            2745238808354632742
+            9749565964039192963,
+            12802192876906980304,
+            7725811598900714334
         ]
     );
 }
@@ -285,11 +285,11 @@ fn frame_checksums_are_pinned() {
         checksums,
         [
             14695981039346656037,
-            12642369742787687110,
-            15217389461884415447,
-            2575069782186546293,
-            16037283928161494654,
-            9072081095842640225
+            12638150915117944629,
+            12616886595230208605,
+            14922735100391453404,
+            18167618475675993659,
+            3490221082200532801
         ]
     );
 }
