@@ -145,6 +145,29 @@ fn desynchronized_stream_gets_a_status_then_the_connection_closes() {
 }
 
 #[test]
+fn a_byte_wise_checksummed_frame_gets_bad_magic_then_the_connection_closes() {
+    let server = Server::new(ServerConfig::default());
+    let addr = server.listen_tcp("127.0.0.1:0").unwrap();
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut client = Client::over(stream.try_clone().unwrap());
+    // A well-formed request frame from a peer still on the "LGFR" magic.
+    let mut old = frame::encode_frame(KIND_REQUEST, &request().encode());
+    old[..4].copy_from_slice(b"LGFR");
+    stream.write_all(&old).unwrap();
+    stream.flush().unwrap();
+    match client.recv_raw() {
+        Ok((status, _)) => assert_eq!(status, StatusCode::BAD_MAGIC),
+        Err(e) => panic!("expected a status frame before close: {e}"),
+    }
+    match client.recv_raw() {
+        Err(EvalError::Io(_) | EvalError::Codec(CodecError::Io(_))) => {}
+        other => panic!("{other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
 fn invalid_requests_come_back_with_their_admission_status() {
     let server = Server::new(ServerConfig::default());
     let addr = server.listen_tcp("127.0.0.1:0").unwrap();
