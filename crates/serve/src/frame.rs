@@ -61,7 +61,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     let words = bytes.chunks_exact(8);
     let mut tail = [0u8; 8];
     tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    let tail = (bytes.len() % 8 != 0).then_some(&tail[..]);
+    let tail = (!words.remainder().is_empty()).then_some(&tail[..]);
     words
         .chain(tail)
         .fold(0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64, |h, w| {
