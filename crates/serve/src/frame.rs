@@ -13,9 +13,10 @@
 //! "LGF2" | kind u8 | len u32 LE | checksum u64 LE | payload (len bytes)
 //! ```
 //!
-//! The checksum folds the payload a word at a time ([`checksum`]). Frames
-//! with a byte-wise FNV-1a checksum carried `"LGFR"`; a peer still sending
-//! them is refused with `BAD_MAGIC`, not a checksum mismatch.
+//! The checksum folds the payload a word at a time ([`checksum`]). The
+//! magic's last byte is the format version, so a peer on an earlier format
+//! (`"LGFR"`, byte-wise FNV-1a) is refused with `BAD_MAGIC`, not a
+//! checksum mismatch.
 //!
 //! Every failure is a plain [`CodecError`] — the same error type the
 //! payload codec uses — so one [`lego_eval::EvalError`] covers the whole
