@@ -14,14 +14,13 @@
 //! truncated or corrupt input.
 //!
 //! Every wire type implements [`Wire`]: `put` writes the value and `get`
-//! reads back exactly what `put` wrote. A struct's layout is written once,
-//! as its [`wire_struct!`](crate::wire_struct) field list in wire order, and both directions
-//! are derived from that list. A field-less enum travels as its index in
-//! the type's `ALL` list. Only these layouts are written by hand, each for
-//! a reason a field list cannot express:
+//! reads back exactly what `put` wrote. Each layout is written once, as a
+//! list both directions are derived from: a struct's
+//! [`wire_struct!`](crate::wire_struct) field list in wire order, and an
+//! enum's (or an `Option`'s) `wire_enum!` variant list, a tag byte per
+//! variant followed by that variant's fields. Only these layouts are
+//! written by hand, each for a reason a list cannot express:
 //!
-//! - `LayerKind`, `DensityModel` and [`Objective`] carry data per variant:
-//!   a tag byte, then that variant's fields;
 //! - the explorer's `DataflowSet` is a bitmask that decoding validates,
 //!   and its `DesignPoint` stores `feasible` as a checked byte;
 //! - [`EvalRequest`] carries a private layer-key memo that is not on the
@@ -367,60 +366,37 @@ macro_rules! wire_scalar {
 
 wire_scalar!(u8, u16, u32, u64, i64, f64);
 
-/// Field-less enums: one tag byte, the variant's index in the type's `ALL`.
-/// The const block proves each `ALL` lists the variants in declaration
-/// order, so `put` writes the discriminant instead of searching `ALL`.
-macro_rules! wire_tag {
-    ($($ty:ident => $what:literal),+ $(,)?) => {$(
-        const _: () = {
-            let mut i = 0;
-            while i < $ty::ALL.len() {
-                assert!($ty::ALL[i] as usize == i, concat!($what, " ALL is out of order"));
-                i += 1;
-            }
-        };
+/// Derives [`Wire`] for enums from one variant list each: `tag =>
+/// Variant`, with a tuple variant's bindings or a struct variant's fields
+/// in wire order. `put` writes the tag byte, then the variant's fields in
+/// list order; `get` reads them back in the same order, and any other tag
+/// is [`CodecError::InvalidTag`] named by the list's label. `put`'s match
+/// is exhaustive, so a variant missing from the list does not compile. The
+/// expansion names variants `Self::Variant`, so the type may be any type,
+/// `Option<T>` included.
+macro_rules! wire_enum {
+    ($($ty:ty => $what:literal {
+        $($tag:literal => $var:ident $(($($t:ident),+))? $({ $($f:ident),+ })?),+ $(,)?
+    })+) => {$(
         impl Wire for $ty {
             #[inline]
             fn put(&self, e: &mut Enc) {
-                e.u8(*self as u8);
-            }
-            #[inline]
-            fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-                let tag = d.u8()?;
-                let value = $ty::ALL.get(usize::from(tag)).copied();
-                value.ok_or(CodecError::InvalidTag { what: $what, tag })
-            }
-        }
-    )+};
-}
-
-wire_tag! {
-    SpatialMapping => "spatial mapping",
-    SparseAccel => "sparse feature",
-    CompressedFormat => "compressed format",
-    Nonlinear => "nonlinear kind",
-    BaseObjective => "base objective",
-}
-
-/// Tag byte `0` for `None`, `1` + the value for `Some`.
-macro_rules! wire_option {
-    ($($ty:ident => $what:literal),+) => {$(
-        impl Wire for Option<$ty> {
-            #[inline]
-            fn put(&self, e: &mut Enc) {
                 match self {
-                    None => e.u8(0),
-                    Some(v) => {
-                        e.u8(1);
-                        v.put(e);
-                    }
+                    $(Self::$var $(($($t),+))? $({ $($f),+ })? => {
+                        e.u8($tag);
+                        $($($t.put(e);)+)?
+                        $($($f.put(e);)+)?
+                    })+
                 }
             }
             #[inline]
             fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
                 match d.u8()? {
-                    0 => Ok(None),
-                    1 => Ok(Some($ty::get(d)?)),
+                    $($tag => {
+                        $($(let $t = Wire::get(d)?;)+)?
+                        $($(let $f = Wire::get(d)?;)+)?
+                        Ok(Self::$var $(($($t),+))? $({ $($f),+ })?)
+                    })+
                     tag => Err(CodecError::InvalidTag { what: $what, tag }),
                 }
             }
@@ -428,7 +404,33 @@ macro_rules! wire_option {
     )+};
 }
 
-wire_option!(i64 => "i64 option", f64 => "f64 option");
+wire_enum! {
+    LayerKind => "layer kind" {
+        0 => Gemm { m, n, k },
+        1 => Conv { n, ic, oc, oh, ow, kh, kw, stride },
+        2 => DwConv { n, c, oh, ow, kh, kw, stride },
+        3 => Attention { heads, seq_q, seq_kv, dk, dv },
+    }
+    DensityModel => "density model" {
+        0 => Dense,
+        1 => Uniform { permille },
+        2 => StructuredNM { n, m },
+    }
+    Objective => "objective" {
+        0 => Base(base),
+        1 => Penalized { base, area_budget, power_budget, weight },
+        2 => Lexicographic,
+    }
+    SpatialMapping => "spatial mapping" {
+        0 => GemmMN, 1 => GemmKN, 2 => ConvIcOc, 3 => ConvOhOw, 4 => ConvKhOh,
+    }
+    SparseAccel => "sparse feature" { 0 => None, 1 => Gating, 2 => Skipping }
+    CompressedFormat => "compressed format" { 0 => Dense, 1 => Bitmask, 2 => Rle, 3 => Csr }
+    Nonlinear => "nonlinear kind" { 0 => Activation, 1 => Softmax, 2 => Normalization }
+    BaseObjective => "base objective" { 0 => Edp, 1 => Edap, 2 => Latency, 3 => Energy }
+    Option<i64> => "i64 option" { 0 => None, 1 => Some(v) }
+    Option<f64> => "f64 option" { 0 => None, 1 => Some(v) }
+}
 
 impl Wire for String {
     #[inline]
@@ -510,132 +512,6 @@ wire_struct! {
     }
 }
 
-impl Wire for DensityModel {
-    fn put(&self, e: &mut Enc) {
-        match *self {
-            DensityModel::Dense => e.u8(0),
-            DensityModel::Uniform { permille } => {
-                e.u8(1);
-                e.u16(permille);
-            }
-            DensityModel::StructuredNM { n, m } => {
-                e.u8(2);
-                e.u8(n);
-                e.u8(m);
-            }
-        }
-    }
-    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.u8()? {
-            0 => Ok(DensityModel::Dense),
-            1 => Ok(DensityModel::Uniform { permille: d.u16()? }),
-            2 => Ok(DensityModel::StructuredNM {
-                n: d.u8()?,
-                m: d.u8()?,
-            }),
-            tag => Err(CodecError::InvalidTag {
-                what: "density model",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for LayerKind {
-    fn put(&self, e: &mut Enc) {
-        match *self {
-            LayerKind::Gemm { m, n, k } => {
-                e.u8(0);
-                for v in [m, n, k] {
-                    e.i64(v);
-                }
-            }
-            LayerKind::Conv {
-                n,
-                ic,
-                oc,
-                oh,
-                ow,
-                kh,
-                kw,
-                stride,
-            } => {
-                e.u8(1);
-                for v in [n, ic, oc, oh, ow, kh, kw, stride] {
-                    e.i64(v);
-                }
-            }
-            LayerKind::DwConv {
-                n,
-                c,
-                oh,
-                ow,
-                kh,
-                kw,
-                stride,
-            } => {
-                e.u8(2);
-                for v in [n, c, oh, ow, kh, kw, stride] {
-                    e.i64(v);
-                }
-            }
-            LayerKind::Attention {
-                heads,
-                seq_q,
-                seq_kv,
-                dk,
-                dv,
-            } => {
-                e.u8(3);
-                for v in [heads, seq_q, seq_kv, dk, dv] {
-                    e.i64(v);
-                }
-            }
-        }
-    }
-    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(match d.u8()? {
-            0 => LayerKind::Gemm {
-                m: d.i64()?,
-                n: d.i64()?,
-                k: d.i64()?,
-            },
-            1 => LayerKind::Conv {
-                n: d.i64()?,
-                ic: d.i64()?,
-                oc: d.i64()?,
-                oh: d.i64()?,
-                ow: d.i64()?,
-                kh: d.i64()?,
-                kw: d.i64()?,
-                stride: d.i64()?,
-            },
-            2 => LayerKind::DwConv {
-                n: d.i64()?,
-                c: d.i64()?,
-                oh: d.i64()?,
-                ow: d.i64()?,
-                kh: d.i64()?,
-                kw: d.i64()?,
-                stride: d.i64()?,
-            },
-            3 => LayerKind::Attention {
-                heads: d.i64()?,
-                seq_q: d.i64()?,
-                seq_kv: d.i64()?,
-                dk: d.i64()?,
-                dv: d.i64()?,
-            },
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    what: "layer kind",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
 /// The authoritative [`TechModel`] field list, in wire order — shared by
 /// the codec and the session's cache-key fingerprinting so a future field
 /// cannot be serialized but silently missed in cache keys (or vice
@@ -676,46 +552,6 @@ impl Wire for TechModel {
             noc_pj_per_byte_hop: d.f64()?,
             freq_ghz: d.f64()?,
         })
-    }
-}
-
-impl Wire for Objective {
-    fn put(&self, e: &mut Enc) {
-        match self {
-            Objective::Base(base) => {
-                e.u8(0);
-                base.put(e);
-            }
-            Objective::Penalized {
-                base,
-                area_budget,
-                power_budget,
-                weight,
-            } => {
-                e.u8(1);
-                base.put(e);
-                area_budget.put(e);
-                power_budget.put(e);
-                weight.put(e);
-            }
-            Objective::Lexicographic => e.u8(2),
-        }
-    }
-    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.u8()? {
-            0 => Ok(Objective::Base(BaseObjective::get(d)?)),
-            1 => Ok(Objective::Penalized {
-                base: BaseObjective::get(d)?,
-                area_budget: Option::get(d)?,
-                power_budget: Option::get(d)?,
-                weight: d.f64()?,
-            }),
-            2 => Ok(Objective::Lexicographic),
-            tag => Err(CodecError::InvalidTag {
-                what: "objective",
-                tag,
-            }),
-        }
     }
 }
 
