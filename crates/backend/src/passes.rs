@@ -48,23 +48,17 @@ impl PassStats {
     }
 }
 
-/// Per-pass cost trajectory returned by [`optimize`].
+/// The cost before and after [`optimize`].
 #[derive(Debug, Clone)]
 pub struct OptimizeReport {
     /// After mandatory delay matching only (the paper's baseline).
     pub baseline: PassStats,
-    /// After reduction tree extraction (+ re-matching), if enabled.
-    pub after_reduction: Option<PassStats>,
-    /// After broadcast rewiring (+ re-matching), if enabled.
-    pub after_rewire: Option<PassStats>,
-    /// After pin reusing (+ re-matching), if enabled.
-    pub after_pin_reuse: Option<PassStats>,
     /// Final state (including power gating).
     pub final_stats: PassStats,
 }
 
 /// Runs the full optimization pipeline in the paper's order and reports the
-/// cost after each stage.
+/// cost after mandatory delay matching and after the last pass.
 ///
 /// # Panics
 ///
@@ -75,39 +69,28 @@ pub fn optimize(dag: &mut Dag, opts: &OptimizeOptions) -> OptimizeReport {
     match_delays(dag).expect("generated DAG must be schedulable");
     let baseline = PassStats::capture(dag);
 
-    let after_reduction = opts.reduction_tree.then(|| {
+    if opts.reduction_tree {
         extract_reduction_trees(dag);
         infer_bitwidths(dag);
         match_delays(dag).expect("reduction extraction preserves schedulability");
         debug_assert_eq!(dag.check(), Ok(()));
-        PassStats::capture(dag)
-    });
-
-    let after_rewire = opts.broadcast_rewire.then(|| {
+    }
+    if opts.broadcast_rewire {
         rewire_broadcasts(dag);
         debug_assert_eq!(dag.check(), Ok(()));
-        PassStats::capture(dag)
-    });
-
-    let after_pin_reuse = opts.pin_reuse.then(|| {
+    }
+    if opts.pin_reuse {
         reuse_pins(dag);
         infer_bitwidths(dag);
         match_delays(dag).expect("pin reuse preserves schedulability");
         debug_assert_eq!(dag.check(), Ok(()));
-        PassStats::capture(dag)
-    });
-
+    }
     if opts.power_gating {
         apply_power_gating(dag);
     }
-    let final_stats = PassStats::capture(dag);
-
     OptimizeReport {
         baseline,
-        after_reduction,
-        after_rewire,
-        after_pin_reuse,
-        final_stats,
+        final_stats: PassStats::capture(dag),
     }
 }
 
@@ -853,9 +836,7 @@ mod tests {
         let gemm = kernels::gemm(4, 4, 4);
         let mut dag = dag_for(&gemm, &[dataflows::gemm_ij(&gemm, 2)]);
         let report = optimize(&mut dag, &OptimizeOptions::baseline());
-        assert!(report.after_reduction.is_none());
-        assert!(report.after_rewire.is_none());
-        assert!(report.after_pin_reuse.is_none());
+        assert_eq!(report.final_stats, report.baseline);
         assert_eq!(report.final_stats.gated_edges, 0);
     }
 

@@ -72,7 +72,7 @@ pub struct Design {
     pub adg: Adg,
     /// Optimized primitive-level graph.
     pub dag: Dag,
-    /// Per-pass optimization statistics (Figures 13/14 raw data).
+    /// Cost after mandatory delay matching and after optimization.
     pub report: OptimizeReport,
 }
 

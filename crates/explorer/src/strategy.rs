@@ -164,13 +164,15 @@ pub struct EvolutionarySearch {
     pub mu: usize,
     /// Children per generation λ.
     pub lambda: usize,
-    /// Probability that a child is additionally mutated.
-    pub mutation_rate: f64,
     /// Warm-start genomes evaluated as the initial population (topped up
     /// with uniform samples below μ). Usually set through
     /// [`SearchStrategy::warm_start`].
     pub warm: Vec<Genome>,
 }
+
+/// Probability that an [`EvolutionarySearch`] child is additionally
+/// mutated.
+const MUTATION_RATE: f64 = 0.6;
 
 impl Default for EvolutionarySearch {
     fn default() -> Self {
@@ -178,7 +180,6 @@ impl Default for EvolutionarySearch {
             seed: 1,
             mu: 8,
             lambda: 16,
-            mutation_rate: 0.6,
             warm: Vec::new(),
         }
     }
@@ -274,7 +275,7 @@ impl SearchStrategy for EvolutionarySearch {
                     let pa = pick(&mut rng, &population);
                     let pb = pick(&mut rng, &population);
                     let mut child = space.crossover(&pa, &pb, &mut rng);
-                    if rng.chance(self.mutation_rate) {
+                    if rng.chance(MUTATION_RATE) {
                         child = space.mutate(&child, &mut rng);
                     }
                     shard.snap(&child)
@@ -347,7 +348,6 @@ mod tests {
             seed: 4,
             mu: 4,
             lambda: 6,
-            mutation_rate: 0.7,
             ..Default::default()
         };
         let (a, _) = run(&mut es, 30);
@@ -356,7 +356,6 @@ mod tests {
             seed: 4,
             mu: 4,
             lambda: 6,
-            mutation_rate: 0.7,
             ..Default::default()
         };
         let (b, _) = run(&mut es2, 30);

@@ -43,10 +43,6 @@ pub struct Dataflow {
     pub m_s: IMat,
     /// Control flow vector `c`, one entry per spatial axis.
     pub control: Vec<i64>,
-    /// Which iteration dimension each temporal loop advances.
-    pub temporal_dims: Vec<usize>,
-    /// Which iteration dimension each spatial axis parallelizes.
-    pub spatial_dims: Vec<usize>,
 }
 
 impl Dataflow {
@@ -314,8 +310,6 @@ impl<'w> DataflowBuilder<'w> {
             m_t,
             m_s,
             control,
-            temporal_dims: temporal.iter().map(|&i| factors[i].0).collect(),
-            spatial_dims: spatial.iter().map(|&i| factors[i].0).collect(),
         })
     }
 }

@@ -1,7 +1,7 @@
 //! Dense integer matrices with exact `i64` arithmetic.
 
 use std::fmt;
-use std::ops::{Add, Mul, Neg, Sub};
+use std::ops::Mul;
 
 /// A dense row-major integer matrix.
 ///
@@ -119,17 +119,6 @@ impl IMat {
             .collect()
     }
 
-    /// Returns the transpose.
-    pub fn transpose(&self) -> IMat {
-        let mut t = IMat::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
     /// Horizontally concatenates `self` with `other` (`[self | other]`).
     ///
     /// # Panics
@@ -141,22 +130,6 @@ impl IMat {
         for r in 0..self.rows {
             m.data[r * m.cols..r * m.cols + self.cols].copy_from_slice(self.row(r));
             m.data[r * m.cols + self.cols..(r + 1) * m.cols].copy_from_slice(other.row(r));
-        }
-        m
-    }
-
-    /// Extracts the sub-matrix of the given column range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn columns(&self, range: std::ops::Range<usize>) -> IMat {
-        assert!(range.end <= self.cols, "columns: range out of bounds");
-        let mut m = IMat::zeros(self.rows, range.len());
-        for r in 0..self.rows {
-            for (j, c) in range.clone().enumerate() {
-                m[(r, j)] = self[(r, c)];
-            }
         }
         m
     }
@@ -201,64 +174,6 @@ impl Mul for &IMat {
             }
         }
         out
-    }
-}
-
-impl Add for &IMat {
-    type Output = IMat;
-
-    fn add(self, rhs: &IMat) -> IMat {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "add: shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        IMat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl Sub for &IMat {
-    type Output = IMat;
-
-    fn sub(self, rhs: &IMat) -> IMat {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "sub: shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        IMat {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl Neg for &IMat {
-    type Output = IMat;
-
-    fn neg(self) -> IMat {
-        IMat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| -x).collect(),
-        }
     }
 }
 
@@ -323,33 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let a = IMat::from_rows(&[vec![1, 2, 3], vec![4, 5, 6]]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().rows(), 3);
-    }
-
-    #[test]
     fn stacking() {
         let a = IMat::from_rows(&[vec![1], vec![2]]);
         let b = IMat::from_rows(&[vec![3], vec![4]]);
         assert_eq!(a.hstack(&b), IMat::from_rows(&[vec![1, 3], vec![2, 4]]));
-    }
-
-    #[test]
-    fn column_slicing() {
-        let a = IMat::from_rows(&[vec![1, 2, 3], vec![4, 5, 6]]);
-        assert_eq!(a.columns(1..3), IMat::from_rows(&[vec![2, 3], vec![5, 6]]));
-    }
-
-    #[test]
-    fn arithmetic_ops() {
-        let a = IMat::from_rows(&[vec![1, 2]]);
-        let b = IMat::from_rows(&[vec![10, 20]]);
-        assert_eq!(&a + &b, IMat::from_rows(&[vec![11, 22]]));
-        assert_eq!(&b - &a, IMat::from_rows(&[vec![9, 18]]));
-        assert_eq!(-&a, IMat::from_rows(&[vec![-1, -2]]));
-        assert_eq!(&a - &a, IMat::zeros(1, 2));
     }
 
     #[test]
