@@ -60,6 +60,7 @@ pub mod codec;
 pub mod error;
 pub mod hash;
 pub mod objective;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod session;
 

@@ -18,10 +18,10 @@ use lego_obs::Obs;
 use lego_sim::{aggregate_iter, best_mapping_ctx, LayerPerf, ModelPerf};
 use lego_workloads::Model;
 use std::borrow::Cow;
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Everything one evaluation needs: the workload, the hardware (dense and
 /// sparse halves), the technology, the scalarization to report, and the
@@ -815,24 +815,20 @@ impl EvalSession {
         if lanes <= 1 {
             return items.iter().map(f).collect();
         }
-        // One result slot per item. Each slot is written by exactly one
-        // claimant of its index (the pool hands out every index once), so
-        // the raw shared mutation is race-free; the pool's completion
-        // handshake orders the writes before the reads below.
-        struct Slot<R>(UnsafeCell<Option<R>>);
-        unsafe impl<R: Send> Sync for Slot<R> {}
-        let slots: Vec<Slot<R>> = (0..items.len())
-            .map(|_| Slot(UnsafeCell::new(None)))
-            .collect();
+        // One result slot per item, locked once by the one claimant of its
+        // index (the pool hands out every index once), so uncontended; `f`
+        // runs outside the lock, so no slot is ever poisoned.
+        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         crate::pool::global().run(items.len(), lanes, &|i| {
             let result = f(&items[i]);
-            // SAFETY: index `i` is claimed exactly once, so no other
-            // thread touches this slot.
-            unsafe { *slots[i].0.get() = Some(result) };
+            *slots[i].lock().expect("result slot poisoned") = Some(result);
         });
         slots
             .into_iter()
-            .map(|s| s.0.into_inner().expect("every task produced a result"))
+            .map(|s| {
+                let result = s.into_inner().expect("result slot poisoned");
+                result.expect("every task produced a result")
+            })
             .collect()
     }
 }
