@@ -179,7 +179,7 @@ fn any_f64() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Every `LayerKind` variant with arbitrary fields, and its field count.
+/// Every `LayerKind` variant with arbitrary fields, and its field bytes.
 fn layer_kind() -> impl Strategy<Value = (LayerKind, usize)> {
     (0u8..4, proptest::collection::vec(any_i64(), 8usize)).prop_map(|(tag, v)| match tag {
         0 => (
@@ -188,7 +188,7 @@ fn layer_kind() -> impl Strategy<Value = (LayerKind, usize)> {
                 n: v[1],
                 k: v[2],
             },
-            3,
+            8 * 3,
         ),
         1 => {
             let kind = LayerKind::Conv {
@@ -201,7 +201,7 @@ fn layer_kind() -> impl Strategy<Value = (LayerKind, usize)> {
                 kw: v[6],
                 stride: v[7],
             };
-            (kind, 8)
+            (kind, 8 * 8)
         }
         2 => {
             let kind = LayerKind::DwConv {
@@ -213,7 +213,7 @@ fn layer_kind() -> impl Strategy<Value = (LayerKind, usize)> {
                 kw: v[5],
                 stride: v[6],
             };
-            (kind, 7)
+            (kind, 8 * 7)
         }
         _ => {
             let kind = LayerKind::Attention {
@@ -223,7 +223,7 @@ fn layer_kind() -> impl Strategy<Value = (LayerKind, usize)> {
                 dk: v[3],
                 dv: v[4],
             };
-            (kind, 5)
+            (kind, 8 * 5)
         }
     })
 }
@@ -283,11 +283,11 @@ fn reencode<T: Wire + std::fmt::Debug>(value: &T) -> Result<usize, TestCaseError
 proptest! {
     #[test]
     fn every_derived_variant_roundtrips(
-        (kind, kind_fields) in layer_kind(),
+        (kind, kind_bytes) in layer_kind(),
         (density, density_bytes) in density_model(),
         (objective, objective_bytes) in objective(),
     ) {
-        prop_assert_eq!(reencode(&kind)?, 1 + 8 * kind_fields);
+        prop_assert_eq!(reencode(&kind)?, 1 + kind_bytes);
         prop_assert_eq!(reencode(&density)?, 1 + density_bytes);
         prop_assert_eq!(reencode(&objective)?, 1 + objective_bytes);
     }
