@@ -454,6 +454,18 @@ impl Wire for Arc<str> {
     }
 }
 
+/// The shared value's own layout: sharing never shows in the bytes.
+impl<T: Wire> Wire for Arc<T> {
+    #[inline]
+    fn put(&self, e: &mut Enc) {
+        (**self).put(e);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        T::get(d).map(Arc::new)
+    }
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
     #[inline]
     fn put(&self, e: &mut Enc) {

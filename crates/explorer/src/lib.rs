@@ -13,10 +13,10 @@
 //! * [`SearchStrategy`] — pluggable search: [`GridSearch`] (exhaustive),
 //!   [`RandomSearch`] (seeded sampling), and [`EvolutionarySearch`]
 //!   ((μ+λ) with mutation and crossover over config genomes);
-//! * `lego-eval`'s [`EvalCache`] — a memoized, sharded map from (hardware
-//!   fingerprint, layer fingerprint) to layer performance, shared by every
-//!   strategy and worker thread so overlapping searches pay for each
-//!   simulation once;
+//! * `lego-eval`'s [`EvalCache`](lego_eval::EvalCache) — a memoized,
+//!   sharded map from (hardware fingerprint, layer fingerprint) to layer
+//!   performance, shared by every strategy and worker thread so
+//!   overlapping searches pay for each simulation once;
 //! * [`Evaluator`] — batch evaluation through `EvalSession::run_batch` on
 //!   the process-wide worker pool, deterministic regardless of
 //!   interleaving, with each genome priced once per evaluator;
@@ -45,8 +45,9 @@
 //! enumeration (and keeps each strategy inside its slice), a worker explores
 //! its shard with [`explore_shard`] and checkpoints the resulting
 //! frontier + evaluation cache as a [`Snapshot`] file, and a coordinator
-//! merges snapshots with [`ParetoFrontier::merge`] / [`EvalCache::absorb`]
-//! (or [`Snapshot::absorb`]). For a disjoint grid partition, the merged
+//! merges snapshots with [`ParetoFrontier::merge`] /
+//! [`EvalCache::absorb`](lego_eval::EvalCache::absorb) (or
+//! [`Snapshot::absorb`]). For a disjoint grid partition, the merged
 //! frontier is dominance-equal to the single-process frontier — pinned by
 //! tests and by the `dse_shard` CI job. The same workflow runs in-process
 //! through [`explore_sharded`]:
@@ -83,15 +84,15 @@ pub mod strategy;
 pub use eval::{DesignPoint, Evaluator};
 pub use pareto::{Constraints, ParetoFrontier};
 pub use rng::SplitMix64;
-pub use snapshot::Snapshot;
+pub use snapshot::{CacheUnion, SharedEntries, Snapshot};
 pub use space::{DataflowSet, DesignSpace, Genome, SpaceShard};
 pub use strategy::{EvolutionarySearch, GridSearch, RandomSearch, SearchReport, SearchStrategy};
 
-use lego_eval::{EvalCache, Objective};
+use lego_eval::Objective;
 use lego_model::TechModel;
 use lego_obs::Obs;
-use lego_sim::LayerPerf;
 use lego_workloads::Model;
+use std::sync::Arc;
 
 /// Exploration-wide knobs.
 #[derive(Debug, Clone)]
@@ -122,8 +123,9 @@ pub struct ExploreOptions {
     /// the *frontier*, this warm-starts the *cache*: layer simulations a
     /// peer already ran are answered as hits instead of recomputed.
     /// Results are unchanged either way (entries are deterministic), only
-    /// the work is. Empty = cold cache.
-    pub warm_cache: Vec<((u64, u64), LayerPerf)>,
+    /// the work is. Empty = cold cache. The list is shared, so handing a
+    /// decoded snapshot's list over copies no entry.
+    pub warm_cache: SharedEntries,
     /// Observability handle threaded through the evaluator (and the
     /// session inside it) and the strategies: per-phase evaluation spans,
     /// cache hit/miss counters, an `explore/shard` span per shard run
@@ -144,7 +146,7 @@ impl Default for ExploreOptions {
             constraints: Constraints::none(),
             objective: Objective::EDP,
             warm_start: Vec::new(),
-            warm_cache: Vec::new(),
+            warm_cache: SharedEntries::default(),
             obs: Obs::disabled(),
         }
     }
@@ -186,7 +188,8 @@ pub fn default_strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
 }
 
 /// Runs every strategy over `space` against `model`, accumulating one
-/// shared [`ParetoFrontier`] through one shared [`EvalCache`].
+/// shared [`ParetoFrontier`] through one shared
+/// [`EvalCache`](lego_eval::EvalCache).
 pub fn explore(
     model: &Model,
     space: &DesignSpace,
@@ -220,8 +223,10 @@ pub struct ShardRunResult {
     pub cache_hits: u64,
     /// Layer evaluations that ran the simulator.
     pub cache_misses: u64,
-    /// The shard's memoized evaluations in canonical (sorted-key) order.
-    pub cache: Vec<((u64, u64), LayerPerf)>,
+    /// The shard's memoized evaluations in canonical (sorted-key) order:
+    /// the one copy its [`snapshot`](Self::snapshot) and the
+    /// [`ShardedExplorationResult::cache`] union share.
+    pub cache: SharedEntries,
 }
 
 impl ShardRunResult {
@@ -231,7 +236,10 @@ impl ShardRunResult {
         self.reports.iter().map(|r| r.evaluated as u64).sum()
     }
 
-    /// Packages the shard's results as a serializable [`Snapshot`].
+    /// Packages the shard's results as a serializable [`Snapshot`]. The
+    /// snapshot shares this shard's cache list instead of cloning it;
+    /// [`Snapshot::absorb`] copies the list before its first change, so
+    /// merging into the snapshot never changes this shard's entries.
     pub fn snapshot(&self, model: &str, seed: u64) -> Snapshot {
         Snapshot {
             shard_index: self.shard_index,
@@ -240,7 +248,7 @@ impl ShardRunResult {
             model: model.to_string(),
             evaluated: self.evaluated(),
             frontier: self.frontier.clone(),
-            cache: self.cache.clone(),
+            cache: Arc::clone(&self.cache),
         }
     }
 }
@@ -308,7 +316,7 @@ pub fn explore_shard(
         reports,
         cache_hits: evaluator.cache_hits(),
         cache_misses: evaluator.cache().misses(),
-        cache: evaluator.cache().entries(),
+        cache: Arc::new(evaluator.cache().entries()),
     }
 }
 
@@ -321,9 +329,14 @@ pub struct ShardedExplorationResult {
     /// to an *exhaustive* single-process frontier — note the per-shard
     /// budget caveat on [`explore_sharded`].
     pub frontier: ParetoFrontier,
-    /// The merged evaluation cache — the set union of every shard's
-    /// entries under their stable fingerprint keys.
-    pub cache: EvalCache,
+    /// The merged evaluation cache: the set union of every shard's
+    /// entries under their stable fingerprint keys, as a read-only view
+    /// over the shards' own lists ([`ShardRunResult::cache`]). No entry is
+    /// copied. Its `len` and `estimated_resident_bytes` are those of an
+    /// [`EvalCache`](lego_eval::EvalCache) that absorbed every shard in
+    /// shard order, and [`entries`](CacheUnion::entries) merges that
+    /// cache's list on demand.
+    pub cache: CacheUnion,
     /// Per-shard results, in shard order (shard `i` at index `i`).
     pub shards: Vec<ShardRunResult>,
     /// Cache hits summed over all shards.
@@ -383,14 +396,13 @@ pub fn explore_sharded(
         ));
     }
     let mut frontier = ParetoFrontier::new();
-    let cache = EvalCache::new();
     let (mut hits, mut misses) = (0, 0);
     for run in &outcomes {
         frontier.merge(&run.frontier);
-        cache.absorb(run.cache.iter().cloned());
         hits += run.cache_hits;
         misses += run.cache_misses;
     }
+    let cache = CacheUnion::new(outcomes.iter().map(|run| Arc::clone(&run.cache)).collect());
     ShardedExplorationResult {
         frontier,
         cache,
@@ -782,6 +794,59 @@ mod tests {
         assert_eq!(again.cache.entries(), sharded.cache.entries());
     }
 
+    fn lenet_sharded(shards: u32) -> ShardedExplorationResult {
+        let opts = ExploreOptions {
+            budget_per_strategy: 12,
+            ..Default::default()
+        };
+        explore_sharded(&zoo::lenet(), &DesignSpace::tiny(), shards, 7, &opts)
+    }
+
+    #[test]
+    fn shard_lists_are_shared_not_copied() {
+        let sharded = lenet_sharded(3);
+        for run in &sharded.shards {
+            assert!(!run.cache.is_empty());
+            assert!(Arc::ptr_eq(&run.snapshot("LeNet", 7).cache, &run.cache));
+        }
+        // The union view reads the shards' own lists, in shard order.
+        let lists = sharded.cache.lists();
+        assert_eq!(lists.len(), sharded.shards.len());
+        for (list, run) in lists.iter().zip(&sharded.shards) {
+            assert!(Arc::ptr_eq(list, &run.cache));
+        }
+    }
+
+    #[test]
+    fn absorbing_into_a_snapshot_never_changes_its_shard() {
+        let sharded = lenet_sharded(2);
+        let (first, second) = (&sharded.shards[0], &sharded.shards[1]);
+        let before = first.cache.to_vec();
+        let union_before = sharded.cache.entries();
+        // The snapshot's list is still the shard's when the merge adds to
+        // it, so the merge must copy it first.
+        let mut merged = first.snapshot("LeNet", 7);
+        let (_, added) = merged.absorb(&second.snapshot("LeNet", 7));
+        assert!(added > 0);
+        assert_eq!(
+            *first.cache, before,
+            "the merge wrote into the shard's list"
+        );
+        assert_eq!(sharded.cache.entries(), union_before);
+        assert_eq!(*merged.cache, union_before);
+        // A list nobody else holds is merged where it is.
+        let mut owned = first.snapshot("LeNet", 7);
+        owned.cache = Arc::new(before);
+        let resident = Arc::as_ptr(&owned.cache);
+        owned.absorb(&second.snapshot("LeNet", 7));
+        assert_eq!(Arc::as_ptr(&owned.cache), resident);
+        assert_eq!(*owned.cache, union_before);
+        // A merge that adds nothing copies nothing, shared or not.
+        let mut again = first.snapshot("LeNet", 7);
+        assert_eq!(again.absorb(&first.snapshot("LeNet", 7)).1, 0);
+        assert!(Arc::ptr_eq(&again.cache, &first.cache));
+    }
+
     #[test]
     fn sharded_portfolios_never_overlap() {
         use std::collections::HashSet;
@@ -814,7 +879,7 @@ mod tests {
             keys.dedup();
             assert_eq!(keys.len(), total, "shard caches are pairwise disjoint");
             let grid = explore_shard(&model, &space.full(), &mut grid_only(), &opts);
-            assert_eq!(sharded.cache.entries(), grid.cache);
+            assert_eq!(sharded.cache.entries(), *grid.cache);
             if shards == 3 {
                 // The merged snapshot is byte-identical to the one shards
                 // that sampled the whole space produced.

@@ -25,6 +25,17 @@ use lego_eval::codec::{CodecError, Dec, Enc, Wire};
 use lego_eval::{wire_struct, Objectives};
 use lego_sim::{LayerPerf, ModelPerf};
 use std::borrow::Cow;
+use std::sync::Arc;
+
+/// One memoized evaluation: `((hw_key, layer_key), perf)`.
+type Entry = ((u64, u64), LayerPerf);
+
+/// A key-sorted list of memoized evaluations, shared rather than copied:
+/// a shard's [`ShardRunResult::cache`](crate::ShardRunResult::cache), its
+/// [`Snapshot::cache`], the [`CacheUnion`] over every shard and a warm
+/// run's [`ExploreOptions::warm_cache`](crate::ExploreOptions::warm_cache)
+/// all hold the same list. It encodes as the list itself.
+pub type SharedEntries = Arc<Vec<((u64, u64), LayerPerf)>>;
 
 /// File magic: identifies a LEGO DSE snapshot.
 const MAGIC: &[u8; 8] = b"LEGOSNAP";
@@ -65,8 +76,10 @@ pub struct Snapshot {
     /// The shard's feasible Pareto frontier.
     pub frontier: ParetoFrontier,
     /// The shard's memoized `((hw_key, layer_key), perf)` evaluations, in
-    /// sorted key order.
-    pub cache: Vec<((u64, u64), LayerPerf)>,
+    /// sorted key order. [`ShardRunResult::snapshot`](crate::ShardRunResult::snapshot)
+    /// shares the shard's own list here; [`Snapshot::absorb`] copies it
+    /// only if it is still shared when a merge adds to it.
+    pub cache: SharedEntries,
 }
 
 impl Snapshot {
@@ -76,26 +89,27 @@ impl Snapshot {
     /// collisions (the [`EvalCache::absorb`](lego_eval::EvalCache::absorb)
     /// rule). Returns `(frontier_points_added, cache_entries_added)`.
     ///
-    /// The union is one linear merge of the two key-sorted lists. A list
-    /// that is not strictly sorted (`cache` is a public field) is first put
-    /// in key order with the first entry of each key kept, which is what
-    /// absorbing it into an [`EvalCache`](lego_eval::EvalCache) would keep.
+    /// The union is linear and in place. One pass over both key-sorted
+    /// lists counts the foreign keys this list lacks; the list grows once
+    /// by that count and a merge from the back fills it, so no second
+    /// buffer is allocated. A list still shared with the shard it came
+    /// from (or any other holder) is copied first ([`Arc::make_mut`]),
+    /// so no other holder sees the merge; a merge that adds nothing
+    /// touches no list. A list that is not strictly sorted (`cache` is a
+    /// public field) is first put in key order with the first entry of
+    /// each key kept, which is what absorbing it into an
+    /// [`EvalCache`](lego_eval::EvalCache) would keep.
     pub fn absorb(&mut self, other: &Snapshot) -> (usize, usize) {
         self.evaluated = self.evaluated.saturating_add(other.evaluated);
         let joined = self.frontier.merge(&other.frontier);
-        let resident = std::mem::take(&mut self.cache);
-        let (ours, theirs) = (canonical(&resident), canonical(&other.cache));
-        let mut merged = Vec::with_capacity(ours.len() + theirs.len());
-        let mut foreign = theirs.iter().copied().peekable();
-        for entry in ours.iter().copied() {
-            merged.extend(std::iter::from_fn(|| foreign.next_if(|f| f.0 < entry.0)));
-            // On an equal key the resident entry wins.
-            foreign.next_if(|f| f.0 == entry.0);
-            merged.push(entry);
+        if let Cow::Owned(sorted) = canonical(&self.cache) {
+            self.cache = Arc::new(sorted);
         }
-        merged.extend(foreign);
-        let added = merged.len() - ours.len();
-        self.cache = merged;
+        let theirs = canonical(&other.cache);
+        let added = count_new_keys(&self.cache, &theirs);
+        if added > 0 {
+            merge_from_back(Arc::make_mut(&mut self.cache), &theirs, added);
+        }
         (joined, added)
     }
 
@@ -163,7 +177,7 @@ impl Snapshot {
 
 /// `cache` itself when its keys are strictly increasing; otherwise a copy
 /// stable-sorted by key with only the first entry of each key kept.
-fn canonical(cache: &[((u64, u64), LayerPerf)]) -> Cow<'_, [((u64, u64), LayerPerf)]> {
+fn canonical(cache: &[Entry]) -> Cow<'_, [Entry]> {
     if cache.windows(2).all(|w| w[0].0 < w[1].0) {
         return Cow::Borrowed(cache);
     }
@@ -171,6 +185,128 @@ fn canonical(cache: &[((u64, u64), LayerPerf)]) -> Cow<'_, [((u64, u64), LayerPe
     sorted.sort_by_key(|(key, _)| *key);
     sorted.dedup_by_key(|(key, _)| *key);
     Cow::Owned(sorted)
+}
+
+/// How many keys of `theirs` are missing from `ours` (both strictly
+/// sorted): one forward pass over both.
+fn count_new_keys(ours: &[Entry], theirs: &[Entry]) -> usize {
+    let mut ours = ours.iter().peekable();
+    theirs
+        .iter()
+        .filter(|t| {
+            while ours.next_if(|o| o.0 < t.0).is_some() {}
+            ours.peek().is_none_or(|o| o.0 != t.0)
+        })
+        .count()
+}
+
+/// Merges `theirs` into `ours` in place (both strictly sorted), where
+/// `added` is [`count_new_keys`]: `ours` grows once by `added` and is
+/// filled from the back, so every entry moves at most once and a resident
+/// entry wins an equal key.
+fn merge_from_back(ours: &mut Vec<Entry>, theirs: &[Entry], added: usize) {
+    let mut i = ours.len();
+    ours.reserve_exact(added);
+    ours.resize(i + added, theirs[0]);
+    let mut j = theirs.len();
+    // `w` is the next slot to fill; the resident prefix `ours[..i]` ends
+    // at or before it, and the two meet once every new key is placed.
+    let mut w = ours.len();
+    while w > i {
+        let t = theirs[j - 1];
+        if i > 0 && ours[i - 1].0 >= t.0 {
+            if ours[i - 1].0 == t.0 {
+                j -= 1; // The resident entry wins; theirs is dropped.
+            }
+            ours[w - 1] = ours[i - 1];
+            i -= 1;
+        } else {
+            ours[w - 1] = t;
+            j -= 1;
+        }
+        w -= 1;
+    }
+}
+
+/// A read-only union of shard caches that copies no entry: it holds each
+/// shard's own [`SharedEntries`] list and merges them only when asked for
+/// [`entries`](CacheUnion::entries). On a key more than one shard holds,
+/// the lowest-index shard's entry wins, as absorbing the shards into one
+/// [`EvalCache`](lego_eval::EvalCache) in shard order would keep.
+#[derive(Debug, Clone)]
+pub struct CacheUnion {
+    lists: Vec<SharedEntries>,
+    distinct: usize,
+}
+
+impl CacheUnion {
+    /// The union of `lists`, in priority order. The distinct-key count is
+    /// taken once here, by one k-way merge. A list not in strictly
+    /// increasing key order is replaced by its canonical copy (key order,
+    /// first entry of each key kept); every shard's list already is.
+    pub fn new(lists: Vec<SharedEntries>) -> Self {
+        let lists: Vec<SharedEntries> = lists
+            .into_iter()
+            .map(|list| match canonical(&list) {
+                Cow::Borrowed(_) => list,
+                Cow::Owned(sorted) => Arc::new(sorted),
+            })
+            .collect();
+        let distinct = k_way_union(&lists).count();
+        CacheUnion { lists, distinct }
+    }
+
+    /// The shard lists the union reads, in priority order.
+    pub fn lists(&self) -> &[SharedEntries] {
+        &self.lists
+    }
+
+    /// Every distinct entry in key order, merged from the shard lists
+    /// now: the same list an [`EvalCache`](lego_eval::EvalCache) that
+    /// absorbed every shard in order would return from
+    /// [`entries`](lego_eval::EvalCache::entries).
+    pub fn entries(&self) -> Vec<((u64, u64), LayerPerf)> {
+        let mut out = Vec::with_capacity(self.distinct);
+        out.extend(k_way_union(&self.lists).copied());
+        out
+    }
+
+    /// Distinct keys across every shard.
+    pub fn len(&self) -> usize {
+        self.distinct
+    }
+
+    /// Whether no shard holds an entry.
+    pub fn is_empty(&self) -> bool {
+        self.distinct == 0
+    }
+
+    /// What an [`EvalCache`](lego_eval::EvalCache) holding the union
+    /// would report as its
+    /// [`estimated_resident_bytes`](lego_eval::EvalCache::estimated_resident_bytes).
+    pub fn estimated_resident_bytes(&self) -> usize {
+        lego_eval::estimated_resident_bytes_for(self.distinct)
+    }
+}
+
+/// The union of strictly sorted `lists` in key order; on an equal key the
+/// entry of the first list holding it. Each step scans the list heads,
+/// which is cheap for a shard count.
+fn k_way_union(lists: &[SharedEntries]) -> impl Iterator<Item = &Entry> {
+    let mut rests: Vec<&[Entry]> = lists.iter().map(|list| list.as_slice()).collect();
+    std::iter::from_fn(move || {
+        // `min_by_key` keeps the first of equal minima: the lowest index.
+        let winner = rests
+            .iter()
+            .filter_map(|rest| rest.first())
+            .min_by_key(|e| e.0)?;
+        for rest in &mut rests {
+            if rest.first().is_some_and(|e| e.0 == winner.0) {
+                *rest = &rest[1..];
+            }
+        }
+        Some(winner)
+    })
 }
 
 wire_struct! {

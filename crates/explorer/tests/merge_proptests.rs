@@ -1,7 +1,9 @@
 //! Property-based tests of the shard-merge algebra: frontier `merge` is
 //! commutative, associative, and idempotent; cache `absorb` is a set
-//! union that never rewrites a resident entry; and the snapshot codec
-//! round-trips whatever those operations produce.
+//! union that never rewrites a resident entry; the in-place
+//! `Snapshot::absorb` and the `CacheUnion` view both equal an `EvalCache`
+//! that absorbs the same lists; and the snapshot codec round-trips
+//! whatever those operations produce.
 //!
 //! These are the laws that make distributed search trustworthy: a
 //! coordinator may receive shard snapshots in any order, retry a merge
@@ -9,11 +11,15 @@
 //! not depend on any of it.
 
 use lego_eval::{EvalCache, Objectives};
-use lego_explorer::{DesignPoint, Genome, ParetoFrontier, Snapshot, SplitMix64};
+use lego_explorer::{
+    explore_sharded, CacheUnion, DesignPoint, DesignSpace, ExploreOptions, Genome, ParetoFrontier,
+    SharedEntries, Snapshot, SplitMix64,
+};
 use lego_model::SpatialMapping;
 use lego_sim::{EnergyBreakdown, LayerPerf, ModelPerf};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A synthetic design point on a small integer objective lattice. The
 /// genome is derived injectively from the objectives, so equal values
@@ -163,6 +169,7 @@ proptest! {
         theirs in vec((0u8..6, 0u8..6, 3i64..6), 0..24),
         sort_ours in proptest::bool::ANY,
         sort_theirs in proptest::bool::ANY,
+        share_ours in proptest::bool::ANY,
     ) {
         // Arbitrary lists: unsorted, with duplicate keys whose values
         // differ by salt, unless the flag asks for the canonical form a
@@ -178,6 +185,7 @@ proptest! {
             }
         };
         let (a, b) = (list(&ours, sort_ours), list(&theirs, sort_theirs));
+        let original = a.clone();
         // The reference: both lists absorbed into one cache, resident first.
         let union = EvalCache::new();
         union.absorb(a.iter().cloned());
@@ -189,14 +197,62 @@ proptest! {
             model: "synthetic".into(),
             evaluated: 0,
             frontier: ParetoFrontier::new(),
-            cache,
+            cache: Arc::new(cache),
         };
         let mut merged = snapshot(a);
+        // Another holder of the resident list, as a shard holds the list
+        // its snapshot shares: the merge must not show through it.
+        let holder = share_ours.then(|| Arc::clone(&merged.cache));
         let (_, added) = merged.absorb(&snapshot(b));
         prop_assert_eq!(added, expected_added);
-        prop_assert_eq!(&merged.cache, &union.entries());
+        prop_assert_eq!(&*merged.cache, &union.entries());
         prop_assert!(merged.cache.windows(2).all(|w| w[0].0 < w[1].0));
+        if let Some(holder) = holder {
+            prop_assert_eq!(&*holder, &original);
+        }
     }
+
+    #[test]
+    fn cache_union_equals_absorbing_every_list(
+        lists in vec((vec((0u8..6, 0u8..6, 0i64..3), 0..16), proptest::bool::ANY), 0..5),
+    ) {
+        // Each list carries its own salts, so a key several lists hold has
+        // a different value in each and the winner shows. Unsorted lists
+        // with repeated keys are allowed unless the flag asks for the
+        // canonical form a shard produces.
+        let lists: Vec<SharedEntries> = lists
+            .iter()
+            .enumerate()
+            .map(|(i, (xs, canonical))| {
+                let raw: Vec<_> = xs
+                    .iter()
+                    .map(|&(h, l, salt)| entry(h, l, salt + 10 * i as i64))
+                    .collect();
+                if *canonical {
+                    let cache = EvalCache::new();
+                    cache.absorb(raw);
+                    Arc::new(cache.entries())
+                } else {
+                    Arc::new(raw)
+                }
+            })
+            .collect();
+        // The reference: every list absorbed into one cache, first list
+        // first, so on an equal key the lowest index wins.
+        let reference = EvalCache::new();
+        for list in &lists {
+            reference.absorb(list.iter().copied());
+        }
+        let union = CacheUnion::new(lists);
+        prop_assert_eq!(union.len(), reference.len());
+        prop_assert_eq!(union.is_empty(), reference.is_empty());
+        prop_assert_eq!(
+            union.estimated_resident_bytes(),
+            reference.estimated_resident_bytes()
+        );
+        prop_assert_eq!(union.entries(), reference.entries());
+    }
+
 
     #[test]
     fn snapshot_roundtrips_any_merge_result(
@@ -214,7 +270,7 @@ proptest! {
             model: "synthetic".into(),
             evaluated: (xs.len() + ys.len()) as u64,
             frontier: merged(&frontier_of(&xs), &frontier_of(&ys)),
-            cache: cache.entries(),
+            cache: Arc::new(cache.entries()),
         };
         let bytes = snap.encode();
         let decoded = Snapshot::decode(&bytes).expect("own encoding decodes");
@@ -223,6 +279,37 @@ proptest! {
         prop_assert_eq!(decoded.cache, snap.cache);
         prop_assert_eq!(decoded.seed, seed);
         prop_assert_eq!(decoded.evaluated, snap.evaluated);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn sharded_union_view_equals_an_eval_cache_of_every_shard(
+        seed in 0u64..1_000,
+        shards in 2u32..5,
+        picks in vec(0usize..64, 1..5),
+    ) {
+        // Warm-start genomes are priced by every shard, so the shard
+        // caches overlap and the union has duplicates to drop.
+        let space = DesignSpace::tiny();
+        let genomes = space.enumerate();
+        let opts = ExploreOptions {
+            budget_per_strategy: 8,
+            warm_start: picks.iter().map(|&i| genomes[i % genomes.len()]).collect(),
+            ..Default::default()
+        };
+        let sharded = explore_sharded(&lego_workloads::zoo::lenet(), &space, shards, seed, &opts);
+        let reference = EvalCache::new();
+        for run in &sharded.shards {
+            reference.absorb(run.cache.iter().copied());
+        }
+        prop_assert_eq!(sharded.cache.len(), reference.len());
+        prop_assert_eq!(sharded.cache.entries(), reference.entries());
+        let duplicates = sharded.cache_misses - reference.len() as u64;
+        prop_assert!(duplicates > 0, "warm-start genomes overlap the shards");
+        prop_assert_eq!(sharded.duplicate_evals(), duplicates);
     }
 }
 
