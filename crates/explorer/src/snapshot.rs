@@ -17,6 +17,10 @@
 //! `encode → decode → encode` is byte-identical. Decoding
 //! validates everything it reads and returns a [`CodecError`] — never
 //! panics — on truncated or corrupt input.
+//!
+//! The cache side is one shared list per shard ([`SharedEntries`]):
+//! merging snapshots grows a list in place ([`Snapshot::absorb`]), and
+//! [`CacheUnion`] reads several lists as one without copying them.
 
 use crate::eval::DesignPoint;
 use crate::pareto::ParetoFrontier;
