@@ -159,6 +159,19 @@ fn cmd_run(args: &[String]) -> Result<(), EvalError> {
     Ok(())
 }
 
+/// What `merge --report` prints of one input snapshot, kept once its
+/// cache is merged.
+struct MergeInput {
+    /// `index/count`.
+    shard: String,
+    evaluated: u64,
+    frontier: ParetoFrontier,
+    /// Cache entries the snapshot carried.
+    cache: usize,
+    /// (frontier points joined, cache entries added) at merge.
+    contributed: (usize, usize),
+}
+
 fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
     let mut args = args.to_vec();
     let out = take_flag(&mut args, "--out", USAGE)?;
@@ -169,29 +182,37 @@ fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
         )));
     }
     let paths: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
-    let mut snapshots = Vec::new();
+    // One file is decoded at a time and merged at once; the first moves
+    // into `merged`. Of each input only what the report prints is kept.
+    let mut merged: Option<Snapshot> = None;
+    let mut inputs = Vec::with_capacity(paths.len());
     for p in &paths {
-        snapshots.push(Snapshot::read_from(p).map_err(|e| file_ctx(&p.display().to_string(), e))?);
-    }
-
-    let mut merged = snapshots[0].clone();
-    // Per-snapshot contribution in merge order: the first snapshot seeds
-    // everything it carries; each later one contributes what `absorb`
-    // actually added.
-    let mut contributions = vec![(snapshots[0].frontier.len(), snapshots[0].cache.len())];
-    let (mut joined, mut absorbed) = (0, 0);
-    for s in &snapshots[1..] {
-        if s.model != merged.model {
-            return Err(EvalError::Usage(format!(
-                "snapshot models disagree: {:?} vs {:?}",
-                merged.model, s.model
-            )));
+        let s = Snapshot::read_from(p).map_err(|e| file_ctx(&p.display().to_string(), e))?;
+        let mut input = MergeInput {
+            shard: format!("{}/{}", s.shard_index, s.shard_count),
+            evaluated: s.evaluated,
+            frontier: s.frontier.clone(),
+            cache: s.cache.len(),
+            // The first snapshot seeds everything it carries; each later
+            // one contributes what `absorb` actually added.
+            contributed: (s.frontier.len(), s.cache.len()),
+        };
+        match merged.as_mut() {
+            None => merged = Some(s),
+            Some(m) if s.model != m.model => {
+                return Err(EvalError::Usage(format!(
+                    "snapshot models disagree: {:?} vs {:?}",
+                    m.model, s.model
+                )));
+            }
+            Some(m) => input.contributed = m.absorb(&s),
         }
-        let (j, a) = merged.absorb(s);
-        contributions.push((j, a));
-        joined += j;
-        absorbed += a;
+        inputs.push(input);
     }
+    let mut merged = merged.expect("at least one snapshot");
+    let (joined, absorbed) = inputs[1..].iter().fold((0, 0), |(j, a), input| {
+        (j + input.contributed.0, a + input.contributed.1)
+    });
     // The merged snapshot stands for the whole space, not one slice.
     merged.shard_index = 0;
     merged.shard_count = 1;
@@ -210,10 +231,8 @@ fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
             "cache".into(),
             "contributed".into(),
         ]);
-        for ((p, s), (frontier_joined, cache_added)) in
-            paths.iter().zip(&snapshots).zip(&contributions)
-        {
-            let survived = s
+        for (p, input) in paths.iter().zip(&inputs) {
+            let survived = input
                 .frontier
                 .points()
                 .iter()
@@ -222,12 +241,12 @@ fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
             row(&[
                 p.file_name()
                     .map_or_else(String::new, |n| n.to_string_lossy().into_owned()),
-                format!("{}/{}", s.shard_index, s.shard_count),
-                format!("{}", s.evaluated),
-                format!("{}/{}", frontier_joined, s.frontier.len()),
+                input.shard.clone(),
+                format!("{}", input.evaluated),
+                format!("{}/{}", input.contributed.0, input.frontier.len()),
                 format!("{}", survived),
-                format!("{}", s.cache.len()),
-                format!("{}", cache_added),
+                format!("{}", input.cache),
+                format!("{}", input.contributed.1),
             ]);
         }
         println!(
@@ -235,9 +254,9 @@ fn cmd_merge(args: &[String]) -> Result<(), EvalError> {
              points joined at merge / points checkpointed)",
             merged.evaluated
         );
-        let shard_bytes: usize = snapshots
+        let shard_bytes: usize = inputs
             .iter()
-            .map(|s| lego_eval::estimated_resident_bytes_for(s.cache.len()))
+            .map(|input| lego_eval::estimated_resident_bytes_for(input.cache))
             .sum();
         let merged_bytes = lego_eval::estimated_resident_bytes_for(merged.cache.len());
         println!(

@@ -16,7 +16,7 @@ use lego_model::{
 };
 use lego_obs::Obs;
 use lego_sim::{aggregate_iter, best_mapping_ctx, LayerPerf, ModelPerf};
-use lego_workloads::Model;
+use lego_workloads::{Layer, Model};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
@@ -712,9 +712,28 @@ impl EvalSession {
     }
 
     /// Prices a borrowed request view down to the numbers (see [`Priced`]):
-    /// the form the explorer and the mapping search use, since they price
-    /// thousands of configurations and never read the report rows.
+    /// the form the mapping search uses, since it prices many
+    /// configurations and never reads the report rows. Every layer is
+    /// looked up in the session's [`EvalCache`].
     pub fn price(&self, request: EvalRequestRef<'_>) -> Priced {
+        self.price_with(request, |cache_key, simulate| {
+            let layer_keys = request.covering_layer_keys();
+            let layers = request.workload.layers.iter().zip(layer_keys.iter());
+            layers
+                .map(|(layer, &lk)| self.cache.get_or_compute(cache_key, lk, || simulate(layer)))
+                .collect()
+        })
+    }
+
+    /// [`price`](Self::price) with the caller supplying the layers:
+    /// `layers` gets the hardware half of this evaluation's cache keys and
+    /// a function that simulates one layer (each call counts as a miss),
+    /// and returns one `LayerPerf` per workload layer, index-aligned. The
+    /// explorer prices each distinct shape of a genome once this way.
+    pub fn price_with<F>(&self, request: EvalRequestRef<'_>, layers: F) -> Priced
+    where
+        F: FnOnce(u64, &dyn Fn(&Layer) -> LayerPerf) -> Vec<LayerPerf>,
+    {
         // Mint this evaluation's request id and mark the calling thread
         // with it: every trace event recorded below (the eval/* spans and
         // cache counters) carries the id, which is how an exported trace
@@ -730,7 +749,6 @@ impl EvalSession {
         // and is recorded in provenance.
         let hw_fp = hw_fingerprint(request.hw, request.sparse, &request.tech, request.tile_cap);
         let cache_key = self.cache_key(&request, hw_fp);
-        let layer_keys = request.covering_layer_keys();
         let ctx = self.obs.time("eval/context_build", || {
             CostContext::new(request.hw.clone(), request.tech)
                 .with_sram(self.sram)
@@ -740,23 +758,17 @@ impl EvalSession {
         // counters) so a report's provenance depends only on this
         // request's lookups, never on what parallel batch neighbors did.
         let computed = Cell::new(0u64);
-        let search_span = self.obs.span("eval/mapping_search");
-        let per_layer: Vec<LayerPerf> = request
-            .workload
-            .layers
-            .iter()
-            .zip(layer_keys.iter())
-            .map(|(layer, &lk)| {
-                self.cache.get_or_compute(cache_key, lk, || {
-                    computed.set(computed.get() + 1);
-                    let _span = self.obs.span("sim/best_mapping");
-                    self.obs
-                        .count("sim.mappings_tried", ctx.hw.dataflows.len().max(1) as u64);
-                    best_mapping_ctx(layer, &ctx, request.tile_cap)
-                })
-            })
-            .collect();
-        drop(search_span);
+        let simulate = |layer: &Layer| {
+            computed.set(computed.get() + 1);
+            let _span = self.obs.span("sim/best_mapping");
+            self.obs
+                .count("sim.mappings_tried", ctx.hw.dataflows.len().max(1) as u64);
+            best_mapping_ctx(layer, &ctx, request.tile_cap)
+        };
+        let per_layer = {
+            let _search_span = self.obs.span("eval/mapping_search");
+            layers(cache_key, &simulate)
+        };
         let cache_misses = computed.get();
         let cache_hits = per_layer.len() as u64 - cache_misses;
         self.obs.count("cache.hits", cache_hits);

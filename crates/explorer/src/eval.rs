@@ -3,15 +3,16 @@
 //!
 //! The explorer does not price hardware itself — it owns the *search*
 //! (genomes, constraints, frontiers) and routes every evaluation through
-//! one [`EvalSession`] from `lego-eval`, the same request/response layer
-//! the bench harness and the facade speak. The session owns the
-//! `CostContext`, the memoized [`EvalCache`], and the
-//! worker pool; the evaluator adds the genome↔request translation, the
-//! feasibility check, and a per-genome memo over batches.
+//! one [`EvalSession`] from `lego-eval`, the same pricing core the bench
+//! harness and the facade use. The session owns the `CostContext` build,
+//! the roll-up and the worker pool; the evaluator adds the genome↔request
+//! translation, the feasibility check, and a per-genome memo of points
+//! and their layer rows, from which the shard's cache list is built.
 
 use crate::pareto::Constraints;
+use crate::snapshot::{canonical_shared, count_new_keys, merge_from_back, Entry, SharedEntries};
 use crate::space::Genome;
-use lego_eval::{EvalCache, EvalRequestRef, EvalSession, Objective, Objectives};
+use lego_eval::{EvalRequestRef, EvalSession, Objective, Objectives};
 use lego_model::{SparseHw, TechModel};
 use lego_obs::Obs;
 use lego_sim::{LayerPerf, ModelPerf};
@@ -36,47 +37,66 @@ pub struct DesignPoint {
     pub feasible: bool,
 }
 
+/// A priced genome's `((cache key, layer key), perf)` entries, one per
+/// distinct layer shape of the model, in key order.
+type Row = Box<[Entry]>;
+
 /// Evaluates genomes against one target model.
 ///
-/// Wraps an [`EvalSession`] (which owns the shared [`EvalCache`] and the
-/// `std::thread` worker pool): a genome is materialized into a borrowed
-/// request view keyed by [`Genome::key`], so session cache entries line up
-/// with snapshot checkpoints and warm-started caches. Evaluation is pure,
-/// so batches return in input order and the whole exploration is
-/// deterministic regardless of thread interleaving.
-///
-/// Batches also keep every point they priced, by genome, for the
-/// evaluator's lifetime (one shard in [`explore_shard`](crate::explore_shard)):
-/// sampling and evolution mostly re-request genomes already priced.
+/// The model's layers are mapped to their distinct shapes once, here. A
+/// genome not priced before is priced into one row through
+/// [`EvalSession::price_with`], each shape read from the warm list by
+/// binary search or simulated once. The row is memoized beside the
+/// genome's [`DesignPoint`] for the evaluator's lifetime (one shard in
+/// [`explore_shard`](crate::explore_shard)), since sampling and evolution
+/// mostly re-request genomes. Evaluation is pure, so batches return in
+/// input order and the whole exploration is deterministic regardless of
+/// thread interleaving.
 pub struct Evaluator<'m> {
     model: &'m Model,
-    /// Memoized `lego_eval::layer_key` per model layer: the model is fixed
-    /// for the evaluator's lifetime, so layer shapes are hashed once here
-    /// instead of once per genome evaluation.
-    layer_keys: Box<[u64]>,
+    /// Each distinct `lego_eval::layer_key` of the model, sorted, with the
+    /// index of its first layer (the one simulated).
+    shapes: Box<[(u64, usize)]>,
+    /// Per model layer, its index in `shapes`.
+    shape_of: Box<[usize]>,
     tech: TechModel,
     session: EvalSession,
     constraints: Constraints,
     objective: Objective,
+    /// Strictly key-sorted entries that answer lookups without simulating.
+    warm: SharedEntries,
     /// Points `eval_batch` priced; locked only outside the pool's lanes.
-    memo: Mutex<HashMap<Genome, DesignPoint>>,
-    /// Genomes `eval_batch` served from `memo`.
-    memo_hits: AtomicU64,
+    memo: Mutex<HashMap<Genome, (DesignPoint, Row)>>,
+    /// Genomes requested, repeats included.
+    requested: AtomicU64,
+    /// Layer shapes simulated.
+    misses: AtomicU64,
 }
 
 impl<'m> Evaluator<'m> {
-    /// Evaluator for `model` with a fresh session (empty cache, automatic
-    /// thread count).
+    /// Evaluator for `model` with a fresh session (no warm entries,
+    /// automatic thread count).
     pub fn new(model: &'m Model, tech: TechModel) -> Self {
+        let keys: Vec<u64> = model.layers.iter().map(lego_eval::layer_key).collect();
+        let mut shapes: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        shapes.sort_by_key(|&(key, _)| key); // Stable: a shape's first layer stays first.
+        shapes.dedup_by_key(|&mut (key, _)| key);
+        let shape_of = keys
+            .iter()
+            .map(|k| shapes.partition_point(|s| s.0 < *k))
+            .collect();
         Evaluator {
             model,
-            layer_keys: model.layers.iter().map(lego_eval::layer_key).collect(),
+            shapes: shapes.into(),
+            shape_of,
             tech,
             session: EvalSession::new(),
             constraints: Constraints::none(),
             objective: Objective::EDP,
+            warm: SharedEntries::default(),
             memo: Mutex::default(),
-            memo_hits: AtomicU64::new(0),
+            requested: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
@@ -103,12 +123,15 @@ impl<'m> Evaluator<'m> {
         self.session.obs()
     }
 
-    /// Applies hard feasibility budgets to every evaluation. Memoized
-    /// points carry the old verdict, so the memo starts over.
+    /// Applies hard feasibility budgets to every evaluation, memoized
+    /// points included.
     #[must_use]
     pub fn with_constraints(mut self, constraints: Constraints) -> Self {
         self.constraints = constraints;
-        self.memo = Mutex::default();
+        let memo = self.memo.get_mut().expect("evaluator memo poisoned");
+        for (p, _) in memo.values_mut() {
+            p.feasible = constraints.admits(p.objectives.area_um2, p.peak_power_mw);
+        }
         self
     }
 
@@ -116,6 +139,18 @@ impl<'m> Evaluator<'m> {
     #[must_use]
     pub fn with_objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
+        self
+    }
+
+    /// Answers layer lookups from a previous run's entries — typically a
+    /// merged snapshot's cache
+    /// ([`ExploreOptions::warm_cache`](crate::ExploreOptions)). The list
+    /// is shared, not copied, unless its keys are out of order. Entries
+    /// priced under another technology or SRAM model carry other keys, so
+    /// they never answer a lookup.
+    #[must_use]
+    pub fn with_warm_cache(mut self, warm: SharedEntries) -> Self {
+        self.warm = canonical_shared(warm);
         self
     }
 
@@ -132,39 +167,53 @@ impl<'m> Evaluator<'m> {
         self.objective.key(&point.objectives, point.peak_power_mw)
     }
 
-    /// The shared memo table.
-    pub fn cache(&self) -> &EvalCache {
-        self.session.cache()
-    }
-
-    /// The cache's hits plus, per genome the batch memo served, the
-    /// `model.layers.len()` all-hit lookups pricing it again would make.
+    /// Layer lookups answered without simulating: one per model layer for
+    /// every requested genome, memo-served repeats included, less the
+    /// [`cache_misses`](Evaluator::cache_misses).
     pub fn cache_hits(&self) -> u64 {
-        let layers = self.model.layers.len() as u64;
-        self.cache().hits() + self.memo_hits.load(Ordering::Relaxed) * layers
+        let lookups = self.requested.load(Ordering::Relaxed) * self.model.layers.len() as u64;
+        lookups - self.cache_misses()
     }
 
-    /// Preloads the session cache with entries from a previous run —
-    /// typically a merged snapshot's cache
-    /// ([`ExploreOptions::warm_cache`](crate::ExploreOptions)). Returns
-    /// the number of entries actually added (resident entries win
-    /// collisions).
-    pub fn warm_cache<I: IntoIterator<Item = ((u64, u64), LayerPerf)>>(&self, entries: I) -> usize {
-        self.session.warm_cache(entries)
+    /// Layer simulations run: the distinct shapes of each priced genome
+    /// that the warm list did not hold.
+    pub fn cache_misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Evaluates one genome through the session, memoizing every per-layer
-    /// simulation under the genome's stable fingerprint. This one-off path
-    /// neither reads nor fills the [`eval_batch`](Evaluator::eval_batch) memo.
+    /// The rows' `((cache key, layer key), perf)` entries merged with the
+    /// warm list, in key order: what an
+    /// [`EvalCache`](lego_eval::EvalCache) warmed with that list and asked
+    /// for the same genomes would return from its `entries`.
+    pub fn entries(&self) -> Vec<((u64, u64), LayerPerf)> {
+        let memo = self.memo.lock().expect("evaluator memo poisoned");
+        let mut rows: Vec<&[Entry]> = memo.values().map(|(_, row)| &**row).collect();
+        rows.sort_unstable_by_key(|row| row.first().map(|(key, _)| *key));
+        let mut list = rows.concat();
+        let added = count_new_keys(&list, &self.warm);
+        if added > 0 {
+            merge_from_back(&mut list, &self.warm, added);
+        }
+        list
+    }
+
+    /// Evaluates one genome: [`eval_batch`](Evaluator::eval_batch) of it
+    /// alone.
     ///
     /// The genome's `CostContext` is built once per evaluation and
     /// threaded through every per-layer simulation, the area roll-up
     /// (which includes L2 router area for multi-cluster designs), and the
     /// peak-power figure the feasibility budgets check — all inside
-    /// [`EvalSession::price`].
+    /// [`EvalSession::price_with`].
     pub fn eval(&self, genome: &Genome) -> DesignPoint {
+        let mut points = self.eval_batch(std::slice::from_ref(genome));
+        points.pop().expect("one point per genome")
+    }
+
+    /// Prices `genome` into its point and row, and the shapes it simulated.
+    fn price(&self, genome: &Genome) -> (DesignPoint, Row, u64) {
         let hw = genome.to_hw_config();
-        let priced = self.session.price(EvalRequestRef {
+        let request = EvalRequestRef {
             workload: self.model,
             hw: &hw,
             sparse: SparseHw::with_accel(genome.sparse),
@@ -172,17 +221,33 @@ impl<'m> Evaluator<'m> {
             objective: self.objective,
             tile_cap: genome.tile_cap,
             hw_key: Some(genome.key()),
-            layer_keys: Some(&self.layer_keys),
+            layer_keys: None,
+        };
+        let mut row = Box::default();
+        let priced = self.session.price_with(request, |key, simulate| {
+            row = self
+                .shapes
+                .iter()
+                .map(|&(shape, first)| {
+                    match self.warm.binary_search_by_key(&(key, shape), |e| e.0) {
+                        Ok(at) => self.warm[at],
+                        Err(_) => ((key, shape), simulate(&self.model.layers[first])),
+                    }
+                })
+                .collect();
+            self.shape_of.iter().map(|&s| row[s].1).collect()
         });
-        DesignPoint {
+        let cost = priced.cost;
+        let point = DesignPoint {
             genome: *genome,
             feasible: self
                 .constraints
-                .admits(priced.cost.objectives.area_um2, priced.cost.peak_power_mw),
-            objectives: priced.cost.objectives,
+                .admits(cost.objectives.area_um2, cost.peak_power_mw),
+            objectives: cost.objectives,
             perf: priced.model,
-            peak_power_mw: priced.cost.peak_power_mw,
-        }
+            peak_power_mw: cost.peak_power_mw,
+        };
+        (point, row, priced.cache_misses)
     }
 
     /// Evaluates a batch in input order. Only the first occurrence of each
@@ -198,12 +263,15 @@ impl<'m> Evaluator<'m> {
                 .copied()
                 .collect()
         };
-        let priced = self.session.run_batch(&fresh, |g| self.eval(g));
-        let served = (genomes.len() - fresh.len()) as u64;
-        self.memo_hits.fetch_add(served, Ordering::Relaxed);
+        let priced = self.session.run_batch(&fresh, |g| self.price(g));
+        self.requested
+            .fetch_add(genomes.len() as u64, Ordering::Relaxed);
         let mut memo = self.memo.lock().expect("evaluator memo poisoned");
-        memo.extend(fresh.into_iter().zip(priced));
-        genomes.iter().map(|g| memo[g].clone()).collect()
+        for (genome, (point, row, misses)) in fresh.into_iter().zip(priced) {
+            self.misses.fetch_add(misses, Ordering::Relaxed);
+            memo.insert(genome, (point, row));
+        }
+        genomes.iter().map(|g| memo[g].0.clone()).collect()
     }
 }
 
@@ -213,6 +281,7 @@ mod tests {
     use lego_model::CostContext;
     use lego_model::HwConfig;
     use lego_workloads::zoo;
+    use std::sync::Arc;
 
     #[test]
     fn baseline_matches_direct_simulation() {
@@ -271,15 +340,16 @@ mod tests {
         ev.eval_batch(&[other, g]);
         assert_eq!(obs.summary().counter("eval.requests"), 2);
         let layers = model.layers.len() as u64;
-        assert_eq!(ev.cache_hits(), ev.cache().hits() + 6 * layers);
+        let priced_hits = 2 * layers - ev.cache_misses();
+        assert_eq!(ev.cache_hits(), priced_hits + 6 * layers);
     }
 
     #[test]
     fn the_batch_memo_changes_no_result_and_no_count() {
-        // Differential: every genome the portfolio requested, priced
-        // through a fresh evaluator's one-off `eval`, gives the memoized
-        // points, frontier, best, cache entries and misses; and a repeat
-        // counts the all-hit lookups pricing it again would have made.
+        // Differential: every genome the portfolio requested, priced once
+        // each through a fresh evaluator, gives the memoized points,
+        // frontier, best, cache entries and misses; and a repeat counts
+        // the all-hit lookups pricing it again would have made.
         let model = zoo::lenet();
         let space = crate::DesignSpace::tiny();
         let ev = Evaluator::new(&model, TechModel::default());
@@ -289,7 +359,13 @@ mod tests {
             .map(|s| s.run(&space.full(), &ev, &mut frontier, 24))
             .collect();
         let requested: usize = reports.iter().map(|r| r.evaluated).sum();
-        let mut memo: Vec<DesignPoint> = ev.memo.lock().unwrap().values().cloned().collect();
+        let mut memo: Vec<DesignPoint> = ev
+            .memo
+            .lock()
+            .unwrap()
+            .values()
+            .map(|(p, _)| p.clone())
+            .collect();
         memo.sort_by_key(|p| p.genome.key());
         assert!(memo.len() < requested, "the portfolio repeats genomes");
 
@@ -314,10 +390,10 @@ mod tests {
             );
         }
         assert_eq!(frontier.genome_keys(), fresh_frontier.genome_keys());
-        assert_eq!(ev.cache().entries(), fresh.cache().entries());
-        assert_eq!(ev.cache().misses(), fresh.cache().misses());
+        assert_eq!(ev.entries(), fresh.entries());
+        assert_eq!(ev.cache_misses(), fresh.cache_misses());
         let repeats = (requested - memo.len()) as u64 * model.layers.len() as u64;
-        assert_eq!(ev.cache_hits(), fresh.cache().hits() + repeats);
+        assert_eq!(ev.cache_hits(), fresh.cache_hits() + repeats);
         // `explore` runs the same portfolio and reports the same counts.
         let explored = crate::explore(
             &model,
@@ -330,21 +406,21 @@ mod tests {
         );
         assert_eq!(explored.frontier.genome_keys(), frontier.genome_keys());
         assert_eq!(explored.cache_hits, ev.cache_hits());
-        assert_eq!(explored.cache_misses, ev.cache().misses());
+        assert_eq!(explored.cache_misses, ev.cache_misses());
     }
 
     #[test]
     fn repeated_shapes_hit_the_cache() {
         // ResNet50 repeats bottleneck shapes: a second eval of the same
-        // genome must be answered entirely from the cache.
+        // genome must be answered entirely without simulating.
         let model = zoo::resnet50();
         let ev = Evaluator::new(&model, TechModel::default());
         let g = Genome::lego_256_baseline();
         ev.eval(&g);
-        let misses_after_first = ev.cache().misses();
+        let misses_after_first = ev.cache_misses();
         ev.eval(&g);
-        assert_eq!(ev.cache().misses(), misses_after_first);
-        assert!(ev.cache().hits() > 0);
+        assert_eq!(ev.cache_misses(), misses_after_first);
+        assert!(ev.cache_hits() > 0);
     }
 
     #[test]
@@ -357,10 +433,12 @@ mod tests {
         let g = Genome::lego_256_baseline();
         let t28 = Evaluator::new(&model, TechModel::default());
         let p28 = t28.eval(&g);
-        let t45 = Evaluator::new(&model, TechModel::default().scaled_to(45.0));
-        assert!(t45.warm_cache(t28.cache().entries()) > 0);
+        let entries = t28.entries();
+        assert!(!entries.is_empty());
+        let t45 = Evaluator::new(&model, TechModel::default().scaled_to(45.0))
+            .with_warm_cache(Arc::new(entries));
         let p45 = t45.eval(&g);
-        assert!(t45.cache().misses() > 0, "foreign-tech entries must miss");
+        assert!(t45.cache_misses() > 0, "foreign-tech entries must miss");
         assert_ne!(
             p45.perf.cycles, p28.perf.cycles,
             "45 nm pricing must be recomputed, not replayed from 28 nm"
@@ -374,11 +452,13 @@ mod tests {
         let first = Evaluator::new(&model, TechModel::default());
         let point = first.eval(&g);
         // A fresh evaluator warmed with the first one's entries answers
-        // the same genome entirely from the cache — and identically.
-        let second = Evaluator::new(&model, TechModel::default());
-        assert!(second.warm_cache(first.cache().entries()) > 0);
+        // the same genome entirely from them — and identically.
+        let entries = first.entries();
+        assert!(!entries.is_empty());
+        let second =
+            Evaluator::new(&model, TechModel::default()).with_warm_cache(Arc::new(entries));
         let again = second.eval(&g);
-        assert_eq!(second.cache().misses(), 0);
+        assert_eq!(second.cache_misses(), 0);
         assert_eq!(again.perf, point.perf);
         assert_eq!(again.objectives, point.objectives);
     }

@@ -13,13 +13,11 @@
 //! * [`SearchStrategy`] — pluggable search: [`GridSearch`] (exhaustive),
 //!   [`RandomSearch`] (seeded sampling), and [`EvolutionarySearch`]
 //!   ((μ+λ) with mutation and crossover over config genomes);
-//! * `lego-eval`'s [`EvalCache`](lego_eval::EvalCache) — a memoized,
-//!   sharded map from (hardware fingerprint, layer fingerprint) to layer
-//!   performance, shared by every strategy and worker thread so
-//!   overlapping searches pay for each simulation once;
 //! * [`Evaluator`] — batch evaluation through `EvalSession::run_batch` on
 //!   the process-wide worker pool, deterministic regardless of
-//!   interleaving, with each genome priced once per evaluator;
+//!   interleaving. Every strategy shares its memo, which prices each
+//!   genome once into one row (a layer result per distinct layer shape);
+//!   the rows become the shard's key-sorted cache list;
 //! * [`ParetoFrontier`] — the surviving (latency, energy, area) trade-offs,
 //!   with EDP/EDAP scalarizations for ranking.
 //!
@@ -116,12 +114,12 @@ pub struct ExploreOptions {
     /// population from them). Empty = cold start, bit-identical to the
     /// pre-warm-start behavior.
     pub warm_start: Vec<Genome>,
-    /// Evaluation-cache entries preloaded into the fresh session before
-    /// anything is evaluated — typically a merged
-    /// [`Snapshot`]'s `cache` from a previous (possibly
-    /// distributed) run. Where [`ExploreOptions::warm_start`] warm-starts
-    /// the *frontier*, this warm-starts the *cache*: layer simulations a
-    /// peer already ran are answered as hits instead of recomputed.
+    /// Evaluation-cache entries that answer layer lookups before anything
+    /// is simulated — typically a merged [`Snapshot`]'s `cache` from a
+    /// previous (possibly distributed) run. Where
+    /// [`ExploreOptions::warm_start`] warm-starts the *frontier*, this
+    /// warm-starts the *cache*: layer simulations a peer already ran are
+    /// answered as hits instead of recomputed.
     /// Results are unchanged either way (entries are deterministic), only
     /// the work is. Empty = cold cache. The list is shared, so handing a
     /// decoded snapshot's list over copies no entry.
@@ -160,8 +158,8 @@ pub struct ExplorationResult {
     pub frontier: ParetoFrontier,
     /// One report per strategy, in execution order.
     pub reports: Vec<SearchReport>,
-    /// Layer evaluations answered from the shared cache, memo-served
-    /// genomes' layers included ([`Evaluator::cache_hits`]).
+    /// Layer lookups answered without simulating, memo-served genomes'
+    /// layers included ([`Evaluator::cache_hits`]).
     pub cache_hits: u64,
     /// Layer evaluations that ran the simulator.
     pub cache_misses: u64,
@@ -188,8 +186,8 @@ pub fn default_strategies(seed: u64) -> Vec<Box<dyn SearchStrategy>> {
 }
 
 /// Runs every strategy over `space` against `model`, accumulating one
-/// shared [`ParetoFrontier`] through one shared
-/// [`EvalCache`](lego_eval::EvalCache).
+/// shared [`ParetoFrontier`] through one shared [`Evaluator`], which
+/// prices each genome once.
 pub fn explore(
     model: &Model,
     space: &DesignSpace,
@@ -206,8 +204,8 @@ pub fn explore(
 }
 
 /// One shard's exploration outcome: everything [`ExplorationResult`]
-/// carries, plus the shard coordinates and the drained evaluation-cache
-/// entries a worker checkpoints ([`ShardRunResult::snapshot`]).
+/// carries, plus the shard coordinates and the evaluation-cache entries a
+/// worker checkpoints ([`ShardRunResult::snapshot`]).
 #[derive(Debug, Clone)]
 pub struct ShardRunResult {
     /// This shard's index in `0..shard_count`.
@@ -218,13 +216,14 @@ pub struct ShardRunResult {
     pub frontier: ParetoFrontier,
     /// One report per strategy, in execution order.
     pub reports: Vec<SearchReport>,
-    /// Layer evaluations answered from the shard's cache, memo-served
-    /// genomes' layers included ([`Evaluator::cache_hits`]).
+    /// Layer lookups answered without simulating, memo-served genomes'
+    /// layers included ([`Evaluator::cache_hits`]).
     pub cache_hits: u64,
     /// Layer evaluations that ran the simulator.
     pub cache_misses: u64,
-    /// The shard's memoized evaluations in canonical (sorted-key) order:
-    /// the one copy its [`snapshot`](Self::snapshot) and the
+    /// The shard's memoized evaluations ([`Evaluator::entries`]) in
+    /// canonical (sorted-key) order: the one copy its
+    /// [`snapshot`](Self::snapshot) and the
     /// [`ShardedExplorationResult::cache`] union share.
     pub cache: SharedEntries,
 }
@@ -264,17 +263,15 @@ pub fn explore_shard(
     strategies: &mut [Box<dyn SearchStrategy>],
     opts: &ExploreOptions,
 ) -> ShardRunResult {
+    // The warm cache answers lookups before anything is computed, so even
+    // the warm-start genome batch below hits.
     let mut evaluator = Evaluator::new(model, opts.tech)
         .with_constraints(opts.constraints)
         .with_objective(opts.objective)
-        .with_obs(opts.obs.clone());
+        .with_obs(opts.obs.clone())
+        .with_warm_cache(Arc::clone(&opts.warm_cache));
     if opts.threads > 0 {
         evaluator = evaluator.with_threads(opts.threads);
-    }
-    // Warm cache: absorb a previous run's evaluations before anything is
-    // computed, so even the warm-start genome batch below hits.
-    if !opts.warm_cache.is_empty() {
-        evaluator.warm_cache(opts.warm_cache.iter().cloned());
     }
     let mut frontier = ParetoFrontier::new();
     // Warm start: fold the seed genomes (usually a previous frontier) into
@@ -304,19 +301,20 @@ pub fn explore_shard(
     // End-of-run cache gauges: entry count and resident bytes are pure
     // functions of the evaluations this shard performed, so they are safe
     // for deterministic summaries.
-    let gauges = evaluator.cache().gauges();
+    let cache = evaluator.entries();
     opts.obs
-        .record("cache.resident_entries", gauges.entries as f64);
+        .record("cache.resident_entries", cache.len() as f64);
+    let resident_bytes = lego_eval::estimated_resident_bytes_for(cache.len());
     opts.obs
-        .record("cache.resident_bytes", gauges.resident_bytes as f64);
+        .record("cache.resident_bytes", resident_bytes as f64);
     ShardRunResult {
         shard_index: shard.index(),
         shard_count: shard.count(),
         frontier,
         reports,
         cache_hits: evaluator.cache_hits(),
-        cache_misses: evaluator.cache().misses(),
-        cache: Arc::new(evaluator.cache().entries()),
+        cache_misses: evaluator.cache_misses(),
+        cache: Arc::new(cache),
     }
 }
 

@@ -32,7 +32,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One memoized evaluation: `((hw_key, layer_key), perf)`.
-type Entry = ((u64, u64), LayerPerf);
+pub(crate) type Entry = ((u64, u64), LayerPerf);
 
 /// A key-sorted list of memoized evaluations, shared rather than copied:
 /// a shard's [`ShardRunResult::cache`](crate::ShardRunResult::cache), its
@@ -191,9 +191,18 @@ fn canonical(cache: &[Entry]) -> Cow<'_, [Entry]> {
     Cow::Owned(sorted)
 }
 
+/// `list` itself when its keys are strictly increasing; otherwise its
+/// [`canonical`] copy.
+pub(crate) fn canonical_shared(list: SharedEntries) -> SharedEntries {
+    match canonical(&list) {
+        Cow::Borrowed(_) => list,
+        Cow::Owned(sorted) => Arc::new(sorted),
+    }
+}
+
 /// How many keys of `theirs` are missing from `ours` (both strictly
 /// sorted): one forward pass over both.
-fn count_new_keys(ours: &[Entry], theirs: &[Entry]) -> usize {
+pub(crate) fn count_new_keys(ours: &[Entry], theirs: &[Entry]) -> usize {
     let mut ours = ours.iter().peekable();
     theirs
         .iter()
@@ -208,7 +217,7 @@ fn count_new_keys(ours: &[Entry], theirs: &[Entry]) -> usize {
 /// `added` is [`count_new_keys`]: `ours` grows once by `added` and is
 /// filled from the back, so every entry moves at most once and a resident
 /// entry wins an equal key.
-fn merge_from_back(ours: &mut Vec<Entry>, theirs: &[Entry], added: usize) {
+pub(crate) fn merge_from_back(ours: &mut Vec<Entry>, theirs: &[Entry], added: usize) {
     let mut i = ours.len();
     ours.reserve_exact(added);
     ours.resize(i + added, theirs[0]);
@@ -249,13 +258,7 @@ impl CacheUnion {
     /// increasing key order is replaced by its canonical copy (key order,
     /// first entry of each key kept); every shard's list already is.
     pub fn new(lists: Vec<SharedEntries>) -> Self {
-        let lists: Vec<SharedEntries> = lists
-            .into_iter()
-            .map(|list| match canonical(&list) {
-                Cow::Borrowed(_) => list,
-                Cow::Owned(sorted) => Arc::new(sorted),
-            })
-            .collect();
+        let lists: Vec<SharedEntries> = lists.into_iter().map(canonical_shared).collect();
         let distinct = k_way_union(&lists).count();
         CacheUnion { lists, distinct }
     }

@@ -166,8 +166,8 @@ impl Genome {
         }
     }
 
-    /// Stable 64-bit fingerprint (FNV-1a over the fields), used as the
-    /// hardware half of [`EvalCache`](lego_eval::EvalCache) keys and as the
+    /// Stable 64-bit fingerprint (FNV-1a over the fields), folded into the
+    /// hardware half of evaluation-cache keys and used as the
     /// deterministic tie-break in scalar rankings.
     ///
     /// Dense-datapath genomes hash exactly the fields they had before the

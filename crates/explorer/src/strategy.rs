@@ -23,8 +23,8 @@ pub struct SearchReport {
 /// A search procedure spending an evaluation budget on (a shard of) the
 /// space.
 ///
-/// Strategies receive the shared [`Evaluator`] (and through it the shared
-/// [`EvalCache`](lego_eval::EvalCache) and the active
+/// Strategies receive the shared [`Evaluator`] (and through it the memo of
+/// priced genomes and the active
 /// [`Objective`](lego_eval::Objective)), push every candidate they score into
 /// the common [`ParetoFrontier`], and report their scalar best. All
 /// randomness must come from strategy-owned seeds — split per shard via

@@ -48,7 +48,7 @@ proptest! {
         let mut grid_frontier = ParetoFrontier::new();
         let grid = GridSearch.run(&space.full(), &evaluator, &mut grid_frontier, space.size());
         let grid_best = grid.best.expect("grid evaluated the whole space");
-        let misses_after_grid = evaluator.cache().misses();
+        let misses_after_grid = evaluator.cache_misses();
 
         let mut rand_frontier = ParetoFrontier::new();
         let random =
@@ -66,6 +66,6 @@ proptest! {
         // Both strategies share one evaluator, so the random pass after
         // the grid pass must be answered entirely from memory: it runs no
         // simulation at all.
-        prop_assert_eq!(evaluator.cache().misses(), misses_after_grid);
+        prop_assert_eq!(evaluator.cache_misses(), misses_after_grid);
     }
 }
