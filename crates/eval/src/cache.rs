@@ -238,7 +238,10 @@ impl EvalCache {
     /// deterministic simulation, so they agree; the invariant is pinned by
     /// proptests). Returns the number of entries actually added. A bounded
     /// cache absorbs through the same CLOCK admission as a miss, so the
-    /// byte budget holds across warms and merges too.
+    /// byte budget holds across warms and merges too. A session's keys
+    /// fold in the technology and SRAM models, so entries priced under
+    /// other models never hit: a mismatched warm start costs recomputation, never
+    /// correctness.
     pub fn absorb<I: IntoIterator<Item = ((u64, u64), LayerPerf)>>(&self, entries: I) -> usize {
         let mut added = 0;
         for ((hw_key, layer_key), perf) in entries {

@@ -71,6 +71,9 @@ impl StatusCode {
     /// A penalized objective's weight is negative or not finite, or a
     /// soft budget is not finite.
     pub const INVALID_OBJECTIVE: StatusCode = StatusCode(206);
+    /// A layer has a dimension, stride or count that is not positive, or
+    /// more operations than an `i64` counts.
+    pub const INVALID_LAYER: StatusCode = StatusCode(207);
 
     // 3xx — the request was fine; the server declined to admit it.
     /// The bounded admission queue was full.
@@ -121,13 +124,14 @@ impl StatusCode {
             204 => "usage error",
             205 => "invalid technology model",
             206 => "invalid objective",
+            207 => "invalid layer",
             300 => "queue full",
             301 => "frame too large",
             302 => "shutting down",
             400 => "i/o failure",
             500 => "internal error",
             108..=199 => "malformed payload",
-            207..=299 => "invalid request",
+            208..=299 => "invalid request",
             303..=399 => "not admitted",
             401..=499 => "transport failure",
             _ => "internal error",
@@ -195,6 +199,10 @@ pub enum EvalError {
     /// A penalized objective's weight is negative or not finite, or a soft
     /// budget is not finite; carries the offending value.
     InvalidObjective(f64),
+    /// A layer of the request's workload has a dimension, stride or count
+    /// that is not positive, or more operations than an `i64` counts;
+    /// carries the layer's index.
+    InvalidLayer(usize),
     /// A name looked up against a registry matched nothing.
     Unknown {
         /// What kind of thing was being looked up.
@@ -241,6 +249,7 @@ impl EvalError {
             EvalError::InvalidTileCap(_) => StatusCode::INVALID_TILE_CAP,
             EvalError::InvalidTech(_) => StatusCode::INVALID_TECH,
             EvalError::InvalidObjective(_) => StatusCode::INVALID_OBJECTIVE,
+            EvalError::InvalidLayer(_) => StatusCode::INVALID_LAYER,
             EvalError::Unknown { .. } => StatusCode::UNKNOWN_NAME,
             EvalError::Usage(_) => StatusCode::USAGE,
             EvalError::Rejected(r) => match r {
@@ -278,6 +287,10 @@ impl fmt::Display for EvalError {
             EvalError::InvalidObjective(v) => write!(
                 f,
                 "penalty weights must be finite and non-negative, and soft budgets finite; got {v}"
+            ),
+            EvalError::InvalidLayer(i) => write!(
+                f,
+                "layer {i} needs positive dimensions, stride and count, and at most i64::MAX operations"
             ),
             EvalError::Unknown { what, name } => write!(f, "unknown {what} {name:?}"),
             EvalError::Usage(msg) => write!(f, "{msg}"),
@@ -353,6 +366,7 @@ mod tests {
         assert_eq!(StatusCode::USAGE.as_u16(), 204);
         assert_eq!(StatusCode::INVALID_TECH.as_u16(), 205);
         assert_eq!(StatusCode::INVALID_OBJECTIVE.as_u16(), 206);
+        assert_eq!(StatusCode::INVALID_LAYER.as_u16(), 207);
         assert_eq!(StatusCode::QUEUE_FULL.as_u16(), 300);
         assert_eq!(StatusCode::FRAME_TOO_LARGE.as_u16(), 301);
         assert_eq!(StatusCode::SHUTTING_DOWN.as_u16(), 302);

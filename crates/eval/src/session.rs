@@ -2,7 +2,7 @@
 //!
 //! One [`EvalSession`] owns everything a caller used to hand-wire per call
 //! site: [`CostContext`] construction, the
-//! memoized [`EvalCache`], and a worker pool for batch evaluation. Callers
+//! memoized [`EvalCache`], and batch evaluation on scoped threads. Callers
 //! describe *what* to price as an [`EvalRequest`] and get back an
 //! [`EvalReport`]; how the pricing happens (context construction, caching,
 //! threading) is the session's business.
@@ -16,12 +16,13 @@ use lego_model::{
 };
 use lego_obs::Obs;
 use lego_sim::{aggregate_iter, best_mapping_ctx, LayerPerf, ModelPerf};
-use lego_workloads::{Layer, Model};
+use lego_workloads::{Layer, LayerKind, Model};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Everything one evaluation needs: the workload, the hardware (dense and
 /// sparse halves), the technology, the scalarization to report, and the
@@ -152,6 +153,9 @@ impl EvalRequest {
     /// # Errors
     ///
     /// - [`EvalError::EmptyWorkload`] if the workload has no layers;
+    /// - [`EvalError::InvalidLayer`] if a layer has a dimension, stride or
+    ///   count that is not positive, or more operations
+    ///   (`2 · macs · count`) or input elements than an `i64` counts;
     /// - [`EvalError::Hw`] if the hardware configuration fails
     ///   [`HwConfig::validate`];
     /// - [`EvalError::InvalidTech`] if a technology constant is negative or
@@ -163,6 +167,9 @@ impl EvalRequest {
     pub fn validate(&self) -> Result<(), EvalError> {
         if self.workload.layers.is_empty() {
             return Err(EvalError::EmptyWorkload);
+        }
+        if let Some(i) = self.workload.layers.iter().position(|l| !is_priceable(l)) {
+            return Err(EvalError::InvalidLayer(i));
         }
         self.hw.validate()?;
         let tech = crate::codec::tech_fields(&self.tech);
@@ -238,6 +245,59 @@ impl EvalRequestBuilder {
         self.0.validate()?;
         Ok(self.0)
     }
+}
+
+/// Whether the cost model can price `layer` (see [`EvalRequest::validate`]).
+/// Each kind is checked as the convolution `[n, ic, oc, oh, ow, kh, kw,
+/// stride]` with the same MACs. Only a strided window can read more input
+/// elements than twice the MACs, which the operation count bounds, so
+/// the windows' input is checked on its own. The products are checked
+/// because `Layer::macs` overflows, and panics in debug builds, on a
+/// shape that breaks the rule.
+fn is_priceable(layer: &Layer) -> bool {
+    let conv = match layer.kind {
+        LayerKind::Gemm { m, n, k } => [1, k, n, m, 1, 1, 1, 1],
+        LayerKind::Conv {
+            n,
+            ic,
+            oc,
+            oh,
+            ow,
+            kh,
+            kw,
+            stride,
+        } => [n, ic, oc, oh, ow, kh, kw, stride],
+        LayerKind::DwConv {
+            n,
+            c,
+            oh,
+            ow,
+            kh,
+            kw,
+            stride,
+        } => [n, c, 1, oh, ow, kh, kw, stride],
+        LayerKind::Attention {
+            heads,
+            seq_q,
+            seq_kv,
+            dk,
+            dv,
+        } => match dk.checked_add(dv) {
+            Some(d) if dk > 0 && dv > 0 => [heads, seq_q, seq_kv, d, 1, 1, 1, 1],
+            _ => return false,
+        },
+    };
+    let [n, ic, oc, oh, ow, kh, kw, stride] = conv;
+    let product = |xs: &[i64]| xs.iter().try_fold(1i64, |acc, &x| acc.checked_mul(x));
+    // The input rows (or columns) that `out` windows of `kernel` span.
+    let span = |out: i64, kernel: i64| stride.checked_mul(out - 1)?.checked_add(kernel);
+    layer.count > 0
+        && conv.iter().all(|&d| d > 0)
+        && product(&[2, layer.count, n, ic, oc, oh, ow, kh, kw]).is_some()
+        && span(oh, kh)
+            .zip(span(ow, kw))
+            .and_then(|(h, w)| product(&[n, ic, h, w]))
+            .is_some()
 }
 
 /// The borrowed form of an [`EvalRequest`] — same fields, no ownership,
@@ -473,7 +533,7 @@ impl EvalReport {
 
 /// The canonical evaluation layer: prices [`EvalRequest`]s into
 /// [`EvalReport`]s through one [`CostContext`] per request, one shared
-/// memoized [`EvalCache`], and a worker pool for batches.
+/// memoized [`EvalCache`], and scoped threads for batches.
 ///
 /// Evaluation is pure, so everything a session does is deterministic:
 /// batches return in input order regardless of thread interleaving, and
@@ -524,12 +584,13 @@ impl EvalSession {
         Self::default()
     }
 
-    /// Overrides how many concurrent lanes batch evaluation uses (0 means
-    /// one thread). Lanes map onto the process-wide [`WorkerPool`](crate::pool::WorkerPool), so the
-    /// effective parallelism is additionally bounded by the machine.
+    /// Overrides how many concurrent lanes batch evaluation uses: 0 means
+    /// one, and more than the machine's `available_parallelism()` means
+    /// that many.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.threads = threads.clamp(1, machine);
         self
     }
 
@@ -544,7 +605,7 @@ impl EvalSession {
     /// memory ([`EvalCache::with_byte_budget`]): the shape a long-lived
     /// server needs, where the cache would otherwise grow monotonically
     /// across millions of requests. Replaces the cache, so apply it
-    /// before [`warm_cache`](EvalSession::warm_cache).
+    /// before absorbing entries into [`cache`](EvalSession::cache).
     #[must_use]
     pub fn with_cache_budget(mut self, budget_bytes: usize) -> Self {
         self.cache = EvalCache::with_byte_budget(budget_bytes);
@@ -571,21 +632,6 @@ impl EvalSession {
     /// The shared memo table.
     pub fn cache(&self) -> &EvalCache {
         &self.cache
-    }
-
-    /// Absorbs foreign cache entries — typically a merged snapshot's cache
-    /// from a previous (possibly distributed) run — so this session starts
-    /// warm instead of re-simulating layers a peer already priced. Returns
-    /// the number of entries actually added ([`EvalCache::absorb`]: a
-    /// resident entry is never overwritten).
-    ///
-    /// Safe by keying, not by trust: cache keys fold in the technology
-    /// and SRAM models (see the key derivation on the session), so
-    /// entries absorbed from a run that priced under different models
-    /// simply never hit — a mismatched warm start costs recomputation,
-    /// never correctness.
-    pub fn warm_cache<I: IntoIterator<Item = ((u64, u64), LayerPerf)>>(&self, entries: I) -> usize {
-        self.cache.absorb(entries)
     }
 
     /// Prices one request.
@@ -807,16 +853,14 @@ impl EvalSession {
         }
     }
 
-    /// Runs `f` over `items` on the session's worker pool, returning
-    /// results in input order — the one batch entry point: pass
-    /// `|r| session.evaluate(r)` to price requests, or any other unit of
-    /// work (the explorer evaluates genomes, not requests). The pool
-    /// threads persist across batches
-    /// ([`WorkerPool`](crate::pool::WorkerPool)), so per-call overhead is a condvar handoff rather
-    /// than `threads` fresh OS threads; `f` must be pure for the output to
-    /// be deterministic, which every evaluation in this workspace is.
-    /// `f` must not call back into `run_batch` on the same session (the
-    /// pool runs one job at a time).
+    /// Runs `f` over `items`, returning results in input order — the one
+    /// batch entry point: pass `|r| session.evaluate(r)` to price
+    /// requests, or any other unit of work (the explorer evaluates
+    /// genomes, not requests). The caller and up to `threads - 1` scoped
+    /// threads claim indices from one counter, so a batch may nest or run
+    /// beside another; a panic in `f` is re-raised here. `f` must be pure
+    /// for the output to be deterministic, which every evaluation in this
+    /// workspace is.
     pub fn run_batch<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -827,21 +871,25 @@ impl EvalSession {
         if lanes <= 1 {
             return items.iter().map(f).collect();
         }
-        // One result slot per item, locked once by the one claimant of its
-        // index (the pool hands out every index once), so uncontended; `f`
-        // runs outside the lock, so no slot is ever poisoned.
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        crate::pool::global().run(items.len(), lanes, &|i| {
-            let result = f(&items[i]);
-            *slots[i].lock().expect("result slot poisoned") = Some(result);
+        // Relaxed: the counter only hands out indices; results reach the
+        // caller through `join`, which orders them.
+        let next = AtomicUsize::new(0);
+        let lane = || {
+            let claims = std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)));
+            claims
+                .map_while(|i| Some((i, f(items.get(i)?))))
+                .collect::<Vec<_>>()
+        };
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+            let mut done = lane();
+            for helper in helpers {
+                done.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+            }
+            done
         });
-        slots
-            .into_iter()
-            .map(|s| {
-                let result = s.into_inner().expect("result slot poisoned");
-                result.expect("every task produced a result")
-            })
-            .collect()
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -880,6 +928,138 @@ mod tests {
         ] {
             assert_eq!(bad.validate().unwrap_err().status(), status);
         }
+        // An impossible layer is named by its index.
+        for layer in impossible_layers() {
+            let mut bad = ok.clone();
+            bad.workload.layers.insert(2, layer.clone());
+            let err = bad.validate().unwrap_err();
+            assert!(matches!(err, EvalError::InvalidLayer(2)), "{layer:?}");
+            assert_eq!(err.status(), StatusCode::INVALID_LAYER);
+        }
+        // Every zoo layer is possible.
+        let models = [
+            zoo::lenet(),
+            zoo::alexnet(),
+            zoo::mobilenet_v2(),
+            zoo::resnet50(),
+            zoo::efficientnet_v2(),
+            zoo::bert_base(),
+            zoo::gpt2_decode(),
+            zoo::coatnet(),
+            zoo::ddpm(),
+            zoo::stable_diffusion(),
+            zoo::llama7b_decode(1),
+            zoo::llama7b_decode(32),
+            zoo::resnet50_2to4(),
+            zoo::bert_base_pruned90(),
+            zoo::gpt2_prefill_causal(),
+        ];
+        let mut largest = 0;
+        for model in &models {
+            for layer in &model.layers {
+                let fields = match layer.kind {
+                    LayerKind::Gemm { m, n, k } => vec![m, n, k],
+                    LayerKind::Conv {
+                        n,
+                        ic,
+                        oc,
+                        oh,
+                        ow,
+                        kh,
+                        kw,
+                        stride,
+                    } => {
+                        vec![n, ic, oc, oh, ow, kh, kw, stride]
+                    }
+                    LayerKind::DwConv {
+                        n,
+                        c,
+                        oh,
+                        ow,
+                        kh,
+                        kw,
+                        stride,
+                    } => {
+                        vec![n, c, oh, ow, kh, kw, stride]
+                    }
+                    LayerKind::Attention {
+                        heads,
+                        seq_q,
+                        seq_kv,
+                        dk,
+                        dv,
+                    } => {
+                        vec![heads, seq_q, seq_kv, dk, dv]
+                    }
+                };
+                assert!(fields.iter().all(|&d| d > 0) && layer.count > 0);
+                largest = fields.into_iter().max().unwrap().max(largest);
+            }
+            let request = EvalRequest::new(model.clone(), HwConfig::lego_256());
+            assert!(request.validate().is_ok(), "{}", model.name);
+        }
+        let layers: usize = models.iter().map(|m| m.layers.len()).sum();
+        assert_eq!((layers, largest), (996, 50_257));
+    }
+
+    /// Layers no accelerator can run, each of which the cost model
+    /// would otherwise price into a finite (or negative) EDP.
+    fn impossible_layers() -> Vec<Layer> {
+        let gemm = |m, n, k| Layer::new("gemm", LayerKind::Gemm { m, n, k });
+        let conv = |oh, stride| {
+            let (n, ic, oc, ow, kh, kw) = (1, 8, 8, 4, 3, 3);
+            let kind = LayerKind::Conv {
+                n,
+                ic,
+                oc,
+                oh,
+                ow,
+                kh,
+                kw,
+                stride,
+            };
+            Layer::new("conv", kind)
+        };
+        let attention = |dk, dv| {
+            let (heads, seq_q, seq_kv) = (2, 8, 8);
+            let kind = LayerKind::Attention {
+                heads,
+                seq_q,
+                seq_kv,
+                dk,
+                dv,
+            };
+            Layer::new("attn", kind)
+        };
+        let dw = |c| {
+            let (n, oh, ow, kh, kw, stride) = (1, 4, 4, 3, 3, 1);
+            Layer::new(
+                "dw",
+                LayerKind::DwConv {
+                    n,
+                    c,
+                    oh,
+                    ow,
+                    kh,
+                    kw,
+                    stride,
+                },
+            )
+        };
+        vec![
+            gemm(0, 0, 0),
+            gemm(-4, 4, 4),
+            conv(4, 0),
+            gemm(i64::MAX, i64::MAX, i64::MAX),
+            gemm(4, 4, 4).repeat(0),
+            gemm(4, 4, 4).repeat(-1),
+            gemm(1 << 30, 1 << 30, 1 << 2).repeat(2),
+            conv(i64::MIN, 1),
+            conv(4, i64::MAX / 2),
+            dw(-1),
+            attention(0, 16),
+            attention(i64::MAX, 1),
+        ]
     }
 
     #[test]
@@ -1039,7 +1219,7 @@ mod tests {
         assert!(cache.misses() >= 64, "every distinct key misses once");
         assert_eq!(cache.len(), 64);
         let warm = EvalSession::new().with_threads(4);
-        assert_eq!(warm.warm_cache(cache.entries()), 64);
+        assert_eq!(warm.cache().absorb(cache.entries()), 64);
         look_up_all(&warm);
         assert_eq!(warm.cache().misses(), 0);
         assert_eq!(warm.cache().hits(), lookups.len() as u64);
@@ -1191,7 +1371,7 @@ mod tests {
         // A fresh session warmed with those entries answers the same
         // request without a single simulation.
         let second = EvalSession::new();
-        assert_eq!(second.warm_cache(entries), first.cache().len());
+        assert_eq!(second.cache().absorb(entries), first.cache().len());
         let report = second.evaluate(&req);
         assert_eq!(second.cache().misses(), 0, "warm start: no misses");
         assert_eq!(report, first.evaluate(&req));
@@ -1208,7 +1388,7 @@ mod tests {
             access_pj_per_byte: 10.0 * SramModel::default().access_pj_per_byte,
             ..SramModel::default()
         });
-        assert!(pricier.warm_cache(default_sram.cache().entries()) > 0);
+        assert!(pricier.cache().absorb(default_sram.cache().entries()) > 0);
         let report = pricier.evaluate(&req);
         // …but never serves them: the SRAM model is folded into the cache
         // key, so the mismatched entries miss and pricing stays honest.

@@ -5,7 +5,7 @@
 //! (genomes, constraints, frontiers) and routes every evaluation through
 //! one [`EvalSession`] from `lego-eval`, the same pricing core the bench
 //! harness and the facade use. The session owns the `CostContext` build,
-//! the roll-up and the worker pool; the evaluator adds the genome↔request
+//! the roll-up and the batch threads; the evaluator adds the genome↔request
 //! translation, the feasibility check, and a per-genome memo of points
 //! and their layer rows, from which the shard's cache list is built.
 
@@ -65,7 +65,7 @@ pub struct Evaluator<'m> {
     objective: Objective,
     /// Strictly key-sorted entries that answer lookups without simulating.
     warm: SharedEntries,
-    /// Points `eval_batch` priced; locked only outside the pool's lanes.
+    /// Points `eval_batch` priced; locked only outside the batch's lanes.
     memo: Mutex<HashMap<Genome, (DesignPoint, Row)>>,
     /// Genomes requested, repeats included.
     requested: AtomicU64,
@@ -100,7 +100,8 @@ impl<'m> Evaluator<'m> {
         }
     }
 
-    /// Overrides the worker-pool width (0 means one thread).
+    /// Overrides the batch thread count (0 means one thread; see
+    /// `EvalSession::with_threads`).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.session = self.session.with_threads(threads);
@@ -251,7 +252,7 @@ impl<'m> Evaluator<'m> {
     }
 
     /// Evaluates a batch in input order. Only the first occurrence of each
-    /// genome not priced before goes to the session's worker pool; pricing
+    /// genome not priced before goes to the session's `run_batch`; pricing
     /// is pure, so the memo serves the rest exactly as they would price.
     pub fn eval_batch(&self, genomes: &[Genome]) -> Vec<DesignPoint> {
         let fresh: Vec<Genome> = {

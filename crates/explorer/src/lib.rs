@@ -14,10 +14,10 @@
 //!   [`RandomSearch`] (seeded sampling), and [`EvolutionarySearch`]
 //!   ((μ+λ) with mutation and crossover over config genomes);
 //! * [`Evaluator`] — batch evaluation through `EvalSession::run_batch` on
-//!   the process-wide worker pool, deterministic regardless of
-//!   interleaving. Every strategy shares its memo, which prices each
-//!   genome once into one row (a layer result per distinct layer shape);
-//!   the rows become the shard's key-sorted cache list;
+//!   scoped threads, deterministic regardless of interleaving. Every
+//!   strategy shares its memo, which prices each genome once into one row
+//!   (a layer result per distinct layer shape); the rows become the
+//!   shard's key-sorted cache list;
 //! * [`ParetoFrontier`] — the surviving (latency, energy, area) trade-offs,
 //!   with EDP/EDAP scalarizations for ranking.
 //!
@@ -364,7 +364,7 @@ impl ShardedExplorationResult {
 /// shard — then merges the per-shard frontiers and caches, exactly as a
 /// coordinator merging worker snapshot files would. Every strategy prices
 /// only its own shard's genomes, so no shard pays for a peer's work. Every
-/// shard's evaluation batch still runs on the worker thread pool, so this
+/// shard's evaluation batch still runs on the session's threads, so this
 /// is the in-process rehearsal of the distributed workflow (and the
 /// reference the `dse_shard` binary's `verify` mode checks against).
 ///

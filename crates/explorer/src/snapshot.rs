@@ -472,22 +472,25 @@ mod tests {
     fn merge_order_does_not_change_the_bytes() {
         // The coordinator may receive shard snapshots in any order; the
         // canonical encoding (sorted frontier + sorted cache) makes the
-        // merged checkpoint byte-identical either way.
+        // merged checkpoint byte-identical either way. Nor does the
+        // number of threads a shard ran on change its bytes.
         let model = zoo::lenet();
         let space = DesignSpace::tiny();
-        let shard_snap = |i: u32| {
+        let shard_snap = |i: u32, threads: usize| {
             explore_shard(
                 &model,
                 &space.shard(i, 2),
                 &mut crate::default_strategies(9),
                 &ExploreOptions {
                     budget_per_strategy: 16,
+                    threads,
                     ..Default::default()
                 },
             )
             .snapshot(&model.name, 9)
         };
-        let (a, b) = (shard_snap(0), shard_snap(1));
+        let (a, b) = (shard_snap(0, 0), shard_snap(1, 0));
+        assert_eq!(shard_snap(0, 1).encode(), a.encode());
         let mut ab = a.clone();
         ab.absorb(&b);
         let mut ba = b.clone();

@@ -66,7 +66,7 @@ fn check(
         .with_threads(2)
         .with_warm_cache(Arc::clone(warm));
     let session = EvalSession::new();
-    session.warm_cache(warm.iter().copied());
+    session.cache().absorb(warm.iter().copied());
     let (first, second) = genomes.split_at(genomes.len() / 2);
     let points = [ev.eval_batch(first), ev.eval_batch(second)].concat();
     for (g, p) in genomes.iter().zip(&points) {

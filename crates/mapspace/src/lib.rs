@@ -30,7 +30,6 @@
 //! closes the loop back to the explorer by warm-starting the ES from the
 //! extracted dataflow set and tile cap.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod egraph;

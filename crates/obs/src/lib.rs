@@ -1,7 +1,7 @@
 //! # lego-obs — zero-dependency observability for the evaluation stack
 //!
 //! Every hot path in the workspace (the `EvalSession` request/response
-//! layer, the explorer worker pool, the bench bins) threads an [`Obs`]
+//! layer, the explorer's batch lanes, the bench bins) threads an [`Obs`]
 //! handle: a cheap, cloneable reference to a shared [`Recorder`] that
 //! accumulates **counters**, **value histograms** (count/sum plus
 //! log-bucketed p50/p90/p99), and **named timed spans**. The design constraint that shapes the whole
@@ -226,8 +226,8 @@ struct State {
 struct Stripe(Mutex<State>);
 
 /// Stripe count. Threads are spread across stripes round-robin by a
-/// per-thread index, so with a pool-sized thread count each recording
-/// thread effectively owns a stripe and never contends.
+/// per-thread index, so the lanes of one batch, spawned one after
+/// another, take consecutive stripes and rarely contend.
 const STRIPES: usize = 16;
 
 /// Monotonic per-thread index, assigned on a thread's first recording.

@@ -215,7 +215,7 @@ mod tests {
     use crate::wire::report_from_reply;
     use lego_eval::StatusCode;
     use lego_model::HwConfig;
-    use lego_workloads::{zoo, Model};
+    use lego_workloads::{zoo, Layer, LayerKind, Model};
 
     fn request() -> EvalRequest {
         EvalRequest::new(zoo::lenet(), HwConfig::lego_256())
@@ -270,6 +270,35 @@ mod tests {
         let (tx, _rx) = sink();
         let err = s.submit(empty, tx.clone()).unwrap_err();
         assert_eq!(err.status(), StatusCode::EMPTY_WORKLOAD);
+        let gemm = |m, n, k| Layer::new("gemm", LayerKind::Gemm { m, n, k });
+        let (n, ic, oc, oh, ow, kh, kw, stride) = (1, 8, 8, 4, 4, 3, 3, 0);
+        let stride_zero = Layer::new(
+            "conv",
+            LayerKind::Conv {
+                n,
+                ic,
+                oc,
+                oh,
+                ow,
+                kh,
+                kw,
+                stride,
+            },
+        );
+        for layer in [
+            gemm(0, 0, 0),
+            gemm(-4, 4, 4),
+            stride_zero,
+            gemm(i64::MAX, i64::MAX, i64::MAX),
+        ] {
+            let model = Model {
+                name: "impossible".into(),
+                layers: vec![layer],
+            };
+            let impossible = EvalRequest::new(model, HwConfig::lego_256());
+            let err = s.submit(impossible, tx.clone()).unwrap_err();
+            assert_eq!(err.status(), StatusCode::INVALID_LAYER);
+        }
         // The slot is still free for a valid request.
         s.submit(request(), tx).unwrap();
     }

@@ -23,7 +23,7 @@ use lego::obs::Obs;
 fn main() {
     // ── 1. Evaluate a workload on a configuration ──────────────────────
     // One session owns the cost model, the memoized evaluation cache, and
-    // the worker pool; requests describe *what* to price.
+    // batch threading; requests describe *what* to price.
     let session = EvalSession::new();
     let request = EvalRequest::new(lego::workloads::zoo::resnet50(), HwConfig::lego_256());
     request

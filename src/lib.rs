@@ -15,9 +15,9 @@
 //!   and the unified cost stack: one `CostContext { hw, tech, sram, noc }`
 //!   per configuration, priced through its compute / memory / NoC methods;
 //! * [`eval`] — the canonical request/response evaluation layer: an
-//!   `EvalSession` owns `CostContext` construction, the memoized
-//!   `EvalCache`, and the worker pool, and prices serializable
-//!   `EvalRequest`s into `EvalReport`s (`evaluate` for one, `run_batch`
+//!   `EvalSession` owns `CostContext` construction and the memoized
+//!   `EvalCache`, and prices serializable `EvalRequest`s into
+//!   `EvalReport`s (`evaluate` for one, `run_batch` on scoped threads
 //!   for many); the versioned binary codec makes requests and reports
 //!   wire payloads a multi-host driver can ship anywhere;
 //! * [`serve`] — the long-lived evaluation server over that codec:
@@ -59,7 +59,7 @@
 //! Everything that prices a design goes through one API: build an
 //! `EvalRequest`, hand it to an `EvalSession`, read the `EvalReport`.
 //! The session owns the cost model, the memoized evaluation cache, and
-//! the worker pool; requests are serializable, so the same bytes evaluate
+//! batch threading; requests are serializable, so the same bytes evaluate
 //! identically on any host.
 //!
 //! ```

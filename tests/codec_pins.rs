@@ -192,6 +192,13 @@ fn corruption_transcript<T: Debug>(
 }
 
 #[test]
+fn pinned_requests_validate() {
+    for request in requests() {
+        request.validate().expect("a pinned request is valid");
+    }
+}
+
+#[test]
 fn request_bytes_are_pinned() {
     let hashes: Vec<u64> = requests().iter().map(|r| fnv(&r.encode())).collect();
     assert_eq!(
