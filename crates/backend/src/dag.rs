@@ -62,8 +62,6 @@ pub enum Prim {
         /// Tensor committed by this port.
         tensor: String,
     },
-    /// Lookup table (post-processing activation).
-    Lut,
     /// Constant driver.
     Const {
         /// Constant value.
@@ -84,7 +82,6 @@ impl Prim {
             Prim::AddrGen { .. } => 1,
             Prim::ReadPort { .. } => 1,
             Prim::WritePort { .. } => 0,
-            Prim::Lut => 1,
         }
     }
 }
@@ -312,7 +309,7 @@ impl Dag {
                 Prim::Mux { inputs } | Prim::Reducer { inputs } => *inputs,
                 Prim::Mul | Prim::Add | Prim::Max | Prim::Shift => 3,
                 Prim::WritePort { .. } => 2, // data, address
-                Prim::Fifo { .. } | Prim::CtrlFwd | Prim::Lut => 1,
+                Prim::Fifo { .. } | Prim::CtrlFwd => 1,
                 Prim::AddrGen { terms } => *terms,
                 Prim::ReadPort { .. } => 1, // address
 

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dag::{Dag, DagEdge, DelayMemo, NodeId, Prim};
+use crate::dag::{Dag, DelayMemo, NodeId, Prim};
 use crate::OptimizeOptions;
 use lego_graph::{undirected_mst, Edge};
 use lego_lp::{optimize_pin_remap, solve_delay_matching, DelayEdge, DelayError};
@@ -63,7 +63,9 @@ pub struct OptimizeReport {
 /// # Panics
 ///
 /// Panics if the DAG fails its structural check after any pass (this would
-/// be a bug in the pass, not in user input).
+/// be a bug in the pass, not in user input), or if [`match_delays`] finds
+/// its constraint graph cyclic, which a fusion whose dataflows wire
+/// opposite directions can produce.
 pub fn optimize(dag: &mut Dag, opts: &OptimizeOptions) -> OptimizeReport {
     infer_bitwidths(dag);
     match_delays(dag).expect("generated DAG must be schedulable");
@@ -159,10 +161,8 @@ thread_local! {
 /// Edges with a positive semantic delay are runtime-programmable FIFOs: the
 /// skew between their endpoints folds into the programmed depth, so they
 /// impose no register constraint — one of the reasons LEGO's data paths are
-/// lighter than template-generated ones. If the remaining constraint graph
-/// is cyclic (possible only for multi-dataflow fusions whose configurations
-/// wire opposite directions), the LP is solved per dataflow on its active
-/// subgraph and the per-edge maximum is kept.
+/// lighter than template-generated ones. The remaining constraints of every
+/// dataflow form one LP over the whole graph (§V-A).
 ///
 /// `optimize` re-matches after every pass, and on most designs most passes
 /// change nothing, so the constraint list and solution of the last
@@ -170,68 +170,48 @@ thread_local! {
 /// call whose constraint list equals the remembered one, compared in full,
 /// writes the remembered registers back without solving; any edit to a
 /// constrained edge's endpoints, width or latency changes the list and
-/// solves afresh. The per-dataflow fallback is not remembered.
+/// solves afresh.
 ///
 /// # Errors
 ///
-/// Propagates [`DelayError`] when even a single dataflow's subgraph is
-/// cyclic, which indicates a malformed DAG.
+/// Returns [`DelayError::Cyclic`] when the constraint graph has a directed
+/// cycle, which a fusion whose dataflows wire opposite directions can
+/// produce; every edge's `extra_regs` is then zero.
 pub fn match_delays(dag: &mut Dag) -> Result<i64, DelayError> {
-    fn build(dag: &Dag, filter: &dyn Fn(&DagEdge) -> bool) -> (Vec<DelayEdge>, Vec<usize>) {
-        let mut edges = Vec::new();
-        let mut ids = Vec::new();
-        for (i, e) in dag.edges.iter().enumerate() {
-            if e.sem_delay > 0 || !filter(e) {
-                continue;
-            }
-            edges.push(DelayEdge {
-                from: e.from,
-                to: e.to,
-                width: i64::from(e.width),
-                latency: dag.nodes[e.to].prim.latency(),
-            });
-            ids.push(i);
+    let mut edges = Vec::new();
+    let mut ids = Vec::new();
+    for (i, e) in dag.edges.iter().enumerate() {
+        if e.sem_delay > 0 {
+            continue;
         }
-        (edges, ids)
+        edges.push(DelayEdge {
+            from: e.from,
+            to: e.to,
+            width: i64::from(e.width),
+            latency: dag.nodes[e.to].prim.latency(),
+        });
+        ids.push(i);
     }
-
-    let n = dag.nodes.len();
-    let (all_edges, ids) = build(dag, &|_| true);
-    let memo = match dag.delay_memo.take() {
-        Some(memo) if memo.edges == all_edges => Ok(memo),
-        _ => {
-            #[cfg(test)]
-            SOLVES.with(|c| c.set(c.get() + 1));
-            solve_delay_matching(n, &all_edges).map(|sol| DelayMemo {
-                edges: all_edges,
-                extra_latency: sol.extra_latency,
-            })
-        }
-    };
     for e in dag.edges.iter_mut() {
         e.extra_regs = 0;
     }
-    match memo {
-        Ok(memo) => {
-            for (&id, &el) in ids.iter().zip(&memo.extra_latency) {
-                dag.edges[id].extra_regs = el;
+    let memo = match dag.delay_memo.take() {
+        Some(memo) if memo.edges == edges => memo,
+        _ => {
+            #[cfg(test)]
+            SOLVES.with(|c| c.set(c.get() + 1));
+            let sol = solve_delay_matching(dag.nodes.len(), &edges)?;
+            DelayMemo {
+                edges,
+                extra_latency: sol.extra_latency,
             }
-            dag.delay_memo = Some(memo);
-            Ok(dag.pipeline_register_bits())
         }
-        Err(DelayError::Cyclic) => {
-            // Per-dataflow fallback.
-            for k in 0..dag.n_dataflows {
-                let (edges, ids) = build(dag, &|e: &DagEdge| e.active[k]);
-                let sol = solve_delay_matching(n, &edges)?;
-                for (i, &id) in ids.iter().enumerate() {
-                    dag.edges[id].extra_regs = dag.edges[id].extra_regs.max(sol.extra_latency[i]);
-                }
-            }
-            Ok(dag.pipeline_register_bits())
-        }
-        Err(e) => Err(e),
+    };
+    for (&id, &el) in ids.iter().zip(&memo.extra_latency) {
+        dag.edges[id].extra_regs = el;
     }
+    dag.delay_memo = Some(memo);
+    Ok(dag.pipeline_register_bits())
 }
 
 // ---------------------------------------------------------------------
@@ -365,6 +345,13 @@ fn compact(dag: &mut Dag, dead: &BTreeSet<NodeId>) {
 /// undirected MST per broadcast source over direct-vs-forwarded edges
 /// (Kruskal over `rewiring_graph`'s class-level edge set), (3) a final
 /// exact re-matching; the rewiring is kept only if it reduces register bits.
+///
+/// # Panics
+///
+/// Panics if [`match_delays`] fails on `dag`, i.e. if its constraint graph
+/// is cyclic. Stage 1 changes only widths, and stage 2 splits a branch
+/// `s → v` into `s → t → v` or re-drives it from a tap that only `s`
+/// reaches, so neither adds a cycle to an acyclic graph.
 pub fn rewire_broadcasts(dag: &mut Dag) {
     let before = dag.pipeline_register_bits();
     let saved = dag.clone();
@@ -383,7 +370,7 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
             e.width = (e.width / fanout[e.from] as u32).max(1);
         }
     }
-    let _ = match_delays(dag);
+    match_delays(dag).expect("rewire_broadcasts needs an acyclic constraint graph");
     for (e, w) in dag.edges.iter_mut().zip(originals) {
         e.width = w;
     }
@@ -477,11 +464,11 @@ pub fn rewire_broadcasts(dag: &mut Dag) {
             }
             dag.edges[index.ins(t)[0]].active = active;
         }
-        let _ = match_delays(dag);
+        match_delays(dag).expect("forwarding taps add no cycle");
     }
     if !rewired || dag.pipeline_register_bits() > before || dag.check().is_err() {
         *dag = saved;
-        let _ = match_delays(dag);
+        match_delays(dag).expect("the saved graph is the acyclic input");
     }
 }
 
@@ -947,10 +934,10 @@ mod tests {
     }
 
     #[test]
-    fn opposite_wiring_across_dataflows_falls_back_to_per_dataflow_solves() {
-        // Dataflow 0 wires p → q and dataflow 1 wires q → p, so the whole
-        // constraint graph is cyclic. Each dataflow alone is reconvergent:
-        // s reaches its far adder directly and through the near one.
+    fn opposite_wiring_across_dataflows_is_a_cyclic_error() {
+        // Dataflow 0 wires p → q and dataflow 1 wires q → p, so the one
+        // constraint graph of both is cyclic, although each dataflow alone
+        // is acyclic.
         let mut dag = Dag::new(2);
         let s = dag.add_node(Prim::Const { value: 0 }, None, 8, "s");
         let p = dag.add_node(Prim::Add, None, 8, "p");
@@ -959,32 +946,9 @@ mod tests {
         dag.add_edge(s, q, 0, 8, vec![true, true], 0);
         dag.add_edge(p, q, 1, 8, vec![true, false], 0);
         dag.add_edge(q, p, 1, 8, vec![false, true], 0);
-        let whole: Vec<DelayEdge> = dag
-            .edges
-            .iter()
-            .map(|e| DelayEdge {
-                from: e.from,
-                to: e.to,
-                width: i64::from(e.width),
-                latency: dag.nodes[e.to].prim.latency(),
-            })
-            .collect();
-        assert_eq!(solve_delay_matching(3, &whole), Err(DelayError::Cyclic));
-
-        let mut want = vec![0; whole.len()];
-        for k in 0..2 {
-            let ids: Vec<usize> = (0..whole.len())
-                .filter(|&i| dag.edges[i].active[k])
-                .collect();
-            let edges: Vec<DelayEdge> = ids.iter().map(|&i| whole[i]).collect();
-            let sol = solve_delay_matching(3, &edges).unwrap();
-            for (&i, &el) in ids.iter().zip(&sol.extra_latency) {
-                want[i] = want[i].max(el);
-            }
-        }
-        assert_eq!(want, [1, 1, 0, 0]);
-        assert_eq!(match_delays(&mut dag), Ok(16));
-        let got: Vec<i64> = dag.edges.iter().map(|e| e.extra_regs).collect();
-        assert_eq!(got, want);
+        dag.edges.iter_mut().for_each(|e| e.extra_regs = 3);
+        assert_eq!(match_delays(&mut dag), Err(DelayError::Cyclic));
+        assert!(dag.edges.iter().all(|e| e.extra_regs == 0));
+        assert!(dag.delay_memo.is_none());
     }
 }

@@ -71,8 +71,9 @@ impl StatusCode {
     /// A penalized objective's weight is negative or not finite, or a
     /// soft budget is not finite.
     pub const INVALID_OBJECTIVE: StatusCode = StatusCode(206);
-    /// A layer has a dimension, stride or count that is not positive, or
-    /// more operations than an `i64` counts.
+    /// A layer has a dimension, stride, count or non-tensor element count
+    /// that is not positive, or more operations or non-tensor elements
+    /// than an `i64` counts.
     pub const INVALID_LAYER: StatusCode = StatusCode(207);
 
     // 3xx — the request was fine; the server declined to admit it.
@@ -153,13 +154,6 @@ pub enum Reject {
         /// The configured queue capacity.
         capacity: usize,
     },
-    /// The frame announced a payload larger than the server accepts.
-    FrameTooLarge {
-        /// The announced payload length.
-        len: usize,
-        /// The server's limit.
-        max: usize,
-    },
     /// The server is draining and no longer admits work.
     ShuttingDown,
 }
@@ -169,12 +163,6 @@ impl fmt::Display for Reject {
         match self {
             Reject::QueueFull { capacity } => {
                 write!(f, "admission queue full ({capacity} requests queued)")
-            }
-            Reject::FrameTooLarge { len, max } => {
-                write!(
-                    f,
-                    "frame payload of {len} bytes exceeds the {max}-byte limit"
-                )
             }
             Reject::ShuttingDown => write!(f, "server is shutting down"),
         }
@@ -199,9 +187,10 @@ pub enum EvalError {
     /// A penalized objective's weight is negative or not finite, or a soft
     /// budget is not finite; carries the offending value.
     InvalidObjective(f64),
-    /// A layer of the request's workload has a dimension, stride or count
-    /// that is not positive, or more operations than an `i64` counts;
-    /// carries the layer's index.
+    /// A layer of the request's workload has a dimension, stride, count or
+    /// non-tensor element count that is not positive, or more operations
+    /// or non-tensor elements than an `i64` counts; carries the layer's
+    /// index.
     InvalidLayer(usize),
     /// A name looked up against a registry matched nothing.
     Unknown {
@@ -254,7 +243,6 @@ impl EvalError {
             EvalError::Usage(_) => StatusCode::USAGE,
             EvalError::Rejected(r) => match r {
                 Reject::QueueFull { .. } => StatusCode::QUEUE_FULL,
-                Reject::FrameTooLarge { .. } => StatusCode::FRAME_TOO_LARGE,
                 Reject::ShuttingDown => StatusCode::SHUTTING_DOWN,
             },
             EvalError::Io(_) => StatusCode::IO,
@@ -290,7 +278,7 @@ impl fmt::Display for EvalError {
             ),
             EvalError::InvalidLayer(i) => write!(
                 f,
-                "layer {i} needs positive dimensions, stride and count, and at most i64::MAX operations"
+                "layer {i} needs positive dimensions, stride, count and non-tensor elements, and at most i64::MAX operations and non-tensor elements"
             ),
             EvalError::Unknown { what, name } => write!(f, "unknown {what} {name:?}"),
             EvalError::Usage(msg) => write!(f, "{msg}"),

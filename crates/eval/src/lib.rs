@@ -72,66 +72,6 @@ pub use session::{
     LayerReport, Priced, Provenance,
 };
 
-/// Rejections of request building: `EvalRequest::new(..).with_*()` checked
-/// by [`EvalRequest::validate`], the one validator the
-/// [`EvalRequest::builder`] shim's `build` also runs.
-#[cfg(test)]
-mod builder {
-    mod tests {
-        use crate::{EvalRequest, StatusCode};
-        use lego_model::HwConfig;
-        use lego_workloads::Model;
-
-        #[test]
-        fn builder_rejects_empty_workload() {
-            let empty = Model {
-                name: "empty".into(),
-                layers: Vec::new(),
-            };
-            let err = EvalRequest::builder(empty, HwConfig::lego_256())
-                .build()
-                .unwrap_err();
-            assert_eq!(err.status(), StatusCode::EMPTY_WORKLOAD);
-        }
-
-        #[test]
-        fn builder_rejects_invalid_hw() {
-            let mut hw = HwConfig::lego_256();
-            hw.dataflows.clear();
-            let err = EvalRequest::builder(lego_workloads::zoo::lenet(), hw)
-                .build()
-                .unwrap_err();
-            assert_eq!(err.status(), StatusCode::INVALID_HW);
-        }
-
-        #[test]
-        fn builder_rejects_nonpositive_tile_cap() {
-            let err = EvalRequest::new(lego_workloads::zoo::lenet(), HwConfig::lego_256())
-                .with_tile_cap(Some(0))
-                .validate()
-                .unwrap_err();
-            assert_eq!(err.status(), StatusCode::INVALID_TILE_CAP);
-        }
-
-        #[test]
-        fn validate_agrees_with_the_builder() {
-            let request = EvalRequest::new(lego_workloads::zoo::lenet(), HwConfig::lego_256());
-            assert!(request.validate().is_ok());
-            assert_eq!(
-                EvalRequest::builder(request.workload.clone(), request.hw.clone())
-                    .build()
-                    .unwrap(),
-                request
-            );
-            let bad = request.with_tile_cap(Some(-1));
-            assert_eq!(
-                bad.validate().unwrap_err().status(),
-                StatusCode::INVALID_TILE_CAP
-            );
-        }
-    }
-}
-
 /// [`EvalSession::run_batch`]'s lanes: the caller plus the scoped threads
 /// one batch spawns and joins, a pool that lives for that batch.
 #[cfg(test)]

@@ -153,9 +153,10 @@ impl EvalRequest {
     /// # Errors
     ///
     /// - [`EvalError::EmptyWorkload`] if the workload has no layers;
-    /// - [`EvalError::InvalidLayer`] if a layer has a dimension, stride or
-    ///   count that is not positive, or more operations
-    ///   (`2 · macs · count`) or input elements than an `i64` counts;
+    /// - [`EvalError::InvalidLayer`] if a layer has a dimension, stride,
+    ///   count or non-tensor element count that is not positive, or more
+    ///   operations (`2 · macs · count`), input elements or non-tensor
+    ///   elements (`count · Σ elems`) than an `i64` counts;
     /// - [`EvalError::Hw`] if the hardware configuration fails
     ///   [`HwConfig::validate`];
     /// - [`EvalError::InvalidTech`] if a technology constant is negative or
@@ -253,7 +254,9 @@ impl EvalRequestBuilder {
 /// elements than twice the MACs, which the operation count bounds, so
 /// the windows' input is checked on its own. The products are checked
 /// because `Layer::macs` overflows, and panics in debug builds, on a
-/// shape that breaks the rule.
+/// shape that breaks the rule. Every non-tensor entry must be positive, and
+/// `count × Σ elems` must fit an `i64`, so `Layer::nonlinear_elems` never
+/// overflows and no entry can subtract post-processing work.
 fn is_priceable(layer: &Layer) -> bool {
     let conv = match layer.kind {
         LayerKind::Gemm { m, n, k } => [1, k, n, m, 1, 1, 1, 1],
@@ -291,7 +294,14 @@ fn is_priceable(layer: &Layer) -> bool {
     let product = |xs: &[i64]| xs.iter().try_fold(1i64, |acc, &x| acc.checked_mul(x));
     // The input rows (or columns) that `out` windows of `kernel` span.
     let span = |out: i64, kernel: i64| stride.checked_mul(out - 1)?.checked_add(kernel);
+    let add_elems = |acc: i64, &(_, e): &(_, i64)| acc.checked_add(e).filter(|_| e > 0);
     layer.count > 0
+        && layer
+            .nonlinear
+            .iter()
+            .try_fold(0, add_elems)
+            .and_then(|e| e.checked_mul(layer.count))
+            .is_some()
         && conv.iter().all(|&d| d > 0)
         && product(&[2, layer.count, n, ic, oc, oh, ow, kh, kw]).is_some()
         && span(oh, kh)
@@ -898,7 +908,7 @@ mod tests {
     use super::*;
     use crate::error::StatusCode;
     use lego_model::SparseAccel;
-    use lego_workloads::zoo;
+    use lego_workloads::{zoo, Nonlinear};
 
     #[test]
     fn validate_accepts_a_zoo_request_and_names_each_rejection() {
@@ -1059,6 +1069,16 @@ mod tests {
             dw(-1),
             attention(0, 16),
             attention(i64::MAX, 1),
+            // Negative non-tensor work would price a layer cheaper.
+            gemm(4, 4, 4).with_nonlinear(Nonlinear::Softmax, -1_000_000_000),
+            gemm(4, 4, 4).with_nonlinear(Nonlinear::Activation, 0),
+            // Two entries whose sum, or one whose count multiple, overflows.
+            gemm(4, 4, 4)
+                .with_nonlinear(Nonlinear::Softmax, i64::MAX)
+                .with_nonlinear(Nonlinear::Activation, i64::MAX),
+            gemm(4, 4, 4)
+                .with_nonlinear(Nonlinear::Softmax, i64::MAX / 2)
+                .repeat(3),
         ]
     }
 

@@ -1,4 +1,5 @@
-//! Column-style Hermite normal form, integer nullspaces, and exact solving.
+//! Column-style Hermite normal form and exact integer solving, whose
+//! solution lattice carries an integer nullspace basis.
 //!
 //! LEGO's interconnection analysis (paper §IV-A, Equations 6–7) asks for all
 //! integer solutions of systems like `M_{I→D}·M_{S→I}·Δs = 0` and
@@ -161,34 +162,13 @@ pub fn hermite_normal_form(a: &IMat) -> Hnf {
     }
 }
 
-/// Returns an integer basis of the kernel (nullspace) of `A`.
-///
-/// Every integer vector `x` with `A·x = 0` is an integer combination of the
-/// returned vectors, and the vectors are linearly independent.
-///
-/// # Examples
-///
-/// ```
-/// use lego_linalg::{nullspace_basis, IMat};
-///
-/// // x + y = 0 has kernel spanned by (1, -1).
-/// let a = IMat::from_rows(&[vec![1, 1]]);
-/// let basis = nullspace_basis(&a);
-/// assert_eq!(basis.len(), 1);
-/// assert_eq!(a.mul_vec(&basis[0]), vec![0]);
-/// ```
-pub fn nullspace_basis(a: &IMat) -> Vec<Vec<i64>> {
-    let hnf = hermite_normal_form(a);
-    let rank = hnf.pivots.len();
-    (rank..a.cols()).map(|j| hnf.u.col(j)).collect()
-}
-
 /// Solves `A·x = b` over the integers.
 ///
 /// Returns `None` when no integer solution exists (either the system is
 /// inconsistent over the rationals or the solution is fractional).
 /// Otherwise returns a particular solution and a kernel basis describing
-/// the full solution lattice.
+/// the full solution lattice; `solve(a, &vec![0; a.rows()])` never fails, and
+/// its `basis` is an integer basis of the nullspace of `A`.
 ///
 /// # Examples
 ///
@@ -313,7 +293,7 @@ mod tests {
         // GEMM tensor X reads index [i, k] from iteration [i, j, k]:
         // kernel must be spanned by the j direction.
         let m = IMat::from_rows(&[vec![1, 0, 0], vec![0, 0, 1]]);
-        let basis = nullspace_basis(&m);
+        let basis = solve(&m, &[0, 0]).unwrap().basis;
         assert_eq!(basis.len(), 1);
         let v = &basis[0];
         assert_eq!(m.mul_vec(v), vec![0, 0]);
@@ -364,9 +344,8 @@ mod tests {
     #[test]
     fn zero_matrix_kernel_is_everything() {
         let a = IMat::zeros(2, 3);
-        let basis = nullspace_basis(&a);
-        assert_eq!(basis.len(), 3);
         let sol = solve(&a, &[0, 0]).unwrap();
+        assert_eq!(sol.basis.len(), 3);
         assert_eq!(sol.particular, vec![0, 0, 0]);
         assert!(solve(&a, &[1, 0]).is_none());
     }

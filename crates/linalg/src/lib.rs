@@ -9,8 +9,9 @@
 //! This crate provides:
 //!
 //! * [`IMat`] — a dense integer matrix with exact `i64` arithmetic,
-//! * [`hnf`] — column-style Hermite normal form, integer nullspace bases and
-//!   exact integer solving of `A·x = b`,
+//! * [`hnf`] — column-style Hermite normal form and exact integer solving
+//!   of `A·x = b`, whose solution carries an integer basis of the nullspace
+//!   (`solve(&a, &vec![0; a.rows()])` for the nullspace alone),
 //! * [`AffineMap`] — an affine transformation `x ↦ M·x + b` with composition,
 //! * small vector helpers ([`dot`], [`linearize`]) used across the
 //!   workspace.
@@ -31,7 +32,7 @@ pub mod hnf;
 pub mod mat;
 
 pub use affine::AffineMap;
-pub use hnf::{hermite_normal_form, nullspace_basis, solve, Hnf, IntSolution};
+pub use hnf::{hermite_normal_form, solve, Hnf, IntSolution};
 pub use mat::IMat;
 
 /// Dot product of two equal-length integer vectors.

@@ -130,12 +130,6 @@ pub fn dag_cost(dag: &Dag, tech: &TechModel, activity: f64) -> DagCost {
                 ff_bits += w;
                 lut_bits += 0.5 * w;
             }
-            Prim::Lut => {
-                // 256-entry activation table.
-                area += 256.0 * w * 0.35;
-                dyn_pj_per_cycle += w * 0.02;
-                lut_bits += 64.0;
-            }
             Prim::Const { .. } => {}
         }
     }

@@ -108,31 +108,14 @@ impl CostContext {
         self
     }
 
-    /// Rebuilds this context in place for a new configuration, re-deriving
-    /// only the components whose inputs actually changed.
-    ///
-    /// The L2 mesh is a function of the cluster grid alone and the L1
-    /// butterfly of the array extent alone, so a design-space move that
-    /// touches one axis (buffer size, bandwidth, dataflow set, sparse
-    /// feature…) re-prices neither network, and an array-only mutation
-    /// keeps the mesh. The `hw` assignment reuses the existing heap
-    /// allocation of the dataflow list ([`Clone::clone_from`]).
-    ///
-    /// Equivalent to building `CostContext::new(hw.clone(),
-    /// tech).with_sram(sram).with_sparse(sparse)` — the equality is pinned
-    /// by unit tests here and by proptests over explorer genomes — but
-    /// without the from-scratch derivation.
+    /// Replaces this context with a fresh build for a new configuration:
+    /// `CostContext::new(hw.clone(), tech).with_sram(sram).with_sparse(sparse)`.
+    /// No workspace code calls it; it stays only because the repository
+    /// benchmark's context probe does.
     pub fn update(&mut self, hw: &HwConfig, tech: TechModel, sram: SramModel, sparse: SparseHw) {
-        if self.hw.clusters != hw.clusters {
-            self.noc.mesh = hw.l2_mesh();
-        }
-        if self.hw.array != hw.array {
-            self.noc.butterfly = hw.l1_butterfly();
-        }
-        self.hw.clone_from(hw);
-        self.tech = tech;
-        self.sram = sram;
-        self.sparse = sparse;
+        *self = CostContext::new(hw.clone(), tech)
+            .with_sram(sram)
+            .with_sparse(sparse);
     }
 
     /// Replaces the sparse datapath configuration.
@@ -381,44 +364,6 @@ mod tests {
         let sp = LayerSparsity::weights(lego_sparse::DensityModel::two_to_four());
         assert!(dense.sparse_effects(&sp).is_none());
         assert!(skip.sparse_effects(&sp).is_some());
-    }
-
-    #[test]
-    fn update_equals_fresh_rebuild_on_every_axis() {
-        use lego_sparse::SparseAccel;
-        let tech = TechModel::default();
-        let sram = crate::SramModel::default();
-        let base = HwConfig::lego_256();
-        // Mutations along each design axis, including ones that change the
-        // mesh (clusters), the butterfly (array), and neither (buffer,
-        // bandwidth, dataflows, power).
-        let mut variants = vec![base.clone(), HwConfig::lego_icoc_1k()];
-        for (i, hw) in (0..6).map(|i| (i, base.clone())) {
-            let mut hw = hw;
-            match i {
-                0 => hw.array = (32, 8),
-                1 => hw.clusters = (2, 4),
-                2 => hw.buffer_kb = 512,
-                3 => hw.dram_gbps = 64.0,
-                4 => hw.dataflows.truncate(1),
-                _ => hw.static_mw = 99.0,
-            }
-            variants.push(hw);
-        }
-        let mut ctx = CostContext::new(base, tech);
-        for hw in &variants {
-            for accel in [SparseAccel::None, SparseAccel::Skipping] {
-                let sparse = SparseHw::with_accel(accel);
-                ctx.update(hw, tech, sram, sparse);
-                assert_eq!(
-                    ctx,
-                    CostContext::new(hw.clone(), tech)
-                        .with_sram(sram)
-                        .with_sparse(sparse),
-                    "incremental update must equal a fresh rebuild"
-                );
-            }
-        }
     }
 
     #[test]

@@ -226,12 +226,6 @@ pub fn emit_verilog(dag: &Dag, module: &str) -> String {
                 let _ = writeln!(v, "  assign out_{id} = {};", pin(0));
                 let _ = writeln!(v, "  assign n{id} = {};", pin(0));
             }
-            Prim::Lut => {
-                let _ = writeln!(v, "  reg [{}:0] l{id} [0:255];", n.width.max(1) - 1);
-                let _ = writeln!(v, "  reg [{}:0] r{id};", n.width.max(1) - 1);
-                let _ = writeln!(v, "  always @(posedge clk) r{id} <= l{id}[{}];", pin(0));
-                let _ = writeln!(v, "  assign n{id} = r{id};");
-            }
             Prim::Const { value } => {
                 let _ = writeln!(v, "  assign n{id} = {value};");
             }

@@ -215,7 +215,7 @@ mod tests {
     use crate::wire::report_from_reply;
     use lego_eval::StatusCode;
     use lego_model::HwConfig;
-    use lego_workloads::{zoo, Layer, LayerKind, Model};
+    use lego_workloads::{zoo, Layer, LayerKind, Model, Nonlinear};
 
     fn request() -> EvalRequest {
         EvalRequest::new(zoo::lenet(), HwConfig::lego_256())
@@ -290,6 +290,7 @@ mod tests {
             gemm(-4, 4, 4),
             stride_zero,
             gemm(i64::MAX, i64::MAX, i64::MAX),
+            gemm(4, 4, 4).with_nonlinear(Nonlinear::Softmax, -1_000_000_000),
         ] {
             let model = Model {
                 name: "impossible".into(),

@@ -5,7 +5,7 @@ use lego_eval::{CodecError, EvalError, EvalRequest, EvalSession, StatusCode};
 use lego_model::{HwConfig, TechModel};
 use lego_serve::frame::{self, KIND_REQUEST};
 use lego_serve::{Client, Server, ServerConfig};
-use lego_workloads::zoo;
+use lego_workloads::{zoo, Nonlinear};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -162,6 +162,18 @@ fn invalid_requests_come_back_with_their_admission_status() {
     let mut client = Client::connect_tcp(addr).unwrap();
     match client.evaluate_bytes(&invalid) {
         Err(EvalError::Remote { code, .. }) => assert_eq!(code, StatusCode::INVALID_HW),
+        other => panic!("{other:?}"),
+    }
+    // Negative non-tensor work, which would price LeNet cheaper.
+    let mut lenet = zoo::lenet();
+    lenet.layers[0] = lenet.layers[0]
+        .clone()
+        .with_nonlinear(Nonlinear::Softmax, -1_000_000_000);
+    let negative = EvalRequest::new(lenet, HwConfig::lego_256());
+    let offline = negative.validate().unwrap_err().status();
+    assert_eq!(offline, StatusCode::INVALID_LAYER);
+    match client.evaluate_bytes(&negative) {
+        Err(EvalError::Remote { code, .. }) => assert_eq!(code, offline),
         other => panic!("{other:?}"),
     }
     // The refusal cost nothing: the connection still serves.

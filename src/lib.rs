@@ -4,7 +4,8 @@
 //! and Optimization for Tensor Applications* (HPCA 2025). This facade crate
 //! re-exports the whole workspace:
 //!
-//! * [`linalg`] — integer linear algebra (HNF, nullspaces, affine maps);
+//! * [`linalg`] — integer linear algebra (HNF, exact integer solving with its
+//!   nullspace lattice, affine maps);
 //! * [`graph`] — Chu-Liu/Edmonds arborescences, MSTs, union-find;
 //! * [`lp`] — min-cost flow, exact delay-matching, pin remapping;
 //! * [`ir`] — the relation-centric workload/dataflow representation (§III);
